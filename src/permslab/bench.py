@@ -133,7 +133,7 @@ def run_sweep(
         start_policy: "truth" seeds each fit at the generating
             parameters (round-trip benchmarking: measures how far noise
             pushes the fit from a known anchor); "auto" uses the
-            estimator's default start grid, in which case the
+            estimator's default anchor (1.5, 0.01), in which case the
             phase-offset gauge freedom dominates the spread.
     """
     if trials < 1:

@@ -295,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--a-max", type=float, default=100.0)
     est.add_argument("--b-max", type=float, default=50.0)
     est.add_argument("--start", action="append", default=[],
-                     help="explicit start 'a,b,c'; repeatable. The sweep "
-                          "determines the parameters only up to a phase-"
-                          "offset family, so starts anchor the answer")
+                     help="explicit start 'a,b,c'. The sweep determines "
+                          "the parameters only up to a phase-offset family; "
+                          "the a,b of the first start anchors the answer, "
+                          "and its c and any later start are ignored")
     est.add_argument("--report-out", default=None)
     est.set_defaults(func=cmd_estimate)
 

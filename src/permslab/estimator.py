@@ -12,15 +12,18 @@ absorbs the reference-position mismatch. The fit minimizes the summed
 squared real and imaginary residuals under box bounds a >= 1, b >= 0.
 
 Identifiability: the model depends on (a, b, c) only through the
-product r(a, b) * e^{jc}, so any single-frequency sweep pins exactly two
-real degrees of freedom and the exact-fit solutions form a
-one-parameter family. The solver converges to the family member nearest
-its starting point; pass explicit ``starts`` to anchor the answer to
-prior knowledge. See fit_permittivity for details.
+product z = r(a, b) * e^{jc}, so any single-frequency sweep pins exactly
+two real degrees of freedom and the least-squares solutions form a
+one-parameter family. fit_permittivity computes z in closed form (a
+mean) and reports the feasible family member nearest an anchor (a, b):
+the first entry of ``starts``, or (1.5, 0.01) for ``starts="auto"``.
+Pass explicit ``starts`` to anchor the answer to prior knowledge.
+fit_ideal, which has no phase offset, runs the trust-region solver.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +41,7 @@ from .trf import least_squares_trf, numerical_jacobian
 
 AUTO_START_A = (1.5, 3.0, 6.0, 12.0)
 AUTO_START_B = (0.01, 0.5)
+AUTO_ANCHOR = (AUTO_START_A[0], AUTO_START_B[0])
 
 
 def wrap_phase(c: float) -> float:
@@ -68,6 +72,8 @@ class SdiDataset:
         object.__setattr__(self, "gammas", np.asarray(self.gammas, dtype=complex))
         if self.gammas.ndim != 1 or self.gammas.size < 3:
             raise ValueError("need at least 3 reflection samples")
+        if not np.all(np.isfinite(self.gammas)):
+            raise ValueError("reflection samples must be finite")
         if not self.step > 0.0:
             raise ValueError(f"step must be > 0, got {self.step}")
         if not self.carrier > 0.0:
@@ -171,110 +177,72 @@ def jacobian(params, data: SdiDataset) -> np.ndarray:
     return jac
 
 
-def _gauge_slide(r_base: complex, delta):
-    """(a, b) of the family member whose phase offset grew by delta.
+def _unit_circle_roots(quartics: np.ndarray) -> np.ndarray:
+    """Roots of a stack of quartics, Newton-polished, projected onto |w| = 1.
 
-    The member's reflection coefficient is r_base * e^{-j delta}, so its
-    model product r * e^{jc} stays equal to the landed one: every member
-    reproduces the identical model sequence and the identical cost; only
-    the (a, b, c) split changes.
+    A root off the circle projects to an ordinary point of the circle,
+    so keeping it adds a candidate but never a wrong answer.
     """
-    r = r_base * np.exp(-1j * np.asarray(delta))
-    s = (1.0 - r) / (1.0 + r)
-    eps = s * s
-    return eps.real, -eps.imag
+    companion = np.zeros((len(quartics), 4, 4), dtype=complex)
+    companion[:, 0, :] = -quartics[:, 1:] / quartics[:, :1]
+    companion[:, 1:, :-1] = np.eye(3)
+    w = np.linalg.eigvals(companion)
+    with np.errstate(all="ignore"):  # double and far-off roots
+        for _ in range(2):
+            p, dp = quartics[:, :1], 0.0
+            for k in range(1, 5):
+                dp = dp * w + p
+                p = p * w + quartics[:, k : k + 1]
+            step = p / dp
+            w = np.where(np.isfinite(step), w - step, w)
+    return (w / np.abs(w)).ravel()
 
 
-def _canonicalize_gauge(a, b, c, anchor_ab, bounds: FitBounds):
-    """Slide a fit along its cost-flat rotation family toward the anchor.
+def _nearest_member(rho: float, anchor, bounds: FitBounds) -> tuple[float, float]:
+    """Feasible (a, b) with |r(a, b)| = rho nearest the anchor's (a, b).
 
-    Returns the feasible family member whose (a, b) is nearest the
-    start's (a, b). This pins the one parameter combination the data do
-    not constrain, making results deterministic, start-anchored, and
-    equivariant under rotations of the dataset. The minimizer is located
-    by bisection on the analytic distance derivative (or on the
-    feasibility edge when the bounds cut the family short), so the
-    member is resolved to full float precision.
+    Under s = (1 - r) / (1 + r) the family |r| = rho is the circle
+    s = C + R w, |w| = 1, so eps = s^2 = C^2 + 2CR w + R^2 w^2. The
+    nearest feasible member is a stationary point of |s^2 - eps0|^2 or
+    an end of a feasible arc, where a crosses 1 or a_max or b crosses 0
+    or b_max. Each condition is a quartic in w (below divided by R^2);
+    the member is the nearest feasible point among their roots.
     """
-    a0, b0 = anchor_ab
-    r_base = front_face_reflection(a, b)
-
-    def feasible(delta: float) -> bool:
-        aa, bb = _gauge_slide(r_base, delta)
-        return bool(
-            (aa >= 1.0) & (aa <= bounds.a_max) & (bb >= 0.0) & (bb <= bounds.b_max)
-        )
-
-    def dist2(delta: float) -> float:
-        if not feasible(delta):
-            return math.inf
-        aa, bb = _gauge_slide(r_base, delta)
-        return (float(aa) - a0) ** 2 + (float(bb) - b0) ** 2
-
-    def slope(delta: float) -> float:
-        r = r_base * np.exp(-1j * delta)
-        s = (1.0 - r) / (1.0 + r)
-        deps = 4j * s * r / (1.0 + r) ** 2  # d(eps)/d(delta) along the family
-        aa, bb = _gauge_slide(r_base, delta)
-        return 2.0 * ((float(aa) - a0) * deps.real + (float(bb) - b0) * (-deps.imag))
-
-    deltas = np.linspace(-math.pi, math.pi, 1441)  # includes 0 exactly
-    aa, bb = _gauge_slide(r_base, deltas)
-    ok = (aa >= 1.0) & (aa <= bounds.a_max) & (bb >= 0.0) & (bb <= bounds.b_max)
-    d2 = np.where(ok, (aa - a0) ** 2 + (bb - b0) ** 2, np.inf)
-    i = int(np.argmin(d2))
-    if not np.isfinite(d2[i]):
-        return a, b, c
-
-    cell = float(deltas[1] - deltas[0])
-    lo = float(deltas[i]) - cell
-    hi = float(deltas[i]) + cell
-    candidates = [0.0]
-    if feasible(lo) and feasible(hi) and slope(lo) < 0.0 < slope(hi):
-        l, h = lo, hi
-        for _ in range(100):
-            mid = 0.5 * (l + h)
-            if slope(mid) < 0.0:
-                l = mid
-            else:
-                h = mid
-        candidates.append(0.5 * (l + h))
-    else:
-        # minimum pressed against a bound: bisect each feasibility edge
-        for sign in (-1.0, 1.0):
-            out = float(deltas[i]) + sign * cell
-            if not feasible(out):
-                l, h = float(deltas[i]), out
-                for _ in range(100):
-                    mid = 0.5 * (l + h)
-                    if feasible(mid):
-                        l = mid
-                    else:
-                        h = mid
-                candidates.append(l)
-
-    delta = min(candidates, key=dist2)
-    if not dist2(delta) < dist2(0.0):  # keep the landed point on a tie
-        return a, b, c
-    a_new, b_new = _gauge_slide(r_base, delta)
-    a_new = min(max(float(a_new), 1.0), bounds.a_max)
-    b_new = min(max(float(b_new), 0.0), bounds.b_max)
-    return a_new, b_new, c + delta
+    a0, b0 = anchor
+    if rho < 1e-100:  # the whole family lies within 4 rho of (1, 0)
+        return 1.0, 0.0
+    big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
+    big_r = 2.0 * rho / (1.0 - rho * rho)
+    k = 2.0 * big_c / big_r
+    # g = 0 would lower the degree; an ulp-sized g keeps the same roots
+    g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
+    quartics = np.array([
+        [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
+        *([1, k, 2 * (big_c * big_c - edge) / big_r**2, k, 1] for edge in (1.0, bounds.a_max)),
+        *([1, k, 2j * edge / big_r**2, -k, -1] for edge in (0.0, bounds.b_max)),
+    ], dtype=complex)
+    eps = (big_c + big_r * _unit_circle_roots(quartics)) ** 2
+    a, b = eps.real, -eps.imag
+    tol = 1e-13 * (big_c + big_r) ** 2  # rounding of eps along the circle
+    ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
+    a = np.clip(a[ok], 1.0, bounds.a_max)
+    b = np.clip(b[ok], 0.0, bounds.b_max)
+    i = int(np.argmin((a - a0) ** 2 + (b - b0) ** 2))
+    return float(a[i]), float(b[i])
 
 
-def _auto_starts(data: SdiDataset) -> list[tuple[float, float, float]]:
-    """Grid of (a, b) seeds with the phase offset matched to the data.
+def _largest_reflection_corner(bounds: FitBounds) -> tuple[float, float]:
+    """The (a, b) in the box with the largest |r(a, b)|.
 
-    Each seed's c aligns the model phase with the first measurement, so
-    only the radial (magnitude) mismatch remains at the start.
+    With eps = a - jb, d log r / d eps = 1 / (s (eps - 1)), so
+    d log|r| / da = Re(1 / (s (eps - 1))) and d log|r| / db =
+    Im(1 / (s (eps - 1))). For a >= 1, b > 0 the angle of s (eps - 1)
+    lies in (-3 pi / 4, 0) and grows with a, so |r| grows with b and,
+    along b = b_max, first falls and then rises with a. The maximum is
+    therefore at (1, b_max) or (a_max, b_max).
     """
-    phi0 = float(np.angle(data.gammas[0]))
-    starts = []
-    for a0 in AUTO_START_A:
-        for b0 in AUTO_START_B:
-            c0 = wrap_phase(phi0 - float(np.angle(front_face_reflection(a0, b0))))
-            starts.append((a0, b0, c0))
-    return starts
+    corners = ((1.0, bounds.b_max), (bounds.a_max, bounds.b_max))
+    return max(corners, key=lambda ab: abs(front_face_reflection(*ab)))
 
 
 def _pick_winner(runs, gammas) -> int:
@@ -298,86 +266,54 @@ def fit_permittivity(
     data: SdiDataset,
     bounds: FitBounds = FitBounds(),
     starts="auto",
-    gtol: float = 1e-10,
-    xtol: float = 1e-12,
-    max_iter: int = 500,
 ) -> FitResult:
-    """Fit (a, b, c) to a reflection sweep by bounded least squares.
+    """Fit (a, b, c) to a reflection sweep in closed form.
 
-    Runs the trust-region solver from every start and returns the
-    lowest-residual result (numerical ties broken toward the earliest
-    start). Because the sweep leaves one parameter combination
-    unconstrained (see module docstring), the winning solution is then
-    slid along its cost-flat rotation family to the feasible member
-    nearest the winning start's (a, b); the reported point is therefore
-    deterministic and anchored to the start. With ``starts="auto"`` the
-    seeds are a fixed (a, b) grid with the phase offset aligned to the
-    data; pass explicit ``starts=[(a, b, c), ...]`` to anchor the fit
-    to prior values instead.
+    The model is linear in z = r(a, b) e^{jc}, so the least-squares
+    optimum is z* = mean_m Gamma(m) e^{+j C1 m}. The largest |r| in
+    the box, r_max, is attained at (1, b_max) or (a_max, b_max),
+    whichever is larger; at |z*| >= r_max the fit returns that corner.
+    Otherwise the data leave one parameter combination free
+    (see module docstring), and the reported (a, b) is the feasible
+    member of the family |r(a, b)| = |z*| nearest the anchor, found
+    exactly; c = arg z* - arg r(a, b).
+
+    The anchor is the (a, b) of the first entry of ``starts``; with
+    ``starts="auto"`` it is (1.5, 0.01). The result has ``iterations``
+    0 and ``converged`` True.
 
     Raises:
         DegenerateDataError: all reflection samples are ~0 (free space).
-        NoConvergenceError: every start exhausted ``max_iter``.
     """
     if np.all(np.abs(data.gammas) < 1e-12):
         raise DegenerateDataError("all reflection samples below 1e-12")
     if isinstance(starts, str):
         if starts != "auto":
             raise ValueError(f"unknown start policy {starts!r}")
-        start_list = _auto_starts(data)
+        anchor = AUTO_ANCHOR
     else:
         start_list = [tuple(map(float, s)) for s in starts]
         if not start_list:
             raise ValueError("empty start list")
+        anchor = start_list[0][:2]
 
-    lb = np.array([1.0, 0.0, -np.inf])
-    ub = np.array([bounds.a_max, bounds.b_max, np.inf])
-
-    runs = []
-    for s0 in start_list:
-        runs.append(
-            least_squares_trf(
-                lambda x: residuals(x, data),
-                lambda x: jacobian(x, data),
-                np.asarray(s0, dtype=float),
-                lb,
-                ub,
-                gtol=gtol,
-                xtol=xtol,
-                max_iter=max_iter,
-            )
-        )
-
-    if not any(r.converged for r in runs):
-        raise NoConvergenceError(f"no start converged within {max_iter} iterations")
-
-    winner = _pick_winner(runs, data.gammas)
-    win = runs[winner]
-    # polish the winner at tightened tolerances so the data-constrained
-    # parameter combination is pinned to machine precision before the
-    # gauge canonicalization below
-    polish = least_squares_trf(
-        lambda x: residuals(x, data),
-        lambda x: jacobian(x, data),
-        win.x,
-        lb,
-        ub,
-        gtol=min(gtol, 1e-14),
-        xtol=min(xtol, 1e-15),
-        max_iter=25,
-    )
-    iterations = win.iterations + polish.iterations
-    x_best = polish.x if polish.cost <= win.cost else win.x
-    a, b, c = (float(v) for v in x_best)
-    a, b, c = _canonicalize_gauge(a, b, c, start_list[winner][:2], bounds)
+    m = np.arange(data.step_count)
+    z = complex(np.mean(data.gammas * np.exp(1j * data.step_phase * m)))
+    rho = abs(z)
+    corner = _largest_reflection_corner(bounds)
+    if rho >= abs(front_face_reflection(*corner)):
+        a, b = corner
+    else:
+        a, b = _nearest_member(rho, anchor, bounds)
+    c = wrap_phase(cmath.phase(z) - cmath.phase(front_face_reflection(a, b)))
     params = (a, b, c)
     jac_final = jacobian(params, data)
     return FitResult(
         permittivity=ComplexPermittivity(a, b),
-        phase_offset=wrap_phase(c),
+        phase_offset=c,
         residual_norm=float(np.linalg.norm(residuals(params, data))),
-        iterations=iterations,
-        converged=win.converged,
+        iterations=0,
+        converged=True,
         covariance_proxy=jac_final.T @ jac_final,
     )
 

@@ -133,21 +133,15 @@ class DatasetFile:
 
     @classmethod
     def read(cls, path) -> "DatasetFile":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw_lines = fh.read().splitlines()
-        except OSError as exc:
-            raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-        meta, records = _split_header(raw_lines)
-        for key in ("mode", "carrier_hz", "step_m", "step_count"):
-            if key not in meta:
-                raise DatasetFormatError(f"missing metadata key {key!r}")
+        meta, records = _split_header(_read_lines(path))
+        if "mode" not in meta:
+            raise DatasetFormatError("missing metadata key 'mode'")
         mode = meta["mode"]
-        step_count = _parse_int(meta, "step_count")
+        step_count = _parse(meta, "step_count", int)
         common = dict(
             mode=mode,
-            carrier_hz=_parse_float(meta, "carrier_hz"),
-            step_m=_parse_float(meta, "step_m"),
+            carrier_hz=_parse(meta, "carrier_hz"),
+            step_m=_parse(meta, "step_m"),
             step_count=step_count,
             direction=meta.get("direction", "backward"),
             provenance=meta.get("provenance", ""),
@@ -156,17 +150,13 @@ class DatasetFile:
             gammas = _parse_gamma_records(records, step_count)
             return cls(gammas=gammas, **common)
         if mode == "raw-if":
-            for key in ("bandwidth_hz", "chirp_duration_s", "sample_count",
-                        "sample_interval_s", "amplitude"):
-                if key not in meta:
-                    raise DatasetFormatError(f"missing metadata key {key!r}")
             chirp = ChirpConfig(
-                start_frequency=_parse_float(meta, "carrier_hz"),
-                bandwidth=_parse_float(meta, "bandwidth_hz"),
-                chirp_duration=_parse_float(meta, "chirp_duration_s"),
-                sample_count=_parse_int(meta, "sample_count"),
-                sample_interval=_parse_float(meta, "sample_interval_s"),
-                amplitude=_parse_float(meta, "amplitude"),
+                start_frequency=_parse(meta, "carrier_hz"),
+                bandwidth=_parse(meta, "bandwidth_hz"),
+                chirp_duration=_parse(meta, "chirp_duration_s"),
+                sample_count=_parse(meta, "sample_count", int),
+                sample_interval=_parse(meta, "sample_interval_s"),
+                amplitude=_parse(meta, "amplitude"),
                 path_loss=complex(
                     float(meta.get("path_loss_re", 1.0)),
                     float(meta.get("path_loss_im", 0.0)),
@@ -175,6 +165,14 @@ class DatasetFile:
             mut, metal = _parse_raw_records(records, step_count, chirp.sample_count)
             return cls(chirp=chirp, mut_samples=mut, metal_samples=metal, **common)
         raise DatasetFormatError(f"unknown mode {mode!r}")
+
+
+def _read_lines(path) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _split_header(raw_lines):
@@ -203,18 +201,13 @@ def _split_header(raw_lines):
     return meta, records
 
 
-def _parse_float(meta, key) -> float:
+def _parse(meta, key, kind=float):
+    if key not in meta:
+        raise DatasetFormatError(f"missing metadata key {key!r}")
     try:
-        return float(meta[key])
+        return kind(meta[key])
     except ValueError as exc:
-        raise DatasetFormatError(f"bad float for {key!r}: {meta[key]!r}") from exc
-
-
-def _parse_int(meta, key) -> int:
-    try:
-        return int(meta[key])
-    except ValueError as exc:
-        raise DatasetFormatError(f"bad integer for {key!r}: {meta[key]!r}") from exc
+        raise DatasetFormatError(f"bad {kind.__name__} for {key!r}: {meta[key]!r}") from exc
 
 
 def _parse_gamma_records(records, step_count) -> np.ndarray:
@@ -234,6 +227,8 @@ def _parse_gamma_records(records, step_count) -> np.ndarray:
             raise DatasetFormatError(f"bad gamma record: {line!r}") from exc
         if m != expected:
             raise DatasetFormatError(f"record index {m} out of order")
+    if not np.all(np.isfinite(gammas)):
+        raise DatasetFormatError("non-finite gamma record")
     return gammas
 
 
@@ -264,8 +259,8 @@ def _parse_raw_records(records, step_count, sample_count):
             metal[m, n] = value
         else:
             raise DatasetFormatError(f"bad trace id {trace_id!r}")
-    if np.any(np.isnan(mut.real)) or np.any(np.isnan(metal.real)):
-        raise DatasetFormatError("incomplete trace records")
+    if not (np.all(np.isfinite(mut)) and np.all(np.isfinite(metal))):
+        raise DatasetFormatError("incomplete or non-finite trace records")
     return mut, metal
 
 
@@ -333,10 +328,8 @@ class ReportFile:
 
     @classmethod
     def read(cls, path) -> "ReportFile":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-        meta, records = _split_header(raw_lines)
-        step_count = _parse_int(meta, "step_count")
+        meta, records = _split_header(_read_lines(path))
+        step_count = _parse(meta, "step_count", int)
         if len(records) != step_count:
             raise DatasetFormatError("report record count mismatch")
         measured = np.empty(step_count, dtype=complex)
@@ -345,17 +338,20 @@ class ReportFile:
             parts = line.split()
             if len(parts) != 6:
                 raise DatasetFormatError(f"bad report record: {line!r}")
-            measured[i] = complex(float(parts[2]), float(parts[3]))
-            fitted[i] = complex(float(parts[4]), float(parts[5]))
+            try:
+                measured[i] = complex(float(parts[2]), float(parts[3]))
+                fitted[i] = complex(float(parts[4]), float(parts[5]))
+            except ValueError as exc:
+                raise DatasetFormatError(f"bad report record: {line!r}") from exc
         return cls(
-            eps_real=_parse_float(meta, "eps_real"),
-            eps_imag=_parse_float(meta, "eps_imag"),
-            phase_offset_rad=_parse_float(meta, "phase_offset_rad"),
-            residual_norm=_parse_float(meta, "residual_norm"),
-            iterations=_parse_int(meta, "iterations"),
+            eps_real=_parse(meta, "eps_real"),
+            eps_imag=_parse(meta, "eps_imag"),
+            phase_offset_rad=_parse(meta, "phase_offset_rad"),
+            residual_norm=_parse(meta, "residual_norm"),
+            iterations=_parse(meta, "iterations", int),
             converged=meta.get("converged") == "true",
-            carrier_hz=_parse_float(meta, "carrier_hz"),
-            step_m=_parse_float(meta, "step_m"),
+            carrier_hz=_parse(meta, "carrier_hz"),
+            step_m=_parse(meta, "step_m"),
             step_count=step_count,
             measured=measured,
             fitted=fitted,

@@ -98,6 +98,15 @@ class TestExtractEstimate:
         bad.write_text("not a dataset\n")
         assert run(["estimate", "--input", str(bad)]) == 2
 
+    def test_estimate_non_finite_file(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--steps", "5", "--out", str(sweep)]) == 0
+        lines = sweep.read_text().splitlines()
+        lines[-1] = "4 nan 0"
+        sweep.write_text("\n".join(lines) + "\n")
+        assert run(["estimate", "--input", str(sweep)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_estimate_aliasing_step(self, tmp_path):
         # the generator refuses to build aliased sweeps, so write the
         # file directly the way a user with a too-coarse stage might

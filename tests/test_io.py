@@ -94,6 +94,16 @@ class TestGammaRoundTrip:
         with pytest.raises(DatasetFormatError):
             DatasetFile.read(tmp_path / "missing.txt")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_record_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "mode: gamma\ncarrier_hz: 7.9e10\nstep_m: 1e-4\nstep_count: 3\n"
+            f"columns: m re_gamma im_gamma\n0 0.1 0.2\n1 {value} 0.2\n2 0.1 0.2\n"
+        )
+        with pytest.raises(DatasetFormatError, match="non-finite"):
+            DatasetFile.read(path)
+
 
 class TestRawIfRoundTrip:
     def test_bit_exact(self, tmp_path):
@@ -142,6 +152,20 @@ class TestRawIfRoundTrip:
         with pytest.raises(DatasetFormatError):
             DatasetFile.read(path)
 
+    def test_non_finite_record_rejected(self, tmp_path):
+        cfg = benchmark_chirp()
+        n = cfg.sample_count
+        path = tmp_path / "raw.txt"
+        DatasetFile(
+            mode="raw-if", carrier_hz=cfg.start_frequency, step_m=1e-4, step_count=1,
+            chirp=cfg, mut_samples=np.ones(n), metal_samples=np.ones((1, n)),
+        ).write(path)
+        text = path.read_text().replace("\nmetal-0 3 1 0\n", "\nmetal-0 3 inf 0\n")
+        assert "metal-0 3 inf 0" in text
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match="non-finite"):
+            DatasetFile.read(path)
+
     def test_gamma_file_cannot_feed_extraction(self, tmp_path):
         f = gamma_file(tmp_path)
         with pytest.raises(DatasetFormatError):
@@ -174,3 +198,13 @@ class TestReportFile:
             back.eps_real, back.eps_imag, back.phase_offset_rad, m, c1
         )
         np.testing.assert_allclose(back.fitted, regenerated, atol=1e-12)
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(DatasetFormatError):
+            ReportFile.read(tmp_path / "missing.txt")
+
+    def test_malformed_record_rejected(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("step_count: 1\ncolumns: m x_mm re im re im\n0 0 x 1 2 3\n")
+        with pytest.raises(DatasetFormatError, match="bad report record"):
+            ReportFile.read(path)
