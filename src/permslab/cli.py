@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate, extract, estimate, check-farfield, report.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed or
-unreadable files, aliasing step sizes), 3 numerical failure (fit did
-not converge, degenerate geometry), 4 degenerate data (free-space
-sweeps, unusable calibration reference).
+unreadable files, aliasing step sizes), 3 numerical failure (degenerate
+slab geometry), 4 degenerate data (free-space sweeps, unusable
+calibration reference).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     DegenerateDataError,
     DegenerateGeometryError,
     DegenerateRegressionError,
-    NoConvergenceError,
 )
 from .estimator import (
     FitBounds,
@@ -37,7 +36,7 @@ from .estimator import (
     step_phase_advance,
 )
 from .fmcw import ChirpConfig, IfTrace
-from .io import DatasetFile, ReportFile
+from .io import DatasetFile, ReportFile, write_records
 from .synth import NoiseModel, extract_sweep, generate_dataset, generate_if_datasets
 
 EXIT_OK = 0
@@ -47,7 +46,7 @@ EXIT_DEGENERATE = 4
 
 _ERROR_CODES = [
     ((DatasetFormatError, AliasingError, ValueError, OSError), EXIT_INVALID),
-    ((NoConvergenceError, DegenerateGeometryError), EXIT_NUMERICAL),
+    ((DegenerateGeometryError,), EXIT_NUMERICAL),
     ((DegenerateDataError, CalibrationError, AllZeroSpectrumError,
       DegenerateRegressionError), EXIT_DEGENERATE),
 ]
@@ -133,10 +132,9 @@ def cmd_extract(args) -> int:
     src = DatasetFile.read(args.input)
     if src.mode != "raw-if":
         raise DatasetFormatError("extract needs a raw-if mode file")
-    metal = [src.metal_samples[m] for m in range(src.step_count)]
     sweep = extract_sweep(
         IfTrace(src.mut_samples),
-        [IfTrace(s) for s in metal],
+        [IfTrace(s) for s in src.metal_samples],
         src.step_m,
         src.carrier_hz,
     )
@@ -158,7 +156,9 @@ def cmd_estimate(args) -> int:
     src = DatasetFile.read(args.input)
     data = src.to_sweep()
     bounds = FitBounds(a_max=args.a_max, b_max=args.b_max)
-    starts = [tuple(map(float, s.split(","))) for s in args.start] if args.start else "auto"
+    if len(args.start) > 1:
+        raise ValueError("give at most one --start: only one anchor is used")
+    starts = [tuple(map(float, args.start[0].split(",")))] if args.start else "auto"
     fit = fit_permittivity(data, bounds=bounds, starts=starts)
     slope, r2 = phase_slope_diagnostic(data)
     print(f"eps_real:        {fit.permittivity.real_part:.6f}")
@@ -233,14 +233,12 @@ def cmd_report(args) -> int:
     for i, truth in enumerate(truths):
         curve = model_gamma(truth.real_part, truth.imag_part, 0.0, m, c1)
         path = outdir / f"curve_{i}_eps{truth.real_part:g}-{truth.imag_part:g}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# x_mm re_gamma im_gamma abs_gamma phase_deg\n")
-            for k in range(args.steps):
-                x_mm = k * args.step_m * 1e3
-                fh.write(
-                    f"{x_mm:.17g} {curve[k].real:.17g} {curve[k].imag:.17g} "
-                    f"{abs(curve[k]):.17g} {math.degrees(np.angle(curve[k])):.17g}\n"
-                )
+        # np.hypot equals abs() of each element bit for bit; np.abs does not
+        values = np.column_stack((m * args.step_m * 1e3, curve.real, curve.imag,
+                                  np.hypot(curve.real, curve.imag),
+                                  np.degrees(np.angle(curve))))
+        write_records(path, ["# x_mm re_gamma im_gamma abs_gamma phase_deg"],
+                      [([""] * args.steps, values)])
     print(f"report files written to {outdir}")
     return EXIT_OK
 
@@ -295,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--a-max", type=float, default=100.0)
     est.add_argument("--b-max", type=float, default=50.0)
     est.add_argument("--start", action="append", default=[],
-                     help="explicit start 'a,b,c'. The sweep determines "
-                          "the parameters only up to a phase-offset family; "
-                          "the a,b of the first start anchors the answer, "
-                          "and its c and any later start are ignored")
+                     help="explicit start 'a,b,c', at most once. The sweep "
+                          "determines the parameters only up to a phase-offset "
+                          "family; the start's a,b anchors the answer and its "
+                          "c is ignored")
     est.add_argument("--report-out", default=None)
     est.set_defaults(func=cmd_estimate)
 

@@ -83,12 +83,15 @@ class EchoComponent:
 
 @dataclass(frozen=True)
 class IfTrace:
-    """Complex IF samples of one ramp."""
+    """Complex IF samples of one ramp, or a stack of ramps one per row."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
+        samples = np.asarray(self.samples, dtype=complex)
+        if not np.isfinite(samples).all():
+            raise ValueError("IF samples must be finite")
+        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
@@ -156,20 +159,20 @@ def synth_slab_echoes(
 
 
 def dft(trace: IfTrace) -> RangeSpectrum:
-    """Plain forward DFT, bins[k] = sum_n samples[n] e^{-j 2 pi n k / N}."""
+    """Plain forward DFT, bins[k] = sum_n samples[n] e^{-j 2 pi n k / N}, per row of a stack."""
     return RangeSpectrum(np.fft.fft(trace.samples))
 
 
-def peak_bin(spec: RangeSpectrum) -> int:
-    """Index of the maximum-magnitude bin; ties go to the lower index.
+def peak_bin(spec: RangeSpectrum) -> int | np.ndarray:
+    """Index of the maximum-magnitude bin (per row of a stack); ties go to the lower index.
 
     Raises:
-        AllZeroSpectrumError: if every bin is exactly zero.
+        AllZeroSpectrumError: if every bin of a spectrum is exactly zero.
     """
     mags = np.abs(spec.bins)
-    if not np.any(mags > 0.0):
+    if not (mags > 0.0).any(axis=-1).all():
         raise AllZeroSpectrumError("spectrum has no nonzero bin")
-    return int(np.argmax(mags))
+    return mags.argmax(axis=-1) if mags.ndim > 1 else int(mags.argmax())
 
 
 def calibrate_ratio(
@@ -179,7 +182,8 @@ def calibrate_ratio(
 
     Returns -(mut_peak / metal_peak): the metal's known reflection of -1
     is folded in, so the output is the calibrated reflection coefficient
-    with amplitude and path-loss factors removed.
+    with amplitude and path-loss factors removed. Arrays of metal peaks
+    (and of scales) are calibrated element by element.
 
     Args:
         reference_scale: norm of the metal trace/spectrum used to judge
@@ -187,9 +191,11 @@ def calibrate_ratio(
             below 1e-15 of it raises; otherwise only an exact zero does.
 
     Raises:
-        CalibrationError: metal peak too small to divide by.
+        CalibrationError: a metal peak too small to divide by.
     """
     threshold = 1e-15 * reference_scale if reference_scale is not None else 0.0
-    if abs(metal_peak) <= threshold:
-        raise CalibrationError(f"metal reference peak too small: {metal_peak!r}")
+    small = np.abs(metal_peak) <= threshold
+    if small.any():
+        peak = np.ravel(metal_peak)[small.argmax()]
+        raise CalibrationError(f"metal reference peak too small: {peak!r}")
     return -(mut_peak / metal_peak)

@@ -1,14 +1,20 @@
 """Self-describing text files for sweeps, raw traces, and fit reports.
 
-One envelope serves both dataset modes: a comment banner, `key: value`
-metadata lines, a `columns:` line naming the record fields, then
-whitespace-separated numeric records. Floats are written with 17
-significant digits so a write/read round trip is bit-exact. Units are
-SI and part of the key names (``_hz``, ``_m``, ``_s``, ``_rad``).
+One envelope serves both dataset modes and the report: a comment
+banner, `key: value` metadata lines, a `columns:` line naming the record
+fields, then whitespace-separated records, one per line. Floats are
+written with 17 significant digits so a write/read round trip is
+bit-exact. Units are SI and part of the key names (``_hz``, ``_m``,
+``_s``, ``_rad``).
 
-gamma mode records:   m  re_gamma  im_gamma
-raw-if mode records:  trace_id  sample_index  re  im
-                      (trace ids: ``mut`` and ``metal-<m>``)
+gamma mode records:   m  re_gamma  im_gamma  (in order of m)
+raw-if mode records:  trace_id  sample_index  re  im  (any order, each
+                      sample once; trace ids ``mut`` and ``metal-<m>``,
+                      at most 15 characters)
+
+Blank lines and ``#`` comments may appear anywhere, also after the
+fields of a record line. A malformed, incomplete or non-finite record
+ends in ``DatasetFormatError``.
 
 The ``direction`` key records which way the reference moved during the
 sweep: ``backward`` (away from the radar, the default) means the
@@ -19,6 +25,7 @@ the falling convention.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +41,15 @@ GAMMA_COLUMNS = "m re_gamma im_gamma"
 RAW_COLUMNS = "trace_id sample_index re im"
 REPORT_COLUMNS = "m x_mm re_measured im_measured re_fitted im_fitted"
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# record name and np.loadtxt layout per dataset mode, and of reports; each
+# (re, im) pair is one field, viewed as complex bit for bit. A 16-byte trace
+# id may have been cut short, so it is rejected.
+_RECORDS = {
+    "gamma": ("gamma", np.dtype([("m", "i8"), ("z", "f8", 2)])),
+    "raw-if": ("trace", np.dtype([("trace_id", "S16"), ("n", "i8"), ("z", "f8", 2)])),
+}
+_REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured", "f8", 2),
+                                       ("fitted", "f8", 2)]))
 
 
 @dataclass
@@ -101,108 +114,130 @@ class DatasetFile:
         return SdiDataset(gammas, self.step_m, self.carrier_hz)
 
     def write(self, path) -> None:
-        lines = [FORMAT_BANNER]
-        lines.append(f"mode: {self.mode}")
-        lines.append(f"carrier_hz: {_fmt(self.carrier_hz)}")
-        lines.append(f"step_m: {_fmt(self.step_m)}")
-        lines.append(f"step_count: {self.step_count}")
-        lines.append(f"direction: {self.direction}")
+        header = [
+            FORMAT_BANNER,
+            f"mode: {self.mode}",
+            f"carrier_hz: {self.carrier_hz:.17g}",
+            f"step_m: {self.step_m:.17g}",
+            f"step_count: {self.step_count}",
+            f"direction: {self.direction}",
+        ]
         if self.provenance:
-            lines.append(f"provenance: {self.provenance}")
-        if self.mode == "raw-if":
-            c = self.chirp
-            lines.append(f"bandwidth_hz: {_fmt(c.bandwidth)}")
-            lines.append(f"chirp_duration_s: {_fmt(c.chirp_duration)}")
-            lines.append(f"sample_count: {c.sample_count}")
-            lines.append(f"sample_interval_s: {_fmt(c.sample_interval)}")
-            lines.append(f"amplitude: {_fmt(c.amplitude)}")
-            lines.append(f"path_loss_re: {_fmt(c.path_loss.real)}")
-            lines.append(f"path_loss_im: {_fmt(c.path_loss.imag)}")
-            lines.append(f"columns: {RAW_COLUMNS}")
-            for n, v in enumerate(self.mut_samples):
-                lines.append(f"mut {n} {_fmt(v.real)} {_fmt(v.imag)}")
-            for m in range(self.step_count):
-                for n, v in enumerate(self.metal_samples[m]):
-                    lines.append(f"metal-{m} {n} {_fmt(v.real)} {_fmt(v.imag)}")
+            header.append(f"provenance: {self.provenance}")
+        if self.mode == "gamma":
+            header.append(f"columns: {GAMMA_COLUMNS}")
+            blocks = [([f"{m} " for m in range(self.step_count)], _pairs(self.gammas))]
         else:
-            lines.append(f"columns: {GAMMA_COLUMNS}")
-            for m, v in enumerate(self.gammas):
-                lines.append(f"{m} {_fmt(v.real)} {_fmt(v.imag)}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            c = self.chirp
+            header += [
+                f"bandwidth_hz: {c.bandwidth:.17g}",
+                f"chirp_duration_s: {c.chirp_duration:.17g}",
+                f"sample_count: {c.sample_count}",
+                f"sample_interval_s: {c.sample_interval:.17g}",
+                f"amplitude: {c.amplitude:.17g}",
+                f"path_loss_re: {c.path_loss.real:.17g}",
+                f"path_loss_im: {c.path_loss.imag:.17g}",
+                f"columns: {RAW_COLUMNS}",
+            ]
+            # one block per trace, formatted as it is written
+            ids = ["mut "] + [f"metal-{m} " for m in range(self.step_count)]
+            indexes = [f"{n} " for n in range(c.sample_count)]
+            traces = zip(ids, [self.mut_samples, *self.metal_samples])
+            blocks = (([i + n for n in indexes], _pairs(s)) for i, s in traces)
+        write_records(path, header, blocks)
 
     @classmethod
     def read(cls, path) -> "DatasetFile":
-        meta, records = _split_header(_read_lines(path))
-        if "mode" not in meta:
-            raise DatasetFormatError("missing metadata key 'mode'")
-        mode = meta["mode"]
-        step_count = _parse(meta, "step_count", int)
+        meta, records = _read_file(path)
         common = dict(
-            mode=mode,
+            mode=meta["mode"],
             carrier_hz=_parse(meta, "carrier_hz"),
             step_m=_parse(meta, "step_m"),
-            step_count=step_count,
+            step_count=_parse(meta, "step_count", int),
             direction=meta.get("direction", "backward"),
             provenance=meta.get("provenance", ""),
         )
-        if mode == "gamma":
-            gammas = _parse_gamma_records(records, step_count)
-            return cls(gammas=gammas, **common)
-        if mode == "raw-if":
-            chirp = ChirpConfig(
-                start_frequency=_parse(meta, "carrier_hz"),
-                bandwidth=_parse(meta, "bandwidth_hz"),
-                chirp_duration=_parse(meta, "chirp_duration_s"),
-                sample_count=_parse(meta, "sample_count", int),
-                sample_interval=_parse(meta, "sample_interval_s"),
-                amplitude=_parse(meta, "amplitude"),
-                path_loss=complex(
-                    float(meta.get("path_loss_re", 1.0)),
-                    float(meta.get("path_loss_im", 0.0)),
-                ),
-            )
-            mut, metal = _parse_raw_records(records, step_count, chirp.sample_count)
-            return cls(chirp=chirp, mut_samples=mut, metal_samples=metal, **common)
-        raise DatasetFormatError(f"unknown mode {mode!r}")
+        if meta["mode"] == "gamma":
+            return cls(gammas=_gammas(records, common["step_count"]), **common)
+        chirp = ChirpConfig(
+            start_frequency=common["carrier_hz"],
+            bandwidth=_parse(meta, "bandwidth_hz"),
+            chirp_duration=_parse(meta, "chirp_duration_s"),
+            sample_count=_parse(meta, "sample_count", int),
+            sample_interval=_parse(meta, "sample_interval_s"),
+            amplitude=_parse(meta, "amplitude"),
+            path_loss=complex(_parse(meta, "path_loss_re", default=1.0),
+                              _parse(meta, "path_loss_im", default=0.0)),
+        )
+        traces = _traces(records, common["step_count"], chirp.sample_count)
+        return cls(chirp=chirp, mut_samples=traces[0], metal_samples=traces[1:], **common)
 
 
-def _read_lines(path) -> list[str]:
+def write_records(path, header, blocks) -> None:
+    """Write ``header`` lines, then each block of records.
+
+    A block is ``(labels, values)``: record i is ``labels[i]`` followed
+    by row i of the 2-D ``values``. One ``%`` operation formats a block;
+    ``%.17g`` rounds as ``format(x, ".17g")`` does.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(header) + "\n")
+        for labels, values in blocks:
+            fields = " ".join(["%.17g"] * values.shape[1]) + "\n"
+            template = "".join([label + fields for label in labels])
+            fh.write(template % tuple(values.ravel().tolist()))
+
+
+def _pairs(z) -> np.ndarray:
+    """Complex values as (re, im) rows."""
+    z = np.asarray(z, dtype=complex)
+    return np.column_stack((z.real, z.imag))
+
+
+def _read_file(path, layout=None):
+    """Metadata up to ``columns:``, then the records, streamed by one
+    ``np.loadtxt`` call in ``layout`` (default: that of the file's mode)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
+            meta = _read_header(fh)
+            if layout is None:
+                mode = _parse(meta, "mode", str)
+                if mode not in _RECORDS:
+                    raise DatasetFormatError(f"unknown mode {mode!r}")
+                layout = _RECORDS[mode]
+            kind, dtype = layout
+            try:
+                with warnings.catch_warnings():
+                    # no records is an empty sweep or a count error, found below
+                    warnings.simplefilter("ignore", UserWarning)
+                    records = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise DatasetFormatError(f"bad {kind} record: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _split_header(raw_lines):
-    meta = {}
-    records = []
-    in_records = False
-    for line in raw_lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if in_records:
-            records.append(stripped)
-            continue
-        if ":" not in stripped:
-            raise DatasetFormatError(f"metadata line without colon: {stripped!r}")
-        key, value = stripped.split(":", 1)
-        key = key.strip()
-        value = value.strip()
-        if key == "columns":
-            in_records = True
-            meta[key] = value
-        else:
-            meta[key] = value
-    if "columns" not in meta:
-        raise DatasetFormatError("missing columns line")
     return meta, records
 
 
-def _parse(meta, key, kind=float):
+def _read_header(fh) -> dict:
+    meta = {}
+    for line in iter(fh.readline, ""):
+        key, colon, value = (part.strip() for part in line.partition(":"))
+        if not (key or colon) or key.startswith("#"):
+            continue  # blank or comment
+        if not colon:
+            raise DatasetFormatError(f"metadata line without colon: {key!r}")
+        meta[key] = value
+        if key == "columns":
+            return meta
+    raise DatasetFormatError("missing columns line")
+
+
+def _parse(meta, key, kind=float, default=None):
     if key not in meta:
+        if default is not None:
+            return default
         raise DatasetFormatError(f"missing metadata key {key!r}")
     try:
         return kind(meta[key])
@@ -210,58 +245,50 @@ def _parse(meta, key, kind=float):
         raise DatasetFormatError(f"bad {kind.__name__} for {key!r}: {meta[key]!r}") from exc
 
 
-def _parse_gamma_records(records, step_count) -> np.ndarray:
-    if len(records) != step_count:
-        raise DatasetFormatError(
-            f"record count {len(records)} != step_count {step_count}"
-        )
-    gammas = np.empty(step_count, dtype=complex)
-    for expected, line in enumerate(records):
-        parts = line.split()
-        if len(parts) != 3:
-            raise DatasetFormatError(f"bad gamma record: {line!r}")
-        try:
-            m = int(parts[0])
-            gammas[expected] = complex(float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad gamma record: {line!r}") from exc
-        if m != expected:
-            raise DatasetFormatError(f"record index {m} out of order")
-    if not np.all(np.isfinite(gammas)):
+def _gammas(records, step_count) -> np.ndarray:
+    if records.size != step_count:
+        raise DatasetFormatError(f"record count {records.size} != step_count {step_count}")
+    out_of_order = np.flatnonzero(records["m"] != np.arange(step_count))
+    if out_of_order.size:
+        raise DatasetFormatError(f"record index {records['m'][out_of_order[0]]} out of order")
+    gammas = np.ravel(records["z"].view(complex))
+    if not np.isfinite(gammas).all():
         raise DatasetFormatError("non-finite gamma record")
     return gammas
 
 
-def _parse_raw_records(records, step_count, sample_count):
-    mut = np.full(sample_count, np.nan, dtype=complex)
-    metal = np.full((step_count, sample_count), np.nan, dtype=complex)
-    for line in records:
-        parts = line.split()
-        if len(parts) != 4:
-            raise DatasetFormatError(f"bad trace record: {line!r}")
-        trace_id = parts[0]
-        try:
-            n = int(parts[1])
-            value = complex(float(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad trace record: {line!r}") from exc
-        if not 0 <= n < sample_count:
-            raise DatasetFormatError(f"sample index {n} out of range")
-        if trace_id == "mut":
-            mut[n] = value
-        elif trace_id.startswith("metal-"):
-            try:
-                m = int(trace_id[6:])
-            except ValueError as exc:
-                raise DatasetFormatError(f"bad trace id {trace_id!r}") from exc
-            if not 0 <= m < step_count:
-                raise DatasetFormatError(f"metal index {m} out of range")
-            metal[m, n] = value
-        else:
-            raise DatasetFormatError(f"bad trace id {trace_id!r}")
-    if not (np.all(np.isfinite(mut)) and np.all(np.isfinite(metal))):
+def _traces(records, step_count, sample_count) -> np.ndarray:
+    """Raw-IF records as a (1 + step_count, sample_count) stack: mut, metal-0, ..."""
+    expected = (step_count + 1) * sample_count
+    if records.size != expected:
+        raise DatasetFormatError(f"trace record count {records.size} != {expected}")
+    n = records["n"]
+    out_of_range = (n < 0) | (n >= sample_count)
+    if out_of_range.any():
+        raise DatasetFormatError(f"sample index {n[out_of_range.argmax()]} out of range")
+    # each run of equal ids is looked up once, each distinct id validated once
+    ids = records["trace_id"]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    names, which = np.unique(ids[starts], return_inverse=True)
+    rows = np.array([_trace_row(name, step_count) for name in names])
+    row = np.repeat(rows[which], np.diff(np.r_[starts, ids.size]))
+    traces = np.full((step_count + 1, sample_count), np.nan, dtype=complex)
+    traces[row, n] = np.ravel(records["z"].view(complex))
+    if not np.isfinite(traces).all():
         raise DatasetFormatError("incomplete or non-finite trace records")
-    return mut, metal
+    return traces
+
+
+def _trace_row(name: bytes, step_count) -> int:
+    trace_id = name.decode("latin-1")
+    if trace_id == "mut":
+        return 0
+    if not (trace_id.startswith("metal-") and trace_id[6:].isdecimal() and len(name) < 16):
+        raise DatasetFormatError(f"bad trace id {trace_id!r}")
+    m = int(trace_id[6:])
+    if m >= step_count:
+        raise DatasetFormatError(f"metal index {m} out of range")
+    return m + 1
 
 
 @dataclass
@@ -305,44 +332,30 @@ class ReportFile:
         )
 
     def write(self, path) -> None:
-        lines = [REPORT_BANNER]
-        lines.append(f"eps_real: {_fmt(self.eps_real)}")
-        lines.append(f"eps_imag: {_fmt(self.eps_imag)}")
-        lines.append(f"phase_offset_rad: {_fmt(self.phase_offset_rad)}")
-        lines.append(f"residual_norm: {_fmt(self.residual_norm)}")
-        lines.append(f"iterations: {self.iterations}")
-        lines.append(f"converged: {'true' if self.converged else 'false'}")
-        lines.append(f"carrier_hz: {_fmt(self.carrier_hz)}")
-        lines.append(f"step_m: {_fmt(self.step_m)}")
-        lines.append(f"step_count: {self.step_count}")
-        lines.append(f"columns: {REPORT_COLUMNS}")
-        for m in range(self.step_count):
-            x_mm = m * self.step_m * 1e3
-            lines.append(
-                f"{m} {_fmt(x_mm)} "
-                f"{_fmt(self.measured[m].real)} {_fmt(self.measured[m].imag)} "
-                f"{_fmt(self.fitted[m].real)} {_fmt(self.fitted[m].imag)}"
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = [
+            REPORT_BANNER,
+            f"eps_real: {self.eps_real:.17g}",
+            f"eps_imag: {self.eps_imag:.17g}",
+            f"phase_offset_rad: {self.phase_offset_rad:.17g}",
+            f"residual_norm: {self.residual_norm:.17g}",
+            f"iterations: {self.iterations}",
+            f"converged: {'true' if self.converged else 'false'}",
+            f"carrier_hz: {self.carrier_hz:.17g}",
+            f"step_m: {self.step_m:.17g}",
+            f"step_count: {self.step_count}",
+            f"columns: {REPORT_COLUMNS}",
+        ]
+        m = np.arange(self.step_count)
+        values = np.column_stack((m * self.step_m * 1e3, _pairs(self.measured),
+                                  _pairs(self.fitted)))
+        write_records(path, header, [([f"{k} " for k in m.tolist()], values)])
 
     @classmethod
     def read(cls, path) -> "ReportFile":
-        meta, records = _split_header(_read_lines(path))
+        meta, records = _read_file(path, _REPORT_RECORDS)
         step_count = _parse(meta, "step_count", int)
-        if len(records) != step_count:
+        if records.size != step_count:
             raise DatasetFormatError("report record count mismatch")
-        measured = np.empty(step_count, dtype=complex)
-        fitted = np.empty(step_count, dtype=complex)
-        for i, line in enumerate(records):
-            parts = line.split()
-            if len(parts) != 6:
-                raise DatasetFormatError(f"bad report record: {line!r}")
-            try:
-                measured[i] = complex(float(parts[2]), float(parts[3]))
-                fitted[i] = complex(float(parts[4]), float(parts[5]))
-            except ValueError as exc:
-                raise DatasetFormatError(f"bad report record: {line!r}") from exc
         return cls(
             eps_real=_parse(meta, "eps_real"),
             eps_imag=_parse(meta, "eps_imag"),
@@ -353,6 +366,6 @@ class ReportFile:
             carrier_hz=_parse(meta, "carrier_hz"),
             step_m=_parse(meta, "step_m"),
             step_count=step_count,
-            measured=measured,
-            fitted=fitted,
+            measured=np.ravel(records["measured"].view(complex)),
+            fitted=np.ravel(records["fitted"].view(complex)),
         )

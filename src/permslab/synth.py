@@ -189,14 +189,12 @@ def extract_sweep(
 
     Per metal position: DFT both traces, read the material spectrum at
     its own peak bin and the metal spectrum at its peak bin, and form
-    the calibrated ratio.
+    the calibrated ratio. The metal traces (all of one length) are
+    stacked and run through each step together, one row per position.
     """
     mut_spec = dft(mut_trace)
     mut_peak = mut_spec.bins[peak_bin(mut_spec)]
-    gammas = np.empty(len(metal_traces), dtype=complex)
-    for m, trace in enumerate(metal_traces):
-        spec = dft(trace)
-        k = peak_bin(spec)
-        scale = float(np.linalg.norm(spec.bins))
-        gammas[m] = calibrate_ratio(mut_peak, spec.bins[k], reference_scale=scale)
-    return SdiDataset(gammas, step, carrier)
+    metal = dft(IfTrace(np.array([t.samples for t in metal_traces])))
+    peaks = metal.bins[np.arange(len(metal_traces)), peak_bin(metal)]
+    scales = np.linalg.norm(metal.bins, axis=1)
+    return SdiDataset(calibrate_ratio(mut_peak, peaks, reference_scale=scales), step, carrier)

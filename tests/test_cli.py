@@ -1,9 +1,12 @@
 """End-to-end CLI: simulate, extract, estimate, check-farfield, report."""
 
 import json
+import math
 
 import numpy as np
+import pytest
 from permslab.cli import main
+from permslab.estimator import model_gamma, step_phase_advance
 from permslab.io import DatasetFile
 
 
@@ -107,6 +110,40 @@ class TestExtractEstimate:
         assert run(["estimate", "--input", str(sweep)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_second_start_invalid(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep), "--start", "2.6,0.1,0",
+                    "--start", "3,0.2,0"]) == 2
+        assert "at most one --start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("new", [
+        b"\nmetal-x 2 ",  # bad trace id
+        b"\nmetal-5 2 ",  # metal index out of range
+        b"\nmetal-1 64 ",  # sample index out of range
+        b"\nmetal-1 2 7 ",  # wrong field count
+        b"\nmetal-1 1 ",  # duplicate that leaves a gap
+        b"\nmetal-1 2 \xff ",  # not UTF-8
+    ])
+    def test_extract_bad_trace_record(self, tmp_path, new):
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "3",
+                    "--out", str(raw)]) == 0
+        data = raw.read_bytes()
+        assert data.count(b"\nmetal-1 2 ") == 1
+        raw.write_bytes(data.replace(b"\nmetal-1 2 ", new))
+        assert run(["extract", "--input", str(raw), "--out",
+                    str(tmp_path / "x.txt")]) == 2
+
+    @pytest.mark.parametrize("old, new", [("\n1 ", "\n1 0.5 "), ("\n1 ", "\n7 ")])
+    def test_estimate_bad_gamma_record(self, tmp_path, old, new):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--steps", "5", "--out", str(sweep)]) == 0
+        text = sweep.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        sweep.write_text(text.replace(old, new), encoding="utf-8")
+        assert run(["estimate", "--input", str(sweep)]) == 2
+
     def test_estimate_aliasing_step(self, tmp_path):
         # the generator refuses to build aliased sweeps, so write the
         # file directly the way a user with a too-coarse stage might
@@ -167,6 +204,20 @@ class TestReport:
         summary = json.loads((outdir / "report.json").read_text())
         assert len(summary["summaries"]) == 3
         assert all(s["mean_abs_err_a"] < 1e-6 for s in summary["summaries"])
+
+    def test_curve_records_match_per_value_rendering(self, tmp_path):
+        outdir = tmp_path / "rep"
+        assert run(["report", "--truth", "2.6,0.1", "--steps", "57", "--step-m", "3e-5",
+                    "--outdir", str(outdir)]) == 0
+        m = np.arange(57)
+        curve = model_gamma(2.6, 0.1, 0.0, m, step_phase_advance(79e9, 3e-5))
+        expected = ["# x_mm re_gamma im_gamma abs_gamma phase_deg"] + [
+            f"{k * 3e-5 * 1e3:.17g} {c.real:.17g} {c.imag:.17g} "
+            f"{abs(c):.17g} {math.degrees(np.angle(c)):.17g}"
+            for k, c in enumerate(curve)
+        ]
+        text = (outdir / "curve_0_eps2.6-0.1.txt").read_text(encoding="utf-8")
+        assert text.splitlines() == expected
 
     def test_empty_truth_list_invalid(self, tmp_path):
         assert run(["report", "--trials", "1",

@@ -84,6 +84,15 @@ class TestSynthIfTrace:
             synth_if_trace(CFG, [])
 
 
+class TestIfTrace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        samples = np.ones(8, dtype=complex)
+        samples[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            IfTrace(samples)
+
+
 class TestDft:
     def test_constant_trace(self):
         v = 0.7 - 0.2j
@@ -161,6 +170,14 @@ class TestPeakBin:
         with pytest.raises(AllZeroSpectrumError):
             peak_bin(RangeSpectrum(np.zeros(8)))
 
+    def test_stack_gives_one_bin_per_row(self):
+        rows = np.array([[0.0, 3.0, 3.0, 1.0], [5.0, 1.0, 0.0, -6.0]])
+        assert peak_bin(RangeSpectrum(rows)).tolist() == [1, 3]
+
+    def test_stack_with_one_zero_row_raises(self):
+        with pytest.raises(AllZeroSpectrumError):
+            peak_bin(RangeSpectrum(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
 
 class TestCalibrateRatio:
     def test_metal_like_mut(self):
@@ -200,6 +217,15 @@ class TestCalibrateRatio:
     def test_zero_reference_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_ratio(1.0, 1e-18, reference_scale=1.0)
+
+    def test_arrays_match_elementwise(self):
+        metal = np.array([1 + 2j, -0.3 + 0.1j, 4e-3j])
+        got = calibrate_ratio(0.2 - 0.1j, metal, reference_scale=np.array([3.0, 1.0, 0.1]))
+        assert got.tolist() == [calibrate_ratio(0.2 - 0.1j, p) for p in metal]
+
+    def test_array_with_one_small_peak_raises(self):
+        with pytest.raises(CalibrationError, match="1e-18"):
+            calibrate_ratio(1.0, np.array([1.0, 1e-18]), reference_scale=np.array([1.0, 1.0]))
 
 
 class TestSynthSlabEchoes:

@@ -9,10 +9,13 @@ import pytest
 from permslab import (
     METAL,
     SPEED_OF_LIGHT,
+    ChirpConfig,
     ComplexPermittivity,
+    IfTrace,
     NoiseModel,
     SlabGeometry,
     benchmark_chirp,
+    calibrate_ratio,
     dft,
     extract_sweep,
     fit_permittivity,
@@ -24,6 +27,7 @@ from permslab import (
     residuals,
 )
 from permslab.em import AIR
+from permslab.errors import AllZeroSpectrumError
 
 TRUTH = ComplexPermittivity(2.60, 0.1)
 GEOM = SlabGeometry(thickness=0.02, standoff=0.25, backing=METAL)
@@ -143,6 +147,29 @@ class TestGenerateIfDatasets:
         assert fit.permittivity.real_part == pytest.approx(2.60, abs=1e-6)
         assert fit.permittivity.imag_part == pytest.approx(0.1, abs=1e-6)
         assert fit.phase_offset == pytest.approx(expected_c, abs=1e-4)
+
+    def test_extraction_matches_trace_by_trace_reference(self):
+        cfg = ChirpConfig(79e9, 2e8, 100e-6, 100, 1e-6)
+        mut, metal = generate_if_datasets(
+            TRUTH, GEOM, cfg, 17, 1e-4, NoiseModel(seed=6), bounce_count=3
+        )
+        mut_spec = dft(mut)
+        mut_peak = mut_spec.bins[peak_bin(mut_spec)]
+        reference = []
+        for trace in metal:
+            spec = dft(trace)
+            scale = float(np.linalg.norm(spec.bins))
+            reference.append(calibrate_ratio(mut_peak, spec.bins[peak_bin(spec)], scale))
+        got = extract_sweep(mut, metal, 1e-4, 79e9).gammas
+        assert np.array_equal(got.view(np.uint64), np.array(reference).view(np.uint64))
+
+    def test_extraction_zero_metal_trace_raises(self):
+        mut, metal = generate_if_datasets(
+            TRUTH, GEOM, benchmark_chirp(), 4, 1e-4, NoiseModel.quiet()
+        )
+        metal[2] = IfTrace(np.zeros(benchmark_chirp().sample_count))
+        with pytest.raises(AllZeroSpectrumError):
+            extract_sweep(mut, metal, 1e-4, 79e9)
 
     def test_metal_trace_is_single_tone(self):
         _, metal = generate_if_datasets(
