@@ -164,38 +164,17 @@ def run_sweep(
                 else "auto"
             )
             t0 = time.perf_counter()
+            error = None
             try:
                 fit = fit_permittivity(data, bounds=bounds, starts=starts)
-                records.append(
-                    TrialRecord(
-                        truth=truth,
-                        phase_offset=phase_offset,
-                        seed=trial_seed,
-                        fitted_a=fit.permittivity.real_part,
-                        fitted_b=fit.permittivity.imag_part,
-                        fitted_c=fit.phase_offset,
-                        residual_norm=fit.residual_norm,
-                        iterations=fit.iterations,
-                        converged=fit.converged,
-                        fit_seconds=time.perf_counter() - t0,
-                    )
-                )
+                eps = fit.permittivity
+                fitted = (eps.real_part, eps.imag_part, fit.phase_offset,
+                          fit.residual_norm, fit.iterations, fit.converged)
             except Exception as exc:  # per-trial failures must not abort the sweep
-                records.append(
-                    TrialRecord(
-                        truth=truth,
-                        phase_offset=phase_offset,
-                        seed=trial_seed,
-                        fitted_a=None,
-                        fitted_b=None,
-                        fitted_c=None,
-                        residual_norm=None,
-                        iterations=None,
-                        converged=False,
-                        fit_seconds=time.perf_counter() - t0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                fitted = (None, None, None, None, None, False)
+                error = f"{type(exc).__name__}: {exc}"
+            records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted,
+                                       fit_seconds=time.perf_counter() - t0, error=error))
         report.records.extend(records)
         report.summaries.append(_summarize(truth, records))
     return report

@@ -128,22 +128,35 @@ def fresnel_normal(
     return (n_from - n_to) / denom, 2.0 * n_from / denom
 
 
+def air_face_reflection(n: complex) -> complex:
+    """Air-to-slab reflection (1 - n) / (1 + n) for the slab index n = sqrt(eps)."""
+    return (1.0 - n) / (1.0 + n)
+
+
 def slab_bounce_terms(
     eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
 ) -> tuple[complex, complex, complex]:
-    """Shared front-face Fresnel terms and the one-round-trip slab factor.
+    """Front-face reflection, first transmitted bounce and bounce ratio.
 
-    Returns (gamma_front, rear_reflection, round_trip) where round_trip
-    is e^{-j 2 k_r d} for the in-slab wavenumber k_r.
+    With Gamma_1r the air-to-slab reflection, Gamma_r1 = -Gamma_1r,
+    T_1r = 1 + Gamma_1r, T_r1 = 1 + Gamma_r1, Gamma_r2 the rear-interface
+    reflection and rt = e^{-j 2 k_r d} one in-slab round trip, returns
+    (Gamma_1r, first, ratio) with
+
+        first = T_r1*Gamma_r2*T_1r*rt,   ratio = Gamma_r1*Gamma_r2*rt,
+
+    so bounce i >= 2 carries first * ratio^{i-2}. Every slab series
+    starts from these same three numbers and so rounds alike.
     """
-    gamma_front, _ = fresnel_normal(AIR, eps_r)
+    g1r = air_face_reflection(complex_sqrt_lossy(eps_r))
     if isinstance(geom.backing, MetalBacking):
-        gamma_rear = -1.0 + 0.0j
+        gr2 = -1.0 + 0.0j
     else:
-        gamma_rear, _ = fresnel_normal(eps_r, geom.backing)
+        gr2, _ = fresnel_normal(eps_r, geom.backing)
     k_r = WaveParams(freq, eps_r).wavenumber
-    round_trip = cmath.exp(-2j * k_r * geom.thickness)
-    return gamma_front, gamma_rear, round_trip
+    rt = cmath.exp(-2j * k_r * geom.thickness)
+    gr1 = -g1r
+    return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt
 
 
 def effective_reflection(
@@ -160,17 +173,13 @@ def effective_reflection(
         DegenerateGeometryError: if the series denominator is within
             1e-12 of zero (lossless mirror resonance, nonphysical).
     """
-    g1r, gr2, rt = slab_bounce_terms(eps_r, geom, freq)
-    gr1 = -g1r
-    t1r = 1.0 + g1r
-    tr1 = 1.0 + gr1
-    ratio = gr1 * gr2 * rt
+    g1r, first, ratio = slab_bounce_terms(eps_r, geom, freq)
     denom = 1.0 - ratio
     if abs(denom) < 1e-12:
         raise DegenerateGeometryError(
             "internal bounce series does not converge (|1 - ratio| < 1e-12)"
         )
-    return g1r + tr1 * gr2 * t1r * rt / denom
+    return g1r + first / denom
 
 
 def effective_reflection_truncated(
@@ -184,13 +193,7 @@ def effective_reflection_truncated(
     """
     if q < 2:
         raise ValueError(f"bounce count q must be >= 2, got {q}")
-    g1r, gr2, rt = slab_bounce_terms(eps_r, geom, freq)
-    gr1 = -g1r
-    t1r = 1.0 + g1r
-    tr1 = 1.0 + gr1
-    ratio = gr1 * gr2 * rt
-    total = g1r
-    term = tr1 * gr2 * t1r * rt
+    total, term, ratio = slab_bounce_terms(eps_r, geom, freq)
     for _ in range(q - 1):
         total += term
         term *= ratio

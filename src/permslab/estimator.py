@@ -33,15 +33,15 @@ from .em import (
     SPEED_OF_LIGHT,
     ComplexPermittivity,
     SlabGeometry,
+    air_face_reflection,
     complex_sqrt_lossy,
     effective_reflection,
 )
 from .errors import AliasingError, DegenerateDataError, DegenerateRegressionError, NoConvergenceError
 from .trf import least_squares_trf, numerical_jacobian
 
-AUTO_START_A = (1.5, 3.0, 6.0, 12.0)
-AUTO_START_B = (0.01, 0.5)
-AUTO_ANCHOR = (AUTO_START_A[0], AUTO_START_B[0])
+# (a, b) starts of fit_ideal's "auto" policy, a-major; the first is fit_permittivity's anchor
+AUTO_STARTS = tuple((a, b) for a in (1.5, 3.0, 6.0, 12.0) for b in (0.01, 0.5))
 
 
 def wrap_phase(c: float) -> float:
@@ -132,8 +132,7 @@ class FitResult:
 
 def front_face_reflection(a: float, b: float) -> complex:
     """Air-to-material reflection (1 - sqrt(a - jb)) / (1 + sqrt(a - jb))."""
-    s = complex_sqrt_lossy(ComplexPermittivity(a, b))
-    return (1.0 - s) / (1.0 + s)
+    return air_face_reflection(complex_sqrt_lossy(ComplexPermittivity(a, b)))
 
 
 def model_gamma(a: float, b: float, c: float, m, c1: float):
@@ -146,11 +145,7 @@ def residuals(params, data: SdiDataset) -> np.ndarray:
     """Interleaved [Re, Im] residuals (measured - model), length 2M."""
     a, b, c = params
     model = model_gamma(a, b, c, np.arange(data.step_count), data.step_phase)
-    diff = data.gammas - model
-    out = np.empty(2 * data.step_count)
-    out[0::2] = diff.real
-    out[1::2] = diff.imag
-    return out
+    return (data.gammas - model).view(float)
 
 
 def jacobian(params, data: SdiDataset) -> np.ndarray:
@@ -162,19 +157,14 @@ def jacobian(params, data: SdiDataset) -> np.ndarray:
     """
     a, b, c = params
     s = complex_sqrt_lossy(ComplexPermittivity(a, b))
-    r = (1.0 - s) / (1.0 + s)
+    r = air_face_reflection(s)
     dr_da = -1.0 / (s * (1.0 + s) ** 2)
     dr_db = 1j / (s * (1.0 + s) ** 2)
     m = np.arange(data.step_count)
     phase = np.exp(1j * (c - data.step_phase * m))
-    d_a = dr_da * phase
-    d_b = dr_db * phase
-    d_c = 1j * r * phase
-    jac = np.empty((2 * data.step_count, 3))
-    for col, deriv in enumerate((d_a, d_b, d_c)):
-        jac[0::2, col] = -deriv.real
-        jac[1::2, col] = -deriv.imag
-    return jac
+    derivs = np.array((dr_da * phase, dr_db * phase, 1j * r * phase))
+    # rows interleave Re/Im as in residuals; C order keeps J.T @ J's rounding
+    return np.ascontiguousarray((-derivs).view(float).T)
 
 
 def _unit_circle_roots(quartics: np.ndarray) -> np.ndarray:
@@ -245,6 +235,18 @@ def _largest_reflection_corner(bounds: FitBounds) -> tuple[float, float]:
     return max(corners, key=lambda ab: abs(front_face_reflection(*ab)))
 
 
+def _start_list(starts) -> list[tuple]:
+    """The starts of a fit: AUTO_STARTS for "auto", else the given tuples as floats."""
+    if isinstance(starts, str):
+        if starts != "auto":
+            raise ValueError(f"unknown start policy {starts!r}")
+        return list(AUTO_STARTS)
+    start_list = [tuple(map(float, s)) for s in starts]
+    if not start_list:
+        raise ValueError("empty start list")
+    return start_list
+
+
 def _pick_winner(runs, gammas) -> int:
     """Lowest-residual start; numerical ties go to the earliest start.
 
@@ -287,16 +289,7 @@ def fit_permittivity(
     """
     if np.all(np.abs(data.gammas) < 1e-12):
         raise DegenerateDataError("all reflection samples below 1e-12")
-    if isinstance(starts, str):
-        if starts != "auto":
-            raise ValueError(f"unknown start policy {starts!r}")
-        anchor = AUTO_ANCHOR
-    else:
-        start_list = [tuple(map(float, s)) for s in starts]
-        if not start_list:
-            raise ValueError("empty start list")
-        anchor = start_list[0][:2]
-
+    anchor = _start_list(starts)[0][:2]
     m = np.arange(data.step_count)
     z = complex(np.mean(data.gammas * np.exp(1j * data.step_phase * m)))
     rho = abs(z)
@@ -341,6 +334,8 @@ def fit_ideal(
     row/column of ``covariance_proxy`` is zero-padded accordingly.
     """
     gammas = np.asarray(gammas_at_radar, dtype=complex)
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("reflection samples must be finite")
     if np.all(np.abs(gammas) < 1e-12):
         raise DegenerateDataError("all reflection samples below 1e-12")
     m = np.arange(gammas.size)
@@ -349,11 +344,7 @@ def fit_ideal(
 
     def fun(x):
         face = effective_reflection(ComplexPermittivity(x[0], x[1]), geom, freq)
-        diff = gammas - face * phase
-        out = np.empty(2 * gammas.size)
-        out[0::2] = diff.real
-        out[1::2] = diff.imag
-        return out
+        return (gammas - face * phase).view(float)
 
     lb = np.array([1.0, 0.0])
     ub = np.array([bounds.a_max, bounds.b_max])
@@ -361,19 +352,10 @@ def fit_ideal(
     def jac(x):
         return numerical_jacobian(fun, x, lb, ub)
 
-    if isinstance(starts, str):
-        if starts != "auto":
-            raise ValueError(f"unknown start policy {starts!r}")
-        start_list = [(a0, b0) for a0 in AUTO_START_A for b0 in AUTO_START_B]
-    else:
-        start_list = [tuple(map(float, s)) for s in starts]
-        if not start_list:
-            raise ValueError("empty start list")
-
     runs = [
         least_squares_trf(fun, jac, np.asarray(s0, dtype=float), lb, ub,
                           gtol=gtol, xtol=xtol, max_iter=max_iter)
-        for s0 in start_list
+        for s0 in _start_list(starts)
     ]
     if not any(r.converged for r in runs):
         raise NoConvergenceError(f"no start converged within {max_iter} iterations")

@@ -142,19 +142,15 @@ def synth_slab_echoes(
     """
     if q < 1:
         raise ValueError(f"bounce count q must be >= 1, got {q}")
-    g1r, gr2, rt = slab_bounce_terms(eps_r, geom, cfg.start_frequency)
-    gr1 = -g1r
-    t1r = 1.0 + g1r
-    tr1 = 1.0 + gr1
+    g1r, amp, ratio = slab_bounce_terms(eps_r, geom, cfg.start_frequency)
     tau1 = 2.0 * geom.standoff / SPEED_OF_LIGHT
     slab_round_trip = (
         2.0 * geom.thickness * complex_sqrt_lossy(eps_r).real / SPEED_OF_LIGHT
     )
     echoes = [EchoComponent(g1r, tau1)]
-    amp = tr1 * gr2 * t1r * rt
     for i in range(2, q + 1):
         echoes.append(EchoComponent(amp, tau1 + (i - 1) * slab_round_trip))
-        amp *= gr1 * gr2 * rt
+        amp *= ratio
     return echoes
 
 
@@ -175,27 +171,22 @@ def peak_bin(spec: RangeSpectrum) -> int | np.ndarray:
     return mags.argmax(axis=-1) if mags.ndim > 1 else int(mags.argmax())
 
 
-def calibrate_ratio(
-    mut_peak: complex, metal_peak: complex, reference_scale: float | None = None
-) -> complex:
+def calibrate_ratio(mut_peak: complex, metal_peak: complex) -> complex:
     """Measured reflection coefficient from MUT and metal peak values.
 
     Returns -(mut_peak / metal_peak): the metal's known reflection of -1
     is folded in, so the output is the calibrated reflection coefficient
     with amplitude and path-loss factors removed. Arrays of metal peaks
-    (and of scales) are calibrated element by element.
-
-    Args:
-        reference_scale: norm of the metal trace/spectrum used to judge
-            whether the metal peak is meaningful. When given, a peak
-            below 1e-15 of it raises; otherwise only an exact zero does.
+    are calibrated element by element.
 
     Raises:
-        CalibrationError: a metal peak too small to divide by.
+        CalibrationError: a metal peak that is zero, non-finite, or at
+            most 1e-15 of |mut_peak|, so the ratio would be meaningless
+            or overflow.
     """
-    threshold = 1e-15 * reference_scale if reference_scale is not None else 0.0
-    small = np.abs(metal_peak) <= threshold
-    if small.any():
-        peak = np.ravel(metal_peak)[small.argmax()]
-        raise CalibrationError(f"metal reference peak too small: {peak!r}")
+    mag = np.abs(metal_peak)
+    bad = ~np.isfinite(metal_peak) | (mag == 0.0) | (mag <= 1e-15 * abs(mut_peak))
+    if bad.any():
+        peak = np.ravel(metal_peak)[bad.argmax()]
+        raise CalibrationError(f"unusable metal reference peak: {peak!r}")
     return -(mut_peak / metal_peak)

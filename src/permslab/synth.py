@@ -191,10 +191,14 @@ def extract_sweep(
     its own peak bin and the metal spectrum at its peak bin, and form
     the calibrated ratio. The metal traces (all of one length) are
     stacked and run through each step together, one row per position.
+
+    Raises:
+        AllZeroSpectrumError: a trace whose spectrum is all zero.
+        CalibrationError: a metal peak that is zero, non-finite, or at
+            most 1e-15 of the material peak (see ``calibrate_ratio``).
     """
     mut_spec = dft(mut_trace)
     mut_peak = mut_spec.bins[peak_bin(mut_spec)]
     metal = dft(IfTrace(np.array([t.samples for t in metal_traces])))
     peaks = metal.bins[np.arange(len(metal_traces)), peak_bin(metal)]
-    scales = np.linalg.norm(metal.bins, axis=1)
-    return SdiDataset(calibrate_ratio(mut_peak, peaks, reference_scale=scales), step, carrier)
+    return SdiDataset(calibrate_ratio(mut_peak, peaks), step, carrier)

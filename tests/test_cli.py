@@ -96,6 +96,16 @@ class TestExtractEstimate:
         assert run(["extract", "--input", str(raw), "--out",
                     str(tmp_path / "x.txt")]) == 4
 
+    def test_extract_vanishing_metal_is_calibration_error(self, tmp_path):
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "5",
+                    "--out", str(raw)]) == 0
+        f = DatasetFile.read(raw)
+        f.metal_samples = f.metal_samples * 1e-300
+        f.write(raw)
+        assert run(["extract", "--input", str(raw), "--out",
+                    str(tmp_path / "x.txt")]) == 4
+
     def test_estimate_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a dataset\n")

@@ -301,6 +301,13 @@ class TestFitIdeal:
         with pytest.raises(DegenerateDataError):
             fit_ideal(np.zeros(8, dtype=complex), self.GEOM, 1e-4, self.FREQ)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
+    def test_rejects_non_finite(self, bad):
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        gammas[5] = bad
+        with pytest.raises(ValueError, match="reflection samples must be finite"):
+            fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
+
 
 class TestPhaseSlopeDiagnostic:
     def test_noiseless_analytic_slope(self):

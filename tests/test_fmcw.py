@@ -20,6 +20,7 @@ from permslab import (
     calibrate_ratio,
     complex_sqrt_lossy,
     dft,
+    effective_reflection_truncated,
     fresnel_normal,
     peak_bin,
     synth_if_trace,
@@ -216,16 +217,21 @@ class TestCalibrateRatio:
 
     def test_zero_reference_raises(self):
         with pytest.raises(CalibrationError):
-            calibrate_ratio(1.0, 1e-18, reference_scale=1.0)
+            calibrate_ratio(1.0, 1e-18)
 
     def test_arrays_match_elementwise(self):
         metal = np.array([1 + 2j, -0.3 + 0.1j, 4e-3j])
-        got = calibrate_ratio(0.2 - 0.1j, metal, reference_scale=np.array([3.0, 1.0, 0.1]))
+        got = calibrate_ratio(0.2 - 0.1j, metal)
         assert got.tolist() == [calibrate_ratio(0.2 - 0.1j, p) for p in metal]
+
+    @pytest.mark.parametrize("metal", [0.0, 1e-16, math.inf, complex(1.0, math.nan)])
+    def test_unusable_reference_raises(self, metal):
+        with pytest.raises(CalibrationError):
+            calibrate_ratio(0.5 + 0.5j, metal)
 
     def test_array_with_one_small_peak_raises(self):
         with pytest.raises(CalibrationError, match="1e-18"):
-            calibrate_ratio(1.0, np.array([1.0, 1e-18]), reference_scale=np.array([1.0, 1.0]))
+            calibrate_ratio(1.0, np.array([1.0, 1e-18]))
 
 
 class TestSynthSlabEchoes:
@@ -261,6 +267,21 @@ class TestSynthSlabEchoes:
         echoes = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
         mags = [abs(e.reflection) for e in echoes[1:]]
         assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
+
+    @pytest.mark.parametrize("eps", [ComplexPermittivity(3.0, 0.15), ComplexPermittivity(7.5, 0.0)])
+    @pytest.mark.parametrize("backing", [METAL, AIR, ComplexPermittivity(12.0, 2.0)])
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_echo_sum_is_truncated_series(self, eps, backing, q):
+        # both series are built from the same bounce terms, in the same order
+        geom = SlabGeometry(0.004, 0.25, backing)
+        echoes = synth_slab_echoes(eps, geom, CFG, q)
+        total = echoes[0].reflection
+        for echo in echoes[1:]:
+            total += echo.reflection
+        expected = effective_reflection_truncated(eps, geom, CFG.start_frequency, q)
+        assert np.array([total]).view(np.uint64).tolist() == (
+            np.array([expected]).view(np.uint64).tolist()
+        )
 
     def test_delays_spaced_by_slab_round_trip(self):
         echoes = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)

@@ -27,7 +27,7 @@ from permslab import (
     residuals,
 )
 from permslab.em import AIR
-from permslab.errors import AllZeroSpectrumError
+from permslab.errors import AllZeroSpectrumError, CalibrationError
 
 TRUTH = ComplexPermittivity(2.60, 0.1)
 GEOM = SlabGeometry(thickness=0.02, standoff=0.25, backing=METAL)
@@ -158,8 +158,7 @@ class TestGenerateIfDatasets:
         reference = []
         for trace in metal:
             spec = dft(trace)
-            scale = float(np.linalg.norm(spec.bins))
-            reference.append(calibrate_ratio(mut_peak, spec.bins[peak_bin(spec)], scale))
+            reference.append(calibrate_ratio(mut_peak, spec.bins[peak_bin(spec)]))
         got = extract_sweep(mut, metal, 1e-4, 79e9).gammas
         assert np.array_equal(got.view(np.uint64), np.array(reference).view(np.uint64))
 
@@ -169,6 +168,16 @@ class TestGenerateIfDatasets:
         )
         metal[2] = IfTrace(np.zeros(benchmark_chirp().sample_count))
         with pytest.raises(AllZeroSpectrumError):
+            extract_sweep(mut, metal, 1e-4, 79e9)
+
+    def test_extraction_vanishing_metal_reference_raises(self):
+        # the peak bin holds at least 1/sqrt(N) of the spectrum norm, so only
+        # the peak's size against the material peak can flag this reference
+        mut, metal = generate_if_datasets(
+            TRUTH, GEOM, benchmark_chirp(), 5, 1e-4, NoiseModel.quiet()
+        )
+        metal = [IfTrace(t.samples * 1e-300) for t in metal]
+        with pytest.raises(CalibrationError):
             extract_sweep(mut, metal, 1e-4, 79e9)
 
     def test_metal_trace_is_single_tone(self):
