@@ -18,7 +18,8 @@ one-parameter family. fit_permittivity computes z in closed form (a
 mean) and reports the feasible family member nearest an anchor (a, b):
 the first entry of ``starts``, or (1.5, 0.01) for ``starts="auto"``.
 Pass explicit ``starts`` to anchor the answer to prior knowledge.
-fit_ideal, which has no phase offset, runs the trust-region solver.
+fit_ideal, which has no phase offset, runs the bounded Levenberg-Marquardt
+solver of trf from each start.
 """
 
 from __future__ import annotations
@@ -236,12 +237,27 @@ def _largest_reflection_corner(bounds: FitBounds) -> tuple[float, float]:
 
 
 def _start_list(starts) -> list[tuple]:
-    """The starts of a fit: AUTO_STARTS for "auto", else the given tuples as floats."""
+    """The starts of a fit: AUTO_STARTS for "auto", else the given tuples as floats.
+
+    Raises:
+        ValueError: an unknown policy, an empty list, or a start that is
+            not 2 or 3 finite numbers, (a, b) or (a, b, c).
+    """
     if isinstance(starts, str):
         if starts != "auto":
             raise ValueError(f"unknown start policy {starts!r}")
         return list(AUTO_STARTS)
-    start_list = [tuple(map(float, s)) for s in starts]
+    start_list = []
+    for s in starts:
+        try:
+            start = tuple(map(float, s))
+        except (TypeError, ValueError):
+            start = ()
+        if len(start) not in (2, 3) or not all(map(math.isfinite, start)):
+            raise ValueError(
+                f"a start is 2 or 3 finite numbers, (a, b) or (a, b, c); got {s!r}"
+            )
+        start_list.append(start)
     if not start_list:
         raise ValueError("empty start list")
     return start_list
@@ -318,17 +334,23 @@ def fit_ideal(
     freq: float,
     bounds: FitBounds = FitBounds(),
     starts="auto",
-    gtol: float = 1e-10,
-    xtol: float = 1e-12,
-    max_iter: int = 500,
 ) -> FitResult:
     """Fit (a, b) when the absolute standoff and slab geometry are known.
 
     Model: Gamma(m) = e^{j 2 k1 (l + m dl)} * Gamma_face(a, b) with the
     full multi-bounce slab reflection at the front face. No phase offset
-    is fitted, which makes this variant identifiable but also makes it
-    inherit every micrometer of standoff error as phase bias; it exists
-    as the idealized baseline, not the practical path.
+    is fitted, so there is no gauge family, but the fit inherits every
+    micrometer of standoff error as phase bias; it exists as the
+    idealized baseline, not the practical path.
+
+    The data pin only the complex front-face reflection, and on a thin
+    slab that reflection repeats as the round trip through the slab
+    gains whole turns of phase: distinct permittivities (for example
+    7 - j0.3 and about 12.48 - j0.467 on a 2.046 mm metal-backed slab)
+    fit a noiseless sweep exactly. Each (a, b) start, the (a, b) of an
+    (a, b, c) start included, runs the bounded solver of ``trf``; the
+    lowest residual wins and numerical ties go to the earliest start,
+    so the start order picks among such solutions.
 
     Returns a FitResult with ``phase_offset`` fixed at 0; the last
     row/column of ``covariance_proxy`` is zero-padded accordingly.
@@ -353,12 +375,10 @@ def fit_ideal(
         return numerical_jacobian(fun, x, lb, ub)
 
     runs = [
-        least_squares_trf(fun, jac, np.asarray(s0, dtype=float), lb, ub,
-                          gtol=gtol, xtol=xtol, max_iter=max_iter)
-        for s0 in _start_list(starts)
+        least_squares_trf(fun, jac, np.array(s0[:2]), lb, ub) for s0 in _start_list(starts)
     ]
     if not any(r.converged for r in runs):
-        raise NoConvergenceError(f"no start converged within {max_iter} iterations")
+        raise NoConvergenceError("no start converged within the iteration cap")
 
     win = runs[_pick_winner(runs, gammas)]
     curvature = np.zeros((3, 3))

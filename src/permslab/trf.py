@@ -1,14 +1,15 @@
-"""Bound-constrained nonlinear least squares, trust-region reflective style.
+"""Bound-constrained nonlinear least squares by a bounded Levenberg-Marquardt loop.
 
-Dense, small-problem implementation of the interior trust-region method
-for box-constrained least squares: iterates stay strictly inside the
-bounds, the trust-region shape is adapted with the Coleman-Li scaling
-vector, and steps that would cross a bound are compared against a
-reflected step and a constrained steepest-descent step.
-
-The trust-region subproblem is solved exactly through an SVD of the
-(scaled, augmented) Jacobian with the classic MINPACK root-finding on
-the Levenberg-Marquardt parameter.
+Dense, small-problem solver for min 0.5*|f(x)|^2 subject to
+lb <= x <= ub. Each iteration fixes every variable that sits on a bound
+with its gradient pointing out of the box, solves the damped normal
+equations (J^T J + lam I) p = -g over the remaining free variables,
+clips x + p to the box and accepts the step if the cost falls. The
+damping follows Nielsen's update (Madsen, Nielsen & Tingleff, "Methods
+for Non-Linear Least Squares Problems", 2004): an accepted step scales
+lam by max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the
+predicted cost reduction; a rejected step, or one whose residual is not
+finite, doubles lam, then quadruples it, and so on.
 
 Termination (reported via ``converged``):
   * projected-gradient infinity norm below ``gtol``, or
@@ -17,17 +18,10 @@ Termination (reported via ``converged``):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import norm, svd
-
-EPS = float(np.finfo(float).eps)
-
-STATUS_MAX_ITER = 0
-STATUS_GTOL = 1
-STATUS_XTOL = 2
+from numpy.linalg import norm
 
 
 @dataclass
@@ -39,276 +33,13 @@ class LeastSquaresResult:
     residual: np.ndarray
     jac: np.ndarray
     grad: np.ndarray
-    optimality: float
     iterations: int
-    status: int
-
-    @property
-    def converged(self) -> bool:
-        return self.status in (STATUS_GTOL, STATUS_XTOL)
+    converged: bool
 
 
 def projected_gradient_norm(x, g, lb, ub) -> float:
     """Infinity norm of x - P(x - g), the box-projected gradient."""
     return float(norm(x - np.clip(x - g, lb, ub), ord=np.inf))
-
-
-def in_bounds(x, lb, ub) -> bool:
-    return bool(np.all((x >= lb) & (x <= ub)))
-
-
-def find_active_constraints(x, lb, ub, rtol=1e-10):
-    """-1 / +1 per component at (or numerically on) a lower/upper bound."""
-    active = np.zeros_like(x, dtype=int)
-    if rtol == 0:
-        active[x <= lb] = -1
-        active[x >= ub] = 1
-        return active
-    lower_dist = x - lb
-    upper_dist = ub - x
-    lower_threshold = rtol * np.maximum(1.0, np.abs(lb))
-    upper_threshold = rtol * np.maximum(1.0, np.abs(ub))
-    lower_active = np.isfinite(lb) & (lower_dist <= np.minimum(upper_dist, lower_threshold))
-    active[lower_active] = -1
-    upper_active = np.isfinite(ub) & (upper_dist <= np.minimum(lower_dist, upper_threshold))
-    active[upper_active] = 1
-    return active
-
-
-def make_strictly_feasible(x, lb, ub, rstep=1e-10):
-    """Shift components on a bound into the open interval."""
-    x_new = np.array(x, dtype=float)
-    active = find_active_constraints(x_new, lb, ub, rstep)
-    lower_mask = active == -1
-    upper_mask = active == 1
-    if rstep == 0:
-        x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
-        x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
-    else:
-        x_new[lower_mask] = lb[lower_mask] + rstep * np.maximum(1.0, np.abs(lb[lower_mask]))
-        x_new[upper_mask] = ub[upper_mask] - rstep * np.maximum(1.0, np.abs(ub[upper_mask]))
-    tight = (x_new < lb) | (x_new > ub)
-    x_new[tight] = 0.5 * (lb[tight] + ub[tight])
-    return x_new
-
-
-def scaling_vector(x, g, lb, ub):
-    """Coleman-Li distances-to-bound scaling vector v and its derivative."""
-    v = np.ones_like(x)
-    dv = np.zeros_like(x)
-    mask = (g < 0) & np.isfinite(ub)
-    v[mask] = ub[mask] - x[mask]
-    dv[mask] = -1.0
-    mask = (g > 0) & np.isfinite(lb)
-    v[mask] = x[mask] - lb[mask]
-    dv[mask] = 1.0
-    return v, dv
-
-
-def step_size_to_bound(x, s, lb, ub):
-    """Largest stride t with x + t*s still in the box, and which bounds hit."""
-    non_zero = np.nonzero(s)
-    s_non_zero = s[non_zero]
-    steps = np.full_like(x, np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps[non_zero] = np.maximum(
-            (lb - x)[non_zero] / s_non_zero, (ub - x)[non_zero] / s_non_zero
-        )
-    min_step = np.min(steps)
-    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
-
-
-def intersect_trust_region(x, s, radius):
-    """Both roots t of |x + t*s| = radius (requires |x| <= radius, s != 0)."""
-    a = float(np.dot(s, s))
-    if a == 0.0:
-        raise ValueError("direction vector is zero")
-    b = float(np.dot(x, s))
-    c = float(np.dot(x, x)) - radius**2
-    if c > 0.0:
-        raise ValueError("base point lies outside the trust region")
-    d = math.sqrt(b * b - a * c)
-    q = -(b + math.copysign(d, b))
-    t1 = q / a
-    t2 = c / q if q != 0.0 else t1
-    return (t1, t2) if t1 < t2 else (t2, t1)
-
-
-def evaluate_quadratic(J, g, s, diag=None) -> float:
-    """0.5 * s^T (J^T J + diag) s + g^T s."""
-    Js = J.dot(s)
-    q = float(np.dot(Js, Js))
-    if diag is not None:
-        q += float(np.dot(s * diag, s))
-    return 0.5 * q + float(np.dot(g, s))
-
-
-def build_quadratic_1d(J, g, s, diag=None, s0=None):
-    """Coefficients (a, b[, c]) of t -> a t^2 + b t + c along s (from s0)."""
-    v = J.dot(s)
-    a = float(np.dot(v, v))
-    if diag is not None:
-        a += float(np.dot(s * diag, s))
-    a *= 0.5
-    b = float(np.dot(g, s))
-    if s0 is not None:
-        u = J.dot(s0)
-        b += float(np.dot(u, v))
-        c = 0.5 * float(np.dot(u, u)) + float(np.dot(g, s0))
-        if diag is not None:
-            b += float(np.dot(s0 * diag, s))
-            c += 0.5 * float(np.dot(s0 * diag, s0))
-        return a, b, c
-    return a, b
-
-
-def minimize_quadratic_1d(a, b, lb, ub, c=0.0):
-    """Minimize a t^2 + b t + c over [lb, ub]."""
-    candidates = [lb, ub]
-    if a != 0.0:
-        extremum = -0.5 * b / a
-        if lb < extremum < ub:
-            candidates.append(extremum)
-    t = np.asarray(candidates)
-    y = t * (a * t + b) + c
-    i = int(np.argmin(y))
-    return float(t[i]), float(y[i])
-
-
-def solve_trust_region_subproblem(n, m, uf, s, V, radius, initial_alpha=None,
-                                  rtol=0.01, max_iter=10):
-    """Exact trust-region step from the SVD of the Jacobian (MINPACK style).
-
-    Given J = U diag(s) V^T and uf = U^T f, finds p minimizing
-    |J p + f| subject to |p| <= radius, returning (p, alpha, n_iter)
-    with alpha the Levenberg-Marquardt parameter.
-    """
-
-    def phi_and_derivative(alpha):
-        denom = s**2 + alpha
-        p_norm = norm(suf / denom)
-        phi = p_norm - radius
-        phi_prime = -np.sum(suf**2 / denom**3) / p_norm
-        return phi, phi_prime
-
-    suf = s * uf
-
-    if m >= n:
-        threshold = EPS * m * s[0]
-        full_rank = s[-1] > threshold
-    else:
-        full_rank = False
-
-    if full_rank:
-        p = -V.dot(uf / s)
-        if norm(p) <= radius:
-            return p, 0.0, 0
-
-    alpha_upper = norm(suf) / radius
-    if full_rank:
-        phi, phi_prime = phi_and_derivative(0.0)
-        alpha_lower = -phi / phi_prime
-    else:
-        alpha_lower = 0.0
-
-    if initial_alpha is None or not full_rank and initial_alpha == 0:
-        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
-    else:
-        alpha = initial_alpha
-
-    it = 0
-    for it in range(max_iter):
-        if alpha < alpha_lower or alpha > alpha_upper:
-            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
-        phi, phi_prime = phi_and_derivative(alpha)
-        if phi < 0:
-            alpha_upper = alpha
-        ratio = phi / phi_prime
-        alpha_lower = max(alpha_lower, alpha - ratio)
-        alpha -= (phi + radius) * ratio / radius
-        if np.abs(phi) < rtol * radius:
-            break
-
-    p = -V.dot(suf / (s**2 + alpha))
-    p *= radius / norm(p)
-    return p, alpha, it + 1
-
-
-def update_tr_radius(radius, actual_reduction, predicted_reduction, step_norm, bound_hit):
-    """Shrink on poor agreement, grow when a good step hit the radius."""
-    if predicted_reduction > 0:
-        ratio = actual_reduction / predicted_reduction
-    elif predicted_reduction == actual_reduction == 0:
-        ratio = 1.0
-    else:
-        ratio = 0.0
-    if ratio < 0.25:
-        radius = 0.25 * step_norm
-    elif ratio > 0.75 and bound_hit:
-        radius *= 2.0
-    return radius, ratio
-
-
-def select_step(x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta):
-    """Best of trust-region, reflected and constrained gradient steps."""
-    if in_bounds(x + p, lb, ub):
-        p_value = evaluate_quadratic(J_h, g_h, p_h, diag=diag_h)
-        return p, p_h, -p_value
-
-    p_stride, hits = step_size_to_bound(x, p, lb, ub)
-
-    r_h = np.copy(p_h)
-    r_h[hits.astype(bool)] *= -1
-    r = d * r_h
-
-    p = p * p_stride
-    p_h = p_h * p_stride
-    x_on_bound = x + p
-
-    _, to_tr = intersect_trust_region(p_h, r_h, radius)
-    to_bound, _ = step_size_to_bound(x_on_bound, r, lb, ub)
-
-    r_stride = min(to_bound, to_tr)
-    if r_stride > 0:
-        r_stride_l = (1 - theta) * p_stride / r_stride
-        if r_stride == to_bound:
-            r_stride_u = theta * to_bound
-        else:
-            r_stride_u = to_tr
-    else:
-        r_stride_l = 0.0
-        r_stride_u = -1.0
-
-    if r_stride_l <= r_stride_u:
-        a, b, c = build_quadratic_1d(J_h, g_h, r_h, s0=p_h, diag=diag_h)
-        r_stride, r_value = minimize_quadratic_1d(a, b, r_stride_l, r_stride_u, c=c)
-        r_h = r_h * r_stride + p_h
-        r = r_h * d
-    else:
-        r_value = np.inf
-
-    p = p * theta
-    p_h = p_h * theta
-    p_value = evaluate_quadratic(J_h, g_h, p_h, diag=diag_h)
-
-    ag_h = -g_h
-    ag = d * ag_h
-    to_tr = radius / norm(ag_h)
-    to_bound, _ = step_size_to_bound(x, ag, lb, ub)
-    if to_bound < to_tr:
-        ag_stride = theta * to_bound
-    else:
-        ag_stride = to_tr
-    a, b = build_quadratic_1d(J_h, g_h, ag_h, diag=diag_h)
-    ag_stride, ag_value = minimize_quadratic_1d(a, b, 0.0, ag_stride)
-    ag_h = ag_h * ag_stride
-    ag = ag * ag_stride
-
-    if p_value < r_value and p_value < ag_value:
-        return p, p_h, -p_value
-    if r_value < p_value and r_value < ag_value:
-        return r, r_h, -r_value
-    return ag, ag_h, -ag_value
 
 
 def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500):
@@ -317,11 +48,11 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
     Args:
         fun: residual callable, x -> (m,) array.
         jac: Jacobian callable, x -> (m, n) array.
-        x0: starting point; moved strictly inside the box if needed.
+        x0: starting point; clipped to the box.
         lb, ub: bound arrays, -inf/inf entries allowed.
         gtol: projected-gradient infinity-norm tolerance.
         xtol: relative step tolerance.
-        max_iter: outer iteration cap.
+        max_iter: cap on the number of trial steps.
 
     Returns:
         LeastSquaresResult; ``converged`` is True when either tolerance
@@ -329,112 +60,62 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
     """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    x = make_strictly_feasible(np.asarray(x0, dtype=float), lb, ub, rstep=1e-10)
-    n = x.size
-
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     f = np.asarray(fun(x), dtype=float)
     J = np.asarray(jac(x), dtype=float)
-    m = f.size
-    cost = 0.5 * float(np.dot(f, f))
-    g = J.T.dot(f)
-
-    v = scaling_vector(x, g, lb, ub)[0]
-    radius = float(norm(x / v**0.5))
-    if radius == 0.0:
-        radius = 1.0
-
-    alpha = 0.0
-    status = STATUS_MAX_ITER
+    cost = 0.5 * float(f @ f)
+    g = J.T @ f
+    lam = 1e-3 * float(np.max(np.sum(J * J, axis=0)))  # 1e-3 * max diag(J^T J)
+    growth = 2.0
+    converged = False
     iteration = 0
 
     while True:
-        pg_norm = projected_gradient_norm(x, g, lb, ub)
-        if pg_norm < gtol:
-            status = STATUS_GTOL
+        if projected_gradient_norm(x, g, lb, ub) < gtol:
+            converged = True
             break
         if iteration >= max_iter:
-            status = STATUS_MAX_ITER
             break
-
-        v, dv = scaling_vector(x, g, lb, ub)
-        d = v**0.5
-        g_h = d * g
-        diag_h = g * dv  # nonnegative by construction
-        J_h = J * d
-
-        J_aug = np.vstack([J_h, np.diag(np.sqrt(diag_h))])
-        f_aug = np.concatenate([f, np.zeros(n)])
-        U, s, VT = svd(J_aug, full_matrices=False)
-        V = VT.T
-        uf = U.T.dot(f_aug)
-
-        theta = max(0.995, 1.0 - float(norm(g * v, ord=np.inf)))
-
-        actual_reduction = -1.0
-        inner = 0
-        while actual_reduction <= 0 and inner < 50:
-            inner += 1
-            p_h, alpha, _ = solve_trust_region_subproblem(
-                n, m + n, uf, s, V, radius, initial_alpha=alpha
-            )
-            p = d * p_h
-            step, step_h, predicted_reduction = select_step(
-                x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta
-            )
-            x_new = make_strictly_feasible(x + step, lb, ub, rstep=0)
-            f_new = np.asarray(fun(x_new), dtype=float)
-            step_h_norm = float(norm(step_h))
-
-            if not np.all(np.isfinite(f_new)):
-                radius = 0.25 * step_h_norm
-                continue
-
-            cost_new = 0.5 * float(np.dot(f_new, f_new))
-            actual_reduction = cost - cost_new
-            radius_new, ratio = update_tr_radius(
-                radius,
-                actual_reduction,
-                predicted_reduction,
-                step_h_norm,
-                step_h_norm > 0.95 * radius,
-            )
-
-            step_norm = float(norm(step))
-            if step_norm < xtol * (xtol + float(norm(x))):
-                status = STATUS_XTOL
-                break
-
-            alpha *= radius / radius_new
-            radius = radius_new
-
-        if actual_reduction > 0:
-            x = x_new
-            f = f_new
-            cost = cost_new
-            J = np.asarray(jac(x), dtype=float)
-            g = J.T.dot(f)
         iteration += 1
+        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        J_free = J[:, free]
+        A = J_free.T @ J_free + lam * np.eye(J_free.shape[1])
+        p = np.zeros_like(x)
+        p[free] = np.linalg.solve(A, -g[free])
+        x_new = np.clip(x + p, lb, ub)
+        step = x_new - x
+        f_new = np.asarray(fun(x_new), dtype=float)
+        cost_new = 0.5 * float(f_new @ f_new)
+        small_step = norm(step) < xtol * (xtol + norm(x))
 
-        if status == STATUS_XTOL:
+        if cost_new < cost:  # False for a non-finite residual
+            # the reduction the linear model predicts for the clipped step;
+            # rho >= 1 already gives the smallest factor, 1/3
+            Js = J @ step
+            predicted = -float(g @ step + 0.5 * (Js @ Js))
+            rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            growth = 2.0
+            x, f, cost = x_new, f_new, cost_new
+            J = np.asarray(jac(x), dtype=float)
+            g = J.T @ f
+        else:
+            lam *= growth
+            growth *= 2.0
+
+        if small_step:
+            converged = True
             break
 
     return LeastSquaresResult(
-        x=x,
-        cost=cost,
-        residual=f,
-        jac=J,
-        grad=g,
-        optimality=projected_gradient_norm(x, g, lb, ub),
-        iterations=iteration,
-        status=status,
+        x=x, cost=cost, residual=f, jac=J, grad=g, iterations=iteration, converged=converged
     )
 
 
 def numerical_jacobian(fun, x, lb, ub, rel_step=1e-6):
     """Central finite-difference Jacobian, one-sided at a bound."""
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fun(x))
-    J = np.empty((f0.size, x.size))
+    columns = []
     for i in range(x.size):
         h = rel_step * max(1.0, abs(x[i]))
         hi = min(h, (ub[i] - x[i]))
@@ -447,5 +128,5 @@ def numerical_jacobian(fun, x, lb, ub, rel_step=1e-6):
         xp[i] += hi
         xm = x.copy()
         xm[i] -= lo
-        J[:, i] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (hi + lo)
-    return J
+        columns.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (hi + lo))
+    return np.column_stack(columns)

@@ -127,6 +127,13 @@ class TestExtractEstimate:
                     "--start", "3,0.2,0"]) == 2
         assert "at most one --start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start", ["2", "nan,0.1,0"])
+    def test_malformed_start_invalid(self, tmp_path, capsys, start):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep), "--start", start]) == 2
+        assert "2 or 3 finite numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("new", [
         b"\nmetal-x 2 ",  # bad trace id
         b"\nmetal-5 2 ",  # metal index out of range

@@ -1,6 +1,7 @@
 """Sweep model, residuals, Jacobian, and the fit drivers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,57 @@ class TestFitIdeal:
         gammas[5] = bad
         with pytest.raises(ValueError, match="reflection samples must be finite"):
             fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
+
+    def test_uses_the_a_b_of_a_three_number_start(self):
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        fit = fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ, starts=[(2, 0.1, 0.3)])
+        assert fit.converged
+        assert fit.permittivity.real_part == pytest.approx(3.0, abs=1e-6)
+        assert fit.permittivity.imag_part == pytest.approx(0.3, abs=1e-6)
+
+    def test_rejects_non_finite_start(self):
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        with pytest.raises(ValueError, match="finite numbers"):
+            fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ, starts=[(math.nan, 0.1)])
+
+
+class TestFitIdealThinSlabs:
+    """Thin metal-backed slabs, where the internal bounces stay strong."""
+
+    TRUTHS = ((2.0, 0.1), (3.0, 0.15), (7.0, 0.3))  # the paper's Fig. 5 materials
+    FREQ = 79e9
+    STEP = 1e-4
+    STANDOFF = 0.25
+    M = 40
+
+    def test_noisy_auto_start_fits_as_well_as_the_truth(self):
+        noise = NoiseModel()
+        rng = np.random.default_rng(5001)
+        k1 = 2 * math.pi * self.FREQ / SPEED_OF_LIGHT
+        m = np.arange(self.M)
+        for i in range(12):
+            truth = ComplexPermittivity(*self.TRUTHS[i % 3])
+            geom = SlabGeometry(float(rng.uniform(1e-3, 5e-3)), self.STANDOFF, METAL)
+            clean = effective_reflection(truth, geom, self.FREQ) * np.exp(
+                2j * k1 * (self.STANDOFF + m * self.STEP)
+            )
+            amp = (1.0 + noise.amplitude_drift_rel * m / (self.M - 1)
+                   + noise.amplitude_rel_sigma * rng.standard_normal(self.M))
+            gammas = clean * amp * np.exp(1j * noise.phase_sigma * rng.standard_normal(self.M))
+            fit = fit_ideal(gammas, geom, self.STEP, self.FREQ, starts="auto")
+            truth_res = float(np.linalg.norm(gammas - clean))
+            assert fit.converged, (i, geom.thickness)
+            assert fit.residual_norm <= truth_res * (1 + 1e-9) + 1e-9, (i, geom.thickness)
+
+
+@pytest.mark.parametrize(
+    "bad", [(2,), (2, 0.1, 0.3, 1), (math.nan, 0.1), (2.0, math.inf, 0.0), 2.0, ("x", 1)]
+)
+def test_fit_permittivity_rejects_malformed_start(bad):
+    data = quiet_dataset(2.6, 0.1, 0.0)
+    msg = f"2 or 3 finite numbers, (a, b) or (a, b, c); got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        fit_permittivity(data, starts=[bad])
 
 
 class TestPhaseSlopeDiagnostic:

@@ -13,10 +13,15 @@ import numpy as np
 import pytest
 
 from permslab import (
+    METAL,
+    SPEED_OF_LIGHT,
     ComplexPermittivity,
     FitBounds,
     NoiseModel,
     SdiDataset,
+    SlabGeometry,
+    effective_reflection,
+    fit_ideal,
     fit_permittivity,
     front_face_reflection,
     generate_dataset,
@@ -229,3 +234,18 @@ def test_data_outside_the_feasible_disk_clamp_to_the_corner(bounds):
     phase = np.angle(front_face_reflection(*corner))
     assert abs(math.remainder(fit.phase_offset - 0.3 + phase, 2 * math.pi)) <= 1e-12
     assert fit.residual_norm == pytest.approx(0.01 * largest * math.sqrt(M), rel=1e-9)
+
+
+def test_thin_slab_ideal_fit_has_several_exact_solutions():
+    # a thin metal-backed slab's front-face reflection repeats as the
+    # round trip through the slab gains whole turns of phase, so distinct
+    # permittivities reproduce the same noiseless sweep; the start picks one
+    geom = SlabGeometry(thickness=2.046e-3, standoff=0.25, backing=METAL)
+    k1 = 2 * math.pi * CARRIER / SPEED_OF_LIGHT
+    face = effective_reflection(ComplexPermittivity(7.0, 0.3), geom, CARRIER)
+    gammas = face * np.exp(2j * k1 * (geom.standoff + np.arange(M) * STEP))
+    f1 = fit_ideal(gammas, geom, STEP, CARRIER, starts=[(7.0, 0.3)])
+    f2 = fit_ideal(gammas, geom, STEP, CARRIER, starts=[(12.0, 0.5)])
+    assert f1.residual_norm < 1e-9
+    assert f2.residual_norm < 1e-9
+    assert abs(f1.permittivity.real_part - f2.permittivity.real_part) > 1

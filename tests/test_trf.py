@@ -1,11 +1,10 @@
-"""Bounded trust-region least-squares solver on known problems."""
+"""Bounded Levenberg-Marquardt least-squares solver on known problems."""
 
 import numpy as np
 import pytest
 
 from permslab.trf import (
     least_squares_trf,
-    make_strictly_feasible,
     numerical_jacobian,
     projected_gradient_norm,
 )
@@ -112,12 +111,33 @@ def test_iteration_cap_reports_not_converged():
     assert res.iterations == 2
 
 
-def test_make_strictly_feasible_moves_off_bounds():
+def test_start_on_bound_with_outward_gradient_stays_pinned():
+    # unconstrained optimum at x = -1; the start sits on the lower bound
+    res = least_squares_trf(
+        lambda x: np.array([x[0] + 1.0]),
+        lambda x: np.array([[1.0]]),
+        np.array([0.0]),
+        np.array([0.0]),
+        np.array([INF]),
+    )
+    assert res.converged
+    assert res.x[0] == 0.0
+    assert res.cost == pytest.approx(0.5, rel=1e-15)
+
+
+def test_one_variable_pinned_the_other_free():
+    # coupled quadratic: x0 wants to exceed its upper bound 1, x1 is free
+    A = np.array([[2.0, 0.5], [0.5, 1.0], [0.0, 1.0]])
+    y = np.array([6.0, 2.0, -1.0])
     lb = np.array([0.0, -INF])
     ub = np.array([1.0, INF])
-    x = make_strictly_feasible(np.array([0.0, 5.0]), lb, ub, rstep=1e-10)
-    assert x[0] > 0.0
-    assert x[1] == 5.0
+    res = least_squares_trf(lambda x: A @ x - y, lambda x: A, np.array([0.2, 0.0]), lb, ub)
+    assert res.converged
+    assert res.x[0] == 1.0
+    # with x0 = 1 fixed, x1 solves the remaining 1-D least squares problem
+    x1 = np.dot(A[:, 1], y - A[:, 0]) / np.dot(A[:, 1], A[:, 1])
+    assert res.x[1] == pytest.approx(x1, abs=1e-10)
+    assert projected_gradient_norm(res.x, res.grad, lb, ub) < 1e-9
 
 
 def test_numerical_jacobian_against_analytic():
