@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,46 +71,28 @@ class BenchReport:
         """
         return {
             "trials_per_truth": self.trials_per_truth,
-            "noise": {
-                "amplitude_rel_sigma": self.noise.amplitude_rel_sigma,
-                "phase_sigma_rad": self.noise.phase_sigma,
-                "amplitude_drift_rel": self.noise.amplitude_drift_rel,
-                "seed": self.noise.seed,
-            },
-            "records": [
-                {
-                    "eps_real": r.truth.real_part,
-                    "eps_imag": r.truth.imag_part,
-                    "phase_offset": r.phase_offset,
-                    "seed": r.seed,
-                    "fitted_a": r.fitted_a,
-                    "fitted_b": r.fitted_b,
-                    "fitted_c": r.fitted_c,
-                    "residual_norm": r.residual_norm,
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "error": r.error,
-                }
-                for r in self.records
-            ],
-            "summaries": [
-                {
-                    "eps_real": s.truth.real_part,
-                    "eps_imag": s.truth.imag_part,
-                    "trials": s.trials,
-                    "converged": s.converged_count,
-                    "mean_a": s.mean_a,
-                    "mean_b": s.mean_b,
-                    "std_a": s.std_a,
-                    "std_b": s.std_b,
-                    "mean_abs_err_a": s.mean_abs_err_a,
-                    "mean_abs_err_b": s.mean_abs_err_b,
-                    "mean_abs_err_c": s.mean_abs_err_c,
-                    "mean_residual_norm": s.mean_residual_norm,
-                }
-                for s in self.summaries
-            ],
+            "noise": _json_fields(self.noise),
+            "records": [_json_fields(r) for r in self.records],
+            "summaries": [_json_fields(s) for s in self.summaries],
         }
+
+
+# to_dict key for each field whose name it does not keep, and the wall times it leaves out
+_JSON_NAMES = {"phase_sigma": "phase_sigma_rad", "converged_count": "converged"}
+_UNTIMED = ("fit_seconds", "mean_fit_seconds")
+
+
+def _json_fields(obj) -> dict:
+    """The fields of a dataclass in declaration order, ``truth`` split into
+    ``eps_real`` and ``eps_imag``."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "truth":
+            out.update(eps_real=value.real_part, eps_imag=value.imag_part)
+        elif f.name not in _UNTIMED:
+            out[_JSON_NAMES.get(f.name, f.name)] = value
+    return out
 
 
 def run_sweep(
@@ -188,31 +170,25 @@ def _angle_difference(fitted: float, target: float) -> float:
 
 def _summarize(truth: ComplexPermittivity, records: list[TrialRecord]) -> TruthSummary:
     ok = [r for r in records if r.error is None]
-    if ok:
-        a = np.array([r.fitted_a for r in ok])
-        b = np.array([r.fitted_b for r in ok])
-        err_c = np.array([abs(_angle_difference(r.fitted_c, r.phase_offset)) for r in ok])
-        res = np.array([r.residual_norm for r in ok])
-        stats = dict(
-            mean_a=float(a.mean()),
-            mean_b=float(b.mean()),
-            std_a=float(a.std()),
-            std_b=float(b.std()),
-            mean_abs_err_a=float(np.abs(a - truth.real_part).mean()),
-            mean_abs_err_b=float(np.abs(b - truth.imag_part).mean()),
-            mean_abs_err_c=float(err_c.mean()),
-            mean_residual_norm=float(res.mean()),
-        )
-    else:
-        stats = dict(
-            mean_a=math.nan, mean_b=math.nan, std_a=math.nan, std_b=math.nan,
-            mean_abs_err_a=math.nan, mean_abs_err_b=math.nan,
-            mean_abs_err_c=math.nan, mean_residual_norm=math.nan,
-        )
+    a = np.array([r.fitted_a for r in ok])
+    b = np.array([r.fitted_b for r in ok])
+    err_c = np.array([abs(_angle_difference(r.fitted_c, r.phase_offset)) for r in ok])
+    res = np.array([r.residual_norm for r in ok])
+
+    def stat(reduce, values) -> float:  # nan when every trial failed
+        return float(reduce(values)) if ok else math.nan
+
     return TruthSummary(
         truth=truth,
         trials=len(records),
         converged_count=sum(1 for r in records if r.converged),
+        mean_a=stat(np.mean, a),
+        mean_b=stat(np.mean, b),
+        std_a=stat(np.std, a),
+        std_b=stat(np.std, b),
+        mean_abs_err_a=stat(np.mean, np.abs(a - truth.real_part)),
+        mean_abs_err_b=stat(np.mean, np.abs(b - truth.imag_part)),
+        mean_abs_err_c=stat(np.mean, err_c),
+        mean_residual_norm=stat(np.mean, res),
         mean_fit_seconds=float(np.mean([r.fit_seconds for r in records])),
-        **stats,
     )

@@ -86,14 +86,7 @@ def cmd_simulate(args) -> int:
         data = generate_dataset(
             truth, args.phase_offset, args.steps, args.step_m, args.carrier_hz, noise
         )
-        out = DatasetFile(
-            mode="gamma",
-            carrier_hz=args.carrier_hz,
-            step_m=args.step_m,
-            step_count=args.steps,
-            provenance=provenance,
-            gammas=data.gammas,
-        )
+        records = dict(gammas=data.gammas)
     else:
         if args.backing == "metal":
             backing = METAL
@@ -113,16 +106,10 @@ def cmd_simulate(args) -> int:
             bounce_count=args.bounces,
             antenna_aperture=args.aperture_m if args.aperture_m > 0 else None,
         )
-        out = DatasetFile(
-            mode="raw-if",
-            carrier_hz=args.carrier_hz,
-            step_m=args.step_m,
-            step_count=args.steps,
-            provenance=provenance,
-            chirp=chirp,
-            mut_samples=mut.samples,
-            metal_samples=np.vstack([t.samples for t in metal]),
-        )
+        records = dict(chirp=chirp, mut_samples=mut.samples,
+                       metal_samples=np.vstack([t.samples for t in metal]))
+    out = DatasetFile(mode=args.mode, carrier_hz=args.carrier_hz, step_m=args.step_m,
+                      step_count=args.steps, provenance=provenance, **records)
     out.write(args.out)
     print(f"wrote {args.mode} dataset with {args.steps} steps to {args.out}")
     return EXIT_OK
@@ -178,6 +165,8 @@ def cmd_check_farfield(args) -> int:
     if args.wavelength_m is not None:
         wavelength = args.wavelength_m
     elif args.carrier_hz is not None:
+        if not args.carrier_hz > 0.0:
+            raise ValueError(f"carrier must be > 0, got {args.carrier_hz}")
         wavelength = SPEED_OF_LIGHT / args.carrier_hz
     else:
         raise ValueError("give either --wavelength-m or --carrier-hz")
@@ -243,6 +232,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _add_sweep_flags(parser) -> None:
+    """The sweep and noise flags of ``simulate`` and ``report``."""
+    parser.add_argument("--steps", type=int, default=40)
+    parser.add_argument("--step-m", type=float, default=1e-4)
+    parser.add_argument("--carrier-hz", type=float, default=79e9)
+    parser.add_argument("--amp-sigma", type=float, default=0.0,
+                        help="relative amplitude noise std")
+    parser.add_argument("--phase-sigma-deg", type=float, default=0.0)
+    parser.add_argument("--drift", type=float, default=0.0,
+                        help="end-to-end relative amplitude drift")
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permslab",
@@ -259,15 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--eps-imag", type=float, default=0.1)
     sim.add_argument("--phase-offset", type=float, default=0.0,
                      help="phase offset of the sweep, radians")
-    sim.add_argument("--steps", type=int, default=40)
-    sim.add_argument("--step-m", type=float, default=1e-4)
-    sim.add_argument("--carrier-hz", type=float, default=79e9)
-    sim.add_argument("--amp-sigma", type=float, default=0.0,
-                     help="relative amplitude noise std")
-    sim.add_argument("--phase-sigma-deg", type=float, default=0.0)
-    sim.add_argument("--drift", type=float, default=0.0,
-                     help="end-to-end relative amplitude drift")
-    sim.add_argument("--seed", type=int, default=0)
+    _add_sweep_flags(sim)
     sim.add_argument("--mode", choices=("gamma", "raw-if"), default="gamma")
     sim.add_argument("--standoff-m", type=float, default=0.25)
     sim.add_argument("--thickness-m", type=float, default=0.02)
@@ -311,13 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--truth", action="append", default=[],
                      help="ground truth 're,im'; repeatable")
     rep.add_argument("--trials", type=int, default=1)
-    rep.add_argument("--steps", type=int, default=40)
-    rep.add_argument("--step-m", type=float, default=1e-4)
-    rep.add_argument("--carrier-hz", type=float, default=79e9)
-    rep.add_argument("--amp-sigma", type=float, default=0.0)
-    rep.add_argument("--phase-sigma-deg", type=float, default=0.0)
-    rep.add_argument("--drift", type=float, default=0.0)
-    rep.add_argument("--seed", type=int, default=0)
+    _add_sweep_flags(rep)
     rep.add_argument("--start-policy", choices=("truth", "auto"), default="truth")
     rep.add_argument("--outdir", required=True)
     rep.set_defaults(func=cmd_report)

@@ -76,25 +76,6 @@ class SlabGeometry:
             raise ValueError(f"standoff must be > 0, got {self.standoff}")
 
 
-@dataclass(frozen=True)
-class WaveParams:
-    """A single-frequency plane wave in a given medium."""
-
-    frequency: float
-    medium_permittivity: ComplexPermittivity = AIR
-
-    def __post_init__(self):
-        if not self.frequency > 0.0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
-
-    @property
-    def wavenumber(self) -> complex:
-        """k = (2*pi*f/c) * sqrt(eps), decaying branch (Im(k) <= 0)."""
-        return (2.0 * math.pi * self.frequency / SPEED_OF_LIGHT) * complex_sqrt_lossy(
-            self.medium_permittivity
-        )
-
-
 def complex_sqrt_lossy(eps: ComplexPermittivity) -> complex:
     """Square root of a - jb on the decaying-wave branch.
 
@@ -148,12 +129,15 @@ def slab_bounce_terms(
     so bounce i >= 2 carries first * ratio^{i-2}. Every slab series
     starts from these same three numbers and so rounds alike.
     """
-    g1r = air_face_reflection(complex_sqrt_lossy(eps_r))
+    if not freq > 0.0:
+        raise ValueError(f"frequency must be > 0, got {freq}")
+    n = complex_sqrt_lossy(eps_r)
+    g1r = air_face_reflection(n)
     if isinstance(geom.backing, MetalBacking):
         gr2 = -1.0 + 0.0j
     else:
         gr2, _ = fresnel_normal(eps_r, geom.backing)
-    k_r = WaveParams(freq, eps_r).wavenumber
+    k_r = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * n  # decaying branch, Im(k_r) <= 0
     rt = cmath.exp(-2j * k_r * geom.thickness)
     gr1 = -g1r
     return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt

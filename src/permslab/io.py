@@ -51,6 +51,24 @@ _RECORDS = {
 _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured", "f8", 2),
                                        ("fitted", "f8", 2)]))
 
+# (key, attribute, type) of the header lines each file kind writes in this
+# order and requires on reading; the dataset's mode, direction and provenance
+# and the chirp's path loss are written and read by hand
+_COMMON_KEYS = (("carrier_hz", "carrier_hz", float), ("step_m", "step_m", float),
+                ("step_count", "step_count", int))
+_CHIRP_KEYS = (("bandwidth_hz", "bandwidth", float),
+               ("chirp_duration_s", "chirp_duration", float),
+               ("sample_count", "sample_count", int),
+               ("sample_interval_s", "sample_interval", float),
+               ("amplitude", "amplitude", float))
+_REPORT_KEYS = (("eps_real", "eps_real", float), ("eps_imag", "eps_imag", float),
+                ("phase_offset_rad", "phase_offset_rad", float),
+                ("residual_norm", "residual_norm", float), ("iterations", "iterations", int),
+                ("converged", "converged", bool)) + _COMMON_KEYS
+# header values: floats to 17 significant digits, bools as true/false
+_FORMATS = {float: lambda x: format(x, ".17g"), int: str, bool: lambda x: "true" if x else "false"}
+_BOOLS = {"true": True, "false": False}
+
 
 @dataclass
 class DatasetFile:
@@ -87,6 +105,8 @@ class DatasetFile:
         else:
             if self.chirp is None or self.mut_samples is None or self.metal_samples is None:
                 raise DatasetFormatError("raw-if mode requires chirp and trace records")
+            if self.step_count < 1:
+                raise DatasetFormatError(f"raw-if step_count {self.step_count} < 1")
             self.mut_samples = np.asarray(self.mut_samples, dtype=complex)
             self.metal_samples = np.asarray(self.metal_samples, dtype=complex)
             n = self.chirp.sample_count
@@ -114,14 +134,8 @@ class DatasetFile:
         return SdiDataset(gammas, self.step_m, self.carrier_hz)
 
     def write(self, path) -> None:
-        header = [
-            FORMAT_BANNER,
-            f"mode: {self.mode}",
-            f"carrier_hz: {self.carrier_hz:.17g}",
-            f"step_m: {self.step_m:.17g}",
-            f"step_count: {self.step_count}",
-            f"direction: {self.direction}",
-        ]
+        header = [FORMAT_BANNER, f"mode: {self.mode}", *_header(self, _COMMON_KEYS),
+                  f"direction: {self.direction}"]
         if self.provenance:
             header.append(f"provenance: {self.provenance}")
         if self.mode == "gamma":
@@ -130,11 +144,7 @@ class DatasetFile:
         else:
             c = self.chirp
             header += [
-                f"bandwidth_hz: {c.bandwidth:.17g}",
-                f"chirp_duration_s: {c.chirp_duration:.17g}",
-                f"sample_count: {c.sample_count}",
-                f"sample_interval_s: {c.sample_interval:.17g}",
-                f"amplitude: {c.amplitude:.17g}",
+                *_header(c, _CHIRP_KEYS),
                 f"path_loss_re: {c.path_loss.real:.17g}",
                 f"path_loss_im: {c.path_loss.imag:.17g}",
                 f"columns: {RAW_COLUMNS}",
@@ -149,23 +159,13 @@ class DatasetFile:
     @classmethod
     def read(cls, path) -> "DatasetFile":
         meta, records = _read_file(path)
-        common = dict(
-            mode=meta["mode"],
-            carrier_hz=_parse(meta, "carrier_hz"),
-            step_m=_parse(meta, "step_m"),
-            step_count=_parse(meta, "step_count", int),
-            direction=meta.get("direction", "backward"),
-            provenance=meta.get("provenance", ""),
-        )
+        common = {"mode": meta["mode"], **_read_keys(meta, _COMMON_KEYS)}
+        common.update((key, meta[key]) for key in ("direction", "provenance") if key in meta)
         if meta["mode"] == "gamma":
             return cls(gammas=_gammas(records, common["step_count"]), **common)
         chirp = ChirpConfig(
+            **_read_keys(meta, _CHIRP_KEYS),
             start_frequency=common["carrier_hz"],
-            bandwidth=_parse(meta, "bandwidth_hz"),
-            chirp_duration=_parse(meta, "chirp_duration_s"),
-            sample_count=_parse(meta, "sample_count", int),
-            sample_interval=_parse(meta, "sample_interval_s"),
-            amplitude=_parse(meta, "amplitude"),
             path_loss=complex(_parse(meta, "path_loss_re", default=1.0),
                               _parse(meta, "path_loss_im", default=0.0)),
         )
@@ -234,15 +234,25 @@ def _read_header(fh) -> dict:
     raise DatasetFormatError("missing columns line")
 
 
+def _header(obj, keys) -> list[str]:
+    """A ``key: value`` line per table entry."""
+    return [f"{key}: {_FORMATS[kind](getattr(obj, attr))}" for key, attr, kind in keys]
+
+
+def _read_keys(meta, keys) -> dict:
+    return {attr: _parse(meta, key, kind) for key, attr, kind in keys}
+
+
 def _parse(meta, key, kind=float, default=None):
     if key not in meta:
         if default is not None:
             return default
         raise DatasetFormatError(f"missing metadata key {key!r}")
+    text = meta[key]
     try:
-        return kind(meta[key])
-    except ValueError as exc:
-        raise DatasetFormatError(f"bad {kind.__name__} for {key!r}: {meta[key]!r}") from exc
+        return _BOOLS[text] if kind is bool else kind(text)
+    except (KeyError, ValueError) as exc:
+        raise DatasetFormatError(f"bad {kind.__name__} for {key!r}: {text!r}") from exc
 
 
 def _gammas(records, step_count) -> np.ndarray:
@@ -259,6 +269,8 @@ def _gammas(records, step_count) -> np.ndarray:
 
 def _traces(records, step_count, sample_count) -> np.ndarray:
     """Raw-IF records as a (1 + step_count, sample_count) stack: mut, metal-0, ..."""
+    if step_count < 1:
+        raise DatasetFormatError(f"raw-if step_count {step_count} < 1")
     expected = (step_count + 1) * sample_count
     if records.size != expected:
         raise DatasetFormatError(f"trace record count {records.size} != {expected}")
@@ -332,19 +344,7 @@ class ReportFile:
         )
 
     def write(self, path) -> None:
-        header = [
-            REPORT_BANNER,
-            f"eps_real: {self.eps_real:.17g}",
-            f"eps_imag: {self.eps_imag:.17g}",
-            f"phase_offset_rad: {self.phase_offset_rad:.17g}",
-            f"residual_norm: {self.residual_norm:.17g}",
-            f"iterations: {self.iterations}",
-            f"converged: {'true' if self.converged else 'false'}",
-            f"carrier_hz: {self.carrier_hz:.17g}",
-            f"step_m: {self.step_m:.17g}",
-            f"step_count: {self.step_count}",
-            f"columns: {REPORT_COLUMNS}",
-        ]
+        header = [REPORT_BANNER, *_header(self, _REPORT_KEYS), f"columns: {REPORT_COLUMNS}"]
         m = np.arange(self.step_count)
         values = np.column_stack((m * self.step_m * 1e3, _pairs(self.measured),
                                   _pairs(self.fitted)))
@@ -353,19 +353,11 @@ class ReportFile:
     @classmethod
     def read(cls, path) -> "ReportFile":
         meta, records = _read_file(path, _REPORT_RECORDS)
-        step_count = _parse(meta, "step_count", int)
-        if records.size != step_count:
+        values = _read_keys(meta, _REPORT_KEYS)
+        if records.size != values["step_count"]:
             raise DatasetFormatError("report record count mismatch")
         return cls(
-            eps_real=_parse(meta, "eps_real"),
-            eps_imag=_parse(meta, "eps_imag"),
-            phase_offset_rad=_parse(meta, "phase_offset_rad"),
-            residual_norm=_parse(meta, "residual_norm"),
-            iterations=_parse(meta, "iterations", int),
-            converged=meta.get("converged") == "true",
-            carrier_hz=_parse(meta, "carrier_hz"),
-            step_m=_parse(meta, "step_m"),
-            step_count=step_count,
+            **values,
             measured=np.ravel(records["measured"].view(complex)),
             fitted=np.ravel(records["fitted"].view(complex)),
         )

@@ -150,7 +150,12 @@ def generate_if_datasets(
             keeps only the front-face echo (thick-slab condition).
         antenna_aperture: when given, warn if the standoff is inside the
             far-field distance for the chirp start frequency.
+
+    Raises:
+        ValueError: ``m_count`` below 1 (no metal reference trace).
     """
+    if m_count < 1:
+        raise ValueError(f"need at least one metal position, got m_count={m_count}")
     if antenna_aperture is not None:
         wavelength = SPEED_OF_LIGHT / cfg.start_frequency
         d_far = fraunhofer_distance(antenna_aperture, wavelength)

@@ -1,5 +1,7 @@
 """Monte-Carlo sweep benchmark harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,27 @@ def test_report_dict_round_trips_fields():
     assert len(d["summaries"]) == 1
     assert d["summaries"][0]["trials"] == 2
     assert isinstance(report, BenchReport)
+
+
+def test_report_dict_schema():
+    # the keys come from the dataclass fields, so a new field would otherwise
+    # reach report.json unnoticed; wall times must stay out of it
+    report = run_sweep([ComplexPermittivity(2.6, 0.1)], NoiseModel(seed=1), trials=2)
+    d = report.to_dict()
+    assert list(d) == ["trials_per_truth", "noise", "records", "summaries"]
+    assert list(d["noise"]) == [
+        "amplitude_rel_sigma", "phase_sigma_rad", "amplitude_drift_rel", "seed",
+    ]
+    for r in d["records"]:
+        assert list(r) == [
+            "eps_real", "eps_imag", "phase_offset", "seed", "fitted_a", "fitted_b",
+            "fitted_c", "residual_norm", "iterations", "converged", "error",
+        ]
+    assert list(d["summaries"][0]) == [
+        "eps_real", "eps_imag", "trials", "converged", "mean_a", "mean_b", "std_a",
+        "std_b", "mean_abs_err_a", "mean_abs_err_b", "mean_abs_err_c", "mean_residual_norm",
+    ]
+    assert "seconds" not in json.dumps(d)
 
 
 def test_auto_start_policy_runs():

@@ -42,6 +42,12 @@ class TestSimulate:
         assert f.mut_samples.shape == (64,)
         assert f.metal_samples.shape == (6, 64)
 
+    def test_raw_if_zero_steps_invalid(self, tmp_path, capsys):
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "0", "--out", str(out)]) == 2
+        assert "at least one metal position" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "no" / "dir.txt")]) == 2
 
@@ -198,6 +204,12 @@ class TestCheckFarfield:
         code = run(["check-farfield", "--aperture-m", "0.015",
                     "--carrier-hz", "79e9", "--standoff-m", "0.25"])
         assert code == 0
+
+    @pytest.mark.parametrize("carrier", ["0", "-79e9"])
+    def test_nonpositive_carrier_invalid(self, carrier, capsys):
+        assert run(["check-farfield", "--aperture-m", "0.015",
+                    f"--carrier-hz={carrier}", "--standoff-m", "0.25"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_wavelength_and_carrier(self):
         assert run(["check-farfield", "--aperture-m", "0.015",

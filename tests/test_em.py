@@ -12,7 +12,6 @@ from permslab import (
     SPEED_OF_LIGHT,
     ComplexPermittivity,
     SlabGeometry,
-    WaveParams,
     complex_sqrt_lossy,
     effective_reflection,
     effective_reflection_truncated,
@@ -120,7 +119,7 @@ class TestEffectiveReflection:
         geom = SlabGeometry(0.02, 0.25, backing=METAL)
         g1r, t1r = fresnel_normal(AIR, eps)
         gr1, tr1 = fresnel_normal(eps, AIR)
-        k_r = WaveParams(79e9, eps).wavenumber
+        k_r = 2 * math.pi * 79e9 / SPEED_OF_LIGHT * complex_sqrt_lossy(eps)
         rt = cmath.exp(-2j * k_r * geom.thickness)
         expected = g1r + tr1 * (-1.0) * t1r * rt
         got = effective_reflection_truncated(eps, geom, 79e9, q=2)
@@ -152,6 +151,10 @@ class TestEffectiveReflection:
         eps = ComplexPermittivity(3.0, 0.15)
         geom = SlabGeometry(1e-12, 0.25, backing=METAL)
         assert effective_reflection(eps, geom, 79e9) == pytest.approx(-1.0, abs=1e-6)
+
+    def test_frequency_positive(self):
+        with pytest.raises(ValueError):
+            effective_reflection(ComplexPermittivity(2.0), self.GEOM, 0.0)
 
     def test_resonance_guard(self):
         # nonphysical near-unity bounce ratio: enormous permittivity with
@@ -204,22 +207,6 @@ class TestFraunhofer:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fraunhofer_distance(0.0, 1.0)
-
-
-class TestWaveParams:
-    def test_wavenumber_decaying_branch(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            wp = WaveParams(79e9, ComplexPermittivity(rng.uniform(1, 50), rng.uniform(0, 10)))
-            assert wp.wavenumber.imag <= 0.0
-
-    def test_air_wavenumber(self):
-        wp = WaveParams(79e9)
-        assert wp.wavenumber == pytest.approx(2 * math.pi * 79e9 / SPEED_OF_LIGHT)
-
-    def test_frequency_positive(self):
-        with pytest.raises(ValueError):
-            WaveParams(0.0)
 
 
 def test_geometry_invariants():

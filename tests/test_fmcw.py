@@ -16,7 +16,6 @@ from permslab import (
     IfTrace,
     RangeSpectrum,
     SlabGeometry,
-    WaveParams,
     calibrate_ratio,
     complex_sqrt_lossy,
     dft,
@@ -256,7 +255,8 @@ class TestSynthSlabEchoes:
         # independent reconstruction of the bounce terms
         g1r, t1r = fresnel_normal(AIR, self.EPS)
         gr1, tr1 = fresnel_normal(self.EPS, AIR)
-        k_r = WaveParams(CFG.start_frequency, self.EPS).wavenumber
+        k0 = 2 * math.pi * CFG.start_frequency / SPEED_OF_LIGHT
+        k_r = k0 * complex_sqrt_lossy(self.EPS)
         rt = cmath.exp(-2j * k_r * self.GEOM.thickness)
         term = tr1 * (-1.0) * t1r * rt
         for i, echo in enumerate(echoes[1:]):

@@ -199,6 +199,21 @@ class TestRawIfRoundTrip:
         with pytest.raises(DatasetFormatError, match="non-finite"):
             DatasetFile.read(path)
 
+    def test_no_metal_traces_rejected(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        raw_file(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        head = lines[:lines.index(f"columns: {RAW_COLUMNS}") + 1]
+        mut = [line for line in lines if line.startswith("mut ")]
+        for step_count, records in ((0, mut), (-1, [])):
+            text = "\n".join(head + records).replace("step_count: 2", f"step_count: {step_count}")
+            path.write_text(text + "\n", encoding="utf-8")
+            with pytest.raises(DatasetFormatError, match=f"raw-if step_count {step_count} < 1"):
+                DatasetFile.read(path)
+        with pytest.raises(DatasetFormatError, match="raw-if step_count 0 < 1"):
+            DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=0,
+                        chirp=SMALL_CHIRP, mut_samples=np.ones(5), metal_samples=np.ones((0, 5)))
+
     def test_gamma_file_cannot_feed_extraction(self, tmp_path):
         f = gamma_file(tmp_path)
         with pytest.raises(DatasetFormatError):
@@ -365,6 +380,20 @@ class TestReader:
         path.write_text(text.replace("\npath_loss_im: 0\n", "\npath_loss_im: x\n"))
         with pytest.raises(DatasetFormatError, match="bad float for 'path_loss_im'"):
             DatasetFile.read(path)
+
+    @pytest.mark.parametrize("line", ["", "converged: True\n", "converged: 1\n",
+                                      "converged:\n", "convergd: true\n"])
+    def test_report_converged_must_be_true_or_false(self, tmp_path, line):
+        path = tmp_path / "report.txt"
+        ReportFile(
+            eps_real=2.0, eps_imag=0.1, phase_offset_rad=0.0, residual_norm=0.0,
+            iterations=1, converged=True, carrier_hz=79e9, step_m=1e-4, step_count=1,
+            measured=np.ones(1), fitted=np.ones(1),
+        ).write(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("converged: true\n", line))
+        with pytest.raises(DatasetFormatError, match="converged"):
+            ReportFile.read(path)
 
     def test_bad_report_record(self, tmp_path):
         data = generate_dataset(

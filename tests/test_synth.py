@@ -100,6 +100,10 @@ class TestGenerateIfDatasets:
         for t1, t2 in zip(metal1, metal2):
             assert np.array_equal(t1.samples, t2.samples)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="at least one metal position"):
+            generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 0, 1e-4, NoiseModel.quiet())
+
     def test_near_field_warning(self):
         close = SlabGeometry(thickness=0.02, standoff=0.05, backing=METAL)
         with pytest.warns(UserWarning, match="far-field"):
