@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .em import ComplexPermittivity
-from .estimator import FitBounds, fit_permittivity
-from .synth import NoiseModel, generate_dataset
+from .estimator import AUTO_STARTS, FitBounds, SdiDataset, _fit_rows
+from .synth import NoiseModel, _noisy_sweeps
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,10 @@ def _json_fields(obj) -> dict:
     return out
 
 
+# samples per stacked pass of run_sweep, so that its memory does not grow with the trial count
+_STACK_SAMPLES = 1 << 16
+
+
 def run_sweep(
     truths: list[ComplexPermittivity],
     noise: NoiseModel,
@@ -109,7 +113,10 @@ def run_sweep(
 
     Each trial draws its own phase offset uniformly from [-pi, pi) and
     derives its dataset seed from (noise.seed, truth index, trial
-    index), so reports are bit-reproducible for identical inputs.
+    index), so reports are bit-reproducible for identical inputs. The
+    trials of a call are generated and fitted as one stack (in passes
+    of at most 65536 samples), so each record's ``fit_seconds`` is the
+    call's time divided by its trials.
 
     Args:
         start_policy: "truth" seeds each fit at the generating
@@ -125,41 +132,35 @@ def run_sweep(
     if start_policy not in ("truth", "auto"):
         raise ValueError(f"unknown start policy {start_policy!r}")
 
-    report = BenchReport(noise=noise, trials_per_truth=trials)
+    start = time.perf_counter()
+    rows = []
     for ti, truth in enumerate(truths):
-        records = []
         for k in range(trials):
             seed_seq = np.random.SeedSequence((noise.seed, ti, k))
-            offset_rng = np.random.default_rng(seed_seq)
-            phase_offset = float(offset_rng.uniform(-math.pi, math.pi))
-            trial_seed = int(seed_seq.generate_state(1)[0])
-            trial_noise = NoiseModel(
-                noise.amplitude_rel_sigma,
-                noise.phase_sigma,
-                noise.amplitude_drift_rel,
-                trial_seed,
-            )
-            data = generate_dataset(truth, phase_offset, m_count, step, carrier, trial_noise)
-            starts = (
-                [(truth.real_part, truth.imag_part, phase_offset)]
-                if start_policy == "truth"
-                else "auto"
-            )
-            t0 = time.perf_counter()
-            error = None
-            try:
-                fit = fit_permittivity(data, bounds=bounds, starts=starts)
-                eps = fit.permittivity
-                fitted = (eps.real_part, eps.imag_part, fit.phase_offset,
-                          fit.residual_norm, fit.iterations, fit.converged)
-            except Exception as exc:  # per-trial failures must not abort the sweep
-                fitted = (None, None, None, None, None, False)
-                error = f"{type(exc).__name__}: {exc}"
-            records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted,
-                                       fit_seconds=time.perf_counter() - t0, error=error))
-        report.records.extend(records)
-        report.summaries.append(_summarize(truth, records))
-    return report
+            phase_offset = float(np.random.default_rng(seed_seq).uniform(-math.pi, math.pi))
+            rows.append((truth, phase_offset, int(seed_seq.generate_state(1)[0])))
+    anchors = [AUTO_STARTS[0] if start_policy == "auto"
+               else (float(truth.real_part), float(truth.imag_part)) for truth, _, _ in rows]
+    fits = []
+    per_pass = max(1, _STACK_SAMPLES // max(m_count, 1))
+    for lo in range(0, len(rows), per_pass):
+        gammas = _noisy_sweeps(rows[lo : lo + per_pass], m_count, step, carrier, noise)
+        # generate_dataset's checks: all on the first row, then the one rows can fail alone
+        first = SdiDataset(gammas[0], step, carrier)
+        if not np.all(np.isfinite(gammas)):
+            raise ValueError("reflection samples must be finite")
+        fits += _fit_rows(gammas, first.step_phase, anchors[lo : lo + per_pass], bounds)
+    fit_seconds = (time.perf_counter() - start) / len(rows)
+    records = []
+    for row, fit in zip(rows, fits):
+        if isinstance(fit, Exception):
+            fitted, error = (None, None, None, None, None, False), f"{type(fit).__name__}: {fit}"
+        else:
+            fitted, error = (*fit, 0, True), None
+        records.append(TrialRecord(*row, *fitted, fit_seconds=fit_seconds, error=error))
+    summaries = [_summarize(truth, records[ti * trials : (ti + 1) * trials])
+                 for ti, truth in enumerate(truths)]
+    return BenchReport(noise, trials, records, summaries)
 
 
 def _angle_difference(fitted: float, target: float) -> float:

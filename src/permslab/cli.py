@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed or
 unreadable files, aliasing step sizes), 3 numerical failure (degenerate
-slab geometry), 4 degenerate data (free-space sweeps, unusable
-calibration reference).
+slab geometry, no feasible sweep fit), 4 degenerate data (free-space
+sweeps, unusable calibration reference).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     DegenerateDataError,
     DegenerateGeometryError,
     DegenerateRegressionError,
+    InfeasibleFitError,
 )
 from .estimator import (
     FitBounds,
@@ -46,7 +47,7 @@ EXIT_DEGENERATE = 4
 
 _ERROR_CODES = [
     ((DatasetFormatError, AliasingError, ValueError, OSError), EXIT_INVALID),
-    ((DegenerateGeometryError,), EXIT_NUMERICAL),
+    ((DegenerateGeometryError, InfeasibleFitError), EXIT_NUMERICAL),
     ((DegenerateDataError, CalibrationError, AllZeroSpectrumError,
       DegenerateRegressionError), EXIT_DEGENERATE),
 ]
@@ -106,6 +107,8 @@ def cmd_simulate(args) -> int:
             bounce_count=args.bounces,
             antenna_aperture=args.aperture_m if args.aperture_m > 0 else None,
         )
+        if args.steps < 3:  # the sweep minimum extract would enforce
+            raise ValueError("need at least 3 reflection samples")
         records = dict(chirp=chirp, mut_samples=mut.samples,
                        metal_samples=np.vstack([t.samples for t in metal]))
     out = DatasetFile(mode=args.mode, carrier_hz=args.carrier_hz, step_m=args.step_m,
@@ -170,6 +173,8 @@ def cmd_check_farfield(args) -> int:
         wavelength = SPEED_OF_LIGHT / args.carrier_hz
     else:
         raise ValueError("give either --wavelength-m or --carrier-hz")
+    if not (args.standoff_m > 0.0 and math.isfinite(args.standoff_m)):
+        raise ValueError(f"standoff must be finite and > 0, got {args.standoff_m}")
     d_far = fraunhofer_distance(args.aperture_m, wavelength)
     if args.standoff_m >= 2.0 * d_far:
         verdict = "pass"

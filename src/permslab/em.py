@@ -197,7 +197,8 @@ def translate_reflection(gamma_at_face: complex, standoff: float, freq: float) -
 
 
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:
-    """Far-field boundary 2*D^2/lambda for an aperture of size D."""
-    if not (aperture > 0.0 and wavelength > 0.0):
-        raise ValueError("aperture and wavelength must be > 0")
-    return 2.0 * aperture * aperture / wavelength
+    """Far-field boundary 2*D^2/lambda for an aperture of size D; finite and > 0, or ValueError."""
+    d_far = 2.0 * aperture * aperture / wavelength if aperture > 0.0 and wavelength > 0.0 else 0.0
+    if not 0.0 < d_far < math.inf:
+        raise ValueError("aperture and wavelength must be > 0 and give a finite distance > 0")
+    return d_far

@@ -34,6 +34,10 @@ class NoConvergenceError(PermslabError):
     """Every fit start exhausted its iteration cap without converging."""
 
 
+class InfeasibleFitError(PermslabError):
+    """No root of the sweep fit's gauge family lands in the box (rounding, overflow)."""
+
+
 class DegenerateRegressionError(PermslabError):
     """Phase-slope regression on constant-phase data."""
 

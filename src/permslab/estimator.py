@@ -38,7 +38,8 @@ from .em import (
     complex_sqrt_lossy,
     effective_reflection,
 )
-from .errors import AliasingError, DegenerateDataError, DegenerateRegressionError, NoConvergenceError
+from .errors import (AliasingError, DegenerateDataError, DegenerateRegressionError,
+                     InfeasibleFitError, NoConvergenceError)
 from .trf import least_squares_trf, numerical_jacobian
 
 # (a, b) starts of fit_ideal's "auto" policy, a-major; the first is fit_permittivity's anchor
@@ -189,37 +190,47 @@ def _unit_circle_roots(quartics: np.ndarray) -> np.ndarray:
     return (w / np.abs(w)).ravel()
 
 
-def _nearest_member(rho: float, anchor, bounds: FitBounds) -> tuple[float, float]:
-    """Feasible (a, b) with |r(a, b)| = rho nearest the anchor's (a, b).
+def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
+    """Per rho, the feasible (a, b) with |r(a, b)| = rho nearest its anchor (a0, b0).
 
     Under s = (1 - r) / (1 + r) the family |r| = rho is the circle
     s = C + R w, |w| = 1, so eps = s^2 = C^2 + 2CR w + R^2 w^2. The
     nearest feasible member is a stationary point of |s^2 - eps0|^2 or
     an end of a feasible arc, where a crosses 1 or a_max or b crosses 0
     or b_max. Each condition is a quartic in w (below divided by R^2);
-    the member is the nearest feasible point among their roots.
+    the member is the nearest feasible point among their roots. The
+    quartics of all rhos are solved as one stack. A rho whose roots hold
+    no feasible point, or whose quartics overflow, gets None.
     """
-    a0, b0 = anchor
-    if rho < 1e-100:  # the whole family lies within 4 rho of (1, 0)
-        return 1.0, 0.0
-    big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
-    big_r = 2.0 * rho / (1.0 - rho * rho)
-    k = 2.0 * big_c / big_r
-    # g = 0 would lower the degree; an ulp-sized g keeps the same roots
-    g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
-    quartics = np.array([
-        [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
-        *([1, k, 2 * (big_c * big_c - edge) / big_r**2, k, 1] for edge in (1.0, bounds.a_max)),
-        *([1, k, 2j * edge / big_r**2, -k, -1] for edge in (0.0, bounds.b_max)),
-    ], dtype=complex)
-    eps = (big_c + big_r * _unit_circle_roots(quartics)) ** 2
+    quartics, circles = [], []
+    for rho, (a0, b0) in zip(rhos, anchors):
+        # Python scalars: numpy rounds x**2 and complex / float differently
+        big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
+        big_r = 2.0 * rho / (1.0 - rho * rho)
+        k = 2.0 * big_c / big_r
+        # g = 0 would lower the degree; an ulp-sized g keeps the same roots
+        g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
+        quartics += [
+            [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
+            *([1, k, 2 * (big_c * big_c - edge) / big_r**2, k, 1] for edge in (1.0, bounds.a_max)),
+            *([1, k, 2j * edge / big_r**2, -k, -1] for edge in (0.0, bounds.b_max)),
+        ]
+        tol = 1e-13 * (big_c + big_r) ** 2  # rounding of eps along the circle
+        circles.append((big_c, big_r, tol, a0, b0))
+    quartics = np.array(quartics, dtype=complex).reshape(-1, 5, 5)
+    finite = np.isfinite(quartics).all(axis=(1, 2))
+    w = _unit_circle_roots(np.where(finite[:, None, None], quartics, 1).reshape(-1, 5))
+    big_c, big_r, tol, a0, b0 = np.array(circles).reshape(-1, 5).T[:, :, None]
+    eps = (big_c + big_r * w.reshape(len(quartics), 20)) ** 2
     a, b = eps.real, -eps.imag
-    tol = 1e-13 * (big_c + big_r) ** 2  # rounding of eps along the circle
-    ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
-    a = np.clip(a[ok], 1.0, bounds.a_max)
-    b = np.clip(b[ok], 0.0, bounds.b_max)
-    i = int(np.argmin((a - a0) ** 2 + (b - b0) ** 2))
-    return float(a[i]), float(b[i])
+    ok = finite[:, None] & (a > 1.0 - tol) & (a < bounds.a_max + tol)
+    ok &= (b > -tol) & (b < bounds.b_max + tol)
+    a = np.clip(a, 1.0, bounds.a_max)
+    b = np.clip(b, 0.0, bounds.b_max)
+    dist = np.where(ok, (a - a0) ** 2 + (b - b0) ** 2, np.inf)
+    # the first feasible root at the least distance, also when every distance overflows
+    pick = np.argmax(ok & (dist == dist.min(axis=1, keepdims=True)), axis=1)
+    return [(float(a[t, i]), float(b[t, i])) if ok[t, i] else None for t, i in enumerate(pick)]
 
 
 def _largest_reflection_corner(bounds: FitBounds) -> tuple[float, float]:
@@ -280,6 +291,36 @@ def _pick_winner(runs, gammas) -> int:
     return 0  # unreachable
 
 
+def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list:
+    """fit_permittivity on each row of a (T, M) sweep stack, one (a0, b0) anchor per row.
+
+    Returns per row (a, b, c, residual norm) or the PermslabError its fit raises.
+    """
+    m = np.arange(gammas.shape[1])
+    z = np.mean(gammas * np.exp(1j * c1 * m), axis=1)
+    rho = np.hypot(z.real, z.imag)  # equals abs(complex) bit for bit; np.abs does not
+    corner = _largest_reflection_corner(bounds)
+    r_max = abs(front_face_reflection(*corner))
+    degenerate = np.all(np.abs(gammas) < 1e-12, axis=1)
+    fits = [
+        DegenerateDataError("all reflection samples below 1e-12") if dead
+        else corner if r >= r_max else (1.0, 0.0) if r < 1e-100 else None
+        for dead, r in zip(degenerate, rho)
+    ]  # rho < 1e-100: the whole family lies within 4 rho of (1, 0)
+    family = [t for t, fit in enumerate(fits) if fit is None]
+    members = _nearest_members(rho[family].tolist(), [anchors[t] for t in family], bounds)
+    for t, ab in zip(family, members):
+        fits[t] = ab or InfeasibleFitError(f"no root of the family |r| = {rho[t]:.17g} in the box")
+    rows = [t for t, fit in enumerate(fits) if isinstance(fit, tuple)]
+    faces = [front_face_reflection(*fits[t]) for t in rows]
+    cs = [wrap_phase(cmath.phase(z[t]) - cmath.phase(r)) for t, r in zip(rows, faces)]
+    theta = np.array(cs).reshape(-1, 1) - c1 * m
+    res = (gammas[rows] - np.array(faces).reshape(-1, 1) * np.exp(1j * theta)).view(float)
+    for t, c, row in zip(rows, cs, res):
+        fits[t] = (*fits[t], c, float(np.linalg.norm(row)))
+    return fits
+
+
 def fit_permittivity(
     data: SdiDataset,
     bounds: FitBounds = FitBounds(),
@@ -302,25 +343,18 @@ def fit_permittivity(
 
     Raises:
         DegenerateDataError: all reflection samples are ~0 (free space).
+        InfeasibleFitError: no root of the family lands in the box.
     """
-    if np.all(np.abs(data.gammas) < 1e-12):
-        raise DegenerateDataError("all reflection samples below 1e-12")
     anchor = _start_list(starts)[0][:2]
-    m = np.arange(data.step_count)
-    z = complex(np.mean(data.gammas * np.exp(1j * data.step_phase * m)))
-    rho = abs(z)
-    corner = _largest_reflection_corner(bounds)
-    if rho >= abs(front_face_reflection(*corner)):
-        a, b = corner
-    else:
-        a, b = _nearest_member(rho, anchor, bounds)
-    c = wrap_phase(cmath.phase(z) - cmath.phase(front_face_reflection(a, b)))
-    params = (a, b, c)
-    jac_final = jacobian(params, data)
+    fit = _fit_rows(data.gammas[None], data.step_phase, [anchor], bounds)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    a, b, c, residual_norm = fit
+    jac_final = jacobian((a, b, c), data)
     return FitResult(
         permittivity=ComplexPermittivity(a, b),
         phase_offset=c,
-        residual_norm=float(np.linalg.norm(residuals(params, data))),
+        residual_norm=residual_norm,
         iterations=0,
         converged=True,
         covariance_proxy=jac_final.T @ jac_final,

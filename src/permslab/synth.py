@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import SPEED_OF_LIGHT, ComplexPermittivity, SlabGeometry, fraunhofer_distance
-from .estimator import SdiDataset, model_gamma, step_phase_advance
+from .estimator import SdiDataset, front_face_reflection, step_phase_advance
 from .fmcw import (
     ChirpConfig,
     EchoComponent,
@@ -87,17 +87,28 @@ def generate_dataset(
     Gamma(m) = model(truth, phase_offset, m)
                * (1 + drift(m) + amp_noise(m)) * e^{j phase_noise(m)}
     """
-    rng = np.random.default_rng(noise.seed)
-    m = np.arange(m_count)
+    rows = _noisy_sweeps([(truth, phase_offset, noise.seed)], m_count, step, carrier, noise)
+    return SdiDataset(rows[0], step, carrier)
+
+
+def _noisy_sweeps(rows, m_count: int, step: float, carrier: float, noise: NoiseModel):
+    """(T, M) stack of generate_dataset sweeps, one per (truth, phase_offset, seed) row.
+
+    Row t draws its amplitude, then its phase noise from a PCG64 generator
+    seeded with its own seed; ``noise`` gives the sigmas and the drift.
+    """
+    amp_noise, phase_noise = np.empty((2, len(rows), m_count))
+    for t, (_, _, seed) in enumerate(rows):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=amp_noise[t])
+        rng.standard_normal(out=phase_noise[t])
     c1 = step_phase_advance(carrier, step)
-    clean = model_gamma(truth.real_part, truth.imag_part, phase_offset, m, c1)
-    amp = (
-        1.0
-        + _drift_profile(noise.amplitude_drift_rel, m_count)
-        + noise.amplitude_rel_sigma * rng.standard_normal(m_count)
-    )
-    phase = noise.phase_sigma * rng.standard_normal(m_count)
-    return SdiDataset(clean * amp * np.exp(1j * phase), step, carrier)
+    faces = np.array([front_face_reflection(tr.real_part, tr.imag_part) for tr, _, _ in rows])
+    theta = np.array([c for _, c, _ in rows]).reshape(-1, 1) - c1 * np.arange(m_count)
+    clean = faces.reshape(-1, 1) * np.exp(1j * theta)
+    drift = _drift_profile(noise.amplitude_drift_rel, m_count)
+    amp = 1.0 + drift + noise.amplitude_rel_sigma * amp_noise
+    return clean * amp * np.exp(1j * (noise.phase_sigma * phase_noise))
 
 
 def benchmark_chirp(

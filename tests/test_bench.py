@@ -1,12 +1,23 @@
 """Monte-Carlo sweep benchmark harness."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import permslab.bench as bench_module
-from permslab import BenchReport, ComplexPermittivity, NoiseModel, run_sweep
+from permslab import (
+    BenchReport,
+    ComplexPermittivity,
+    FitBounds,
+    NoiseModel,
+    PermslabError,
+    TrialRecord,
+    fit_permittivity,
+    generate_dataset,
+    run_sweep,
+)
 
 FIG5_TRUTHS = [
     ComplexPermittivity(2.0, 0.1),
@@ -64,22 +75,81 @@ def test_noise_monotonicity_in_phase_sigma():
     assert all(e1 <= e2 + 1e-12 for e1, e2 in zip(errors, errors[1:]))
 
 
-def test_per_trial_failures_recorded_not_raised(monkeypatch):
-    calls = {"n": 0}
-    real_fit = bench_module.fit_permittivity
-
-    def flaky_fit(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("synthetic failure")
-        return real_fit(*args, **kwargs)
-
-    monkeypatch.setattr(bench_module, "fit_permittivity", flaky_fit)
-    report = run_sweep([ComplexPermittivity(2.6, 0.1)], NoiseModel(seed=2), trials=3)
+def test_per_trial_failures_recorded_not_raised():
+    # truth 1 - j0 reflects nothing, so its sweeps are degenerate; they share
+    # one stacked fit with the other truth's rows, which must still fit
+    report = run_sweep([ComplexPermittivity(1.0, 0.0), ComplexPermittivity(2.6, 0.1)],
+                       NoiseModel(seed=2), trials=3)
     errors = [r.error for r in report.records]
-    assert errors[0] is not None and "synthetic failure" in errors[0]
-    assert errors[1] is None and errors[2] is None
-    assert report.summaries[0].converged_count == 2
+    assert errors[:3] == ["DegenerateDataError: all reflection samples below 1e-12"] * 3
+    assert errors[3:] == [None] * 3
+    assert [s.converged_count for s in report.summaries] == [0, 3]
+    assert math.isnan(report.summaries[0].mean_a)
+
+
+def reference_run_sweep(truths, noise, trials, m_count=40, step=1e-4, carrier=79e9,
+                        bounds=FitBounds(), start_policy="truth") -> BenchReport:
+    """run_sweep as one generate_dataset and one fit_permittivity per trial."""
+    report = BenchReport(noise=noise, trials_per_truth=trials)
+    for ti, truth in enumerate(truths):
+        records = []
+        for k in range(trials):
+            seed_seq = np.random.SeedSequence((noise.seed, ti, k))
+            phase_offset = float(np.random.default_rng(seed_seq).uniform(-math.pi, math.pi))
+            trial_seed = int(seed_seq.generate_state(1)[0])
+            trial_noise = NoiseModel(noise.amplitude_rel_sigma, noise.phase_sigma,
+                                     noise.amplitude_drift_rel, trial_seed)
+            data = generate_dataset(truth, phase_offset, m_count, step, carrier, trial_noise)
+            starts = ([(truth.real_part, truth.imag_part, phase_offset)]
+                      if start_policy == "truth" else "auto")
+            try:
+                fit = fit_permittivity(data, bounds=bounds, starts=starts)
+                eps = fit.permittivity
+                fitted = (eps.real_part, eps.imag_part, fit.phase_offset,
+                          fit.residual_norm, fit.iterations, fit.converged)
+                error = None
+            except PermslabError as exc:
+                fitted = (None, None, None, None, None, False)
+                error = f"{type(exc).__name__}: {exc}"
+            records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted,
+                                       fit_seconds=0.0, error=error))
+        report.records.extend(records)
+        report.summaries.append(bench_module._summarize(truth, records))
+    return report
+
+
+@pytest.mark.parametrize("start_policy", ["truth", "auto"])
+@pytest.mark.parametrize("quiet", [False, True])
+@pytest.mark.parametrize("bounds", [FitBounds(), FitBounds(1.5, 1e-3)])
+def test_stacked_sweep_matches_per_trial_loop(start_policy, quiet, bounds):
+    # 1 - j0 is degenerate; under FitBounds(1.5, 1e-3) most rows take the
+    # r_max corner, and 1.2 - j0.0005 keeps some rows inside the box
+    truths = FIG5_TRUTHS + [ComplexPermittivity(1.0, 0.0), ComplexPermittivity(1.2, 5e-4)]
+    for seed in (1, 7, 4242):
+        noise = NoiseModel.quiet(seed) if quiet else NoiseModel(seed=seed)
+        for m_count in (3, 40):
+            args = (truths, noise, 4, m_count, 1e-4, 79e9, bounds, start_policy)
+            got = json.dumps(run_sweep(*args).to_dict())
+            assert got == json.dumps(reference_run_sweep(*args).to_dict())
+
+
+def test_passes_split_the_stack_without_changing_results(monkeypatch):
+    # a large call runs in several stacked passes; where they split must not matter
+    truths = [ComplexPermittivity(1.0, 0.0)] + FIG5_TRUTHS
+    args = (truths, NoiseModel(seed=5), 5)
+    whole = json.dumps(run_sweep(*args, start_policy="auto").to_dict())
+    monkeypatch.setattr(bench_module, "_STACK_SAMPLES", 3 * 40)  # 3 rows per pass, 20 rows
+    assert json.dumps(run_sweep(*args, start_policy="auto").to_dict()) == whole
+    assert json.dumps(reference_run_sweep(*args, start_policy="auto").to_dict()) == whole
+
+
+def test_stacked_sweep_covers_corner_and_interior_rows():
+    # the truths and box of test_stacked_sweep_matches_per_trial_loop reach both branches
+    report = run_sweep([ComplexPermittivity(7.0, 0.3), ComplexPermittivity(1.2, 5e-4)],
+                       NoiseModel(seed=7), 4, bounds=FitBounds(1.5, 1e-3))
+    corner = [(r.fitted_a, r.fitted_b) == (1.5, 1e-3) for r in report.records]
+    assert corner[:4] == [True] * 4
+    assert not any(corner[4:])
 
 
 def test_report_dict_round_trips_fields():

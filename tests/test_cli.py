@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from permslab import estimator
 from permslab.cli import main
 from permslab.estimator import model_gamma, step_phase_advance
 from permslab.io import DatasetFile
@@ -48,11 +49,30 @@ class TestSimulate:
         assert "at least one metal position" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", ["1", "2"])
+    def test_raw_if_below_three_steps_invalid(self, steps, tmp_path, capsys):
+        # gamma mode refuses the same counts; extract would reject the file
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", steps, "--out", str(out)]) == 2
+        assert "need at least 3 reflection samples" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["simulate", "--steps", steps, "--out", str(out)]) == 2
+        assert "need at least 3 reflection samples" in capsys.readouterr().err
+
     def test_unwritable_path(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "no" / "dir.txt")]) == 2
 
 
 class TestExtractEstimate:
+    def test_fit_without_feasible_root_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # every root at w = -1 lies at a < 1, outside the box
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        monkeypatch.setattr(estimator, "_unit_circle_roots",
+                            lambda quartics: -np.ones(4 * len(quartics), dtype=complex))
+        assert run(["estimate", "--input", str(sweep)]) == 3
+        assert "error: no root of the family" in capsys.readouterr().err
+
     def test_raw_if_extract_matches_direct_simulation(self, tmp_path):
         raw = tmp_path / "raw.txt"
         gam = tmp_path / "gam.txt"
@@ -210,6 +230,22 @@ class TestCheckFarfield:
         assert run(["check-farfield", "--aperture-m", "0.015",
                     f"--carrier-hz={carrier}", "--standoff-m", "0.25"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("standoff", ["-1", "0", "nan", "inf"])
+    def test_standoff_not_finite_positive_invalid(self, standoff, capsys):
+        assert run(["check-farfield", "--aperture-m", "0.015", "--carrier-hz", "79e9",
+                    f"--standoff-m={standoff}"]) == 2
+        captured = capsys.readouterr()
+        assert "standoff must be finite and > 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("aperture, wavelength", [("0.015", "inf"), ("1e-200", "0.0038")])
+    def test_zero_far_field_distance_invalid(self, aperture, wavelength, capsys):
+        # a distance of 0 (infinite wavelength, or underflow) used to end in a
+        # ZeroDivisionError traceback
+        assert run(["check-farfield", f"--aperture-m={aperture}", f"--wavelength-m={wavelength}",
+                    "--standoff-m", "0.25"]) == 2
+        assert "finite distance" in capsys.readouterr().err
 
     def test_missing_wavelength_and_carrier(self):
         assert run(["check-farfield", "--aperture-m", "0.015",

@@ -208,6 +208,15 @@ class TestFraunhofer:
         with pytest.raises(ValueError):
             fraunhofer_distance(0.0, 1.0)
 
+    @pytest.mark.parametrize("aperture, wavelength", [
+        (1.0, -1.0), (math.nan, 1.0),
+        # infinite inputs, and finite ones whose distance overflows or underflows
+        (math.inf, 1.0), (1.0, math.inf), (1e200, 1e-200), (1e-200, 1.0),
+    ])
+    def test_rejects_distance_not_finite_positive(self, aperture, wavelength):
+        with pytest.raises(ValueError, match="finite distance"):
+            fraunhofer_distance(aperture, wavelength)
+
 
 def test_geometry_invariants():
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Sweep model, residuals, Jacobian, and the fit drivers."""
 
+import cmath
 import math
 import re
 
@@ -19,18 +20,22 @@ from permslab import (
     fit_ideal,
     fit_permittivity,
     fresnel_normal,
+    front_face_reflection,
     generate_dataset,
     jacobian,
     model_gamma,
     phase_slope_diagnostic,
     residuals,
+    run_sweep,
     step_phase_advance,
     wrap_phase,
 )
+from permslab import estimator as estimator_module
 from permslab.errors import (
     AliasingError,
     DegenerateDataError,
     DegenerateRegressionError,
+    InfeasibleFitError,
 )
 
 C1_79GHZ = step_phase_advance(79e9, 1e-4)
@@ -196,6 +201,62 @@ class TestJacobian:
         np.testing.assert_allclose(J[:, 1], forward, atol=1e-5)
 
 
+def reference_fit(data, bounds, anchor):
+    """The closed-form sweep fit of one sweep alone, nearest member by a scalar search.
+
+    Returns (a, b, c, residual norm) as fit_permittivity must, bit for bit.
+    """
+    if np.all(np.abs(data.gammas) < 1e-12):
+        raise DegenerateDataError("all reflection samples below 1e-12")
+    m = np.arange(data.step_count)
+    z = complex(np.mean(data.gammas * np.exp(1j * data.step_phase * m)))
+    rho = abs(z)
+    corner = estimator_module._largest_reflection_corner(bounds)
+    if rho >= abs(front_face_reflection(*corner)):
+        a, b = corner
+    elif rho < 1e-100:
+        a, b = 1.0, 0.0
+    else:
+        a0, b0 = anchor
+        big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
+        big_r = 2.0 * rho / (1.0 - rho * rho)
+        k = 2.0 * big_c / big_r
+        g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
+        quartics = np.array([
+            [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
+            *([1, k, 2 * (big_c * big_c - e) / big_r**2, k, 1] for e in (1.0, bounds.a_max)),
+            *([1, k, 2j * e / big_r**2, -k, -1] for e in (0.0, bounds.b_max)),
+        ], dtype=complex)
+        eps = (big_c + big_r * estimator_module._unit_circle_roots(quartics)) ** 2
+        a, b = eps.real, -eps.imag
+        tol = 1e-13 * (big_c + big_r) ** 2
+        ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
+        a = np.clip(a[ok], 1.0, bounds.a_max)
+        b = np.clip(b[ok], 0.0, bounds.b_max)
+        i = int(np.argmin((a - a0) ** 2 + (b - b0) ** 2))
+        a, b = float(a[i]), float(b[i])
+    c = wrap_phase(cmath.phase(z) - cmath.phase(front_face_reflection(a, b)))
+    return a, b, c, float(np.linalg.norm(residuals((a, b, c), data)))
+
+
+@pytest.mark.parametrize("bounds", [FitBounds(), FitBounds(8.0, 1.0), FitBounds(4.0, 50.0),
+                                    FitBounds(1.5, 1e-3)])
+def test_fit_permittivity_matches_per_sweep_reference(bounds):
+    # fit_permittivity is the one-row case of the stacked fit run_sweep uses
+    rng = np.random.default_rng(77)
+    for i in range(40):
+        a = 1.0 + (bounds.a_max - 1.0) * rng.random() ** 2
+        b = bounds.b_max * rng.random() ** 3
+        c = float(rng.uniform(-math.pi, math.pi))
+        noise = NoiseModel(seed=i) if i % 2 else NoiseModel.quiet()
+        data = generate_dataset(ComplexPermittivity(a, b), c, 40, 1e-4, 79e9, noise)
+        for anchor in ((a, b), (1.5, 0.01), (6.0, 1.0)):
+            fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
+            eps = fit.permittivity
+            got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
+            assert got == reference_fit(data, bounds, anchor)
+
+
 class TestFitPermittivity:
     def test_seeded_noiseless_recovery(self):
         data = quiet_dataset(3.0, 0.15, 0.5)
@@ -260,6 +321,40 @@ class TestFitPermittivity:
             fit_permittivity(data, starts="magic")
         with pytest.raises(ValueError):
             fit_permittivity(data, starts=[])
+
+    def test_row_without_feasible_root_is_an_error(self, monkeypatch):
+        # w = -1 maps to eps = ((1 - rho) / (1 + rho))^2 < 1, outside the box;
+        # a masked argmin over the stack would return such a root unnoticed
+        real_roots = estimator_module._unit_circle_roots
+        off_box = {"row": 1}
+
+        def roots(quartics):
+            w = real_roots(quartics).reshape(-1, 20)
+            w[off_box["row"]] = -1.0
+            return w.ravel()
+
+        monkeypatch.setattr(estimator_module, "_unit_circle_roots", roots)
+        noise = NoiseModel(seed=3)
+        report = run_sweep([ComplexPermittivity(2.6, 0.1)], noise, trials=3)
+        errors = [r.error for r in report.records]
+        assert errors[0] is None and errors[2] is None
+        assert re.fullmatch(r"InfeasibleFitError: no root of the family \|r\| = \S+ in the box",
+                            errors[1])
+        off_box["row"] = 0
+        with pytest.raises(InfeasibleFitError):
+            fit_permittivity(quiet_dataset(2.6, 0.1, 0.0))
+        monkeypatch.undo()
+        clean = run_sweep([ComplexPermittivity(2.6, 0.1)], noise, trials=3).to_dict()["records"]
+        patched = report.to_dict()["records"]
+        assert [patched[i] for i in (0, 2)] == [clean[i] for i in (0, 2)]
+
+    def test_overflowing_quartics_are_an_error(self):
+        # |r| near 2.5e-11 against a_max = 1e300: an a_max edge coefficient
+        # overflows, which used to reach eigvals as numpy's LinAlgError
+        data = quiet_dataset(1.0 + 1e-10, 0.0, 0.3)
+        fit_permittivity(data, bounds=FitBounds(1e6, 50.0))
+        with pytest.raises(InfeasibleFitError):
+            fit_permittivity(data, bounds=FitBounds(1e300, 50.0))
 
 
 class TestFitIdeal:

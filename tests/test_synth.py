@@ -22,9 +22,11 @@ from permslab import (
     fresnel_normal,
     generate_dataset,
     generate_if_datasets,
+    model_gamma,
     peak_bin,
     phase_slope_diagnostic,
     residuals,
+    step_phase_advance,
 )
 from permslab.em import AIR
 from permslab.errors import AllZeroSpectrumError, CalibrationError
@@ -61,6 +63,23 @@ class TestGenerateDataset:
         data = generate_dataset(TRUTH, 0.0, 40, 1e-4, 79e9, noise)
         ratio = abs(data.gammas[-1]) / abs(data.gammas[0])
         assert ratio == pytest.approx(1.0122, abs=1e-4)
+
+    @pytest.mark.parametrize("m_count", [3, 40, 201])
+    def test_matches_per_sweep_formula(self, m_count):
+        # generate_dataset is one row of the stacked generator run_sweep uses;
+        # that row must equal the sweep formula evaluated for one sweep alone
+        for i, noise in enumerate([NoiseModel(seed=5), NoiseModel(2e-2, 0.3, 0.05, 6),
+                                   NoiseModel.quiet(7)]):
+            c = -2.5 + i
+            rng = np.random.default_rng(noise.seed)
+            m = np.arange(m_count)
+            clean = model_gamma(2.6, 0.1, c, m, step_phase_advance(79e9, 1e-4))
+            amp = (1.0 + noise.amplitude_drift_rel * m / (m_count - 1)
+                   + noise.amplitude_rel_sigma * rng.standard_normal(m_count))
+            phase = noise.phase_sigma * rng.standard_normal(m_count)
+            expected = clean * amp * np.exp(1j * phase)
+            got = generate_dataset(TRUTH, c, m_count, 1e-4, 79e9, noise).gammas
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
