@@ -89,6 +89,8 @@ def cmd_simulate(args) -> int:
         )
         records = dict(gammas=data.gammas)
     else:
+        if args.steps < 3 and args.steps != 0:  # 0 is reported as no metal reference
+            raise ValueError("need at least 3 reflection samples")
         if args.backing == "metal":
             backing = METAL
         else:
@@ -107,8 +109,6 @@ def cmd_simulate(args) -> int:
             bounce_count=args.bounces,
             antenna_aperture=args.aperture_m if args.aperture_m > 0 else None,
         )
-        if args.steps < 3:  # the sweep minimum extract would enforce
-            raise ValueError("need at least 3 reflection samples")
         records = dict(chirp=chirp, mut_samples=mut.samples,
                        metal_samples=np.vstack([t.samples for t in metal]))
     out = DatasetFile(mode=args.mode, carrier_hz=args.carrier_hz, step_m=args.step_m,

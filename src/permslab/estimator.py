@@ -18,8 +18,9 @@ one-parameter family. fit_permittivity computes z in closed form (a
 mean) and reports the feasible family member nearest an anchor (a, b):
 the first entry of ``starts``, or (1.5, 0.01) for ``starts="auto"``.
 Pass explicit ``starts`` to anchor the answer to prior knowledge.
-fit_ideal, which has no phase offset, runs the bounded Levenberg-Marquardt
-solver of trf from each start.
+fit_ideal, which has no phase offset, reduces its sweep to a mean z* in the
+same way and runs the bounded Levenberg-Marquardt solver of trf on the two
+numbers sqrt(M) (F(a - jb) - z*) from each start.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from .em import (
     air_face_reflection,
     complex_sqrt_lossy,
     effective_reflection,
+    effective_reflection_slope,
 )
 from .errors import (AliasingError, DegenerateDataError, DegenerateRegressionError,
                      InfeasibleFitError, NoConvergenceError)
-from .trf import least_squares_trf, numerical_jacobian
+from .trf import least_squares_trf
 
 # (a, b) starts of fit_ideal's "auto" policy, a-major; the first is fit_permittivity's anchor
 AUTO_STARTS = tuple((a, b) for a in (1.5, 3.0, 6.0, 12.0) for b in (0.01, 0.5))
@@ -274,15 +276,14 @@ def _start_list(starts) -> list[tuple]:
     return start_list
 
 
-def _pick_winner(runs, gammas) -> int:
-    """Lowest-residual start; numerical ties go to the earliest start.
+def _pick_winner(norms, gammas) -> int:
+    """Lowest residual norm; numerical ties go to the earliest start.
 
     Exact-fit runs stop with residual norms anywhere between machine
     noise and the gradient tolerance, so residual norms within a small
     absolute band are treated as equal. This keeps the winning start
     reproducible when the objective has a flat direction.
     """
-    norms = [math.sqrt(2.0 * r.cost) for r in runs]
     band = 1e-9 * (1.0 + float(np.linalg.norm(gammas)))
     best = min(norms)
     for i, rn in enumerate(norms):
@@ -386,6 +387,13 @@ def fit_ideal(
     lowest residual wins and numerical ties go to the earliest start,
     so the start order picks among such solutions.
 
+    With p_m = e^{j 2 k1 (l + m dl)} and z* = mean_m Gamma(m) conj(p_m),
+    |Gamma - F p|^2 = |Gamma - z* p|^2 + M |F - z*|^2 exactly, so each
+    solve works on sqrt(M) (F - z*), whose gradient and J^T J are those of
+    the full residual; F is holomorphic in a - jb, so dF/da = F' and
+    dF/db = -j F' (``em.effective_reflection_slope``). Starts are ranked,
+    and ``residual_norm`` reported, on the full M-sample residual.
+
     Returns a FitResult with ``phase_offset`` fixed at 0; the last
     row/column of ``covariance_proxy`` is zero-padded accordingly.
     """
@@ -397,16 +405,20 @@ def fit_ideal(
     m = np.arange(gammas.size)
     k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
     phase = np.exp(2j * k1 * (geom.standoff + m * step))
+    z = complex(np.mean(gammas * phase.conj()))
+    floor_sq = float(np.sum(np.abs(gammas - z * phase) ** 2))  # no (a, b) removes it
+    root_m = math.sqrt(gammas.size)
 
     def fun(x):
-        face = effective_reflection(ComplexPermittivity(x[0], x[1]), geom, freq)
-        return (gammas - face * phase).view(float)
+        d = root_m * (effective_reflection(ComplexPermittivity(x[0], x[1]), geom, freq) - z)
+        return np.array((d.real, d.imag))
 
     lb = np.array([1.0, 0.0])
     ub = np.array([bounds.a_max, bounds.b_max])
 
     def jac(x):
-        return numerical_jacobian(fun, x, lb, ub)
+        s = root_m * effective_reflection_slope(ComplexPermittivity(x[0], x[1]), geom, freq)
+        return np.array(((s.real, s.imag), (s.imag, -s.real)))  # d/db = -j d/da
 
     runs = [
         least_squares_trf(fun, jac, np.array(s0[:2]), lb, ub) for s0 in _start_list(starts)
@@ -414,13 +426,15 @@ def fit_ideal(
     if not any(r.converged for r in runs):
         raise NoConvergenceError("no start converged within the iteration cap")
 
-    win = runs[_pick_winner(runs, gammas)]
+    win = runs[_pick_winner([math.sqrt(floor_sq + 2.0 * r.cost) for r in runs], gammas)]
+    eps = ComplexPermittivity(float(win.x[0]), float(win.x[1]))
+    residual = (gammas - effective_reflection(eps, geom, freq) * phase).view(float)
     curvature = np.zeros((3, 3))
     curvature[:2, :2] = win.jac.T @ win.jac
     return FitResult(
-        permittivity=ComplexPermittivity(float(win.x[0]), float(win.x[1])),
+        permittivity=eps,
         phase_offset=0.0,
-        residual_norm=float(np.linalg.norm(win.residual)),
+        residual_norm=float(np.linalg.norm(residual)),
         iterations=win.iterations,
         converged=win.converged,
         covariance_proxy=curvature,

@@ -97,6 +97,8 @@ def _noisy_sweeps(rows, m_count: int, step: float, carrier: float, noise: NoiseM
     Row t draws its amplitude, then its phase noise from a PCG64 generator
     seeded with its own seed; ``noise`` gives the sigmas and the drift.
     """
+    if m_count < 3:  # SdiDataset's minimum, before a negative count reaches numpy
+        raise ValueError("need at least 3 reflection samples")
     amp_noise, phase_noise = np.empty((2, len(rows), m_count))
     for t, (_, _, seed) in enumerate(rows):
         rng = np.random.default_rng(seed)

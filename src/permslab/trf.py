@@ -18,10 +18,10 @@ Termination (reported via ``converged``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import norm
 
 
 @dataclass
@@ -39,11 +39,14 @@ class LeastSquaresResult:
 
 def projected_gradient_norm(x, g, lb, ub) -> float:
     """Infinity norm of x - P(x - g), the box-projected gradient."""
-    return float(norm(x - np.clip(x - g, lb, ub), ord=np.inf))
+    return float(np.abs(x - np.minimum(np.maximum(x - g, lb), ub)).max())
 
 
 def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500):
     """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub.
+
+    J^T J is formed once per accepted point and reused by the rejected
+    trial steps from it; with no variable pinned the system is solved whole.
 
     Args:
         fun: residual callable, x -> (m,) array.
@@ -64,8 +67,9 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
     f = np.asarray(fun(x), dtype=float)
     J = np.asarray(jac(x), dtype=float)
     cost = 0.5 * float(f @ f)
-    g = J.T @ f
-    lam = 1e-3 * float(np.max(np.sum(J * J, axis=0)))  # 1e-3 * max diag(J^T J)
+    g, JtJ = J.T @ f, J.T @ J
+    eye = np.eye(x.size)
+    lam = 1e-3 * float(JtJ.diagonal().max())
     growth = 2.0
     converged = False
     iteration = 0
@@ -77,28 +81,30 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
         if iteration >= max_iter:
             break
         iteration += 1
-        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
-        J_free = J[:, free]
-        A = J_free.T @ J_free + lam * np.eye(J_free.shape[1])
-        p = np.zeros_like(x)
-        p[free] = np.linalg.solve(A, -g[free])
-        x_new = np.clip(x + p, lb, ub)
+        pinned = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
+        A = JtJ + lam * eye
+        if pinned.any():  # solve over the free variables only
+            free = ~pinned
+            p = np.zeros(x.size)
+            p[free] = np.linalg.solve(A[np.ix_(free, free)], -g[free])
+        else:
+            p = np.linalg.solve(A, -g)
+        x_new = np.minimum(np.maximum(x + p, lb), ub)
         step = x_new - x
         f_new = np.asarray(fun(x_new), dtype=float)
         cost_new = 0.5 * float(f_new @ f_new)
-        small_step = norm(step) < xtol * (xtol + norm(x))
+        small_step = math.sqrt(step @ step) < xtol * (xtol + math.sqrt(x @ x))
 
         if cost_new < cost:  # False for a non-finite residual
             # the reduction the linear model predicts for the clipped step;
             # rho >= 1 already gives the smallest factor, 1/3
-            Js = J @ step
-            predicted = -float(g @ step + 0.5 * (Js @ Js))
+            predicted = -float(g @ step + 0.5 * (step @ JtJ @ step))
             rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             growth = 2.0
             x, f, cost = x_new, f_new, cost_new
             J = np.asarray(jac(x), dtype=float)
-            g = J.T @ f
+            g, JtJ = J.T @ f, J.T @ J
         else:
             lam *= growth
             growth *= 2.0

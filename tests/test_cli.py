@@ -59,6 +59,13 @@ class TestSimulate:
         assert run(["simulate", "--steps", steps, "--out", str(out)]) == 2
         assert "need at least 3 reflection samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["gamma", "raw-if"])
+    def test_negative_steps_invalid(self, mode, tmp_path, capsys):
+        out = tmp_path / "f.txt"
+        assert run(["simulate", "--mode", mode, "--steps", "-1", "--out", str(out)]) == 2
+        assert "need at least 3 reflection samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "no" / "dir.txt")]) == 2
 
@@ -283,6 +290,12 @@ class TestReport:
         ]
         text = (outdir / "curve_0_eps2.6-0.1.txt").read_text(encoding="utf-8")
         assert text.splitlines() == expected
+
+    def test_negative_steps_invalid(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        assert run(["report", "--truth", "2,0.1", "--steps", "-1", "--outdir", str(outdir)]) == 2
+        assert "need at least 3 reflection samples" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_empty_truth_list_invalid(self, tmp_path):
         assert run(["report", "--trials", "1",

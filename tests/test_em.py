@@ -1,6 +1,7 @@
 """Slab electromagnetics: branch square root, Fresnel, multi-bounce."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from permslab import (
     fresnel_normal,
     translate_reflection,
 )
+from permslab.em import effective_reflection_slope
 from permslab.errors import DegenerateGeometryError
 
 
@@ -165,6 +167,36 @@ class TestEffectiveReflection:
         geom = SlabGeometry(d, 0.25, backing=METAL)
         with pytest.raises(DegenerateGeometryError):
             effective_reflection(ComplexPermittivity(a, 0.0), geom, 79e9)
+
+
+def unchecked_permittivity(a, b):
+    """a - jb without the passivity check: F continues analytically across a = 1 and b = 0."""
+    eps = object.__new__(ComplexPermittivity)
+    object.__setattr__(eps, "real_part", a)
+    object.__setattr__(eps, "imag_part", b)
+    return eps
+
+
+@pytest.mark.parametrize("backing", [METAL, AIR, ComplexPermittivity(4.0, 0.4)])
+@pytest.mark.parametrize("thickness", [5e-4, 2e-3, 1e-2, 0.1])
+def test_slope_matches_central_differences(backing, thickness):
+    # dF/da = F' and, F being holomorphic in a - jb, dF/db = -j F'; central
+    # differences converge as h^2 until rounding takes over, so the best
+    # step of a halving sequence sits far below any error in F'
+    geom = SlabGeometry(thickness, 0.25, backing)
+    points = itertools.product((1.0, 2.5, 7.0, 60.0), (0.0, 0.3, 40.0))
+    for a, b in points:
+        def face(a, b):
+            return effective_reflection(unchecked_permittivity(a, b), geom, 79e9)
+
+        slope = effective_reflection_slope(ComplexPermittivity(a, b), geom, 79e9)
+        errors = []
+        for k in range(14):
+            h = 1e-3 / 2**k
+            d_da = (face(a + h, b) - face(a - h, b)) / (2 * h)
+            d_db = (face(a, b + h) - face(a, b - h)) / (2 * h)
+            errors.append(max(abs(d_da - slope), abs(d_db + 1j * slope)) / abs(slope))
+        assert min(errors) < 1e-8, (a, b, min(errors))
 
 
 class TestTranslateReflection:

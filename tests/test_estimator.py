@@ -31,6 +31,7 @@ from permslab import (
     wrap_phase,
 )
 from permslab import estimator as estimator_module
+from permslab.trf import least_squares_trf, numerical_jacobian
 from permslab.errors import (
     AliasingError,
     DegenerateDataError,
@@ -416,6 +417,19 @@ class TestFitIdeal:
         with pytest.raises(ValueError, match="finite numbers"):
             fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ, starts=[(math.nan, 0.1)])
 
+    def test_auto_starts_run_one_solve_each(self, monkeypatch):
+        # the benchmark's tracer counts one useful start in len(AUTO_STARTS)
+        x0s = []
+        solve = estimator_module.least_squares_trf
+
+        def counting_solve(fun, jac, x0, *args, **kwargs):
+            x0s.append(tuple(x0))
+            return solve(fun, jac, x0, *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "least_squares_trf", counting_solve)
+        fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4, self.FREQ)
+        assert x0s == list(estimator_module.AUTO_STARTS)
+
 
 class TestFitIdealThinSlabs:
     """Thin metal-backed slabs, where the internal bounces stay strong."""
@@ -444,6 +458,77 @@ class TestFitIdealThinSlabs:
             truth_res = float(np.linalg.norm(gammas - clean))
             assert fit.converged, (i, geom.thickness)
             assert fit.residual_norm <= truth_res * (1 + 1e-9) + 1e-9, (i, geom.thickness)
+
+
+def full_residual_fit_ideal(gammas, geom, step, freq, starts, bounds=FitBounds()):
+    """Reference: fit_ideal on the 2M-sample residual with a finite-difference Jacobian.
+
+    Returns the winning (a, b) and the residual norm there; the winner
+    rule is fit_ideal's, on the norms of the full residual.
+    """
+    k1 = 2 * math.pi * freq / SPEED_OF_LIGHT
+    phase = np.exp(2j * k1 * (geom.standoff + np.arange(gammas.size) * step))
+    lb = np.array([1.0, 0.0])
+    ub = np.array([bounds.a_max, bounds.b_max])
+
+    def fun(x):
+        face = effective_reflection(ComplexPermittivity(x[0], x[1]), geom, freq)
+        return (gammas - face * phase).view(float)
+
+    runs = [least_squares_trf(fun, lambda x: numerical_jacobian(fun, x, lb, ub),
+                              np.array(s0[:2], dtype=float), lb, ub) for s0 in starts]
+    norms = [math.sqrt(2 * r.cost) for r in runs]
+    band = 1e-9 * (1 + np.linalg.norm(gammas))
+    win = next(r for r, rn in zip(runs, norms) if rn <= min(norms) + band)
+    return win.x, float(np.linalg.norm(win.residual))
+
+
+class TestFitIdealReducedResidual:
+    """fit_ideal's two-number residual against the full M-sample formulation."""
+
+    FREQ = 79e9
+    STEP = 1e-4
+    M = 40
+    BACKINGS = (METAL, ComplexPermittivity(4.0, 0.4))
+
+    def noisy_sweeps(self, seed, count):
+        noise = NoiseModel()
+        rng = np.random.default_rng(seed)
+        k1 = 2 * math.pi * self.FREQ / SPEED_OF_LIGHT
+        m = np.arange(self.M)
+        for i in range(count):
+            truth = ComplexPermittivity(*TestFitIdealThinSlabs.TRUTHS[i % 3])
+            geom = SlabGeometry(float(rng.uniform(1e-3, 5e-3)), 0.25, self.BACKINGS[i % 2])
+            clean = effective_reflection(truth, geom, self.FREQ) * np.exp(
+                2j * k1 * (geom.standoff + m * self.STEP)
+            )
+            amp = (1.0 + noise.amplitude_drift_rel * m / (self.M - 1)
+                   + noise.amplitude_rel_sigma * rng.standard_normal(self.M))
+            yield geom, clean * amp * np.exp(1j * noise.phase_sigma * rng.standard_normal(self.M))
+
+    @pytest.mark.parametrize("starts", ["auto", [(7.0, 0.3), (2.0, 0.1, 0.5)]])
+    def test_matches_the_full_residual_fit(self, starts):
+        start_list = estimator_module.AUTO_STARTS if starts == "auto" else starts
+        for geom, gammas in self.noisy_sweeps(6001, 8):
+            fit = fit_ideal(gammas, geom, self.STEP, self.FREQ, starts=starts)
+            x, residual_norm = full_residual_fit_ideal(
+                gammas, geom, self.STEP, self.FREQ, start_list)
+            assert fit.permittivity.real_part == pytest.approx(x[0], abs=1e-6)
+            assert fit.permittivity.imag_part == pytest.approx(x[1], abs=1e-6)
+            assert fit.residual_norm == pytest.approx(residual_norm, rel=1e-9)
+
+    def test_objective_splits_into_floor_and_two_number_residual(self):
+        # |Gamma - F p|^2 = |Gamma - z* p|^2 + M |F - z*|^2, z* = mean Gamma conj(p)
+        k1 = 2 * math.pi * self.FREQ / SPEED_OF_LIGHT
+        phase = np.exp(2j * k1 * (0.25 + np.arange(self.M) * self.STEP))
+        rng = np.random.default_rng(6002)
+        for geom, gammas in self.noisy_sweeps(6003, 6):
+            z = np.mean(gammas * phase.conj())
+            floor = np.sum(np.abs(gammas - z * phase) ** 2)
+            for a, b in zip(rng.uniform(1, 20, 5), rng.uniform(0, 2, 5)):
+                face = effective_reflection(ComplexPermittivity(a, b), geom, self.FREQ)
+                full = np.sum(np.abs(gammas - face * phase) ** 2)
+                assert floor + self.M * abs(face - z) ** 2 == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,39 @@ def test_one_variable_pinned_the_other_free():
     assert projected_gradient_norm(res.x, res.grad, lb, ub) < 1e-9
 
 
+def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
+    # Rosenbrock with x0 <= 0.5: the path starts free, runs into the bound
+    # and stays pinned there, and the damping rejects some trial steps,
+    # which reuse the J^T J of their point
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording_solve(A, b):
+        sizes.append(A.shape[0])
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    jac_points = []
+
+    def jac(x):
+        jac_points.append(x.copy())
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    lb = np.array([-5.0, -5.0])
+    ub = np.array([0.5, 5.0])
+    res = least_squares_trf(
+        lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+        jac, np.array([-1.2, 1.0]), lb, ub,
+    )
+    assert res.converged
+    assert res.x[0] == 0.5
+    assert res.x[1] == pytest.approx(0.25, abs=1e-10)
+    assert projected_gradient_norm(res.x, res.grad, lb, ub) < 1e-9
+    # the whole 2x2 system while free, then the 1x1 system of x1 alone
+    assert sizes[0] == 2 and sizes[-1] == 1 and sizes == sorted(sizes, reverse=True)
+    assert res.iterations > len(jac_points) - 1  # some trial steps were rejected
+
+
 def test_numerical_jacobian_against_analytic():
     def fun(x):
         return np.array([np.sin(x[0]) * x[1], x[0] ** 2 - x[1]])
