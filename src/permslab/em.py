@@ -115,17 +115,16 @@ def air_face_reflection(n: complex) -> complex:
 
 
 def _slab_interfaces(eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float):
-    """Slab index n = sqrt(eps_r), Gamma_1r, backing index (None for metal), Gamma_r2, rt."""
+    """Slab index n = sqrt(eps_r), Gamma_1r, Gamma_r2 and rt = e^{-j 2 k_r d}."""
     if not freq > 0.0:
         raise ValueError(f"frequency must be > 0, got {freq}")
     n = complex_sqrt_lossy(eps_r)
     if isinstance(geom.backing, MetalBacking):
-        n_back, gr2 = None, -1.0 + 0.0j
+        gr2 = -1.0 + 0.0j
     else:
-        n_back = complex_sqrt_lossy(geom.backing)
-        gr2 = (n - n_back) / (n + n_back)  # fresnel_normal(eps_r, backing)[0]
+        gr2, _ = fresnel_normal(eps_r, geom.backing)
     k_r = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * n  # decaying branch, Im(k_r) <= 0
-    return n, air_face_reflection(n), n_back, gr2, cmath.exp(-2j * k_r * geom.thickness)
+    return n, air_face_reflection(n), gr2, cmath.exp(-2j * k_r * geom.thickness)
 
 
 def slab_bounce_terms(
@@ -143,7 +142,7 @@ def slab_bounce_terms(
     so bounce i >= 2 carries first * ratio^{i-2}. Every slab series
     starts from these same three numbers and so rounds alike.
     """
-    _, g1r, _, gr2, rt = _slab_interfaces(eps_r, geom, freq)
+    _, g1r, gr2, rt = _slab_interfaces(eps_r, geom, freq)
     gr1 = -g1r
     return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt
 
@@ -155,14 +154,13 @@ def effective_reflection_slope(
 
     With g = Gamma_1r and u = Gamma_r2*rt, F = (g + u) / (1 + g u), so
     dF = ((1 - u^2) dg + (1 - g^2) du) / (1 + g u)^2, chained through
-    dn/deps = 1/(2n), dg/dn = -2/(1 + n)^2, d rt/dn = -2j k0 d rt and,
-    behind a dielectric of index n_b, dGamma_r2/dn = 2 n_b/(n + n_b)^2.
+    dn/deps = 1/(2n), dg/dn = -2/(1 + n)^2, d rt/dn = -2j k0 d rt and
+    dGamma_r2/dn = (1 - Gamma_r2^2)/(2n), which is 0 behind metal.
     """
-    n, g, n_back, gr2, rt = _slab_interfaces(eps_r, geom, freq)
+    n, g, gr2, rt = _slab_interfaces(eps_r, geom, freq)
     u = gr2 * rt
-    du_dn = u * (-2j * (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness)
-    if n_back is not None:
-        du_dn += 2.0 * n_back / (n + n_back) ** 2 * rt
+    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
+    du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
     dg_dn = -2.0 / (1.0 + n) ** 2
     return ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
 

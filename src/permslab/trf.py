@@ -46,7 +46,7 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
     """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub.
 
     J^T J is formed once per accepted point and reused by the rejected
-    trial steps from it; with no variable pinned the system is solved whole.
+    trial steps from it.
 
     Args:
         fun: residual callable, x -> (m,) array.
@@ -81,14 +81,12 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
         if iteration >= max_iter:
             break
         iteration += 1
-        pinned = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
-        A = JtJ + lam * eye
-        if pinned.any():  # solve over the free variables only
-            free = ~pinned
-            p = np.zeros(x.size)
-            p[free] = np.linalg.solve(A[np.ix_(free, free)], -g[free])
-        else:
-            p = np.linalg.solve(A, -g)
+        # a pinned variable's row and column are the identity's and its
+        # right-hand side 0, so its step is 0 and the free ones solve
+        # (J^T J + lam I) p = -g among themselves
+        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        A = np.where(free & free[:, None], JtJ + lam * eye, eye)
+        p = np.linalg.solve(A, -g * free)
         x_new = np.minimum(np.maximum(x + p, lb), ub)
         step = x_new - x
         f_new = np.asarray(fun(x_new), dtype=float)

@@ -144,11 +144,11 @@ def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
     # Rosenbrock with x0 <= 0.5: the path starts free, runs into the bound
     # and stays pinned there, and the damping rejects some trial steps,
     # which reuse the J^T J of their point
-    sizes = []
+    systems = []
     solve = np.linalg.solve
 
     def recording_solve(A, b):
-        sizes.append(A.shape[0])
+        systems.append((A.copy(), b.copy()))
         return solve(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
@@ -168,8 +168,13 @@ def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
     assert res.x[0] == 0.5
     assert res.x[1] == pytest.approx(0.25, abs=1e-10)
     assert projected_gradient_norm(res.x, res.grad, lb, ub) < 1e-9
-    # the whole 2x2 system while free, then the 1x1 system of x1 alone
-    assert sizes[0] == 2 and sizes[-1] == 1 and sizes == sorted(sizes, reverse=True)
+    # x0 is free at first and pinned from some step on; a pinned x0 is
+    # decoupled with a unit diagonal and a zero right-hand side, so its
+    # step is exactly 0 and x1 solves its own damped equation
+    pinned = [A[0, 1] == 0.0 and A[1, 0] == 0.0 and A[0, 0] == 1.0 and b[0] == 0.0
+              for A, b in systems]
+    assert not pinned[0] and pinned[-1] and pinned == sorted(pinned)
+    assert all(solve(A, b)[0] == 0.0 for (A, b), p in zip(systems, pinned) if p)
     assert res.iterations > len(jac_points) - 1  # some trial steps were rejected
 
 
