@@ -8,7 +8,6 @@ per-trial failures are recorded, not raised.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,7 +30,6 @@ class TrialRecord:
     residual_norm: float | None
     iterations: int | None
     converged: bool
-    fit_seconds: float
     error: str | None = None
 
 
@@ -50,7 +48,6 @@ class TruthSummary:
     mean_abs_err_b: float
     mean_abs_err_c: float
     mean_residual_norm: float
-    mean_fit_seconds: float
 
 
 @dataclass
@@ -63,12 +60,7 @@ class BenchReport:
     summaries: list[TruthSummary] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """Machine-readable form.
-
-        Wall-time fields are deliberately left out so serialized reports
-        are bit-identical for identical inputs and seeds; timings stay
-        available on the in-memory records and summaries.
-        """
+        """Machine-readable form; bit-identical for identical inputs and seeds."""
         return {
             "trials_per_truth": self.trials_per_truth,
             "noise": _json_fields(self.noise),
@@ -77,9 +69,8 @@ class BenchReport:
         }
 
 
-# to_dict key for each field whose name it does not keep, and the wall times it leaves out
+# to_dict key for each field whose name it does not keep
 _JSON_NAMES = {"phase_sigma": "phase_sigma_rad", "converged_count": "converged"}
-_UNTIMED = ("fit_seconds", "mean_fit_seconds")
 
 
 def _json_fields(obj) -> dict:
@@ -90,7 +81,7 @@ def _json_fields(obj) -> dict:
         value = getattr(obj, f.name)
         if f.name == "truth":
             out.update(eps_real=value.real_part, eps_imag=value.imag_part)
-        elif f.name not in _UNTIMED:
+        else:
             out[_JSON_NAMES.get(f.name, f.name)] = value
     return out
 
@@ -115,8 +106,7 @@ def run_sweep(
     derives its dataset seed from (noise.seed, truth index, trial
     index), so reports are bit-reproducible for identical inputs. The
     trials of a call are generated and fitted as one stack (in passes
-    of at most 65536 samples), so each record's ``fit_seconds`` is the
-    call's time divided by its trials.
+    of at most 65536 samples).
 
     Args:
         start_policy: "truth" seeds each fit at the generating
@@ -132,7 +122,6 @@ def run_sweep(
     if start_policy not in ("truth", "auto"):
         raise ValueError(f"unknown start policy {start_policy!r}")
 
-    start = time.perf_counter()
     rows = []
     for ti, truth in enumerate(truths):
         for k in range(trials):
@@ -150,14 +139,13 @@ def run_sweep(
         if not np.all(np.isfinite(gammas)):
             raise ValueError("reflection samples must be finite")
         fits += _fit_rows(gammas, first.step_phase, anchors[lo : lo + per_pass], bounds)
-    fit_seconds = (time.perf_counter() - start) / len(rows)
     records = []
     for row, fit in zip(rows, fits):
         if isinstance(fit, Exception):
             fitted, error = (None, None, None, None, None, False), f"{type(fit).__name__}: {fit}"
         else:
             fitted, error = (*fit, 0, True), None
-        records.append(TrialRecord(*row, *fitted, fit_seconds=fit_seconds, error=error))
+        records.append(TrialRecord(*row, *fitted, error=error))
     summaries = [_summarize(truth, records[ti * trials : (ti + 1) * trials])
                  for ti, truth in enumerate(truths)]
     return BenchReport(noise, trials, records, summaries)
@@ -191,5 +179,4 @@ def _summarize(truth: ComplexPermittivity, records: list[TrialRecord]) -> TruthS
         mean_abs_err_b=stat(np.mean, np.abs(b - truth.imag_part)),
         mean_abs_err_c=stat(np.mean, err_c),
         mean_residual_norm=stat(np.mean, res),
-        mean_fit_seconds=float(np.mean([r.fit_seconds for r in records])),
     )

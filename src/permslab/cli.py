@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
         mut, metal = generate_if_datasets(
             truth, geom, chirp, args.steps, args.step_m, noise,
             bounce_count=args.bounces,
-            antenna_aperture=args.aperture_m if args.aperture_m > 0 else None,
+            antenna_aperture=None if args.aperture_m == 0 else args.aperture_m,
         )
         records = dict(chirp=chirp, mut_samples=mut.samples,
                        metal_samples=np.vstack([t.samples for t in metal]))

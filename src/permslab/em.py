@@ -40,9 +40,6 @@ class ComplexPermittivity:
         if not self.imag_part >= 0.0:
             raise ValueError(f"loss part must be >= 0, got {self.imag_part}")
 
-    def as_complex(self) -> complex:
-        return complex(self.real_part, -self.imag_part)
-
 
 AIR = ComplexPermittivity(1.0, 0.0)
 
@@ -70,10 +67,10 @@ class SlabGeometry:
     backing: ComplexPermittivity | MetalBacking = METAL
 
     def __post_init__(self):
-        if not self.thickness > 0.0:
-            raise ValueError(f"thickness must be > 0, got {self.thickness}")
-        if not self.standoff > 0.0:
-            raise ValueError(f"standoff must be > 0, got {self.standoff}")
+        if not 0.0 < self.thickness < math.inf:
+            raise ValueError(f"thickness must be finite and > 0, got {self.thickness}")
+        if not 0.0 < self.standoff < math.inf:
+            raise ValueError(f"standoff must be finite and > 0, got {self.standoff}")
 
 
 def complex_sqrt_lossy(eps: ComplexPermittivity) -> complex:

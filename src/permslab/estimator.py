@@ -131,7 +131,7 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
-    covariance_proxy: np.ndarray | None = field(default=None, repr=False)
+    covariance_proxy: np.ndarray = field(repr=False)
 
 
 def front_face_reflection(a: float, b: float) -> complex:

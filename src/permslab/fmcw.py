@@ -15,6 +15,7 @@ so waveform-level chirp mixing is never simulated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,10 @@ class ChirpConfig:
     path_loss: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        for name in ("start_frequency", "bandwidth", "chirp_duration", "sample_interval",
+                     "amplitude", "path_loss"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"chirp {name} must be finite, got {getattr(self, name)}")
         if self.sample_count < 2:
             raise ValueError(f"need at least 2 samples, got {self.sample_count}")
         if not self.sample_interval > 0.0:
@@ -92,16 +97,6 @@ class IfTrace:
         if not np.isfinite(samples).all():
             raise ValueError("IF samples must be finite")
         object.__setattr__(self, "samples", samples)
-
-
-@dataclass(frozen=True)
-class RangeSpectrum:
-    """Unnormalized forward-DFT bins of one IF trace."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", np.asarray(self.bins, dtype=complex))
 
 
 def synth_if_trace(cfg: ChirpConfig, echoes: list[EchoComponent]) -> IfTrace:
@@ -154,18 +149,18 @@ def synth_slab_echoes(
     return echoes
 
 
-def dft(trace: IfTrace) -> RangeSpectrum:
+def dft(trace: IfTrace) -> np.ndarray:
     """Plain forward DFT, bins[k] = sum_n samples[n] e^{-j 2 pi n k / N}, per row of a stack."""
-    return RangeSpectrum(np.fft.fft(trace.samples))
+    return np.fft.fft(trace.samples)
 
 
-def peak_bin(spec: RangeSpectrum) -> int | np.ndarray:
+def peak_bin(bins: np.ndarray) -> int | np.ndarray:
     """Index of the maximum-magnitude bin (per row of a stack); ties go to the lower index.
 
     Raises:
         AllZeroSpectrumError: if every bin of a spectrum is exactly zero.
     """
-    mags = np.abs(spec.bins)
+    mags = np.abs(bins)
     if not (mags > 0.0).any(axis=-1).all():
         raise AllZeroSpectrumError("spectrum has no nonzero bin")
     return mags.argmax(axis=-1) if mags.ndim > 1 else int(mags.argmax())

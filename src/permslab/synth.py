@@ -58,6 +58,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude_rel_sigma, self.phase_sigma,
+                                       self.amplitude_drift_rel))):
+            raise ValueError("noise sigmas and drift must be finite")
         if self.amplitude_rel_sigma < 0 or self.phase_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
 
@@ -99,6 +102,8 @@ def _noisy_sweeps(rows, m_count: int, step: float, carrier: float, noise: NoiseM
     """
     if m_count < 3:  # SdiDataset's minimum, before a negative count reaches numpy
         raise ValueError("need at least 3 reflection samples")
+    if not all(map(math.isfinite, (step, carrier, *(c for _, c, _ in rows)))):  # before numpy
+        raise ValueError("step, carrier and phase offset must be finite")
     amp_noise, phase_noise = np.empty((2, len(rows), m_count))
     for t, (_, _, seed) in enumerate(rows):
         rng = np.random.default_rng(seed)
@@ -113,12 +118,8 @@ def _noisy_sweeps(rows, m_count: int, step: float, carrier: float, noise: NoiseM
     return clean * amp * np.exp(1j * (noise.phase_sigma * phase_noise))
 
 
-def benchmark_chirp(
-    carrier: float = 79e9,
-    amplitude: float = 1.0,
-    path_loss: complex = 1.0 + 0.0j,
-) -> ChirpConfig:
-    """Default chirp for synthetic sweep benchmarks.
+def benchmark_chirp() -> ChirpConfig:
+    """Default chirp for synthetic sweep benchmarks, starting at 79 GHz.
 
     The bandwidth is deliberately narrow (10 kHz) so that the DFT
     range-window factor is the same for every stepped position to well
@@ -129,13 +130,11 @@ def benchmark_chirp(
     modeled physical effect, not part of the identity being checked.
     """
     return ChirpConfig(
-        start_frequency=carrier,
+        start_frequency=79e9,
         bandwidth=1e4,
         chirp_duration=200e-6,
         sample_count=64,
         sample_interval=2e-6,
-        amplitude=amplitude,
-        path_loss=path_loss,
     )
 
 
@@ -205,18 +204,22 @@ def extract_sweep(
 ) -> SdiDataset:
     """Run the extraction chain on raw traces and assemble a sweep.
 
-    Per metal position: DFT both traces, read the material spectrum at
-    its own peak bin and the metal spectrum at its peak bin, and form
-    the calibrated ratio. The metal traces (all of one length) are
-    stacked and run through each step together, one row per position.
+    The material trace and the metal traces are stacked, one row each,
+    and run through one DFT and one peak pick; each metal row's peak is
+    then ratioed against the material's peak (see ``calibrate_ratio``).
 
     Raises:
+        ValueError: traces of unequal length; the unnormalized DFT gains
+            would differ by the ratio of the lengths.
         AllZeroSpectrumError: a trace whose spectrum is all zero.
         CalibrationError: a metal peak that is zero, non-finite, or at
             most 1e-15 of the material peak (see ``calibrate_ratio``).
     """
-    mut_spec = dft(mut_trace)
-    mut_peak = mut_spec.bins[peak_bin(mut_spec)]
-    metal = dft(IfTrace(np.array([t.samples for t in metal_traces])))
-    peaks = metal.bins[np.arange(len(metal_traces)), peak_bin(metal)]
-    return SdiDataset(calibrate_ratio(mut_peak, peaks), step, carrier)
+    n = mut_trace.samples.size
+    for trace in metal_traces:
+        if trace.samples.size != n:
+            raise ValueError(f"a metal trace has {trace.samples.size} samples and the "
+                             f"material trace {n}; all traces need the same length")
+    bins = dft(IfTrace(np.array([mut_trace.samples, *(t.samples for t in metal_traces)])))
+    peaks = bins[np.arange(len(bins)), peak_bin(bins)]
+    return SdiDataset(calibrate_ratio(peaks[0], peaks[1:]), step, carrier)

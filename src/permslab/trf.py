@@ -116,12 +116,12 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
     )
 
 
-def numerical_jacobian(fun, x, lb, ub, rel_step=1e-6):
-    """Central finite-difference Jacobian, one-sided at a bound."""
+def numerical_jacobian(fun, x, lb, ub):
+    """Central finite-difference Jacobian with relative step 1e-6, one-sided at a bound."""
     x = np.asarray(x, dtype=float)
     columns = []
     for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
+        h = 1e-6 * max(1.0, abs(x[i]))
         hi = min(h, (ub[i] - x[i]))
         lo = min(h, (x[i] - lb[i]))
         if hi <= 0.0:  # pinned at the upper bound

@@ -69,7 +69,7 @@ def test_criterion_2_phase_step_anchor():
     peaks = []
     for trace in metal:
         spec = dft(trace)
-        peaks.append(spec.bins[peak_bin(spec)])
+        peaks.append(spec[peak_bin(spec)])
     step_deg = np.degrees(np.diff(np.unwrap(np.angle(np.array(peaks)))))
     assert np.all(np.abs(np.abs(step_deg) - 18.97) <= 0.05)
 

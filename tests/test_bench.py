@@ -111,8 +111,7 @@ def reference_run_sweep(truths, noise, trials, m_count=40, step=1e-4, carrier=79
             except PermslabError as exc:
                 fitted = (None, None, None, None, None, False)
                 error = f"{type(exc).__name__}: {exc}"
-            records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted,
-                                       fit_seconds=0.0, error=error))
+            records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted, error=error))
         report.records.extend(records)
         report.summaries.append(bench_module._summarize(truth, records))
     return report

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from permslab import estimator
+from permslab import (ComplexPermittivity, NoiseModel, SlabGeometry, estimator,
+                      generate_if_datasets)
 from permslab.cli import main
 from permslab.estimator import model_gamma, step_phase_advance
 from permslab.io import DatasetFile
@@ -69,6 +70,33 @@ class TestSimulate:
     def test_unwritable_path(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "no" / "dir.txt")]) == 2
 
+    def test_raw_if_dielectric_backing(self, tmp_path):
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "5", "--bounces", "3",
+                    "--backing", "2.5,0.01", "--out", str(out)]) == 0
+        f = DatasetFile.read(out)
+        geom = SlabGeometry(0.02, 0.25, ComplexPermittivity(2.5, 0.01))
+        mut, metal = generate_if_datasets(ComplexPermittivity(2.6, 0.1), geom, f.chirp, 5,
+                                          1e-4, NoiseModel.quiet(), bounce_count=3)
+        assert np.array_equal(f.mut_samples, mut.samples)
+        assert np.array_equal(f.metal_samples, np.vstack([t.samples for t in metal]))
+
+    def test_raw_if_malformed_backing_invalid(self, tmp_path, capsys):
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--backing", "1,2,3",
+                    "--out", str(out)]) == 2
+        assert "expected 're,im'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("aperture", ["nan", "-1"])
+    def test_aperture_other_than_zero_is_checked(self, aperture, tmp_path, capsys):
+        # only 0 turns the far-field check off
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", f"--aperture-m={aperture}",
+                    "--standoff-m", "0.01", "--out", str(out)]) == 2
+        assert "aperture and wavelength must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtractEstimate:
     def test_fit_without_feasible_root_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
@@ -118,6 +146,16 @@ class TestExtractEstimate:
         assert run(["simulate", "--out", str(sweep)]) == 0
         assert run(["extract", "--input", str(sweep), "--out",
                     str(tmp_path / "x.txt")]) == 2
+
+    def test_extract_non_finite_chirp_header_invalid(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "3", "--out", str(raw)]) == 0
+        lines = raw.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("chirp_duration_s:"))
+        lines[i] = "chirp_duration_s: inf"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["extract", "--input", str(raw), "--out", str(tmp_path / "x.txt")]) == 2
+        assert "chirp chirp_duration must be finite" in capsys.readouterr().err
 
     def test_extract_zero_metal_is_calibration_error(self, tmp_path):
         raw = tmp_path / "raw.txt"
@@ -324,6 +362,33 @@ class TestReport:
         assert s["trials"] == 5
         assert s["converged"] == 5
         assert s["std_a"] > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--amp-sigma", "inf"], "noise sigmas and drift must be finite"),
+    (["simulate", "--phase-sigma-deg", "inf"], "noise sigmas and drift must be finite"),
+    (["simulate", "--drift", "inf"], "noise sigmas and drift must be finite"),
+    (["simulate", "--carrier-hz", "inf"], "step, carrier and phase offset must be finite"),
+    (["simulate", "--step-m", "nan"], "step, carrier and phase offset must be finite"),
+    (["simulate", "--phase-offset", "inf"], "step, carrier and phase offset must be finite"),
+    (["report", "--amp-sigma", "inf"], "noise sigmas and drift must be finite"),
+    (["report", "--carrier-hz", "inf"], "step, carrier and phase offset must be finite"),
+    (["simulate", "--mode", "raw-if", "--standoff-m", "inf"], "standoff must be finite"),
+    (["simulate", "--mode", "raw-if", "--thickness-m", "inf"], "thickness must be finite"),
+    (["simulate", "--mode", "raw-if", "--chirp-duration-s", "inf"],
+     "chirp chirp_duration must be finite"),
+    (["simulate", "--mode", "raw-if", "--bandwidth-hz", "inf"], "chirp bandwidth must be finite"),
+    (["simulate", "--mode", "raw-if", "--carrier-hz", "inf"],
+     "chirp start_frequency must be finite"),
+])
+def test_non_finite_input_invalid(args, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    dest = ["--out", str(out)] if args[0] == "simulate" else ["--truth", "2,0.1",
+                                                              "--outdir", str(out)]
+    assert run(args + dest) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

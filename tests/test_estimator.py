@@ -37,6 +37,7 @@ from permslab.errors import (
     DegenerateDataError,
     DegenerateRegressionError,
     InfeasibleFitError,
+    NoConvergenceError,
 )
 
 C1_79GHZ = step_phase_advance(79e9, 1e-4)
@@ -429,6 +430,19 @@ class TestFitIdeal:
         monkeypatch.setattr(estimator_module, "least_squares_trf", counting_solve)
         fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4, self.FREQ)
         assert x0s == list(estimator_module.AUTO_STARTS)
+
+    def test_no_converged_start_raises(self, monkeypatch):
+        solve = estimator_module.least_squares_trf
+
+        def capped_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            result.converged = False
+            return result
+
+        monkeypatch.setattr(estimator_module, "least_squares_trf", capped_solve)
+        with pytest.raises(NoConvergenceError, match="no start converged"):
+            fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4,
+                      self.FREQ)
 
 
 class TestFitIdealThinSlabs:

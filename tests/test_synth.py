@@ -11,6 +11,7 @@ from permslab import (
     SPEED_OF_LIGHT,
     ChirpConfig,
     ComplexPermittivity,
+    EchoComponent,
     IfTrace,
     NoiseModel,
     SlabGeometry,
@@ -27,6 +28,7 @@ from permslab import (
     phase_slope_diagnostic,
     residuals,
     step_phase_advance,
+    synth_if_trace,
 )
 from permslab.em import AIR
 from permslab.errors import AllZeroSpectrumError, CalibrationError
@@ -85,6 +87,13 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             NoiseModel(amplitude_rel_sigma=-1.0)
 
+    @pytest.mark.parametrize("field", ["amplitude_rel_sigma", "phase_sigma",
+                                       "amplitude_drift_rel"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_noise_model_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            NoiseModel(**{field: value})
+
 
 class TestGenerateIfDatasets:
     def test_equal_delay_pipeline_identity(self):
@@ -118,6 +127,15 @@ class TestGenerateIfDatasets:
         assert np.array_equal(mut1.samples, mut2.samples)
         for t1, t2 in zip(metal1, metal2):
             assert np.array_equal(t1.samples, t2.samples)
+
+    def test_one_metal_position_has_no_drift(self):
+        # a one-point sweep has no span to drift across
+        noise = NoiseModel(0.0, 0.0, 0.5, seed=3)
+        _, metal = generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 1, 1e-4, noise)
+        assert len(metal) == 1
+        tau = 2.0 * GEOM.standoff / SPEED_OF_LIGHT
+        undrifted = synth_if_trace(benchmark_chirp(), [EchoComponent(-1.0 + 0.0j, tau)])
+        assert np.array_equal(metal[0].samples, undrifted.samples)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match="at least one metal position"):
@@ -177,11 +195,11 @@ class TestGenerateIfDatasets:
             TRUTH, GEOM, cfg, 17, 1e-4, NoiseModel(seed=6), bounce_count=3
         )
         mut_spec = dft(mut)
-        mut_peak = mut_spec.bins[peak_bin(mut_spec)]
+        mut_peak = mut_spec[peak_bin(mut_spec)]
         reference = []
         for trace in metal:
             spec = dft(trace)
-            reference.append(calibrate_ratio(mut_peak, spec.bins[peak_bin(spec)]))
+            reference.append(calibrate_ratio(mut_peak, spec[peak_bin(spec)]))
         got = extract_sweep(mut, metal, 1e-4, 79e9).gammas
         assert np.array_equal(got.view(np.uint64), np.array(reference).view(np.uint64))
 
@@ -201,6 +219,22 @@ class TestGenerateIfDatasets:
         )
         metal = [IfTrace(t.samples * 1e-300) for t in metal]
         with pytest.raises(CalibrationError):
+            extract_sweep(mut, metal, 1e-4, 79e9)
+
+    def test_extraction_rejects_unequal_material_length(self):
+        # the unnormalized DFT gains would differ by 64/128, halving |Gamma|
+        mut, _ = generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 3, 1e-4,
+                                      NoiseModel.quiet())
+        cfg = ChirpConfig(79e9, 1e4, 400e-6, 128, 2e-6)
+        _, metal = generate_if_datasets(TRUTH, GEOM, cfg, 3, 1e-4, NoiseModel.quiet())
+        with pytest.raises(ValueError, match="128 samples and the material trace 64"):
+            extract_sweep(mut, metal, 1e-4, 79e9)
+
+    def test_extraction_rejects_mixed_metal_lengths(self):
+        mut, metal = generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 4, 1e-4,
+                                          NoiseModel.quiet())
+        metal[1] = IfTrace(metal[1].samples[:32])
+        with pytest.raises(ValueError, match="32 samples and the material trace 64"):
             extract_sweep(mut, metal, 1e-4, 79e9)
 
     def test_metal_trace_is_single_tone(self):

@@ -199,3 +199,12 @@ def test_numerical_jacobian_one_sided_at_bound():
     x = np.array([0.0])
     J = numerical_jacobian(fun, x, np.array([0.0]), np.array([INF]))
     assert J[0, 0] == pytest.approx(0.0, abs=1e-5)
+
+
+def test_numerical_jacobian_one_sided_at_upper_bound():
+    def fun(x):
+        return np.array([x[0] ** 2])
+
+    x = np.array([1.0])
+    J = numerical_jacobian(fun, x, np.array([-INF]), np.array([1.0]))
+    assert J[0, 0] == pytest.approx(2.0, abs=1e-5)  # backward difference 2 - h
