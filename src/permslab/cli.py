@@ -9,6 +9,7 @@ sweeps, unusable calibration reference).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -250,7 +251,14 @@ def _add_sweep_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared.
+
+    ``parse_args`` leaves the parser unchanged (it returns a fresh
+    ``Namespace`` and copies list defaults before appending), so every
+    ``main`` call reuses this one parser. Callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="permslab",
         description=(

@@ -99,7 +99,7 @@ class SdiDataset:
 
 @dataclass(frozen=True)
 class FitBounds:
-    """Box bounds of the fit: a in [1, a_max], b in [0, b_max].
+    """Box bounds of the fit: a in [1, a_max], b in [0, b_max], both finite.
 
     The phase offset is fitted unbounded and wrapped to [-pi, pi) on
     report, so no bound is stored for it.
@@ -113,6 +113,10 @@ class FitBounds:
             raise ValueError("a_max must be > 1")
         if not self.b_max > 0.0:
             raise ValueError("b_max must be > 0")
+        if self.a_max == math.inf:
+            raise ValueError("a_max must be finite")
+        if self.b_max == math.inf:
+            raise ValueError("b_max must be finite")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ platform.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +50,8 @@ class NoiseModel:
         amplitude_drift_rel: total linear drift across the sweep
             (positive values drift the calibrated amplitude upward,
             mirroring a reference whose return slowly weakens).
-        seed: PCG64 seed; generation is reproducible from it.
+        seed: PCG64 seed, an integer >= 0 (numpy integers too);
+            generation is reproducible from it.
     """
 
     amplitude_rel_sigma: float = 5e-4
@@ -63,6 +65,8 @@ class NoiseModel:
             raise ValueError("noise sigmas and drift must be finite")
         if self.amplitude_rel_sigma < 0 or self.phase_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
     @classmethod
     def quiet(cls, seed: int = 0) -> "NoiseModel":

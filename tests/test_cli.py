@@ -1,12 +1,13 @@
 """End-to-end CLI: simulate, extract, estimate, check-farfield, report."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 from permslab import (ComplexPermittivity, NoiseModel, SlabGeometry, estimator,
-                      generate_if_datasets)
+                      fit_permittivity, generate_if_datasets)
 from permslab.cli import main
 from permslab.estimator import model_gamma, step_phase_advance
 from permslab.io import DatasetFile
@@ -232,6 +233,17 @@ class TestExtractEstimate:
         sweep.write_text(text.replace(old, new), encoding="utf-8")
         assert run(["estimate", "--input", str(sweep)]) == 2
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--a-max=inf", "a_max must be finite"), ("--b-max=inf", "b_max must be finite"),
+        ("--a-max=nan", "a_max must be > 1"), ("--a-max=0.5", "a_max must be > 1"),
+        ("--b-max=-inf", "b_max must be > 0"),
+    ])
+    def test_estimate_bounds_invalid(self, flag, message, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep), flag]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_estimate_aliasing_step(self, tmp_path):
         # the generator refuses to build aliased sweeps, so write the
         # file directly the way a user with a too-coarse stage might
@@ -381,6 +393,8 @@ class TestReport:
     (["simulate", "--mode", "raw-if", "--bandwidth-hz", "inf"], "chirp bandwidth must be finite"),
     (["simulate", "--mode", "raw-if", "--carrier-hz", "inf"],
      "chirp start_frequency must be finite"),
+    (["simulate", "--seed", "-5"], "seed must be an integer >= 0, got -5"),
+    (["report", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
 ])
 def test_non_finite_input_invalid(args, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -398,3 +412,75 @@ def test_version_flag(capsys):
 
 def test_unknown_command_is_invalid():
     assert run(["frobnicate"]) == 2
+
+
+class TestRepeatedCalls:
+    """Calls of ``main`` in one process share one parser and nothing else."""
+
+    def test_start_does_not_leak_into_next_call(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--phase-offset", "0.4", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep), "--start", "7,0.3,0"]) == 0
+        anchored = capsys.readouterr().out.splitlines()[:3]
+        assert run(["estimate", "--input", str(sweep)]) == 0
+        auto = capsys.readouterr().out.splitlines()[:3]
+        fit = fit_permittivity(DatasetFile.read(sweep).to_sweep(), starts="auto")
+        assert auto == [f"eps_real:        {fit.permittivity.real_part:.6f}",
+                        f"eps_imag:        {fit.permittivity.imag_part:.6f}",
+                        f"phase_offset:    {fit.phase_offset:.6f} rad"]
+        assert auto != anchored
+
+    def test_truths_do_not_leak_into_next_call(self, tmp_path):
+        for name, truths in [("r1", ["2,0.1", "3,0.15"]), ("r2", ["7,0.3"])]:
+            argv = ["report", "--outdir", str(tmp_path / name)]
+            for t in truths:
+                argv += ["--truth", t]
+            assert run(argv) == 0
+        for name, labels in [("r1", ["2-0.1", "3-0.15"]), ("r2", ["7-0.3"])]:
+            outdir = tmp_path / name
+            summaries = json.loads((outdir / "report.json").read_text())["summaries"]
+            assert len(summaries) == len(labels)
+            assert sorted(p.name for p in outdir.glob("curve_*.txt")) == [
+                f"curve_{i}_eps{label}.txt" for i, label in enumerate(labels)]
+
+    def test_rejected_call_leaves_next_call_valid(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        assert run(["report", "--truth", "2,0.1", "--trials", "x",
+                    "--outdir", str(outdir)]) == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert run(["report", "--truth", "3,0.15", "--outdir", str(outdir)]) == 0
+        summaries = json.loads((outdir / "report.json").read_text())["summaries"]
+        assert [s["trials"] for s in summaries] == [1]
+
+    def test_help_and_version_unchanged_after_calls(self, tmp_path, capsys):
+        queries = (["--version"], ["--help"], ["estimate", "--help"], ["report", "--help"])
+
+        def outputs():
+            for argv in queries:
+                assert run(argv) == 0
+            return capsys.readouterr().out
+
+        before = outputs()
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep), "--start", "3,0.1,0"]) == 0
+        assert run(["report", "--truth", "2,0.1", "--outdir", str(tmp_path / "r")]) == 0
+        assert run(["estimate", "--bogus"]) == 2
+        capsys.readouterr()
+        assert outputs() == before
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["simulate", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep)]) == 0
+        assert run(["check-farfield", "--bogus"]) == 2
+        assert built == []

@@ -580,3 +580,7 @@ def test_fit_bounds_validation():
         FitBounds(a_max=1.0)
     with pytest.raises(ValueError):
         FitBounds(b_max=0.0)
+    with pytest.raises(ValueError, match="a_max must be finite"):
+        FitBounds(a_max=math.inf)
+    with pytest.raises(ValueError, match="b_max must be finite"):
+        FitBounds(b_max=math.inf)

@@ -87,6 +87,17 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             NoiseModel(amplitude_rel_sigma=-1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_noise_model_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            NoiseModel(seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.uint32(7), np.int64(7)])
+    def test_noise_model_accepts_numpy_seed(self, seed):
+        got = generate_dataset(TRUTH, 0.4, 40, 1e-4, 79e9, NoiseModel(seed=seed))
+        expected = generate_dataset(TRUTH, 0.4, 40, 1e-4, 79e9, NoiseModel(seed=7))
+        assert np.array_equal(got.gammas, expected.gammas)
+
     @pytest.mark.parametrize("field", ["amplitude_rel_sigma", "phase_sigma",
                                        "amplitude_drift_rel"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
