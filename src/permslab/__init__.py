@@ -20,7 +20,6 @@ from .em import (
     effective_reflection_truncated,
     fraunhofer_distance,
     fresnel_normal,
-    translate_reflection,
 )
 from .errors import (
     AliasingError,
@@ -120,6 +119,5 @@ __all__ = [
     "step_phase_advance",
     "synth_if_trace",
     "synth_slab_echoes",
-    "translate_reflection",
     "wrap_phase",
 ]

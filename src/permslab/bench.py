@@ -159,24 +159,16 @@ def _angle_difference(fitted: float, target: float) -> float:
 
 def _summarize(truth: ComplexPermittivity, records: list[TrialRecord]) -> TruthSummary:
     ok = [r for r in records if r.error is None]
-    a = np.array([r.fitted_a for r in ok])
-    b = np.array([r.fitted_b for r in ok])
-    err_c = np.array([abs(_angle_difference(r.fitted_c, r.phase_offset)) for r in ok])
-    res = np.array([r.residual_norm for r in ok])
-
-    def stat(reduce, values) -> float:  # nan when every trial failed
-        return float(reduce(values)) if ok else math.nan
-
-    return TruthSummary(
-        truth=truth,
-        trials=len(records),
-        converged_count=sum(1 for r in records if r.converged),
-        mean_a=stat(np.mean, a),
-        mean_b=stat(np.mean, b),
-        std_a=stat(np.std, a),
-        std_b=stat(np.std, b),
-        mean_abs_err_a=stat(np.mean, np.abs(a - truth.real_part)),
-        mean_abs_err_b=stat(np.mean, np.abs(b - truth.imag_part)),
-        mean_abs_err_c=stat(np.mean, err_c),
-        mean_residual_norm=stat(np.mean, res),
-    )
+    a = [r.fitted_a for r in ok]
+    b = [r.fitted_b for r in ok]
+    err_c = [abs(_angle_difference(r.fitted_c, r.phase_offset)) for r in ok]
+    # rows of one C-contiguous array: each sums pairwise exactly as its own 1-D reduction
+    stats = np.array([a, b, a, b, err_c, [r.residual_norm for r in ok]], dtype=float)
+    stats[2:4] = np.abs(stats[2:4] - [[truth.real_part], [truth.imag_part]])
+    if ok:
+        means, stds = stats.mean(axis=1).tolist(), stats[:2].std(axis=1).tolist()
+    else:  # every trial failed
+        means, stds = [math.nan] * 6, [math.nan] * 2
+    # TruthSummary's field order: mean_a, mean_b, std_a, std_b, then the mean errors
+    return TruthSummary(truth, len(records), sum(1 for r in records if r.converged),
+                        *means[:2], *stds, *means[2:])

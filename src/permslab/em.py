@@ -2,9 +2,7 @@
 
 Covers the loss-branch complex square root, Fresnel coefficients, the
 multi-bounce effective reflection coefficient of a backed slab (closed
-form and truncated series), phase translation of a reflection
-coefficient along the line of sight, and the Fraunhofer far-field
-distance.
+form and truncated series), and the Fraunhofer far-field distance.
 
 Conventions: relative permittivity eps = eps' - j*eps'' with eps' >= 1
 and eps'' >= 0 (passive, non-magnetic media), time factor e^{+jwt}, so
@@ -201,18 +199,6 @@ def effective_reflection_truncated(
         total += term
         term *= ratio
     return total
-
-
-def translate_reflection(gamma_at_face: complex, standoff: float, freq: float) -> complex:
-    """Refer a front-face reflection coefficient back to the radar.
-
-    Multiplies by e^{+j 2 k1 l} for an air path of length ``standoff``;
-    the magnitude is preserved exactly.
-    """
-    if standoff < 0.0:
-        raise ValueError(f"standoff must be >= 0, got {standoff}")
-    k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
-    return gamma_at_face * cmath.exp(2j * k1 * standoff)
 
 
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:

@@ -196,6 +196,7 @@ def _unit_circle_roots(quartics: np.ndarray) -> np.ndarray:
     return (w / np.abs(w)).ravel()
 
 
+@np.errstate(over="ignore")  # distances to a far anchor overflow to inf, which still ranks last
 def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     """Per rho, the feasible (a, b) with |r(a, b)| = rho nearest its anchor (a0, b0).
 
@@ -203,12 +204,15 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     s = C + R w, |w| = 1, so eps = s^2 = C^2 + 2CR w + R^2 w^2. The
     nearest feasible member is a stationary point of |s^2 - eps0|^2 or
     an end of a feasible arc, where a crosses 1 or a_max or b crosses 0
-    or b_max. Each condition is a quartic in w (below divided by R^2);
-    the member is the nearest feasible point among their roots. The
-    quartics of all rhos are solved as one stack. A rho whose roots hold
-    no feasible point, or whose quartics overflow, gets None.
+    or b_max. Each condition is a quartic in w (below divided by R^2).
+    The stationary quartics of all rhos are solved first, as one stack:
+    the nearest point of the circle is one of their roots, and it is the
+    member where it lies well inside the box. The other rhos solve their
+    edge quartics too, as one more stack, and take the nearest feasible
+    of all 20 roots, stationary roots first. A rho whose roots hold no
+    feasible point, or whose quartics overflow, gets an InfeasibleFitError.
     """
-    quartics, circles = [], []
+    stationary, edges, circles = [], [], []
     for rho, (a0, b0) in zip(rhos, anchors):
         # Python scalars: numpy rounds x**2 and complex / float differently
         big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
@@ -216,27 +220,48 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
         k = 2.0 * big_c / big_r
         # g = 0 would lower the degree; an ulp-sized g keeps the same roots
         g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
-        quartics += [
-            [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
-            *([1, k, 2 * (big_c * big_c - edge) / big_r**2, k, 1] for edge in (1.0, bounds.a_max)),
-            *([1, k, 2j * edge / big_r**2, -k, -1] for edge in (0.0, bounds.b_max)),
-        ]
+        stationary.append([2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g])
+        # k and the middle coefficients of the a = 1, a = a_max and b = b_max quartics
+        edges.append((k, 2 * (big_c * big_c - 1.0) / big_r**2,
+                      2 * (big_c * big_c - bounds.a_max) / big_r**2, 2j * bounds.b_max / big_r**2))
         tol = 1e-13 * (big_c + big_r) ** 2  # rounding of eps along the circle
         circles.append((big_c, big_r, tol, a0, b0))
-    quartics = np.array(quartics, dtype=complex).reshape(-1, 5, 5)
-    finite = np.isfinite(quartics).all(axis=(1, 2))
-    w = _unit_circle_roots(np.where(finite[:, None, None], quartics, 1).reshape(-1, 5))
+    quartics = np.array(stationary, dtype=complex).reshape(-1, 5)
+    finite = np.isfinite(quartics).all(axis=1)
+    finite &= np.array([all(map(cmath.isfinite, e)) for e in edges], dtype=bool)
+    w = _unit_circle_roots(np.where(finite[:, None], quartics, 1)).reshape(-1, 4)
     big_c, big_r, tol, a0, b0 = np.array(circles).reshape(-1, 5).T[:, :, None]
-    eps = (big_c + big_r * w.reshape(len(quartics), 20)) ** 2
-    a, b = eps.real, -eps.imag
-    ok = finite[:, None] & (a > 1.0 - tol) & (a < bounds.a_max + tol)
-    ok &= (b > -tol) & (b < bounds.b_max + tol)
-    a = np.clip(a, 1.0, bounds.a_max)
-    b = np.clip(b, 0.0, bounds.b_max)
-    dist = np.where(ok, (a - a0) ** 2 + (b - b0) ** 2, np.inf)
-    # the first feasible root at the least distance, also when every distance overflows
-    pick = np.argmax(ok & (dist == dist.min(axis=1, keepdims=True)), axis=1)
-    return [(float(a[t, i]), float(b[t, i])) if ok[t, i] else None for t, i in enumerate(pick)]
+    eps = (big_c + big_r * w) ** 2
+    a, b, rows = eps.real, -eps.imag, np.arange(len(eps))
+    dist = (a - a0) ** 2 + (b - b0) ** 2
+    nearest = np.argmin(dist, axis=1)
+    a, b, dist = a[rows, nearest], b[rows, nearest], dist[rows, nearest]
+    # inside by tol and by 1e-7 * distance: nearer an edge, an edge root may tie it in rounding
+    t = tol[:, 0] + 1e-7 * np.sqrt(dist)
+    inside = finite & (a > 1.0 + t) & (a < bounds.a_max - t) & (b > t) & (b < bounds.b_max - t)
+    fits = [(x, y) if kept else None for x, y, kept in zip(a.tolist(), b.tolist(), inside)]
+    rows = np.flatnonzero(finite & ~inside)
+    if rows.size:
+        quartics = [((1, k, at_1, k, 1), (1, k, at_a_max, k, 1), (1, k, 0, -k, -1),
+                     (1, k, at_b_max, -k, -1))
+                    for k, at_1, at_a_max, at_b_max in (edges[r] for r in rows)]
+        w = _unit_circle_roots(np.array(quartics, dtype=complex).reshape(-1, 5)).reshape(-1, 16)
+        big_c, big_r, tol, a0, b0 = big_c[rows], big_r[rows], tol[rows], a0[rows], b0[rows]
+        eps = np.hstack((eps[rows], (big_c + big_r * w) ** 2))
+        a, b = eps.real, -eps.imag
+        ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
+        a = np.clip(a, 1.0, bounds.a_max)
+        b = np.clip(b, 0.0, bounds.b_max) + 0.0  # b = -eps.imag is -0.0 where eps is real
+        dist = np.where(ok, (a - a0) ** 2 + (b - b0) ** 2, np.inf)
+        # the first feasible root at the least distance, also when every distance overflows
+        pick = np.argmax(ok & (dist == dist.min(axis=1, keepdims=True)), axis=1)
+        for r, row_ok, row_a, row_b, i in zip(rows, ok, a, b, pick):
+            if row_ok[i]:
+                fits[r] = (float(row_a[i]), float(row_b[i]))
+    return [fit or InfeasibleFitError(
+        f"no root of the family |r| = {rho:.17g} in the box" if solved
+        else f"the root quartics of the family |r| = {rho:.17g} overflow for this anchor and box")
+        for fit, rho, solved in zip(fits, rhos, finite)]
 
 
 def _largest_reflection_corner(bounds: FitBounds) -> tuple[float, float]:
@@ -313,9 +338,8 @@ def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list
         for dead, r in zip(degenerate, rho)
     ]  # rho < 1e-100: the whole family lies within 4 rho of (1, 0)
     family = [t for t, fit in enumerate(fits) if fit is None]
-    members = _nearest_members(rho[family].tolist(), [anchors[t] for t in family], bounds)
-    for t, ab in zip(family, members):
-        fits[t] = ab or InfeasibleFitError(f"no root of the family |r| = {rho[t]:.17g} in the box")
+    members = iter(_nearest_members(rho[family].tolist(), [anchors[t] for t in family], bounds))
+    fits = [next(members) if fit is None else fit for fit in fits]
     rows = [t for t, fit in enumerate(fits) if isinstance(fit, tuple)]
     faces = [front_face_reflection(*fits[t]) for t in rows]
     cs = [wrap_phase(cmath.phase(z[t]) - cmath.phase(r)) for t, r in zip(rows, faces)]

@@ -1,5 +1,6 @@
 """Monte-Carlo sweep benchmark harness."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import permslab.bench as bench_module
+import permslab.estimator as estimator_module
 from permslab import (
     BenchReport,
     ComplexPermittivity,
@@ -149,6 +151,66 @@ def test_stacked_sweep_covers_corner_and_interior_rows():
     corner = [(r.fitted_a, r.fitted_b) == (1.5, 1e-3) for r in report.records]
     assert corner[:4] == [True] * 4
     assert not any(corner[4:])
+
+
+def test_box_edge_quartics_are_solved_only_where_needed(monkeypatch):
+    # a row solves its four box-edge quartics only when its nearest stationary
+    # root leaves the box; truth anchors sit inside it
+    solved = []
+    real_roots = estimator_module._unit_circle_roots
+    monkeypatch.setattr(estimator_module, "_unit_circle_roots",
+                        lambda quartics: solved.append(len(quartics)) or real_roots(quartics))
+    args = (FIG5_TRUTHS, NoiseModel(seed=4242), 8)
+    run_sweep(*args)
+    assert sum(solved) == 3 * 8
+    solved.clear()
+    auto = json.dumps(run_sweep(*args, start_policy="auto").to_dict())
+    assert 3 * 8 < sum(solved) < 5 * 3 * 8
+    monkeypatch.undo()
+    assert auto == json.dumps(reference_run_sweep(*args, start_policy="auto").to_dict())
+
+
+def per_statistic_summary(truth, records):
+    """_summarize as one numpy reduction per statistic on a 1-D array."""
+    ok = [r for r in records if r.error is None]
+    a = np.array([r.fitted_a for r in ok])
+    b = np.array([r.fitted_b for r in ok])
+    err_c = np.array([abs(bench_module._angle_difference(r.fitted_c, r.phase_offset))
+                      for r in ok])
+    res = np.array([r.residual_norm for r in ok])
+
+    def stat(reduce, values):
+        return float(reduce(values)) if ok else math.nan
+
+    return bench_module.TruthSummary(
+        truth, len(records), sum(1 for r in records if r.converged),
+        mean_a=stat(np.mean, a), mean_b=stat(np.mean, b),
+        std_a=stat(np.std, a), std_b=stat(np.std, b),
+        mean_abs_err_a=stat(np.mean, np.abs(a - truth.real_part)),
+        mean_abs_err_b=stat(np.mean, np.abs(b - truth.imag_part)),
+        mean_abs_err_c=stat(np.mean, err_c), mean_residual_norm=stat(np.mean, res),
+    )
+
+
+@pytest.mark.parametrize("trials", [1, 4, 8, 9, 17])
+@pytest.mark.parametrize("failing", [(), (1, 2, 7, 8, 16), "all"])
+def test_summary_matches_per_statistic_reductions(trials, failing):
+    # pairwise summation unrolls from 8 values on; 9 and 17 leave remainders
+    rng = np.random.default_rng(trials)
+    truth = ComplexPermittivity(3.0, 0.15)
+    records = []
+    for k in range(trials):
+        offset = float(rng.uniform(-math.pi, math.pi))
+        if failing == "all" or k in failing:
+            records.append(TrialRecord(truth, offset, k, None, None, None, None, None, False,
+                                       error="InfeasibleFitError: no root"))
+        else:
+            fit = (3.0 + rng.normal(0.0, 0.1), abs(rng.normal(0.15, 0.1)),
+                   offset + rng.normal(0.0, 0.5), rng.uniform(0.0, 1e-3))
+            records.append(TrialRecord(truth, offset, k, *map(float, fit), 0, True))
+    got = bench_module._summarize(truth, records)
+    assert repr(dataclasses.astuple(got)) == repr(
+        dataclasses.astuple(per_statistic_summary(truth, records)))
 
 
 def test_report_dict_round_trips_fields():

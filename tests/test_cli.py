@@ -136,6 +136,15 @@ class TestExtractEstimate:
         assert "converged:       True" in output
         assert report.exists()
 
+    def test_fit_on_the_b_zero_edge_reports_positive_zero(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        report = tmp_path / "report.txt"
+        assert run(["simulate", "--amp-sigma", "5e-4", "--out", str(sweep)]) == 0
+        assert run(["estimate", "--input", str(sweep), "--start", "3,0",
+                    "--report-out", str(report)]) == 0
+        assert "eps_imag:        0.000000\n" in capsys.readouterr().out
+        assert "eps_imag: 0" in report.read_text(encoding="utf-8").splitlines()
+
     def test_estimate_air_file_degenerate(self, tmp_path):
         sweep = tmp_path / "air.txt"
         assert run(["simulate", "--eps-real", "1.0", "--eps-imag", "0.0",
@@ -403,6 +412,20 @@ def test_non_finite_input_invalid(args, message, tmp_path, capsys):
     assert run(args + dest) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("start, code, message", [
+    # distances to such an anchor overflow to inf, which still ranks them
+    ("1e300,0", 0, "eps_real:"), ("2,1e300", 0, "eps_real:"), ("1e160,0", 0, "eps_real:"),
+    ("1e308,0", 3, "overflow for this anchor and box"),
+])
+def test_huge_finite_start(start, code, message, tmp_path, capsys):
+    sweep = tmp_path / "sweep.txt"
+    assert run(["simulate", "--out", str(sweep)]) == 0
+    assert run(["estimate", "--input", str(sweep), "--start", start]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)
 
 
 def test_version_flag(capsys):

@@ -18,7 +18,6 @@ from permslab import (
     effective_reflection_truncated,
     fraunhofer_distance,
     fresnel_normal,
-    translate_reflection,
 )
 from permslab.em import effective_reflection_slope
 from permslab.errors import DegenerateGeometryError
@@ -197,33 +196,6 @@ def test_slope_matches_central_differences(backing, thickness):
             d_db = (face(a, b + h) - face(a, b - h)) / (2 * h)
             errors.append(max(abs(d_da - slope), abs(d_db + 1j * slope)) / abs(slope))
         assert min(errors) < 1e-8, (a, b, min(errors))
-
-
-class TestTranslateReflection:
-    def test_zero_distance(self):
-        assert translate_reflection(0.3 - 0.1j, 0.0, 79e9) == 0.3 - 0.1j
-
-    def test_half_wavelength_full_turn(self):
-        lam = SPEED_OF_LIGHT / 79e9
-        got = translate_reflection(0.3 - 0.1j, lam / 2, 79e9)
-        assert got == pytest.approx(0.3 - 0.1j, abs=1e-12)
-
-    def test_tenth_millimeter_phase_advance(self):
-        got = translate_reflection(1.0 + 0.0j, 1e-4, 79e9)
-        assert math.degrees(cmath.phase(got)) == pytest.approx(18.97, abs=0.01)
-
-    def test_group_action(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            g = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            l1, l2 = rng.uniform(0, 0.3, 2)
-            two_steps = translate_reflection(translate_reflection(g, l1, 79e9), l2, 79e9)
-            one_step = translate_reflection(g, l1 + l2, 79e9)
-            assert abs(two_steps - one_step) <= 1e-12
-
-    def test_magnitude_preserved(self):
-        got = translate_reflection(0.4 + 0.2j, 0.123, 60e9)
-        assert abs(got) == pytest.approx(abs(0.4 + 0.2j), rel=1e-15)
 
 
 class TestFraunhofer:

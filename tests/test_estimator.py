@@ -259,6 +259,22 @@ def test_fit_permittivity_matches_per_sweep_reference(bounds):
             assert got == reference_fit(data, bounds, anchor)
 
 
+@pytest.mark.parametrize("bounds, rho, anchor", [
+    # the nearest stationary root lies inside the box, and a b = 0 edge root's distance
+    # ties it within rounding: far anchors, and an anchor beside a thin box
+    (FitBounds(), 0.47826252596611696, (4669367.225745604, 48.201748083832236)),
+    (FitBounds(8.0, 1.0), 0.3622135200079993, (327711.04463919305, 0.9076977472362799)),
+    (FitBounds(1.5, 1e-3), 1.0100112316126141e-11, (1.5, 0.0013316473844290377)),
+    (FitBounds(1.5, 1e-3), 1.2711926531757983e-09, (2.999067547882238, 0.0004209778372244544)),
+])
+def test_near_tie_with_an_edge_root_matches_per_sweep_reference(bounds, rho, anchor):
+    data = SdiDataset(rho * np.exp(0.3j - 1j * C1_79GHZ * np.arange(40)), 1e-4, 79e9)
+    fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
+    eps = fit.permittivity
+    got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
+    assert got == reference_fit(data, bounds, anchor)
+
+
 class TestFitPermittivity:
     def test_seeded_noiseless_recovery(self):
         data = quiet_dataset(3.0, 0.15, 0.5)
@@ -331,8 +347,10 @@ class TestFitPermittivity:
         off_box = {"row": 1}
 
         def roots(quartics):
-            w = real_roots(quartics).reshape(-1, 20)
-            w[off_box["row"]] = -1.0
+            # the first call holds one stationary quartic per row; the second only the
+            # box-edge quartics of rows whose stationary roots left the box, here the forced row
+            w = real_roots(quartics).reshape(len(quartics), 4)
+            w[off_box.pop("row", slice(None))] = -1.0
             return w.ravel()
 
         monkeypatch.setattr(estimator_module, "_unit_circle_roots", roots)
@@ -350,13 +368,24 @@ class TestFitPermittivity:
         patched = report.to_dict()["records"]
         assert [patched[i] for i in (0, 2)] == [clean[i] for i in (0, 2)]
 
+    def test_fit_on_the_b_zero_edge_reports_positive_zero(self):
+        # from the anchor (3, 0) the nearest member of 2.6 - j0.1's family is on b = 0,
+        # where b = -eps.imag of a real eps would be -0.0
+        fit = fit_permittivity(quiet_dataset(2.6, 0.1, 0.0), starts=[(3.0, 0.0)])
+        b = fit.permittivity.imag_part
+        assert b == 0.0 and math.copysign(1.0, b) == 1.0
+        report = run_sweep([ComplexPermittivity(3.0, 0.0)], NoiseModel(seed=3), trials=4)
+        assert [math.copysign(1.0, r.fitted_b) for r in report.records] == [1.0] * 4
+
     def test_overflowing_quartics_are_an_error(self):
         # |r| near 2.5e-11 against a_max = 1e300: an a_max edge coefficient
         # overflows, which used to reach eigvals as numpy's LinAlgError
         data = quiet_dataset(1.0 + 1e-10, 0.0, 0.3)
         fit_permittivity(data, bounds=FitBounds(1e6, 50.0))
-        with pytest.raises(InfeasibleFitError):
+        with pytest.raises(InfeasibleFitError, match="overflow"):
             fit_permittivity(data, bounds=FitBounds(1e300, 50.0))
+        with pytest.raises(InfeasibleFitError, match="overflow for this anchor and box"):
+            fit_permittivity(data, starts=[(1e308, 0.0)])
 
 
 class TestFitIdeal:
