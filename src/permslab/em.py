@@ -33,10 +33,10 @@ class ComplexPermittivity:
     imag_part: float = 0.0
 
     def __post_init__(self):
-        if not self.real_part >= 1.0:
-            raise ValueError(f"real part must be >= 1, got {self.real_part}")
-        if not self.imag_part >= 0.0:
-            raise ValueError(f"loss part must be >= 0, got {self.imag_part}")
+        if not 1.0 <= self.real_part < math.inf:
+            raise ValueError(f"real part must be finite and >= 1, got {self.real_part}")
+        if not 0.0 <= self.imag_part < math.inf:
+            raise ValueError(f"loss part must be finite and >= 0, got {self.imag_part}")
 
 
 AIR = ComplexPermittivity(1.0, 0.0)
@@ -78,13 +78,12 @@ def complex_sqrt_lossy(eps: ComplexPermittivity) -> complex:
     the root with non-negative real part and non-positive imaginary part.
     The imaginary part is evaluated through mag - a = b^2 / (mag + a),
     which avoids the cancellation the literal form suffers for b << a.
+    Halving before the sum keeps (mag + a) / 2 finite whenever mag is.
     """
     a = eps.real_part
     b = eps.imag_part
-    mag = math.hypot(a, b)
-    p = math.sqrt((mag + a) / 2.0)
-    q = b / math.sqrt(2.0 * (mag + a))
-    return complex(p, -q)
+    p = math.sqrt(math.hypot(a, b) / 2.0 + a / 2.0)
+    return complex(p, -b / (2.0 * p))
 
 
 def fresnel_normal(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,10 +124,7 @@ class FitResult:
     """Fitted permittivity, phase offset and convergence diagnostics.
 
     ``residual_norm`` is the 2-norm of the stacked Re/Im residual
-    vector; its square is the minimized objective. ``covariance_proxy``
-    holds the Gauss-Newton curvature J^T J at the solution in (a, b, c)
-    order; a vanishing eigenvalue flags the phase-offset gauge direction
-    along which the data do not constrain the parameters.
+    vector; its square is the minimized objective.
     """
 
     permittivity: ComplexPermittivity
@@ -135,7 +132,6 @@ class FitResult:
     residual_norm: float
     iterations: int
     converged: bool
-    covariance_proxy: np.ndarray = field(repr=False)
 
 
 def front_face_reflection(a: float, b: float) -> complex:
@@ -313,12 +309,8 @@ def _pick_winner(norms, gammas) -> int:
     absolute band are treated as equal. This keeps the winning start
     reproducible when the objective has a flat direction.
     """
-    band = 1e-9 * (1.0 + float(np.linalg.norm(gammas)))
-    best = min(norms)
-    for i, rn in enumerate(norms):
-        if rn <= best + band:
-            return i
-    return 0  # unreachable
+    cutoff = min(norms) + 1e-9 * (1.0 + float(np.linalg.norm(gammas)))
+    return next(i for i, rn in enumerate(norms) if rn <= cutoff)
 
 
 def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list:
@@ -379,14 +371,12 @@ def fit_permittivity(
     if isinstance(fit, Exception):
         raise fit
     a, b, c, residual_norm = fit
-    jac_final = jacobian((a, b, c), data)
     return FitResult(
         permittivity=ComplexPermittivity(a, b),
         phase_offset=c,
         residual_norm=residual_norm,
         iterations=0,
         converged=True,
-        covariance_proxy=jac_final.T @ jac_final,
     )
 
 
@@ -422,10 +412,20 @@ def fit_ideal(
     dF/db = -j F' (``em.effective_reflection_slope``). Starts are ranked,
     and ``residual_norm`` reported, on the full M-sample residual.
 
-    Returns a FitResult with ``phase_offset`` fixed at 0; the last
-    row/column of ``covariance_proxy`` is zero-padded accordingly.
+    Returns a FitResult with ``phase_offset`` fixed at 0. A negative
+    ``step`` is a stage that moves toward the radar.
+
+    Raises:
+        ValueError: ``gammas_at_radar`` is not 1-D or not finite,
+            ``step`` is not finite, or ``freq`` is not finite and > 0.
     """
+    if not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step}")
+    if not 0.0 < freq < math.inf:
+        raise ValueError(f"freq must be finite and > 0, got {freq}")
     gammas = np.asarray(gammas_at_radar, dtype=complex)
+    if gammas.ndim != 1:
+        raise ValueError(f"reflection samples must be 1-D, got shape {gammas.shape}")
     if not np.all(np.isfinite(gammas)):
         raise ValueError("reflection samples must be finite")
     if np.all(np.abs(gammas) < 1e-12):
@@ -457,15 +457,12 @@ def fit_ideal(
     win = runs[_pick_winner([math.sqrt(floor_sq + 2.0 * r.cost) for r in runs], gammas)]
     eps = ComplexPermittivity(float(win.x[0]), float(win.x[1]))
     residual = (gammas - effective_reflection(eps, geom, freq) * phase).view(float)
-    curvature = np.zeros((3, 3))
-    curvature[:2, :2] = win.jac.T @ win.jac
     return FitResult(
         permittivity=eps,
         phase_offset=0.0,
         residual_norm=float(np.linalg.norm(residual)),
         iterations=win.iterations,
         converged=win.converged,
-        covariance_proxy=curvature,
     )
 
 
@@ -484,10 +481,9 @@ def phase_slope_diagnostic(data: SdiDataset) -> tuple[float, float]:
     if np.all(phases == phases[0]):
         raise DegenerateRegressionError("constant phase, no slope to regress")
     x = np.arange(data.step_count) * data.step
-    slope_rad_per_m, intercept = np.polyfit(x, phases, 1)
-    predicted = slope_rad_per_m * x + intercept
-    ss_res = float(np.sum((phases - predicted) ** 2))
-    ss_tot = float(np.sum((phases - phases.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot
-    slope_deg_per_mm = math.degrees(slope_rad_per_m) / 1000.0
-    return slope_deg_per_mm, r_squared
+    dx, dp = x - x.mean(), phases - phases.mean()
+    slope_rad_per_m = float(dx @ dp) / float(dx @ dx)
+    resid = dp - slope_rad_per_m * dx
+    # 1 - SS_res / SS_tot, not Sxy^2 / (Sxx Syy): the latter rounds above 1 on exact lines
+    r_squared = 1.0 - float(resid @ resid) / float(dp @ dp)
+    return math.degrees(slope_rad_per_m) / 1000.0, r_squared

@@ -31,7 +31,6 @@ class LeastSquaresResult:
     x: np.ndarray
     cost: float
     residual: np.ndarray
-    jac: np.ndarray
     grad: np.ndarray
     iterations: int
     converged: bool
@@ -112,7 +111,7 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
             break
 
     return LeastSquaresResult(
-        x=x, cost=cost, residual=f, jac=J, grad=g, iterations=iteration, converged=converged
+        x=x, cost=cost, residual=f, grad=g, iterations=iteration, converged=converged
     )
 
 

@@ -167,6 +167,35 @@ class TestExtractEstimate:
         assert run(["extract", "--input", str(raw), "--out", str(tmp_path / "x.txt")]) == 2
         assert "chirp chirp_duration must be finite" in capsys.readouterr().err
 
+    def test_extract_nonpositive_sample_interval_invalid(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "3", "--out", str(raw)]) == 0
+        text = raw.read_text(encoding="utf-8")
+        assert text.count("\nsample_interval_s: 1.9999999999999999e-06\n") == 1
+        raw.write_text(text.replace("\nsample_interval_s: 1.9999999999999999e-06\n",
+                                    "\nsample_interval_s: -2e-06\n"), encoding="utf-8")
+        assert run(["extract", "--input", str(raw), "--out", str(tmp_path / "x.txt")]) == 2
+        assert "sample interval must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("\ndirection: backward\n", "\ndirection: sideways\n", "unknown direction"),
+        ("\ncarrier_hz: 79000000000\n", "\ncarrier_hz: 0\n", "carrier must be > 0"),
+    ])
+    def test_estimate_bad_gamma_header_invalid(self, tmp_path, capsys, old, new, message):
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--steps", "5", "--out", str(sweep)]) == 0
+        text = sweep.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        sweep.write_text(text.replace(old, new), encoding="utf-8")
+        assert run(["estimate", "--input", str(sweep)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_estimate_raw_if_file_invalid(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "3", "--out", str(raw)]) == 0
+        assert run(["estimate", "--input", str(raw)]) == 2
+        assert "raw-if file: run extraction first" in capsys.readouterr().err
+
     def test_extract_zero_metal_is_calibration_error(self, tmp_path):
         raw = tmp_path / "raw.txt"
         assert run(["simulate", "--mode", "raw-if", "--steps", "4",
@@ -404,6 +433,15 @@ class TestReport:
      "chirp start_frequency must be finite"),
     (["simulate", "--seed", "-5"], "seed must be an integer >= 0, got -5"),
     (["report", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["simulate", "--eps-real", "inf"], "real part must be finite and >= 1, got inf"),
+    (["simulate", "--eps-imag", "nan"], "loss part must be finite and >= 0, got nan"),
+    (["simulate", "--mode", "raw-if", "--backing", "inf,0"], "real part must be finite"),
+    (["simulate", "--mode", "raw-if", "--backing", "inf,0", "--bounces", "3"],
+     "real part must be finite"),
+    (["report", "--truth", "inf,0"], "real part must be finite"),
+    (["simulate", "--mode", "raw-if", "--bandwidth-hz", "0"],
+     "bandwidth and start frequency must be > 0"),
+    (["simulate", "--mode", "raw-if", "--bounces", "0"], "bounce count q must be >= 1, got 0"),
 ])
 def test_non_finite_input_invalid(args, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -426,6 +464,20 @@ def test_huge_finite_start(start, code, message, tmp_path, capsys):
     assert run(["estimate", "--input", str(sweep), "--start", start]) == code
     captured = capsys.readouterr()
     assert message in (captured.err if code else captured.out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--eps-real", "1e308"],
+    ["simulate", "--eps-real", "1e308", "--eps-imag", "1e308"],
+    ["simulate", "--mode", "raw-if", "--eps-real", "1e308", "--bounces", "3"],
+    ["report", "--truth", "1e308,0"],
+])
+def test_huge_finite_permittivity(args, tmp_path):
+    out = tmp_path / "out"
+    dest = ["--out", str(out)] if args[0] == "simulate" else ["--outdir", str(out)]
+    assert run(args + dest) == 0
+    assert out.exists()
 
 
 def test_version_flag(capsys):

@@ -60,6 +60,16 @@ class TestComplexSqrtLossy:
             ComplexPermittivity(0.5, 0.0)
         with pytest.raises(ValueError):
             ComplexPermittivity(2.0, -0.1)
+        for a, b, part in ((math.inf, 0.0, "real"), (math.nan, 0.0, "real"),
+                           (2.0, math.inf, "loss"), (2.0, math.nan, "loss")):
+            with pytest.raises(ValueError, match=f"{part} part must be finite"):
+                ComplexPermittivity(a, b)
+
+    @pytest.mark.parametrize("a, b", [(1e308, 0.0), (1e308, 1e308), (1e308, 5e-324)])
+    def test_huge_finite_permittivity_has_finite_root(self, a, b):
+        s = complex_sqrt_lossy(ComplexPermittivity(a, b))
+        assert math.isfinite(s.real) and math.isfinite(s.imag)
+        assert s.real == pytest.approx(polar_sqrt(a / 4, b / 4).real * 2, rel=1e-12)
 
 
 class TestFresnelNormal:

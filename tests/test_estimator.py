@@ -435,6 +435,31 @@ class TestFitIdeal:
         with pytest.raises(ValueError, match="reflection samples must be finite"):
             fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
 
+    @pytest.mark.parametrize("step, freq, match", [
+        (math.nan, 79e9, "step must be finite"),
+        (math.inf, 79e9, "step must be finite"),
+        (-math.inf, 79e9, "step must be finite"),
+        (1e-4, math.inf, "freq must be finite and > 0"),
+        (1e-4, math.nan, "freq must be finite and > 0"),
+        (1e-4, 0.0, "freq must be finite and > 0"),
+        (1e-4, -79e9, "freq must be finite and > 0"),
+    ])
+    def test_rejects_non_finite_step_or_freq(self, step, freq, match):
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        with pytest.raises(ValueError, match=match):
+            fit_ideal(gammas, self.GEOM, step, freq)
+
+    def test_rejects_gammas_that_are_not_one_dimensional(self):
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3)).reshape(3, 4)
+        with pytest.raises(ValueError, match="must be 1-D"):
+            fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
+
+    def test_negative_step_is_a_stage_moving_toward_the_radar(self):
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3), step=-1e-4)
+        fit = fit_ideal(gammas, self.GEOM, -1e-4, self.FREQ)
+        assert fit.permittivity.real_part == pytest.approx(3.0, abs=1e-6)
+        assert fit.permittivity.imag_part == pytest.approx(0.3, abs=1e-6)
+
     def test_uses_the_a_b_of_a_three_number_start(self):
         gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
         fit = fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ, starts=[(2, 0.1, 0.3)])

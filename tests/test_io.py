@@ -110,6 +110,12 @@ class TestGammaRoundTrip:
         with pytest.raises(DatasetFormatError):
             DatasetFile.read(path)
 
+    def test_header_without_columns_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("mode: gamma\ncarrier_hz: 7.9e10\nstep_m: 1e-4\nstep_count: 3\n")
+        with pytest.raises(DatasetFormatError, match="missing columns line"):
+            DatasetFile.read(path)
+
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("mode: gamma\ncolumns: m re im\n0 1.0 0.0\n")
@@ -222,6 +228,18 @@ class TestRawIfRoundTrip:
 
 
 class TestReportFile:
+    def test_fewer_records_than_step_count_rejected(self, tmp_path):
+        data = generate_dataset(
+            ComplexPermittivity(2.6, 0.1), 0.3, 5, 1e-4, 79e9, NoiseModel(seed=5)
+        )
+        path = tmp_path / "report.txt"
+        ReportFile.from_fit(fit_permittivity(data), data).write(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("4 ")
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="report record count mismatch"):
+            ReportFile.read(path)
+
     def test_round_trip_and_curve_consistency(self, tmp_path):
         data = generate_dataset(
             ComplexPermittivity(2.6, 0.1), 0.3, 15, 1e-4, 79e9, NoiseModel(seed=5)
