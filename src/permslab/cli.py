@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate, extract, estimate, check-farfield, report.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed or
-unreadable files, aliasing step sizes), 3 numerical failure (degenerate
-slab geometry, no feasible sweep fit), 4 degenerate data (free-space
-sweeps, unusable calibration reference).
+unreadable files, aliasing step sizes, sizes too large to allocate), 3
+numerical failure (degenerate slab geometry, a sweep fit with no
+feasible root or an overflow), 4 degenerate data (free-space sweeps,
+unusable calibration reference).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
 
 _ERROR_CODES = [
-    ((DatasetFormatError, AliasingError, ValueError, OSError), EXIT_INVALID),
+    ((DatasetFormatError, AliasingError, ValueError, OSError, MemoryError), EXIT_INVALID),
     ((DegenerateGeometryError, InfeasibleFitError), EXIT_NUMERICAL),
     ((DegenerateDataError, CalibrationError, AllZeroSpectrumError,
       DegenerateRegressionError), EXIT_DEGENERATE),

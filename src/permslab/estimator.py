@@ -313,6 +313,7 @@ def _pick_winner(norms, gammas) -> int:
     return next(i for i, rn in enumerate(norms) if rn <= cutoff)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails only its own row
 def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list:
     """fit_permittivity on each row of a (T, M) sweep stack, one (a0, b0) anchor per row.
 
@@ -326,6 +327,7 @@ def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list
     degenerate = np.all(np.abs(gammas) < 1e-12, axis=1)
     fits = [
         DegenerateDataError("all reflection samples below 1e-12") if dead
+        else InfeasibleFitError("the sweep mean overflows") if not math.isfinite(r)
         else corner if r >= r_max else (1.0, 0.0) if r < 1e-100 else None
         for dead, r in zip(degenerate, rho)
     ]  # rho < 1e-100: the whole family lies within 4 rho of (1, 0)
@@ -337,8 +339,9 @@ def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list
     cs = [wrap_phase(cmath.phase(z[t]) - cmath.phase(r)) for t, r in zip(rows, faces)]
     theta = np.array(cs).reshape(-1, 1) - c1 * m
     res = (gammas[rows] - np.array(faces).reshape(-1, 1) * np.exp(1j * theta)).view(float)
-    for t, c, row in zip(rows, cs, res):
-        fits[t] = (*fits[t], c, float(np.linalg.norm(row)))
+    for t, c, norm in zip(rows, cs, map(np.linalg.norm, res)):
+        fits[t] = ((*fits[t], c, float(norm)) if norm < math.inf
+                   else InfeasibleFitError("the residual norm overflows"))
     return fits
 
 

@@ -99,6 +99,18 @@ class IfTrace:
         object.__setattr__(self, "samples", samples)
 
 
+def _if_tones(cfg: ChirpConfig, reflections, delays) -> np.ndarray:
+    """(K, N) closed-form IF tones, row k for reflections[k] at delays[k]."""
+    # Python products, then weight times tone: numpy rounds complex products its own way
+    weights = np.array([0.5 * cfg.amplitude**2 * cfg.path_loss * r for r in reflections])
+    delays = np.reshape(delays, (-1, 1))
+    phase = cfg.slope * delays * np.arange(cfg.sample_count) * cfg.sample_interval
+    phase += cfg.start_frequency * delays
+    tones = 2j * math.pi * phase
+    np.exp(tones, out=tones)  # in place: a raw-if metal stack is large
+    return np.multiply(weights[:, None], tones, out=tones)
+
+
 def synth_if_trace(cfg: ChirpConfig, echoes: list[EchoComponent]) -> IfTrace:
     """Superpose the closed-form IF tones of all echoes.
 
@@ -107,16 +119,8 @@ def synth_if_trace(cfg: ChirpConfig, echoes: list[EchoComponent]) -> IfTrace:
     """
     if not echoes:
         raise ValueError("at least one echo is required")
-    n = np.arange(cfg.sample_count)
-    samples = np.zeros(cfg.sample_count, dtype=complex)
-    scale = 0.5 * cfg.amplitude**2 * cfg.path_loss
-    for echo in echoes:
-        phase = 2.0 * math.pi * (
-            cfg.slope * echo.delay * n * cfg.sample_interval
-            + cfg.start_frequency * echo.delay
-        )
-        samples += scale * echo.reflection * np.exp(1j * phase)
-    return IfTrace(samples)
+    tones = _if_tones(cfg, [e.reflection for e in echoes], [e.delay for e in echoes])
+    return IfTrace(sum(tones, np.zeros(cfg.sample_count, dtype=complex)))
 
 
 def synth_slab_echoes(

@@ -26,8 +26,8 @@ from .em import SPEED_OF_LIGHT, ComplexPermittivity, SlabGeometry, fraunhofer_di
 from .estimator import SdiDataset, front_face_reflection, step_phase_advance
 from .fmcw import (
     ChirpConfig,
-    EchoComponent,
     IfTrace,
+    _if_tones,
     calibrate_ratio,
     dft,
     peak_bin,
@@ -76,9 +76,7 @@ class NoiseModel:
 
 def _drift_profile(drift_rel: float, count: int) -> np.ndarray:
     """Linear ramp 0 .. drift_rel over count points."""
-    if count < 2:
-        return np.zeros(count)
-    return drift_rel * np.arange(count) / (count - 1)
+    return drift_rel * np.arange(count) / max(count - 1, 1)
 
 
 def generate_dataset(
@@ -181,23 +179,16 @@ def generate_if_datasets(
                 f"distance {d_far:.3f} m; plane-wave treatment is doubtful",
                 stacklevel=2,
             )
-    rng = np.random.default_rng(noise.seed)
-
-    def trace_noise() -> complex:
-        amp = 1.0 + noise.amplitude_rel_sigma * rng.standard_normal()
-        return amp * np.exp(1j * noise.phase_sigma * rng.standard_normal())
-
+    # per trace, material then metal 0..M-1: an amplitude, then a phase draw
+    amp, phase = np.random.default_rng(noise.seed).standard_normal((1 + m_count, 2)).T
+    gains = (1.0 + noise.amplitude_rel_sigma * amp) * np.exp(1j * noise.phase_sigma * phase)
     mut_echoes = synth_slab_echoes(truth, geom, cfg, bounce_count)
-    mut_trace = synth_if_trace(cfg, mut_echoes)
-    mut_trace = IfTrace(mut_trace.samples * trace_noise())
-
-    drift = _drift_profile(noise.amplitude_drift_rel, m_count)
-    metal_traces = []
-    for m in range(m_count):
-        tau = 2.0 * (geom.standoff + m * step) / SPEED_OF_LIGHT
-        trace = synth_if_trace(cfg, [EchoComponent(-1.0 + 0.0j, tau)])
-        metal_traces.append(IfTrace(trace.samples * (1.0 - drift[m]) * trace_noise()))
-    return mut_trace, metal_traces
+    mut_trace = IfTrace(synth_if_trace(cfg, mut_echoes).samples * gains[0])
+    delays = 2.0 * (geom.standoff + np.arange(m_count) * step) / SPEED_OF_LIGHT
+    metal = _if_tones(cfg, [-1.0 + 0.0j] * m_count, delays)
+    metal *= (1.0 - _drift_profile(noise.amplitude_drift_rel, m_count))[:, None]
+    metal *= gains[1:, None]
+    return mut_trace, [IfTrace(row) for row in metal]
 
 
 def extract_sweep(

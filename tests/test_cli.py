@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from permslab import (ComplexPermittivity, NoiseModel, SlabGeometry, estimator,
                       fit_permittivity, generate_if_datasets)
+from permslab import cli
 from permslab.cli import main
 from permslab.estimator import model_gamma, step_phase_advance
 from permslab.io import DatasetFile
@@ -479,6 +480,39 @@ def test_huge_finite_permittivity(args, tmp_path):
     assert run(args + dest) == 0
     assert out.exists()
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, message", [(1e200, "the residual norm overflows"),
+                                            (1e308, "the sweep mean overflows")])
+def test_overflowing_samples_are_numerical_failure(scale, message, tmp_path, capsys):
+    sweep = tmp_path / "sweep.txt"
+    assert run(["simulate", "--out", str(sweep)]) == 0
+    src = DatasetFile.read(sweep)
+    src.gammas = src.gammas * scale
+    src.write(sweep)
+    capsys.readouterr()
+    assert run(["estimate", "--input", str(sweep)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, target", [
+    (["simulate", "--steps", "100000000000"], "generate_dataset"),
+    (["simulate", "--mode", "raw-if", "--samples", "100000000000", "--chirp-duration-s", "1e6"],
+     "generate_if_datasets"),
+    (["report", "--truth", "2,0.1", "--steps", "100000000000"], "run_sweep"),
+])
+def test_allocation_failure_is_invalid_input(args, target, tmp_path, monkeypatch, capsys):
+    # numpy raises MemoryError for such sizes; a real allocation that large
+    # could get the process killed where memory is overcommitted, so fake it
+    def refuse(*_, **__):
+        raise MemoryError("Unable to allocate 1.42 TiB for an array")
+
+    monkeypatch.setattr(cli, target, refuse)
+    out = tmp_path / "out"
+    dest = ["--out", str(out)] if args[0] == "simulate" else ["--outdir", str(out)]
+    assert run(args + dest) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 1.42 TiB for an array\n"
+    assert not out.exists()
 
 def test_version_flag(capsys):
     assert run(["--version"]) == 0

@@ -388,6 +388,18 @@ class TestFitPermittivity:
             fit_permittivity(data, starts=[(1e308, 0.0)])
 
 
+    @pytest.mark.parametrize("scale, message", [(1e200, "the residual norm overflows"),
+                                                (1e308, "the sweep mean overflows")])
+    def test_overflowing_samples_are_an_error(self, scale, message):
+        # 40 samples of |Gamma| near 0.23 times 1e308 sum past the float range
+        data = quiet_dataset(2.6, 0.1, 0.3)
+        huge = SdiDataset(data.gammas * scale, data.step, data.carrier)
+        with pytest.raises(InfeasibleFitError, match=message):
+            fit_permittivity(huge)
+        rows = estimator_module._fit_rows(np.vstack([huge.gammas] * 2), huge.step_phase,
+                                          [(1.5, 0.01)] * 2, FitBounds())
+        assert [str(e) for e in rows] == [message] * 2
+
 class TestFitIdeal:
     # thick lossy slab: internal bounces are fully absorbed, so the
     # front-face reflection is a smooth, invertible function of eps

@@ -70,6 +70,18 @@ class TestSynthIfTrace:
         separate = synth_if_trace(CFG, [e1]).samples + synth_if_trace(CFG, [e2]).samples
         np.testing.assert_allclose(combined.samples, separate, atol=1e-12)
 
+    def test_bits_of_the_closed_form(self):
+        # Python-scalar weight times the tone, added onto zeros one echo at a time
+        echoes = [EchoComponent(0.3 - 0.2j, 1.1e-9), EchoComponent(-0.5 + 0.1j, 2.7e-9),
+                  EchoComponent(-1.0 + 0.0j, 1.7e-9)]
+        n = np.arange(CFG.sample_count)
+        expected = np.zeros(CFG.sample_count, dtype=complex)
+        for e in echoes:
+            phase = 2.0 * math.pi * (CFG.slope * e.delay * n * CFG.sample_interval
+                                     + CFG.start_frequency * e.delay)
+            expected += 0.5 * CFG.amplitude**2 * CFG.path_loss * e.reflection * np.exp(1j * phase)
+        assert synth_if_trace(CFG, echoes).samples.tobytes() == expected.tobytes()
+
     def test_on_bin_tone_concentrates(self):
         k0 = 12
         trace = synth_if_trace(CFG, [EchoComponent(0.4, on_bin_delay(CFG, k0))])

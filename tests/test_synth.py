@@ -29,6 +29,7 @@ from permslab import (
     residuals,
     step_phase_advance,
     synth_if_trace,
+    synth_slab_echoes,
 )
 from permslab.em import AIR
 from permslab.errors import AllZeroSpectrumError, CalibrationError
@@ -138,6 +139,37 @@ class TestGenerateIfDatasets:
         assert np.array_equal(mut1.samples, mut2.samples)
         for t1, t2 in zip(metal1, metal2):
             assert np.array_equal(t1.samples, t2.samples)
+
+    @pytest.mark.parametrize("m_count", [1, 3, 40])
+    @pytest.mark.parametrize("bounces", [1, 3])
+    @pytest.mark.parametrize("noise", [NoiseModel.quiet(seed=2),
+                                       NoiseModel(5e-3, 0.02, 0.05, seed=11)])
+    @pytest.mark.parametrize("backing", [METAL, ComplexPermittivity(2.5, 0.01)])
+    @pytest.mark.parametrize("cfg", [
+        benchmark_chirp(),
+        ChirpConfig(79e9, 2e8, 200e-6, 64, 2e-6, amplitude=1.3, path_loss=0.3 - 0.7j),
+    ])
+    def test_stack_equals_per_trace_synthesis(self, m_count, bounces, noise, backing, cfg):
+        # each trace on its own, noise drawn one scalar at a time: amplitude, then phase
+        geom = SlabGeometry(thickness=0.02, standoff=0.25, backing=backing)
+        rng = np.random.default_rng(noise.seed)
+
+        def gain():
+            amp = 1.0 + noise.amplitude_rel_sigma * rng.standard_normal()
+            return amp * np.exp(1j * noise.phase_sigma * rng.standard_normal())
+
+        expected = [synth_if_trace(cfg, synth_slab_echoes(TRUTH, geom, cfg, bounces)).samples
+                    * gain()]
+        for m in range(m_count):
+            tau = 2.0 * (geom.standoff + m * 1e-4) / SPEED_OF_LIGHT
+            drift = noise.amplitude_drift_rel * m / (m_count - 1) if m_count > 1 else 0.0
+            trace = synth_if_trace(cfg, [EchoComponent(-1.0 + 0.0j, tau)])
+            expected.append(trace.samples * (1.0 - drift) * gain())
+        mut, metal = generate_if_datasets(TRUTH, geom, cfg, m_count, 1e-4, noise,
+                                          bounce_count=bounces)
+        assert len(metal) == m_count
+        got = np.array([mut.samples, *(t.samples for t in metal)])
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_one_metal_position_has_no_drift(self):
         # a one-point sweep has no span to drift across
