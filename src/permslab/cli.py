@@ -33,6 +33,7 @@ from .errors import (
 )
 from .estimator import (
     FitBounds,
+    check_step,
     fit_permittivity,
     model_gamma,
     phase_slope_diagnostic,
@@ -106,6 +107,7 @@ def cmd_simulate(args) -> int:
             sample_interval=args.sample_interval_s,
             amplitude=args.amplitude,
         )
+        check_step(args.step_m, args.carrier_hz)  # extract's SdiDataset would refuse the file
         mut, metal = generate_if_datasets(
             truth, geom, chirp, args.steps, args.step_m, noise,
             bounce_count=args.bounces,

@@ -58,6 +58,17 @@ def step_phase_advance(carrier: float, step: float) -> float:
     return 2.0 * math.pi * carrier * 2.0 * step / SPEED_OF_LIGHT
 
 
+def check_step(step: float, carrier: float) -> None:
+    """Raise unless step and carrier are > 0 and the per-step phase advance is below pi."""
+    if not step > 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
+    if not carrier > 0.0:
+        raise ValueError(f"carrier must be > 0, got {carrier}")
+    if (c1 := step_phase_advance(carrier, step)) >= math.pi:
+        raise AliasingError(f"per-step phase advance {c1:.3f} rad >= pi; "
+                            "reduce the step below a quarter wavelength")
+
+
 @dataclass(frozen=True)
 class SdiDataset:
     """Calibrated reflection sweep: Gamma(m), step size and carrier.
@@ -78,15 +89,7 @@ class SdiDataset:
             raise ValueError("need at least 3 reflection samples")
         if not np.all(np.isfinite(self.gammas)):
             raise ValueError("reflection samples must be finite")
-        if not self.step > 0.0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if not self.carrier > 0.0:
-            raise ValueError(f"carrier must be > 0, got {self.carrier}")
-        if self.step_phase >= math.pi:
-            raise AliasingError(
-                f"per-step phase advance {self.step_phase:.3f} rad >= pi; "
-                "reduce the step below a quarter wavelength"
-            )
+        check_step(self.step, self.carrier)
 
     @property
     def step_count(self) -> int:
@@ -192,23 +195,34 @@ def _unit_circle_roots(quartics: np.ndarray) -> np.ndarray:
     return (w / np.abs(w)).ravel()
 
 
+def _box_ends(big_c: float, big_r: float, a_max: float) -> tuple[complex, ...]:
+    """The points a - jb where the family circle s = C + R w meets a = 1, a_max and b = 0.
+
+    As C^2 - R^2 = 1, a = 1 + 2CR x + 2R^2 x^2 and b = -2R Im(w) (C + R x)
+    with x = Re w, so b >= 0 where Im w <= 0. There a = 1 only at w = -j,
+    b = 0 only at w = 1 (w = -1 has a < 1), and a = a_max at the root
+    x <= 1 of 2R^2 x^2 + 2CR x = a_max - 1, written without cancellation.
+    """
+    a_top, d, x = 1.0 + 2.0 * big_r * (big_c + big_r), a_max - 1.0, math.nan
+    if a_max <= a_top:  # the a at w = 1; a larger a_max is not reached (that end is nan)
+        x = min(d / (big_r * (big_c + math.sqrt(big_c * big_c + 2.0 * d))), 1.0)
+    b_at_a_max = 2.0 * big_r * math.sqrt((1.0 - x) * (1.0 + x)) * (big_c + big_r * x)
+    return 1.0 - 2j * big_c * big_r, a_max - 1j * b_at_a_max, a_top
+
+
 @np.errstate(over="ignore")  # distances to a far anchor overflow to inf, which still ranks last
 def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     """Per rho, the feasible (a, b) with |r(a, b)| = rho nearest its anchor (a0, b0).
 
     Under s = (1 - r) / (1 + r) the family |r| = rho is the circle
-    s = C + R w, |w| = 1, so eps = s^2 = C^2 + 2CR w + R^2 w^2. The
-    nearest feasible member is a stationary point of |s^2 - eps0|^2 or
-    an end of a feasible arc, where a crosses 1 or a_max or b crosses 0
-    or b_max. Each condition is a quartic in w (below divided by R^2).
-    The stationary quartics of all rhos are solved first, as one stack:
-    the nearest point of the circle is one of their roots, and it is the
-    member where it lies well inside the box. The other rhos solve their
-    edge quartics too, as one more stack, and take the nearest feasible
-    of all 20 roots, stationary roots first. A rho whose roots hold no
-    feasible point, or whose quartics overflow, gets an InfeasibleFitError.
+    s = C + R w, |w| = 1, and eps = s^2. The member is the nearest feasible
+    stationary point of |s^2 - eps0|^2 or end of a feasible arc: a root of
+    the stationary quartic in w, one of ``_box_ends``, or a root of the
+    b = b_max quartic, ties to the first. Both quartics (below divided by
+    R^2) of all rhos are one stack. A rho with none of these points in the
+    box, or whose quartics overflow, gets an InfeasibleFitError.
     """
-    stationary, edges, circles = [], [], []
+    quartics, ends, circles = [], [], []
     for rho, (a0, b0) in zip(rhos, anchors):
         # Python scalars: numpy rounds x**2 and complex / float differently
         big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
@@ -216,48 +230,28 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
         k = 2.0 * big_c / big_r
         # g = 0 would lower the degree; an ulp-sized g keeps the same roots
         g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
-        stationary.append([2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g])
-        # k and the middle coefficients of the a = 1, a = a_max and b = b_max quartics
-        edges.append((k, 2 * (big_c * big_c - 1.0) / big_r**2,
-                      2 * (big_c * big_c - bounds.a_max) / big_r**2, 2j * bounds.b_max / big_r**2))
+        quartics += ([2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
+                     [1, k, 2j * bounds.b_max / big_r**2, -k, -1])
+        ends.append(_box_ends(big_c, big_r, bounds.a_max))
         tol = 1e-13 * (big_c + big_r) ** 2  # rounding of eps along the circle
         circles.append((big_c, big_r, tol, a0, b0))
-    quartics = np.array(stationary, dtype=complex).reshape(-1, 5)
+    quartics = np.array(quartics, dtype=complex).reshape(-1, 10)
     finite = np.isfinite(quartics).all(axis=1)
-    finite &= np.array([all(map(cmath.isfinite, e)) for e in edges], dtype=bool)
-    w = _unit_circle_roots(np.where(finite[:, None], quartics, 1)).reshape(-1, 4)
+    w = _unit_circle_roots(np.where(finite[:, None], quartics, 1).reshape(-1, 5)).reshape(-1, 8)
     big_c, big_r, tol, a0, b0 = np.array(circles).reshape(-1, 5).T[:, :, None]
     eps = (big_c + big_r * w) ** 2
-    a, b, rows = eps.real, -eps.imag, np.arange(len(eps))
-    dist = (a - a0) ** 2 + (b - b0) ** 2
-    nearest = np.argmin(dist, axis=1)
-    a, b, dist = a[rows, nearest], b[rows, nearest], dist[rows, nearest]
-    # inside by tol and by 1e-7 * distance: nearer an edge, an edge root may tie it in rounding
-    t = tol[:, 0] + 1e-7 * np.sqrt(dist)
-    inside = finite & (a > 1.0 + t) & (a < bounds.a_max - t) & (b > t) & (b < bounds.b_max - t)
-    fits = [(x, y) if kept else None for x, y, kept in zip(a.tolist(), b.tolist(), inside)]
-    rows = np.flatnonzero(finite & ~inside)
-    if rows.size:
-        quartics = [((1, k, at_1, k, 1), (1, k, at_a_max, k, 1), (1, k, 0, -k, -1),
-                     (1, k, at_b_max, -k, -1))
-                    for k, at_1, at_a_max, at_b_max in (edges[r] for r in rows)]
-        w = _unit_circle_roots(np.array(quartics, dtype=complex).reshape(-1, 5)).reshape(-1, 16)
-        big_c, big_r, tol, a0, b0 = big_c[rows], big_r[rows], tol[rows], a0[rows], b0[rows]
-        eps = np.hstack((eps[rows], (big_c + big_r * w) ** 2))
-        a, b = eps.real, -eps.imag
-        ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
-        a = np.clip(a, 1.0, bounds.a_max)
-        b = np.clip(b, 0.0, bounds.b_max) + 0.0  # b = -eps.imag is -0.0 where eps is real
-        dist = np.where(ok, (a - a0) ** 2 + (b - b0) ** 2, np.inf)
-        # the first feasible root at the least distance, also when every distance overflows
-        pick = np.argmax(ok & (dist == dist.min(axis=1, keepdims=True)), axis=1)
-        for r, row_ok, row_a, row_b, i in zip(rows, ok, a, b, pick):
-            if row_ok[i]:
-                fits[r] = (float(row_a[i]), float(row_b[i]))
-    return [fit or InfeasibleFitError(
+    eps = np.concatenate((eps[:, :4], np.array(ends).reshape(-1, 3), eps[:, 4:]), axis=1)
+    a, b = eps.real, -eps.imag  # b is -0.0 where eps is real; the + 0.0 below makes it 0.0
+    ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
+    a, b = np.clip(a, 1.0, bounds.a_max), np.clip(b, 0.0, bounds.b_max) + 0.0
+    dist = np.where(ok, (a - a0) ** 2 + (b - b0) ** 2, np.inf)
+    # the first feasible point at the least distance, also when every distance overflows
+    pick = np.arange(len(dist)), np.argmax(ok & (dist == dist.min(axis=1, keepdims=True)), axis=1)
+    a, b, ok = a[pick].tolist(), b[pick].tolist(), ok[pick] & finite
+    return [(x, y) if kept else InfeasibleFitError(
         f"no root of the family |r| = {rho:.17g} in the box" if solved
         else f"the root quartics of the family |r| = {rho:.17g} overflow for this anchor and box")
-        for fit, rho, solved in zip(fits, rhos, finite)]
+        for x, y, kept, rho, solved in zip(a, b, ok, rhos, finite)]
 
 
 def _largest_reflection_corner(bounds: FitBounds) -> tuple[float, float]:
@@ -359,7 +353,8 @@ def fit_permittivity(
     Otherwise the data leave one parameter combination free
     (see module docstring), and the reported (a, b) is the feasible
     member of the family |r(a, b)| = |z*| nearest the anchor, found
-    exactly; c = arg z* - arg r(a, b).
+    exactly among the roots of two quartics and three closed-form box
+    ends (``_nearest_members``); c = arg z* - arg r(a, b).
 
     The anchor is the (a, b) of the first entry of ``starts``; with
     ``starts="auto"`` it is (1.5, 0.01). The result has ``iterations``
@@ -374,13 +369,8 @@ def fit_permittivity(
     if isinstance(fit, Exception):
         raise fit
     a, b, c, residual_norm = fit
-    return FitResult(
-        permittivity=ComplexPermittivity(a, b),
-        phase_offset=c,
-        residual_norm=residual_norm,
-        iterations=0,
-        converged=True,
-    )
+    return FitResult(ComplexPermittivity(a, b), phase_offset=c, residual_norm=residual_norm,
+                     iterations=0, converged=True)
 
 
 def fit_ideal(

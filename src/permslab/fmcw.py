@@ -59,6 +59,8 @@ class ChirpConfig:
                      "amplitude", "path_loss"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"chirp {name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(0.5 * (self.amplitude * self.amplitude)):  # a product cannot raise
+            raise ValueError(f"chirp amplitude {self.amplitude} overflows 0.5 * amplitude^2")
         if self.sample_count < 2:
             raise ValueError(f"need at least 2 samples, got {self.sample_count}")
         if not self.sample_interval > 0.0:

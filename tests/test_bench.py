@@ -153,19 +153,19 @@ def test_stacked_sweep_covers_corner_and_interior_rows():
     assert not any(corner[4:])
 
 
-def test_box_edge_quartics_are_solved_only_where_needed(monkeypatch):
-    # a row solves its four box-edge quartics only when its nearest stationary
-    # root leaves the box; truth anchors sit inside it
+def test_each_row_solves_two_quartics_in_one_call(monkeypatch):
+    # the stationary and the b = b_max quartic of every row, under either policy;
+    # the other box ends are closed-form
     solved = []
     real_roots = estimator_module._unit_circle_roots
     monkeypatch.setattr(estimator_module, "_unit_circle_roots",
                         lambda quartics: solved.append(len(quartics)) or real_roots(quartics))
     args = (FIG5_TRUTHS, NoiseModel(seed=4242), 8)
     run_sweep(*args)
-    assert sum(solved) == 3 * 8
+    assert solved == [2 * 3 * 8]
     solved.clear()
     auto = json.dumps(run_sweep(*args, start_policy="auto").to_dict())
-    assert 3 * 8 < sum(solved) < 5 * 3 * 8
+    assert solved == [2 * 3 * 8]
     monkeypatch.undo()
     assert auto == json.dumps(reference_run_sweep(*args, start_policy="auto").to_dict())
 

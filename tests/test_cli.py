@@ -69,6 +69,33 @@ class TestSimulate:
         assert "need at least 3 reflection samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step, message", [
+        ("0.01", "per-step phase advance 33.114 rad >= pi"), ("0", "step must be > 0, got 0.0"),
+        ("-1e-4", "step must be > 0, got -0.0001"),
+    ])
+    def test_raw_if_step_that_extract_rejects_is_invalid(self, step, message, tmp_path, capsys):
+        # gamma mode refuses the same steps; extract's SdiDataset would reject the file
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", f"--step-m={step}", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["simulate", f"--step-m={step}", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_raw_if_amplitude_whose_power_overflows_is_invalid(self, tmp_path, capsys):
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--amplitude", "1e200",
+                    "--out", str(out)]) == 2
+        assert "chirp amplitude 1e+200 overflows" in capsys.readouterr().err
+        assert not out.exists()
+        # the same amplitude from a raw-IF header
+        assert run(["simulate", "--mode", "raw-if", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "\namplitude: 1\n" in text
+        out.write_text(text.replace("\namplitude: 1\n", "\namplitude: 1e200\n"))
+        assert run(["extract", "--input", str(out), "--out", str(tmp_path / "g.txt")]) == 2
+        assert "chirp amplitude 1e+200 overflows" in capsys.readouterr().err
+
     def test_unwritable_path(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "no" / "dir.txt")]) == 2
 
@@ -102,11 +129,13 @@ class TestSimulate:
 
 class TestExtractEstimate:
     def test_fit_without_feasible_root_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
-        # every root at w = -1 lies at a < 1, outside the box
+        # every root at w = -1 lies at a < 1, outside the box, and so do the closed-form
+        # ends moved to a = 0.25; each feasible arc holds one of the real ends
         sweep = tmp_path / "sweep.txt"
         assert run(["simulate", "--out", str(sweep)]) == 0
         monkeypatch.setattr(estimator, "_unit_circle_roots",
                             lambda quartics: -np.ones(4 * len(quartics), dtype=complex))
+        monkeypatch.setattr(estimator, "_box_ends", lambda *circle: (0.25,) * 3)
         assert run(["estimate", "--input", str(sweep)]) == 3
         assert "error: no root of the family" in capsys.readouterr().err
 

@@ -226,10 +226,12 @@ def reference_fit(data, bounds, anchor):
         g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
         quartics = np.array([
             [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
-            *([1, k, 2 * (big_c * big_c - e) / big_r**2, k, 1] for e in (1.0, bounds.a_max)),
-            *([1, k, 2j * e / big_r**2, -k, -1] for e in (0.0, bounds.b_max)),
+            [1, k, 2j * bounds.b_max / big_r**2, -k, -1],
         ], dtype=complex)
         eps = (big_c + big_r * estimator_module._unit_circle_roots(quartics)) ** 2
+        # the stationary roots, the three closed-form ends, then the b = b_max roots
+        ends = estimator_module._box_ends(big_c, big_r, bounds.a_max)
+        eps = np.array([*eps[:4], *ends, *eps[4:]])
         a, b = eps.real, -eps.imag
         tol = 1e-13 * (big_c + big_r) ** 2
         ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
@@ -257,6 +259,36 @@ def test_fit_permittivity_matches_per_sweep_reference(bounds):
             eps = fit.permittivity
             got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
             assert got == reference_fit(data, bounds, anchor)
+
+
+@pytest.mark.parametrize("bounds", [FitBounds(), FitBounds(8.0, 1.0), FitBounds(4.0, 50.0),
+                                    FitBounds(1.5, 1e-3), FitBounds(1e6, 1e-6),
+                                    FitBounds(1.01, 1e-2)])
+def test_closed_form_box_ends_lie_on_the_family_and_their_edges(bounds):
+    rng = np.random.default_rng(14)
+    r_max = abs(front_face_reflection(*estimator_module._largest_reflection_corner(bounds)))
+    r_top = abs(front_face_reflection(bounds.a_max, 0.0))  # from here on a = a_max is reached
+    rhos = np.concatenate((rng.uniform(1e-3, 0.999 * r_max, 300),
+                           rng.uniform(r_top, r_max, 100)))
+    reached = 0
+    for rho in rhos.tolist():
+        big_c, big_r = (1.0 + rho * rho) / (1.0 - rho * rho), 2.0 * rho / (1.0 - rho * rho)
+        at_1, at_a_max, at_b_0 = map(complex,
+                                     estimator_module._box_ends(big_c, big_r, bounds.a_max))
+        assert at_1.real == 1.0 and at_b_0.imag == 0.0
+        ends = [at_1, at_b_0]
+        if bounds.a_max <= at_b_0.real:
+            assert at_a_max.real == bounds.a_max
+            ends.append(at_a_max)
+            reached += 1
+        else:
+            assert cmath.isnan(at_a_max)
+        for eps in ends:
+            assert eps.imag <= 0.0  # b >= 0
+            # |(1 - s) / (1 + s)| as |1 - eps| / |1 + s|^2, with no cancellation near eps = 1
+            r = abs(1.0 - eps) / abs(1.0 + cmath.sqrt(eps)) ** 2
+            assert r == pytest.approx(rho, rel=1e-13)
+    assert reached >= 100 or r_top == r_max  # they round alike for FitBounds(1e6, 1e-6)
 
 
 @pytest.mark.parametrize("bounds, rho, anchor", [
@@ -341,19 +373,25 @@ class TestFitPermittivity:
             fit_permittivity(data, starts=[])
 
     def test_row_without_feasible_root_is_an_error(self, monkeypatch):
-        # w = -1 maps to eps = ((1 - rho) / (1 + rho))^2 < 1, outside the box;
-        # a masked argmin over the stack would return such a root unnoticed
-        real_roots = estimator_module._unit_circle_roots
+        # w = -1 maps to eps = ((1 - rho) / (1 + rho))^2 < 1, outside the box, and so does
+        # a = 0.25; a masked argmin over the stack would return such a point unnoticed.
+        # Each feasible arc holds a closed-form end, so the ends are moved out too.
+        real_roots, real_ends = estimator_module._unit_circle_roots, estimator_module._box_ends
         off_box = {"row": 1}
+        rows_seen = []
 
         def roots(quartics):
-            # the first call holds one stationary quartic per row; the second only the
-            # box-edge quartics of rows whose stationary roots left the box, here the forced row
-            w = real_roots(quartics).reshape(len(quartics), 4)
-            w[off_box.pop("row", slice(None))] = -1.0
+            # one call holds the stationary and the b = b_max quartic of every row
+            w = real_roots(quartics).reshape(-1, 8)
+            w[off_box["row"]] = -1.0
             return w.ravel()
 
+        def ends(*circle):
+            rows_seen.append(circle)
+            return (0.25,) * 3 if len(rows_seen) - 1 == off_box["row"] else real_ends(*circle)
+
         monkeypatch.setattr(estimator_module, "_unit_circle_roots", roots)
+        monkeypatch.setattr(estimator_module, "_box_ends", ends)
         noise = NoiseModel(seed=3)
         report = run_sweep([ComplexPermittivity(2.6, 0.1)], noise, trials=3)
         errors = [r.error for r in report.records]
@@ -361,6 +399,7 @@ class TestFitPermittivity:
         assert re.fullmatch(r"InfeasibleFitError: no root of the family \|r\| = \S+ in the box",
                             errors[1])
         off_box["row"] = 0
+        rows_seen.clear()
         with pytest.raises(InfeasibleFitError):
             fit_permittivity(quiet_dataset(2.6, 0.1, 0.0))
         monkeypatch.undo()
@@ -378,12 +417,13 @@ class TestFitPermittivity:
         assert [math.copysign(1.0, r.fitted_b) for r in report.records] == [1.0] * 4
 
     def test_overflowing_quartics_are_an_error(self):
-        # |r| near 2.5e-11 against a_max = 1e300: an a_max edge coefficient
-        # overflows, which used to reach eigvals as numpy's LinAlgError
+        # |r| near 2.5e-11 against a_max = 1e300 overflowed the middle coefficient of an
+        # a = a_max quartic; that end is now closed-form, so the fit is the a_max = 1e6 one
         data = quiet_dataset(1.0 + 1e-10, 0.0, 0.3)
-        fit_permittivity(data, bounds=FitBounds(1e6, 50.0))
-        with pytest.raises(InfeasibleFitError, match="overflow"):
-            fit_permittivity(data, bounds=FitBounds(1e300, 50.0))
+        fit = fit_permittivity(data, bounds=FitBounds(1e6, 50.0))
+        assert fit_permittivity(data, bounds=FitBounds(1e300, 50.0)) == fit
+        # a far anchor still overflows the stationary quartic, which used to reach
+        # eigvals as numpy's LinAlgError
         with pytest.raises(InfeasibleFitError, match="overflow for this anchor and box"):
             fit_permittivity(data, starts=[(1e308, 0.0)])
 

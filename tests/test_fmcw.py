@@ -335,6 +335,13 @@ class TestChirpConfig:
         with pytest.raises(ValueError, match=f"chirp {field} must be finite"):
             ChirpConfig(**fields)
 
+    @pytest.mark.parametrize("amplitude", [1e200, -1e155, 2.0**512])
+    def test_rejects_amplitude_whose_power_overflows(self, amplitude):
+        # 0.5 * amplitude**2 as a Python float power would raise OverflowError
+        with pytest.raises(ValueError, match="overflows 0.5 \\* amplitude\\^2"):
+            ChirpConfig(79e9, 1e4, 200e-6, 64, 2e-6, amplitude=amplitude)
+        assert ChirpConfig(79e9, 1e4, 200e-6, 64, 2e-6, amplitude=1e150).amplitude == 1e150
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EchoComponent(0.5, -1e-9)
