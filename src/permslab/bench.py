@@ -28,7 +28,6 @@ class TrialRecord:
     fitted_b: float | None
     fitted_c: float | None
     residual_norm: float | None
-    iterations: int | None
     converged: bool
     error: str | None = None
 
@@ -142,9 +141,9 @@ def run_sweep(
     records = []
     for row, fit in zip(rows, fits):
         if isinstance(fit, Exception):
-            fitted, error = (None, None, None, None, None, False), f"{type(fit).__name__}: {fit}"
+            fitted, error = (None, None, None, None, False), f"{type(fit).__name__}: {fit}"
         else:
-            fitted, error = (*fit, 0, True), None
+            fitted, error = (*fit, True), None
         records.append(TrialRecord(*row, *fitted, error=error))
     summaries = [_summarize(truth, records[ti * trials : (ti + 1) * trials])
                  for ti, truth in enumerate(truths)]

@@ -159,7 +159,6 @@ def cmd_estimate(args) -> int:
     print(f"eps_imag:        {fit.permittivity.imag_part:.6f}")
     print(f"phase_offset:    {fit.phase_offset:.6f} rad")
     print(f"residual_norm:   {fit.residual_norm:.3e}")
-    print(f"iterations:      {fit.iterations}")
     print(f"converged:       {fit.converged}")
     print(f"phase_slope:     {slope:.2f} deg/mm (R^2 = {r2:.9f})")
     if args.report_out:
@@ -169,14 +168,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_check_farfield(args) -> int:
-    if args.wavelength_m is not None:
-        wavelength = args.wavelength_m
-    elif args.carrier_hz is not None:
+    wavelength = args.wavelength_m
+    if wavelength is None:  # the parser requires exactly one of the two flags
         if not args.carrier_hz > 0.0:
             raise ValueError(f"carrier must be > 0, got {args.carrier_hz}")
         wavelength = SPEED_OF_LIGHT / args.carrier_hz
-    else:
-        raise ValueError("give either --wavelength-m or --carrier-hz")
     if not (args.standoff_m > 0.0 and math.isfinite(args.standoff_m)):
         raise ValueError(f"standoff must be finite and > 0, got {args.standoff_m}")
     d_far = fraunhofer_distance(args.aperture_m, wavelength)
@@ -312,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     far = sub.add_parser("check-farfield", help="far-field distance verdict")
     far.add_argument("--aperture-m", type=float, required=True)
-    far.add_argument("--wavelength-m", type=float, default=None)
-    far.add_argument("--carrier-hz", type=float, default=None)
+    wave = far.add_mutually_exclusive_group(required=True)
+    wave.add_argument("--wavelength-m", type=float)
+    wave.add_argument("--carrier-hz", type=float)
     far.add_argument("--standoff-m", type=float, required=True)
     far.set_defaults(func=cmd_check_farfield)
 

@@ -233,14 +233,15 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
         quartics += ([2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
                      [1, k, 2j * bounds.b_max / big_r**2, -k, -1])
         ends.append(_box_ends(big_c, big_r, bounds.a_max))
-        tol = 1e-13 * (big_c + big_r) ** 2  # rounding of eps along the circle
-        circles.append((big_c, big_r, tol, a0, b0))
+        circles.append((big_c, big_r, a0, b0))
     quartics = np.array(quartics, dtype=complex).reshape(-1, 10)
     finite = np.isfinite(quartics).all(axis=1)
     w = _unit_circle_roots(np.where(finite[:, None], quartics, 1).reshape(-1, 5)).reshape(-1, 8)
-    big_c, big_r, tol, a0, b0 = np.array(circles).reshape(-1, 5).T[:, :, None]
+    big_c, big_r, a0, b0 = np.array(circles).reshape(-1, 4).T[:, :, None]
     eps = (big_c + big_r * w) ** 2
     eps = np.concatenate((eps[:, :4], np.array(ends).reshape(-1, 3), eps[:, 4:]), axis=1)
+    # rounding of eps = s^2 at a point s of the circle, |s| <= C + R
+    tol = 1e-13 * (big_c + big_r) * np.sqrt(np.abs(eps))
     a, b = eps.real, -eps.imag  # b is -0.0 where eps is real; the + 0.0 below makes it 0.0
     ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
     a, b = np.clip(a, 1.0, bounds.a_max), np.clip(b, 0.0, bounds.b_max) + 0.0

@@ -69,6 +69,8 @@ class ChirpConfig:
             raise ValueError("samples do not fit inside one chirp (N*dt > Tc)")
         if not (self.bandwidth > 0.0 and self.start_frequency > 0.0):
             raise ValueError("bandwidth and start frequency must be > 0")
+        if not math.isfinite(self.slope):
+            raise ValueError(f"chirp slope {self.bandwidth} / {self.chirp_duration} overflows")
 
     @property
     def slope(self) -> float:

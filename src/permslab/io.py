@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetFormatError
-from .estimator import FitResult, SdiDataset, model_gamma, step_phase_advance
+from .estimator import FitResult, SdiDataset, check_step, model_gamma, step_phase_advance
 from .fmcw import ChirpConfig
 
 FORMAT_BANNER = "# permslab dataset v1"
@@ -63,7 +63,7 @@ _CHIRP_KEYS = (("bandwidth_hz", "bandwidth", float),
                ("amplitude", "amplitude", float))
 _REPORT_KEYS = (("eps_real", "eps_real", float), ("eps_imag", "eps_imag", float),
                 ("phase_offset_rad", "phase_offset_rad", float),
-                ("residual_norm", "residual_norm", float), ("iterations", "iterations", int),
+                ("residual_norm", "residual_norm", float),
                 ("converged", "converged", bool)) + _COMMON_KEYS
 # header values: floats to 17 significant digits, bools as true/false
 _FORMATS = {float: lambda x: format(x, ".17g"), int: str, bool: lambda x: "true" if x else "false"}
@@ -129,6 +129,7 @@ class DatasetFile:
             raise DatasetFormatError("raw-if file: run extraction first")
         gammas = self.gammas
         if self.direction == "forward":
+            check_step(self.step_m, self.carrier_hz)  # a bad one makes the rotation non-finite
             c1 = step_phase_advance(self.carrier_hz, self.step_m)
             gammas = gammas * np.exp(-2j * c1 * np.arange(self.step_count))
         return SdiDataset(gammas, self.step_m, self.carrier_hz)
@@ -311,7 +312,6 @@ class ReportFile:
     eps_imag: float
     phase_offset_rad: float
     residual_norm: float
-    iterations: int
     converged: bool
     carrier_hz: float
     step_m: float
@@ -334,7 +334,6 @@ class ReportFile:
             eps_imag=fit.permittivity.imag_part,
             phase_offset_rad=fit.phase_offset,
             residual_norm=fit.residual_norm,
-            iterations=fit.iterations,
             converged=fit.converged,
             carrier_hz=data.carrier,
             step_m=data.step,

@@ -12,8 +12,8 @@ predicted cost reduction; a rejected step, or one whose residual is not
 finite, doubles lam, then quadruples it, and so on.
 
 Termination (reported via ``converged``):
-  * projected-gradient infinity norm below ``gtol``, or
-  * step norm below ``xtol * (xtol + |x|)``.
+  * projected-gradient infinity norm below ``_GTOL``, or
+  * step norm below ``_XTOL * (_XTOL + |x|)``.
 """
 
 from __future__ import annotations
@@ -23,15 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_GTOL = 1e-10  # projected-gradient infinity-norm tolerance
+_XTOL = 1e-12  # relative step tolerance
+_MAX_ITER = 500  # cap on the number of trial steps
+
 
 @dataclass
 class LeastSquaresResult:
-    """Solver output: solution, cost and first-order diagnostics."""
+    """Solver output: solution, cost, trial steps taken and whether a tolerance fired."""
 
     x: np.ndarray
     cost: float
-    residual: np.ndarray
-    grad: np.ndarray
     iterations: int
     converged: bool
 
@@ -41,7 +43,7 @@ def projected_gradient_norm(x, g, lb, ub) -> float:
     return float(np.abs(x - np.minimum(np.maximum(x - g, lb), ub)).max())
 
 
-def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500):
+def least_squares_trf(fun, jac, x0, lb, ub):
     """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub.
 
     J^T J is formed once per accepted point and reused by the rejected
@@ -52,9 +54,6 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
         jac: Jacobian callable, x -> (m, n) array.
         x0: starting point; clipped to the box.
         lb, ub: bound arrays, -inf/inf entries allowed.
-        gtol: projected-gradient infinity-norm tolerance.
-        xtol: relative step tolerance.
-        max_iter: cap on the number of trial steps.
 
     Returns:
         LeastSquaresResult; ``converged`` is True when either tolerance
@@ -74,10 +73,10 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
     iteration = 0
 
     while True:
-        if projected_gradient_norm(x, g, lb, ub) < gtol:
+        if projected_gradient_norm(x, g, lb, ub) < _GTOL:
             converged = True
             break
-        if iteration >= max_iter:
+        if iteration >= _MAX_ITER:
             break
         iteration += 1
         # a pinned variable's row and column are the identity's and its
@@ -90,7 +89,7 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
         step = x_new - x
         f_new = np.asarray(fun(x_new), dtype=float)
         cost_new = 0.5 * float(f_new @ f_new)
-        small_step = math.sqrt(step @ step) < xtol * (xtol + math.sqrt(x @ x))
+        small_step = math.sqrt(step @ step) < _XTOL * (_XTOL + math.sqrt(x @ x))
 
         if cost_new < cost:  # False for a non-finite residual
             # the reduction the linear model predicts for the clipped step;
@@ -110,9 +109,7 @@ def least_squares_trf(fun, jac, x0, lb, ub, gtol=1e-10, xtol=1e-12, max_iter=500
             converged = True
             break
 
-    return LeastSquaresResult(
-        x=x, cost=cost, residual=f, grad=g, iterations=iteration, converged=converged
-    )
+    return LeastSquaresResult(x=x, cost=cost, iterations=iteration, converged=converged)
 
 
 def numerical_jacobian(fun, x, lb, ub):

@@ -108,10 +108,10 @@ def reference_run_sweep(truths, noise, trials, m_count=40, step=1e-4, carrier=79
                 fit = fit_permittivity(data, bounds=bounds, starts=starts)
                 eps = fit.permittivity
                 fitted = (eps.real_part, eps.imag_part, fit.phase_offset,
-                          fit.residual_norm, fit.iterations, fit.converged)
+                          fit.residual_norm, fit.converged)
                 error = None
             except PermslabError as exc:
-                fitted = (None, None, None, None, None, False)
+                fitted = (None, None, None, None, False)
                 error = f"{type(exc).__name__}: {exc}"
             records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted, error=error))
         report.records.extend(records)
@@ -202,12 +202,12 @@ def test_summary_matches_per_statistic_reductions(trials, failing):
     for k in range(trials):
         offset = float(rng.uniform(-math.pi, math.pi))
         if failing == "all" or k in failing:
-            records.append(TrialRecord(truth, offset, k, None, None, None, None, None, False,
+            records.append(TrialRecord(truth, offset, k, None, None, None, None, False,
                                        error="InfeasibleFitError: no root"))
         else:
             fit = (3.0 + rng.normal(0.0, 0.1), abs(rng.normal(0.15, 0.1)),
                    offset + rng.normal(0.0, 0.5), rng.uniform(0.0, 1e-3))
-            records.append(TrialRecord(truth, offset, k, *map(float, fit), 0, True))
+            records.append(TrialRecord(truth, offset, k, *map(float, fit), True))
     got = bench_module._summarize(truth, records)
     assert repr(dataclasses.astuple(got)) == repr(
         dataclasses.astuple(per_statistic_summary(truth, records)))
@@ -235,7 +235,7 @@ def test_report_dict_schema():
     for r in d["records"]:
         assert list(r) == [
             "eps_real", "eps_imag", "phase_offset", "seed", "fitted_a", "fitted_b",
-            "fitted_c", "residual_norm", "iterations", "converged", "error",
+            "fitted_c", "residual_norm", "converged", "error",
         ]
     assert list(d["summaries"][0]) == [
         "eps_real", "eps_imag", "trials", "converged", "mean_a", "mean_b", "std_a",

@@ -376,6 +376,14 @@ class TestCheckFarfield:
         assert run(["check-farfield", "--aperture-m", "0.015",
                     "--standoff-m", "0.25"]) == 2
 
+    def test_wavelength_and_carrier_together_invalid(self, capsys):
+        # a 1 GHz carrier means 0.30 m, not 3.8 mm; neither value may silently win
+        assert run(["check-farfield", "--aperture-m", "0.015", "--wavelength-m", "0.0038",
+                    "--carrier-hz", "1e9", "--standoff-m", "0.25"]) == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
+        assert captured.out == ""
+
 
 class TestReport:
     def test_reference_sweep_curve_ordering(self, tmp_path):
@@ -471,6 +479,9 @@ class TestReport:
     (["report", "--truth", "inf,0"], "real part must be finite"),
     (["simulate", "--mode", "raw-if", "--bandwidth-hz", "0"],
      "bandwidth and start frequency must be > 0"),
+    (["simulate", "--mode", "raw-if", "--bandwidth-hz", "1e308", "--chirp-duration-s", "1e-300",
+      "--samples", "2", "--sample-interval-s", "1e-301"],
+     "chirp slope 1e+308 / 1e-300 overflows"),
     (["simulate", "--mode", "raw-if", "--bounces", "0"], "bounce count q must be >= 1, got 0"),
 ])
 def test_non_finite_input_invalid(args, message, tmp_path, capsys):

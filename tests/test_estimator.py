@@ -233,7 +233,7 @@ def reference_fit(data, bounds, anchor):
         ends = estimator_module._box_ends(big_c, big_r, bounds.a_max)
         eps = np.array([*eps[:4], *ends, *eps[4:]])
         a, b = eps.real, -eps.imag
-        tol = 1e-13 * (big_c + big_r) ** 2
+        tol = 1e-13 * (big_c + big_r) * np.sqrt(np.abs(eps))
         ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
         a = np.clip(a[ok], 1.0, bounds.a_max)
         b = np.clip(b[ok], 0.0, bounds.b_max)
@@ -303,6 +303,20 @@ def test_near_tie_with_an_edge_root_matches_per_sweep_reference(bounds, rho, anc
     data = SdiDataset(rho * np.exp(0.3j - 1j * C1_79GHZ * np.arange(40)), 1e-4, 79e9)
     fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
     eps = fit.permittivity
+    got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
+    assert got == reference_fit(data, bounds, anchor)
+
+
+@pytest.mark.parametrize("anchor", [(1.5, 0.01), (7.0, 0.3)])
+def test_huge_box_near_unit_rho_stays_on_the_family(anchor):
+    # with a_max = 1e300, C + R is about 2e12 at rho = 1 - 1e-12, and the stationary roots
+    # near w = -1 square to an eps with no digits left; they must not pass as feasible
+    bounds, rho = FitBounds(1e300, 50.0), 1.0 - 1e-12
+    data = SdiDataset(rho * np.exp(0.3j - 1j * C1_79GHZ * np.arange(40)), 1e-4, 79e9)
+    fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
+    eps = fit.permittivity
+    assert abs(front_face_reflection(eps.real_part, eps.imag_part)) == pytest.approx(rho,
+                                                                                    rel=1e-9)
     got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
     assert got == reference_fit(data, bounds, anchor)
 
@@ -600,7 +614,7 @@ def full_residual_fit_ideal(gammas, geom, step, freq, starts, bounds=FitBounds()
     norms = [math.sqrt(2 * r.cost) for r in runs]
     band = 1e-9 * (1 + np.linalg.norm(gammas))
     win = next(r for r, rn in zip(runs, norms) if rn <= min(norms) + band)
-    return win.x, float(np.linalg.norm(win.residual))
+    return win.x, float(np.linalg.norm(fun(win.x)))
 
 
 class TestFitIdealReducedResidual:

@@ -342,6 +342,12 @@ class TestChirpConfig:
             ChirpConfig(79e9, 1e4, 200e-6, 64, 2e-6, amplitude=amplitude)
         assert ChirpConfig(79e9, 1e4, 200e-6, 64, 2e-6, amplitude=1e150).amplitude == 1e150
 
+    @pytest.mark.parametrize("bandwidth, duration", [(1e308, 1e-300), (1e10, 1e-310)])
+    def test_rejects_slope_that_overflows(self, bandwidth, duration):
+        with pytest.raises(ValueError, match="chirp slope .* overflows"):
+            ChirpConfig(79e9, bandwidth, duration, 2, duration / 10)
+        assert ChirpConfig(79e9, 1e300, 1e-8, 2, 1e-9).slope == 1e308
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EchoComponent(0.5, -1e-9)

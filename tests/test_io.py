@@ -1,6 +1,7 @@
 """Dataset and report file round trips and format validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from permslab import (
     generate_if_datasets,
     model_gamma,
 )
-from permslab.errors import DatasetFormatError
+from permslab.errors import AliasingError, DatasetFormatError
 from permslab.io import GAMMA_COLUMNS, RAW_COLUMNS, REPORT_COLUMNS
 
 EDGE = np.array([-0.0, 5e-324, 1e308, 0.1, -1 / 3])
@@ -93,6 +94,22 @@ class TestGammaRoundTrip:
         f = gamma_file(tmp_path, rising, direction="forward")
         sweep = f.to_sweep()
         np.testing.assert_allclose(sweep.gammas, data.gammas, atol=1e-12)
+
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("step_m", "inf", AliasingError, "per-step phase advance inf rad >= pi"),
+        ("carrier_hz", "inf", AliasingError, "per-step phase advance inf rad >= pi"),
+        ("step_m", "nan", ValueError, "step must be > 0, got nan"),
+    ])
+    def test_forward_file_with_a_bad_step_or_carrier(self, tmp_path, recwarn, key, value,
+                                                     error, message):
+        # the step and carrier are checked before the rotation that uses them
+        path = tmp_path / "sweep.txt"
+        gamma_file(tmp_path, direction="forward").write(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(f"\n{key}: .*\n", f"\n{key}: {value}\n", text))
+        with pytest.raises(error, match=message):
+            DatasetFile.read(path).to_sweep()
+        assert not recwarn.list
 
     def test_empty_sweep_reads_without_warning(self, tmp_path, recwarn):
         path = tmp_path / "empty.txt"
@@ -265,6 +282,18 @@ class TestReportFile:
         )
         np.testing.assert_allclose(back.fitted, regenerated, atol=1e-12)
 
+    def test_older_report_with_an_iterations_line_reads(self, tmp_path):
+        data = generate_dataset(
+            ComplexPermittivity(2.6, 0.1), 0.3, 5, 1e-4, 79e9, NoiseModel(seed=5)
+        )
+        path = tmp_path / "report.txt"
+        ReportFile.from_fit(fit_permittivity(data), data).write(path)
+        text = path.read_text(encoding="utf-8")
+        assert "iterations" not in text
+        path.write_text(text.replace("converged: true\n", "iterations: 0\nconverged: true\n"))
+        back = ReportFile.read(path)
+        assert back.converged and back.step_count == 5
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             ReportFile.read(tmp_path / "missing.txt")
@@ -322,7 +351,7 @@ class TestWriterGolden:
         fitted = -EDGE[::-1] + 1j * EDGE
         report = ReportFile(
             eps_real=0.1, eps_imag=-0.0, phase_offset_rad=-1 / 3, residual_norm=5e-324,
-            iterations=0, converged=True, carrier_hz=79e9, step_m=3e-5,
+            converged=True, carrier_hz=79e9, step_m=3e-5,
             step_count=len(EDGE), measured=measured, fitted=fitted,
         )
         path = tmp_path / "report.txt"
@@ -405,7 +434,7 @@ class TestReader:
         path = tmp_path / "report.txt"
         ReportFile(
             eps_real=2.0, eps_imag=0.1, phase_offset_rad=0.0, residual_norm=0.0,
-            iterations=1, converged=True, carrier_hz=79e9, step_m=1e-4, step_count=1,
+            converged=True, carrier_hz=79e9, step_m=1e-4, step_count=1,
             measured=np.ones(1), fitted=np.ones(1),
         ).write(path)
         text = path.read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from permslab import trf
 from permslab.trf import (
     least_squares_trf,
     numerical_jacobian,
@@ -10,6 +11,11 @@ from permslab.trf import (
 )
 
 INF = np.inf
+
+
+def gradient(fun, jac, x):
+    """J^T f at x, the gradient of 0.5*|f|^2."""
+    return jac(x).T @ fun(x)
 
 
 def test_linear_unbounded_matches_normal_equations():
@@ -61,16 +67,12 @@ def test_nonlinear_exponential_recovery():
 
 def test_active_lower_bound_solution():
     # unconstrained optimum at x = -1; bound forces x = 0
-    res = least_squares_trf(
-        lambda x: np.array([x[0] + 1.0]),
-        lambda x: np.array([[1.0]]),
-        np.array([0.7]),
-        np.array([0.0]),
-        np.array([INF]),
-    )
+    fun, jac = lambda x: np.array([x[0] + 1.0]), lambda x: np.array([[1.0]])
+    lb, ub = np.array([0.0]), np.array([INF])
+    res = least_squares_trf(fun, jac, np.array([0.7]), lb, ub)
     assert res.converged
     assert res.x[0] == pytest.approx(0.0, abs=1e-9)
-    assert projected_gradient_norm(res.x, res.grad, np.array([0.0]), np.array([INF])) < 1e-9
+    assert projected_gradient_norm(res.x, gradient(fun, jac, res.x), lb, ub) < 1e-9
 
 
 def test_rank_deficient_problem_converges():
@@ -96,16 +98,16 @@ def test_rank_deficient_problem_converges():
     assert res.cost == pytest.approx(cost_best, rel=1e-12)
 
 
-def test_iteration_cap_reports_not_converged():
+def test_iteration_cap_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(trf, "_GTOL", 0.0)
+    monkeypatch.setattr(trf, "_XTOL", 0.0)
+    monkeypatch.setattr(trf, "_MAX_ITER", 2)
     res = least_squares_trf(
         lambda x: np.array([x[0] ** 2 + 1.0, x[0] - 3.0]),
         lambda x: np.array([[2 * x[0]], [1.0]]),
         np.array([50.0]),
         np.array([-INF]),
         np.array([INF]),
-        gtol=0.0,
-        xtol=0.0,
-        max_iter=2,
     )
     assert not res.converged
     assert res.iterations == 2
@@ -131,13 +133,14 @@ def test_one_variable_pinned_the_other_free():
     y = np.array([6.0, 2.0, -1.0])
     lb = np.array([0.0, -INF])
     ub = np.array([1.0, INF])
-    res = least_squares_trf(lambda x: A @ x - y, lambda x: A, np.array([0.2, 0.0]), lb, ub)
+    fun, jac = lambda x: A @ x - y, lambda x: A
+    res = least_squares_trf(fun, jac, np.array([0.2, 0.0]), lb, ub)
     assert res.converged
     assert res.x[0] == 1.0
     # with x0 = 1 fixed, x1 solves the remaining 1-D least squares problem
     x1 = np.dot(A[:, 1], y - A[:, 0]) / np.dot(A[:, 1], A[:, 1])
     assert res.x[1] == pytest.approx(x1, abs=1e-10)
-    assert projected_gradient_norm(res.x, res.grad, lb, ub) < 1e-9
+    assert projected_gradient_norm(res.x, gradient(fun, jac, res.x), lb, ub) < 1e-9
 
 
 def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
@@ -158,16 +161,15 @@ def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
         jac_points.append(x.copy())
         return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
+    def fun(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
     lb = np.array([-5.0, -5.0])
     ub = np.array([0.5, 5.0])
-    res = least_squares_trf(
-        lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-        jac, np.array([-1.2, 1.0]), lb, ub,
-    )
+    res = least_squares_trf(fun, jac, np.array([-1.2, 1.0]), lb, ub)
     assert res.converged
     assert res.x[0] == 0.5
     assert res.x[1] == pytest.approx(0.25, abs=1e-10)
-    assert projected_gradient_norm(res.x, res.grad, lb, ub) < 1e-9
     # x0 is free at first and pinned from some step on; a pinned x0 is
     # decoupled with a unit diagonal and a zero right-hand side, so its
     # step is exactly 0 and x1 solves its own damped equation
@@ -176,6 +178,7 @@ def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
     assert not pinned[0] and pinned[-1] and pinned == sorted(pinned)
     assert all(solve(A, b)[0] == 0.0 for (A, b), p in zip(systems, pinned) if p)
     assert res.iterations > len(jac_points) - 1  # some trial steps were rejected
+    assert projected_gradient_norm(res.x, gradient(fun, jac, res.x), lb, ub) < 1e-9
 
 
 def test_numerical_jacobian_against_analytic():
