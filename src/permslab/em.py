@@ -121,6 +121,32 @@ def _slab_interfaces(eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
     return n, air_face_reflection(n), gr2, cmath.exp(-2j * k_r * geom.thickness)
 
 
+def _bounces(g1r: complex, gr2: complex, rt: complex) -> tuple[complex, complex, complex]:
+    """(Gamma_1r, first, ratio) of ``slab_bounce_terms`` from the interface values."""
+    gr1 = -g1r
+    return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt
+
+
+def _series_sum(g1r: complex, first: complex, ratio: complex) -> complex:
+    """Gamma_1r + first / (1 - ratio), the summed bounce series of ``effective_reflection``."""
+    denom = 1.0 - ratio
+    if abs(denom) < 1e-12:
+        raise DegenerateGeometryError(
+            "internal bounce series does not converge (|1 - ratio| < 1e-12)"
+        )
+    return g1r + first / denom
+
+
+def _slope(n: complex, g: complex, gr2: complex, rt: complex, geom: SlabGeometry,
+           freq: float) -> complex:
+    """dF/d eps of ``effective_reflection_slope`` from the interface values."""
+    u = gr2 * rt
+    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
+    du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
+    dg_dn = -2.0 / (1.0 + n) ** 2
+    return ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
+
+
 def slab_bounce_terms(
     eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
 ) -> tuple[complex, complex, complex]:
@@ -137,8 +163,7 @@ def slab_bounce_terms(
     starts from these same three numbers and so rounds alike.
     """
     _, g1r, gr2, rt = _slab_interfaces(eps_r, geom, freq)
-    gr1 = -g1r
-    return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt
+    return _bounces(g1r, gr2, rt)
 
 
 def effective_reflection_slope(
@@ -151,12 +176,7 @@ def effective_reflection_slope(
     dn/deps = 1/(2n), dg/dn = -2/(1 + n)^2, d rt/dn = -2j k0 d rt and
     dGamma_r2/dn = (1 - Gamma_r2^2)/(2n), which is 0 behind metal.
     """
-    n, g, gr2, rt = _slab_interfaces(eps_r, geom, freq)
-    u = gr2 * rt
-    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
-    du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
-    dg_dn = -2.0 / (1.0 + n) ** 2
-    return ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
+    return _slope(*_slab_interfaces(eps_r, geom, freq), geom, freq)
 
 
 def effective_reflection(
@@ -173,13 +193,19 @@ def effective_reflection(
         DegenerateGeometryError: if the series denominator is within
             1e-12 of zero (lossless mirror resonance, nonphysical).
     """
-    g1r, first, ratio = slab_bounce_terms(eps_r, geom, freq)
-    denom = 1.0 - ratio
-    if abs(denom) < 1e-12:
-        raise DegenerateGeometryError(
-            "internal bounce series does not converge (|1 - ratio| < 1e-12)"
-        )
-    return g1r + first / denom
+    return _series_sum(*slab_bounce_terms(eps_r, geom, freq))
+
+
+def effective_reflection_and_slope(
+    eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
+) -> tuple[complex, complex]:
+    """(effective_reflection, effective_reflection_slope) from one interface evaluation.
+
+    Each value is bit-identical to its own function's, and a degenerate
+    series raises the same DegenerateGeometryError before the slope is formed.
+    """
+    n, g1r, gr2, rt = _slab_interfaces(eps_r, geom, freq)
+    return _series_sum(*_bounces(g1r, gr2, rt)), _slope(n, g1r, gr2, rt, geom, freq)
 
 
 def effective_reflection_truncated(

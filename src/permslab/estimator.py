@@ -38,6 +38,7 @@ from .em import (
     air_face_reflection,
     complex_sqrt_lossy,
     effective_reflection,
+    effective_reflection_and_slope,
     effective_reflection_slope,
 )
 from .errors import (AliasingError, DegenerateDataError, DegenerateRegressionError,
@@ -403,8 +404,12 @@ def fit_ideal(
     |Gamma - F p|^2 = |Gamma - z* p|^2 + M |F - z*|^2 exactly, so each
     solve works on sqrt(M) (F - z*), whose gradient and J^T J are those of
     the full residual; F is holomorphic in a - jb, so dF/da = F' and
-    dF/db = -j F' (``em.effective_reflection_slope``). Starts are ranked,
-    and ``residual_norm`` reported, on the full M-sample residual.
+    dF/db = -j F' (``em.effective_reflection_slope``). Each point the
+    solver tries gets F and F' from one interface pass
+    (``em.effective_reflection_and_slope``); the Jacobian reuses the F' of
+    the last point the residual saw and recomputes it at any other point.
+    Starts are ranked, and ``residual_norm`` reported, on the full
+    M-sample residual.
 
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
     ``step`` is a stage that moves toward the radar.
@@ -431,15 +436,23 @@ def fit_ideal(
     floor_sq = float(np.sum(np.abs(gammas - z * phase) ** 2))  # no (a, b) removes it
     root_m = math.sqrt(gammas.size)
 
+    slopes = {}  # F' at the last point fun saw, keyed by its bytes
+
     def fun(x):
-        d = root_m * (effective_reflection(ComplexPermittivity(x[0], x[1]), geom, freq) - z)
+        face, slope = effective_reflection_and_slope(ComplexPermittivity(*x.tolist()), geom, freq)
+        slopes.clear()
+        slopes[x.tobytes()] = slope
+        d = root_m * (face - z)
         return np.array((d.real, d.imag))
 
     lb = np.array([1.0, 0.0])
     ub = np.array([bounds.a_max, bounds.b_max])
 
     def jac(x):
-        s = root_m * effective_reflection_slope(ComplexPermittivity(x[0], x[1]), geom, freq)
+        slope = slopes.get(x.tobytes())
+        if slope is None:
+            slope = effective_reflection_slope(ComplexPermittivity(*x.tolist()), geom, freq)
+        s = root_m * slope
         return np.array(((s.real, s.imag), (s.imag, -s.real)))  # d/db = -j d/da
 
     runs = [

@@ -14,6 +14,16 @@ finite, doubles lam, then quadruples it, and so on.
 Termination (reported via ``converged``):
   * projected-gradient infinity norm below ``_GTOL``, or
   * step norm below ``_XTOL * (_XTOL + |x|)``.
+
+The problems are tiny (fit_ideal's has n = 2), so numpy's per-call cost
+would outweigh its arithmetic. The elementwise work of a step therefore
+runs on Python floats over range(n): the projected-gradient norm, the
+free mask, the damped matrix, the clip to the box and the step. numpy
+keeps what its rounding decides or a caller sees: the fun and jac
+values, J^T f, J^T J, the dot products f.f, s.s and x.x, the predicted
+reduction and one np.linalg.solve per trial step. The float clip picks
+signed zeros and passes nans as np.minimum(np.maximum(v, lb), ub) does,
+so the iterates are those of the all-numpy loop bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +48,20 @@ class LeastSquaresResult:
     converged: bool
 
 
+def _clip(v, lo, hi):
+    """np.minimum(np.maximum(v, lo), hi) on floats: a nan propagates, a tie keeps the bound."""
+    v = v if v > lo or v != v else lo
+    return v if v < hi or v != v else hi
+
+
 def projected_gradient_norm(x, g, lb, ub) -> float:
-    """Infinity norm of x - P(x - g), the box-projected gradient."""
-    return float(np.abs(x - np.minimum(np.maximum(x - g, lb), ub)).max())
+    """Infinity norm of x - P(x - g), the box-projected gradient; nan if any entry is nan."""
+    norm = 0.0
+    for xi, gi, lo, hi in zip(x, g, lb, ub):
+        d = abs(xi - _clip(xi - gi, lo, hi))
+        if d > norm or d != d:  # a nan stays, as in numpy's max
+            norm = d
+    return float(norm)
 
 
 def least_squares_trf(fun, jac, x0, lb, ub):
@@ -66,14 +87,17 @@ def least_squares_trf(fun, jac, x0, lb, ub):
     J = np.asarray(jac(x), dtype=float)
     cost = 0.5 * float(f @ f)
     g, JtJ = J.T @ f, J.T @ J
-    eye = np.eye(x.size)
     lam = 1e-3 * float(JtJ.diagonal().max())
     growth = 2.0
     converged = False
     iteration = 0
+    # float mirrors of x, g, J^T J and the bounds
+    lo, hi, xs, gs, H = lb.tolist(), ub.tolist(), x.tolist(), g.tolist(), JtJ.tolist()
+    ids = range(x.size)
+    step_floor = _XTOL * (_XTOL + math.sqrt(x @ x))
 
     while True:
-        if projected_gradient_norm(x, g, lb, ub) < _GTOL:
+        if projected_gradient_norm(xs, gs, lo, hi) < _GTOL:
             converged = True
             break
         if iteration >= _MAX_ITER:
@@ -81,15 +105,18 @@ def least_squares_trf(fun, jac, x0, lb, ub):
         iteration += 1
         # a pinned variable's row and column are the identity's and its
         # right-hand side 0, so its step is 0 and the free ones solve
-        # (J^T J + lam I) p = -g among themselves
-        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
-        A = np.where(free & free[:, None], JtJ + lam * eye, eye)
-        p = np.linalg.solve(A, -g * free)
-        x_new = np.minimum(np.maximum(x + p, lb), ub)
-        step = x_new - x
+        # (J^T J + lam I) p = -g among themselves; lam * (i == j) is
+        # lam * eye, a nan off the diagonal once lam overflows
+        free = [not (xs[i] <= lo[i] and gs[i] > 0 or xs[i] >= hi[i] and gs[i] < 0) for i in ids]
+        A = [[H[i][j] + lam * (i == j) if free[i] and free[j] else float(i == j) for j in ids]
+             for i in ids]
+        p = np.linalg.solve(np.array(A), np.array([-gs[i] * free[i] for i in ids])).tolist()
+        xs_new = [_clip(xs[i] + p[i], lo[i], hi[i]) for i in ids]
+        x_new = np.array(xs_new)
+        step = np.array([xs_new[i] - xs[i] for i in ids])
         f_new = np.asarray(fun(x_new), dtype=float)
         cost_new = 0.5 * float(f_new @ f_new)
-        small_step = math.sqrt(step @ step) < _XTOL * (_XTOL + math.sqrt(x @ x))
+        small_step = math.sqrt(step @ step) < step_floor
 
         if cost_new < cost:  # False for a non-finite residual
             # the reduction the linear model predicts for the clipped step;
@@ -98,9 +125,11 @@ def least_squares_trf(fun, jac, x0, lb, ub):
             rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             growth = 2.0
-            x, f, cost = x_new, f_new, cost_new
+            x, xs, f, cost = x_new, xs_new, f_new, cost_new
             J = np.asarray(jac(x), dtype=float)
             g, JtJ = J.T @ f, J.T @ J
+            gs, H = g.tolist(), JtJ.tolist()
+            step_floor = _XTOL * (_XTOL + math.sqrt(x @ x))
         else:
             lam *= growth
             growth *= 2.0

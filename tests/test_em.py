@@ -19,7 +19,7 @@ from permslab import (
     fraunhofer_distance,
     fresnel_normal,
 )
-from permslab.em import effective_reflection_slope
+from permslab.em import effective_reflection_and_slope, effective_reflection_slope
 from permslab.errors import DegenerateGeometryError
 
 
@@ -176,6 +176,30 @@ class TestEffectiveReflection:
         geom = SlabGeometry(d, 0.25, backing=METAL)
         with pytest.raises(DegenerateGeometryError):
             effective_reflection(ComplexPermittivity(a, 0.0), geom, 79e9)
+
+
+def same_bits(u, v):
+    return (u.real.hex(), u.imag.hex()) == (v.real.hex(), v.imag.hex())
+
+
+@pytest.mark.parametrize("backing", [METAL, AIR, ComplexPermittivity(4.0, 0.4)])
+@pytest.mark.parametrize("thickness", [5e-4, 2e-3, 1e-2, 0.1])
+def test_reflection_and_slope_match_their_own_functions_bit_for_bit(backing, thickness):
+    geom = SlabGeometry(thickness, 0.25, backing)
+    for a, b in itertools.product((1.0, 1.5, 2.5, 7.0, 12.48, 60.0), (0.0, 0.01, 0.467, 40.0)):
+        eps = ComplexPermittivity(a, b)
+        face, slope = effective_reflection_and_slope(eps, geom, 79e9)
+        assert same_bits(face, effective_reflection(eps, geom, 79e9)), (a, b)
+        assert same_bits(slope, effective_reflection_slope(eps, geom, 79e9)), (a, b)
+
+
+def test_reflection_and_slope_keep_the_resonance_guard():
+    # the inputs of TestEffectiveReflection.test_resonance_guard
+    a = 1e32
+    k0 = 2 * math.pi * 79e9 / SPEED_OF_LIGHT
+    geom = SlabGeometry(math.pi / (2 * k0 * math.sqrt(a)), 0.25, backing=METAL)
+    with pytest.raises(DegenerateGeometryError, match="does not converge"):
+        effective_reflection_and_slope(ComplexPermittivity(a, 0.0), geom, 79e9)
 
 
 def unchecked_permittivity(a, b):

@@ -1,9 +1,13 @@
 """Bounded Levenberg-Marquardt least-squares solver on known problems."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from permslab import trf
+from permslab import METAL, SPEED_OF_LIGHT, ComplexPermittivity, SlabGeometry, effective_reflection
+from permslab import estimator, fit_ideal, trf
 from permslab.trf import (
     least_squares_trf,
     numerical_jacobian,
@@ -211,3 +215,240 @@ def test_numerical_jacobian_one_sided_at_upper_bound():
     x = np.array([1.0])
     J = numerical_jacobian(fun, x, np.array([-INF]), np.array([1.0]))
     assert J[0, 0] == pytest.approx(2.0, abs=1e-5)  # backward difference 2 - h
+
+
+def reference_projected_gradient_norm(x, g, lb, ub) -> float:
+    """The all-numpy projected-gradient norm the solver's float loop must reproduce."""
+    return float(np.abs(x - np.minimum(np.maximum(x - g, lb), ub)).max())
+
+
+def reference_least_squares_trf(fun, jac, x0, lb, ub):
+    """The all-numpy loop the float loop of trf replaced, kept as its bit-for-bit oracle."""
+    lb = np.asarray(lb, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    f = np.asarray(fun(x), dtype=float)
+    J = np.asarray(jac(x), dtype=float)
+    cost = 0.5 * float(f @ f)
+    g, JtJ = J.T @ f, J.T @ J
+    eye = np.eye(x.size)
+    lam = 1e-3 * float(JtJ.diagonal().max())
+    growth = 2.0
+    converged = False
+    iteration = 0
+
+    while True:
+        if reference_projected_gradient_norm(x, g, lb, ub) < trf._GTOL:
+            converged = True
+            break
+        if iteration >= trf._MAX_ITER:
+            break
+        iteration += 1
+        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        A = np.where(free & free[:, None], JtJ + lam * eye, eye)
+        p = np.linalg.solve(A, -g * free)
+        x_new = np.minimum(np.maximum(x + p, lb), ub)
+        step = x_new - x
+        f_new = np.asarray(fun(x_new), dtype=float)
+        cost_new = 0.5 * float(f_new @ f_new)
+        small_step = math.sqrt(step @ step) < trf._XTOL * (trf._XTOL + math.sqrt(x @ x))
+
+        if cost_new < cost:  # False for a non-finite residual
+            predicted = -float(g @ step + 0.5 * (step @ JtJ @ step))
+            rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            growth = 2.0
+            x, f, cost = x_new, f_new, cost_new
+            J = np.asarray(jac(x), dtype=float)
+            g, JtJ = J.T @ f, J.T @ J
+        else:
+            lam *= growth
+            growth *= 2.0
+
+        if small_step:
+            converged = True
+            break
+
+    return trf.LeastSquaresResult(x=x, cost=cost, iterations=iteration, converged=converged)
+
+
+def assert_same_result(res, ref):
+    assert isinstance(res.x, np.ndarray)
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert float(res.cost).hex() == float(ref.cost).hex()
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+
+
+def _exponential():
+    t = np.linspace(0.0, 2.0, 25)
+    y = 2.0 * np.exp(-1.3 * t)
+
+    def fun(x):
+        return x[0] * np.exp(-x[1] * t) - y
+
+    def jac(x):
+        return np.column_stack([np.exp(-x[1] * t), -x[0] * t * np.exp(-x[1] * t)])
+
+    return fun, jac, np.array([1.0, 0.1]), np.array([0.0, 0.0]), np.array([10.0, 10.0])
+
+
+def _rosenbrock_pinned():
+    def fun(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def jac(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    return fun, jac, np.array([-1.2, 1.0]), np.array([-5.0, -5.0]), np.array([0.5, 5.0])
+
+
+def _linear(seed, rank_one):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((20, 3))
+    if rank_one:
+        A = np.column_stack([A[:, 0], A[:, 0]])
+    y = rng.standard_normal(20)
+    n = A.shape[1]
+    return (lambda x: A @ x - y, lambda x: A, np.zeros(n),
+            np.full(n, -INF), np.full(n, INF))
+
+
+def _coupled_pinned():
+    A = np.array([[2.0, 0.5], [0.5, 1.0], [0.0, 1.0]])
+    y = np.array([6.0, 2.0, -1.0])
+    return (lambda x: A @ x - y, lambda x: A, np.array([0.2, 0.0]),
+            np.array([0.0, -INF]), np.array([1.0, INF]))
+
+
+def _numerical_exponential():
+    fun, _, x0, lb, ub = _exponential()
+    return fun, lambda x: numerical_jacobian(fun, x, lb, ub), x0, lb, ub
+
+
+# every problem the tests above solve, plus the finite-difference Jacobian path
+PROBLEMS = {
+    "linear": lambda: _linear(1, rank_one=False),
+    "projection": lambda: (lambda x: x - np.array([5.0, -3.0, 0.4]), lambda x: np.eye(3),
+                           np.array([0.5, 0.5, 0.5]), np.zeros(3), np.ones(3)),
+    "exponential": _exponential,
+    "active_lower_bound": lambda: (lambda x: np.array([x[0] + 1.0]), lambda x: np.array([[1.0]]),
+                                   np.array([0.7]), np.array([0.0]), np.array([INF])),
+    "rank_deficient": lambda: _linear(2, rank_one=True),
+    "start_pinned": lambda: (lambda x: np.array([x[0] + 1.0]), lambda x: np.array([[1.0]]),
+                             np.array([0.0]), np.array([0.0]), np.array([INF])),
+    "one_pinned_one_free": _coupled_pinned,
+    "rosenbrock_pinned": _rosenbrock_pinned,
+    "numerical_jacobian": _numerical_exponential,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_float_loop_matches_numpy_loop_bit_for_bit(name):
+    fun, jac, x0, lb, ub = PROBLEMS[name]()
+    assert_same_result(least_squares_trf(fun, jac, x0, lb, ub),
+                       reference_least_squares_trf(fun, jac, x0, lb, ub))
+
+
+def test_float_loop_matches_numpy_loop_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(trf, "_GTOL", 0.0)
+    monkeypatch.setattr(trf, "_XTOL", 0.0)
+    monkeypatch.setattr(trf, "_MAX_ITER", 2)
+    problem = (lambda x: np.array([x[0] ** 2 + 1.0, x[0] - 3.0]),
+               lambda x: np.array([[2 * x[0]], [1.0]]),
+               np.array([50.0]), np.array([-INF]), np.array([INF]))
+    res = least_squares_trf(*problem)
+    assert not res.converged
+    assert_same_result(res, reference_least_squares_trf(*problem))
+
+
+@pytest.mark.parametrize("backing", [METAL, ComplexPermittivity(4.0, 0.4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_ideal_starts_match_numpy_loop_bit_for_bit(monkeypatch, backing, seed):
+    # fit_ideal's reduced residual sqrt(M) (F - z*) from every auto start, on a
+    # seeded noisy 1-5 mm sweep at a Fig. 5 truth
+    rng = np.random.default_rng(seed)
+    geom = SlabGeometry(float(rng.uniform(1e-3, 5e-3)), 0.25, backing)
+    truth = ComplexPermittivity(*((2.0, 0.1), (3.0, 0.15), (7.0, 0.3))[seed])
+    m = np.arange(40)
+    phase = np.exp(2j * (2.0 * np.pi * 79e9 / SPEED_OF_LIGHT) * (0.25 + m * 1e-4))
+    noise = (1.0 + 5e-4 * rng.standard_normal(40)) * np.exp(0.014j * rng.standard_normal(40))
+    gammas = effective_reflection(truth, geom, 79e9) * phase * noise
+    x0s = []
+    solve = estimator.least_squares_trf
+
+    def checked_solve(fun, jac, x0, lb, ub):
+        ref = reference_least_squares_trf(fun, jac, x0, lb, ub)
+        res = solve(fun, jac, x0, lb, ub)
+        assert_same_result(res, ref)
+        # jac gives the same J whatever point fun saw last
+        at_x0 = jac(x0)
+        fun(np.array([2.0, 0.2]))
+        assert jac(x0).tobytes() == at_x0.tobytes()
+        fun(x0)
+        assert jac(x0).tobytes() == at_x0.tobytes()
+        x0s.append(tuple(x0))
+        return res
+
+    monkeypatch.setattr(estimator, "least_squares_trf", checked_solve)
+    fit_ideal(gammas, geom, 1e-4, 79e9)
+    assert x0s == list(estimator.AUTO_STARTS)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trial_is_rejected_and_damping_grows(monkeypatch, bad):
+    # f = 1/(2 - x) - 1 is 0 at x = 1; the nearly undamped step from 0 lands
+    # near x = 2, and from x = 1.5 on fun returns a non-finite residual
+    systems = []
+    solve = np.linalg.solve
+
+    def recording_solve(A, b):
+        systems.append((A.copy(), b.copy()))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    trials, jac_points = [], []
+
+    def fun(x):
+        trials.append(float(x[0]))
+        return np.array([1.0 / (2.0 - x[0]) - 1.0 if x[0] < 1.5 else bad])
+
+    def jac(x):
+        jac_points.append(float(x[0]))
+        return np.array([[1.0 / (2.0 - x[0]) ** 2]])
+
+    res = least_squares_trf(fun, jac, np.array([0.0]), np.array([-INF]), np.array([INF]))
+    assert trials[1] >= 1.5  # the first trial step went past the finite region
+    # no non-finite point is ever accepted: jac runs only at accepted points
+    assert all(x < 1.5 for x in jac_points) and np.isfinite(res.cost)
+    # the rejected trials reuse their point's J^T J and right-hand side with a growing lam
+    rejected = [i for i, x in enumerate(trials[1:]) if x >= 1.5]
+    assert rejected == list(range(len(rejected))) and len(rejected) >= 2
+    diagonals = [A[0, 0] for A, _ in systems[: len(rejected) + 1]]
+    assert diagonals == sorted(set(diagonals))
+    assert len({b.tobytes() for _, b in systems[: len(rejected) + 1]}) == 1
+    assert res.converged
+    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert_same_result(res, reference_least_squares_trf(
+        fun, jac, np.array([0.0]), np.array([-INF]), np.array([INF])))
+
+
+SPECIALS = (-INF, -1.5, -0.0, 0.0, 2.0, INF, np.nan)
+
+
+def test_float_clip_picks_numpy_zeros_and_nans():
+    # np.maximum and np.minimum return the second operand on a tie, so a
+    # signed zero comes from the bound, and pass a nan from either side
+    for v, lo, hi in itertools.product(SPECIALS, repeat=3):
+        expected = np.minimum(np.maximum(np.array([v]), lo), hi)[0]
+        assert np.array([trf._clip(v, lo, hi)]).tobytes() == np.array([expected]).tobytes()
+
+
+@np.errstate(invalid="ignore")  # inf - inf
+def test_projected_gradient_norm_matches_numpy_on_special_values():
+    for x, g in itertools.product(itertools.product(SPECIALS, repeat=2), repeat=2):
+        x, g = np.array(x), np.array(g)
+        lb, ub = np.array([-1.5, 0.0]), np.array([2.0, INF])
+        got = projected_gradient_norm(x, g, lb, ub)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.array(
+            [reference_projected_gradient_norm(x, g, lb, ub)]).tobytes()
