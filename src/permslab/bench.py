@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .em import ComplexPermittivity
-from .estimator import AUTO_STARTS, FitBounds, SdiDataset, _fit_rows
-from .synth import NoiseModel, _noisy_sweeps
+from .estimator import AUTO_STARTS, FitBounds, _fit_rows, step_phase_advance
+from .synth import NoiseModel, _noisy_sweeps, _pcg64_seeding
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,14 @@ def run_sweep(
 ) -> BenchReport:
     """Fit ``trials`` seeded noisy sweeps per truth and aggregate errors.
 
-    Each trial draws its own phase offset uniformly from [-pi, pi) and
-    derives its dataset seed from (noise.seed, truth index, trial
-    index), so reports are bit-reproducible for identical inputs. The
-    trials of a call are generated and fitted as one stack (in passes
-    of at most 65536 samples).
+    Trial k of truth ti takes the phase offset
+    ``default_rng(SeedSequence((noise.seed, ti, k))).uniform(-pi, pi)``
+    and the dataset seed ``generate_state(1)[0]`` of that sequence; both
+    are computed on Python ints from the sequence's pool by
+    ``synth._pcg64_seeding``, which a test pins to numpy. Reports are
+    therefore bit-reproducible for identical inputs on one install
+    (see README "Reproducibility"). The trials of a call are generated
+    and fitted as one stack (in passes of at most 65536 samples).
 
     Args:
         start_policy: "truth" seeds each fit at the generating
@@ -121,23 +124,27 @@ def run_sweep(
     if start_policy not in ("truth", "auto"):
         raise ValueError(f"unknown start policy {start_policy!r}")
 
+    # SeedSequence((noise.seed, ti, k)) reads each integer as its 32-bit words, low first
+    seed = noise.seed
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array([[*words, ti, k] for ti in range(len(truths)) for k in range(trials)],
+                       dtype=np.uint32)
     rows = []
-    for ti, truth in enumerate(truths):
-        for k in range(trials):
-            seed_seq = np.random.SeedSequence((noise.seed, ti, k))
-            phase_offset = float(np.random.default_rng(seed_seq).uniform(-math.pi, math.pi))
-            rows.append((truth, phase_offset, int(seed_seq.generate_state(1)[0])))
+    for t, row in enumerate(entropy):
+        # default_rng(sequence).uniform(-pi, pi), and generate_state(1)[0] as the row's seed
+        _, _, trial_seed, unit = _pcg64_seeding(row)
+        rows.append((truths[t // trials], -math.pi + (math.pi - -math.pi) * unit, trial_seed))
     anchors = [AUTO_STARTS[0] if start_policy == "auto"
                else (float(truth.real_part), float(truth.imag_part)) for truth, _, _ in rows]
     fits = []
+    c1 = step_phase_advance(carrier, step)
     per_pass = max(1, _STACK_SAMPLES // max(m_count, 1))
     for lo in range(0, len(rows), per_pass):
+        # _noisy_sweeps checks the count, the step and the carrier; overflowing noise shows here
         gammas = _noisy_sweeps(rows[lo : lo + per_pass], m_count, step, carrier, noise)
-        # generate_dataset's checks: all on the first row, then the one rows can fail alone
-        first = SdiDataset(gammas[0], step, carrier)
         if not np.all(np.isfinite(gammas)):
             raise ValueError("reflection samples must be finite")
-        fits += _fit_rows(gammas, first.step_phase, anchors[lo : lo + per_pass], bounds)
+        fits += _fit_rows(gammas, c1, anchors[lo : lo + per_pass], bounds)
     records = []
     for row, fit in zip(rows, fits):
         if isinstance(fit, Exception):

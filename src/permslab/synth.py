@@ -8,9 +8,13 @@ chain (DFT, peak pick, calibration ratio) can be exercised. At zero
 noise the two routes agree to float precision when the chirp keeps the
 range-window term constant over the sweep (see ``benchmark_chirp``).
 
-Randomness comes from numpy's default PCG64 generator seeded per
-NoiseModel, so identical seeds reproduce identical datasets on any
-platform.
+Randomness comes from numpy's PCG64 generator, seeded per sweep as
+``default_rng(seed)`` would seed it, so identical seeds reproduce
+identical datasets. The stacked generator behind ``run_sweep`` re-seeds
+one PCG64 for each row with a state that ``_pcg64_seeding`` computes
+on Python ints from numpy's ``SeedSequence`` pool; a test pins it to
+numpy's API. Seeds are integer-defined; see README "Reproducibility"
+for what is not shown to be bit-identical across platforms.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import SPEED_OF_LIGHT, ComplexPermittivity, SlabGeometry, fraunhofer_distance
-from .estimator import SdiDataset, front_face_reflection, step_phase_advance
+from .estimator import SdiDataset, check_step, front_face_reflection, step_phase_advance
 from .fmcw import (
     ChirpConfig,
     IfTrace,
@@ -67,6 +71,7 @@ class NoiseModel:
             raise ValueError("noise sigmas must be >= 0")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))  # to_dict writes it as JSON
 
     @classmethod
     def quiet(cls, seed: int = 0) -> "NoiseModel":
@@ -101,23 +106,63 @@ def _noisy_sweeps(rows, m_count: int, step: float, carrier: float, noise: NoiseM
 
     Row t draws its amplitude, then its phase noise from a PCG64 generator
     seeded with its own seed; ``noise`` gives the sigmas and the drift.
+    Noise products that overflow come out non-finite, for the callers' checks.
     """
     if m_count < 3:  # SdiDataset's minimum, before a negative count reaches numpy
         raise ValueError("need at least 3 reflection samples")
     if not all(map(math.isfinite, (step, carrier, *(c for _, c, _ in rows)))):  # before numpy
         raise ValueError("step, carrier and phase offset must be finite")
+    check_step(step, carrier)
     amp_noise, phase_noise = np.empty((2, len(rows), m_count))
+    # one generator per call, seeded as default_rng(seed) and re-seeded for each later row
+    bit_gen = np.random.PCG64(rows[0][2])
+    rng = np.random.Generator(bit_gen)
     for t, (_, _, seed) in enumerate(rows):
-        rng = np.random.default_rng(seed)
+        if t:
+            state, inc, _, _ = _pcg64_seeding(seed)
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=amp_noise[t])
         rng.standard_normal(out=phase_noise[t])
     c1 = step_phase_advance(carrier, step)
     faces = np.array([front_face_reflection(tr.real_part, tr.imag_part) for tr, _, _ in rows])
     theta = np.array([c for _, c, _ in rows]).reshape(-1, 1) - c1 * np.arange(m_count)
     clean = faces.reshape(-1, 1) * np.exp(1j * theta)
-    drift = _drift_profile(noise.amplitude_drift_rel, m_count)
-    amp = 1.0 + drift + noise.amplitude_rel_sigma * amp_noise
-    return clean * amp * np.exp(1j * (noise.phase_sigma * phase_noise))
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = _drift_profile(noise.amplitude_drift_rel, m_count)
+        amp = 1.0 + drift + noise.amplitude_rel_sigma * amp_noise
+        return clean * amp * np.exp(1j * (noise.phase_sigma * phase_noise))
+
+
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _pcg64_seeding(entropy) -> tuple[int, int, int, float]:
+    """``PCG64(SeedSequence(entropy))`` computed on Python ints after numpy's pool mixing.
+
+    Returns the seeded PCG64 ``(state, inc)``, the sequence's
+    ``generate_state(1)[0]`` and the generator's first double in [0, 1), the
+    one ``Generator.uniform`` scales. ``generate_state``'s hash, PCG64's
+    seeding and its XSL-RR output are fixed integer algorithms (NumPy NEP 19;
+    O'Neill, HMC-CS-2014-0905); the tests pin this helper to numpy's own API.
+    """
+    pool = np.random.SeedSequence(entropy).pool.tolist()
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):  # generate_state(4, np.uint64) as uint32 words
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & 0xFFFFFFFF
+        value = value * hash_const & 0xFFFFFFFF
+        words.append(value ^ value >> 16)
+    w0, w1, w2, w3, w4, w5, w6, w7 = words
+    # its uint64s are little-endian word pairs; PCG64 seeds from (u64[0]:u64[1], u64[2]:u64[3])
+    init = w1 << 96 | w0 << 64 | w3 << 32 | w2
+    inc = ((w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128
+    state = ((inc + init) * _PCG64_MULT + inc) & _MASK128
+    after = (state * _PCG64_MULT + inc) & _MASK128
+    rot, xored = after >> 122, (after >> 64 ^ after) & _MASK64
+    output = (xored >> rot | xored << (64 - rot)) & _MASK64
+    return state, inc, w0, (output >> 11) * 2.0**-53
 
 
 def benchmark_chirp() -> ChirpConfig:
@@ -127,9 +172,11 @@ def benchmark_chirp() -> ChirpConfig:
     range-window factor is the same for every stepped position to well
     below 1e-6; the stepped-calibration identity between the raw-IF
     route and the direct sweep model then holds to float precision.
-    Wideband chirps add a slow phase drift of order B/(2 f0) per step
-    (the start-to-phase-center frequency correction), which is a
-    modeled physical effect, not part of the identity being checked.
+    With a wideband chirp the metal tone moves within its peak bin as
+    the plate steps, so extraction at the integer bin ramps the
+    calibrated amplitude and phase and biases ``|z*|`` by a few percent;
+    moving the carrier to the chirp's phase centre does not remove
+    this (README "Synthetic raw-IF benchmarks").
     """
     return ChirpConfig(
         start_frequency=79e9,
@@ -181,14 +228,15 @@ def generate_if_datasets(
             )
     # per trace, material then metal 0..M-1: an amplitude, then a phase draw
     amp, phase = np.random.default_rng(noise.seed).standard_normal((1 + m_count, 2)).T
-    gains = (1.0 + noise.amplitude_rel_sigma * amp) * np.exp(1j * noise.phase_sigma * phase)
-    mut_echoes = synth_slab_echoes(truth, geom, cfg, bounce_count)
-    mut_trace = IfTrace(synth_if_trace(cfg, mut_echoes).samples * gains[0])
+    mut = synth_if_trace(cfg, synth_slab_echoes(truth, geom, cfg, bounce_count)).samples
     delays = 2.0 * (geom.standoff + np.arange(m_count) * step) / SPEED_OF_LIGHT
     metal = _if_tones(cfg, [-1.0 + 0.0j] * m_count, delays)
-    metal *= (1.0 - _drift_profile(noise.amplitude_drift_rel, m_count))[:, None]
-    metal *= gains[1:, None]
-    return mut_trace, [IfTrace(row) for row in metal]
+    with np.errstate(over="ignore", invalid="ignore"):  # IfTrace refuses what overflows
+        gains = (1.0 + noise.amplitude_rel_sigma * amp) * np.exp(1j * noise.phase_sigma * phase)
+        mut = mut * gains[0]
+        metal *= (1.0 - _drift_profile(noise.amplitude_drift_rel, m_count))[:, None]
+        metal *= gains[1:, None]
+    return IfTrace(mut), [IfTrace(row) for row in metal]
 
 
 def extract_sweep(

@@ -126,7 +126,7 @@ def test_stacked_sweep_matches_per_trial_loop(start_policy, quiet, bounds):
     # 1 - j0 is degenerate; under FitBounds(1.5, 1e-3) most rows take the
     # r_max corner, and 1.2 - j0.0005 keeps some rows inside the box
     truths = FIG5_TRUTHS + [ComplexPermittivity(1.0, 0.0), ComplexPermittivity(1.2, 5e-4)]
-    for seed in (1, 7, 4242):
+    for seed in (1, 7, 4242, 0, 2**32 - 1, 2**32, 2**64 + 1, 2**200 + 3, np.uint64(2**63)):
         noise = NoiseModel.quiet(seed) if quiet else NoiseModel(seed=seed)
         for m_count in (3, 40):
             args = (truths, noise, 4, m_count, 1e-4, 79e9, bounds, start_policy)

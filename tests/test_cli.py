@@ -483,6 +483,11 @@ class TestReport:
       "--samples", "2", "--sample-interval-s", "1e-301"],
      "chirp slope 1e+308 / 1e-300 overflows"),
     (["simulate", "--mode", "raw-if", "--bounces", "0"], "bounce count q must be >= 1, got 0"),
+    # finite input whose per-step phase or noise products overflow
+    (["simulate", "--step-m", "1e300"], "per-step phase advance inf rad >= pi"),
+    (["report", "--trials", "2", "--amp-sigma", "1e308"], "reflection samples must be finite"),
+    (["simulate", "--mode", "raw-if", "--drift", "1e308", "--steps", "5"],
+     "IF samples must be finite"),
 ])
 def test_non_finite_input_invalid(args, message, tmp_path, capsys):
     out = tmp_path / "out"

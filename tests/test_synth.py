@@ -32,9 +32,12 @@ from permslab import (
     synth_slab_echoes,
 )
 from permslab.em import AIR
-from permslab.errors import AllZeroSpectrumError, CalibrationError
+from permslab.errors import AliasingError, AllZeroSpectrumError, CalibrationError
+from permslab.synth import _pcg64_seeding
 
 TRUTH = ComplexPermittivity(2.60, 0.1)
+# seeds of one, two, three and seven 32-bit words, and a numpy integer
+BIG_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 1, 2**200 + 3, np.uint64(2**63))
 GEOM = SlabGeometry(thickness=0.02, standoff=0.25, backing=METAL)
 
 
@@ -72,7 +75,7 @@ class TestGenerateDataset:
         # generate_dataset is one row of the stacked generator run_sweep uses;
         # that row must equal the sweep formula evaluated for one sweep alone
         for i, noise in enumerate([NoiseModel(seed=5), NoiseModel(2e-2, 0.3, 0.05, 6),
-                                   NoiseModel.quiet(7)]):
+                                   NoiseModel.quiet(7), *(NoiseModel(seed=s) for s in BIG_SEEDS)]):
             c = -2.5 + i
             rng = np.random.default_rng(noise.seed)
             m = np.arange(m_count)
@@ -98,6 +101,17 @@ class TestGenerateDataset:
         got = generate_dataset(TRUTH, 0.4, 40, 1e-4, 79e9, NoiseModel(seed=seed))
         expected = generate_dataset(TRUTH, 0.4, 40, 1e-4, 79e9, NoiseModel(seed=7))
         assert np.array_equal(got.gammas, expected.gammas)
+
+    @pytest.mark.parametrize("step, noise, error, message", [
+        (1e300, NoiseModel(seed=1), AliasingError, "per-step phase advance"),
+        (1e-4, NoiseModel(0.0, 0.0, 1e308, 1), ValueError, "reflection samples must be finite"),
+        (1e-4, NoiseModel(1e308, 0.0, 0.0, 1), ValueError, "reflection samples must be finite"),
+    ])
+    def test_overflow_raises_documented_error(self, step, noise, error, message):
+        # the step is checked before any numpy, and noise products that overflow
+        # reach the finiteness check without a numpy warning
+        with pytest.raises(error, match=message):
+            generate_dataset(TRUTH, 0.3, 40, step, 79e9, noise)
 
     @pytest.mark.parametrize("field", ["amplitude_rel_sigma", "phase_sigma",
                                        "amplitude_drift_rel"])
@@ -179,6 +193,11 @@ class TestGenerateIfDatasets:
         tau = 2.0 * GEOM.standoff / SPEED_OF_LIGHT
         undrifted = synth_if_trace(benchmark_chirp(), [EchoComponent(-1.0 + 0.0j, tau)])
         assert np.array_equal(metal[0].samples, undrifted.samples)
+
+    def test_overflowing_drift_raises_documented_error(self):
+        with pytest.raises(ValueError, match="IF samples must be finite"):
+            generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 5, 1e-4,
+                                 NoiseModel(0.0, 0.0, 1e308, 1))
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match="at least one metal position"):
@@ -286,3 +305,33 @@ class TestGenerateIfDatasets:
         )
         spec = dft(metal[0])
         assert peak_bin(spec) == 0  # narrowband chirp beats near DC
+
+
+class TestPcg64Seeding:
+    """_pcg64_seeding against numpy's own SeedSequence, PCG64 and Generator."""
+
+    @staticmethod
+    def entropies():
+        rng = np.random.default_rng(2024)
+        for i in range(200):  # seeds of 1 to 4 words, with a truth and a trial index
+            seed = sum(int(w) << 32 * j for j, w in enumerate(rng.integers(2**32, size=1 + i % 4)))
+            yield seed, int(rng.integers(3)), int(rng.integers(300))
+        for seed in BIG_SEEDS:
+            yield seed, 0, 1
+            yield seed
+
+    def test_matches_numpy(self):
+        for entropy in self.entropies():
+            seq = np.random.SeedSequence(entropy)
+            if isinstance(entropy, tuple):  # as run_sweep builds it: the 32-bit words, low first
+                seed, ti, k = int(entropy[0]), *entropy[1:]
+                words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+                row = np.array([*words, ti, k], dtype=np.uint32)
+                assert np.array_equal(np.random.SeedSequence(row).pool, seq.pool)
+            else:
+                row = entropy
+            state, inc, word, unit = _pcg64_seeding(row)
+            assert np.random.PCG64(seq).state["state"] == {"state": state, "inc": inc}
+            assert word == seq.generate_state(1)[0]
+            offset = -math.pi + (math.pi - -math.pi) * unit
+            assert offset == np.random.default_rng(seq).uniform(-math.pi, math.pi)
