@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=int, default=64)
     sim.add_argument("--sample-interval-s", type=float, default=2e-6)
     sim.add_argument("--amplitude", type=float, default=1.0)
-    sim.add_argument("--bounces", type=int, default=1)
+    sim.add_argument("--bounces", type=int, default=1,
+                     help="raw-if slab echoes; only 1 matches the slab model (README)")
     sim.add_argument("--aperture-m", type=float, default=0.015,
                      help="antenna size for the far-field warning; 0 disables")
     sim.add_argument("--out", required=True)

@@ -2,7 +2,8 @@
 
 Covers the loss-branch complex square root, Fresnel coefficients, the
 multi-bounce effective reflection coefficient of a backed slab (closed
-form and truncated series), and the Fraunhofer far-field distance.
+form with its slope in eps, and truncated series), and the Fraunhofer
+far-field distance.
 
 Conventions: relative permittivity eps = eps' - j*eps'' with eps' >= 1
 and eps'' >= 0 (passive, non-magnetic media), time factor e^{+jwt}, so
@@ -127,26 +128,6 @@ def _bounces(g1r: complex, gr2: complex, rt: complex) -> tuple[complex, complex,
     return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt
 
 
-def _series_sum(g1r: complex, first: complex, ratio: complex) -> complex:
-    """Gamma_1r + first / (1 - ratio), the summed bounce series of ``effective_reflection``."""
-    denom = 1.0 - ratio
-    if abs(denom) < 1e-12:
-        raise DegenerateGeometryError(
-            "internal bounce series does not converge (|1 - ratio| < 1e-12)"
-        )
-    return g1r + first / denom
-
-
-def _slope(n: complex, g: complex, gr2: complex, rt: complex, geom: SlabGeometry,
-           freq: float) -> complex:
-    """dF/d eps of ``effective_reflection_slope`` from the interface values."""
-    u = gr2 * rt
-    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
-    du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
-    dg_dn = -2.0 / (1.0 + n) ** 2
-    return ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
-
-
 def slab_bounce_terms(
     eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
 ) -> tuple[complex, complex, complex]:
@@ -166,46 +147,46 @@ def slab_bounce_terms(
     return _bounces(g1r, gr2, rt)
 
 
-def effective_reflection_slope(
-    eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
-) -> complex:
-    """dF/d eps of F = effective_reflection, holomorphic in eps = a - jb.
-
-    With g = Gamma_1r and u = Gamma_r2*rt, F = (g + u) / (1 + g u), so
-    dF = ((1 - u^2) dg + (1 - g^2) du) / (1 + g u)^2, chained through
-    dn/deps = 1/(2n), dg/dn = -2/(1 + n)^2, d rt/dn = -2j k0 d rt and
-    dGamma_r2/dn = (1 - Gamma_r2^2)/(2n), which is 0 behind metal.
-    """
-    return _slope(*_slab_interfaces(eps_r, geom, freq), geom, freq)
-
-
 def effective_reflection(
     eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
 ) -> complex:
-    """Total front-face reflection of a backed slab, all bounces summed.
-
-    Closed form of the internal-bounce geometric series:
-
-        Gamma_1r + T_r1*Gamma_r2*T_1r*e^{-j2k_r d}
-                   / (1 - Gamma_r1*Gamma_r2*e^{-j2k_r d})
-
-    Raises:
-        DegenerateGeometryError: if the series denominator is within
-            1e-12 of zero (lossless mirror resonance, nonphysical).
-    """
-    return _series_sum(*slab_bounce_terms(eps_r, geom, freq))
+    """Total front-face reflection of a backed slab: F of ``effective_reflection_and_slope``."""
+    return effective_reflection_and_slope(eps_r, geom, freq)[0]
 
 
 def effective_reflection_and_slope(
     eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
 ) -> tuple[complex, complex]:
-    """(effective_reflection, effective_reflection_slope) from one interface evaluation.
+    """F, the front-face reflection of a backed slab with all bounces summed, and dF/d eps.
 
-    Each value is bit-identical to its own function's, and a degenerate
-    series raises the same DegenerateGeometryError before the slope is formed.
+    F is the closed form of the internal-bounce geometric series:
+
+        Gamma_1r + T_r1*Gamma_r2*T_1r*e^{-j2k_r d}
+                   / (1 - Gamma_r1*Gamma_r2*e^{-j2k_r d})
+
+    F is holomorphic in eps = a - jb. With g = Gamma_1r and
+    u = Gamma_r2*rt, F = (g + u) / (1 + g u), so
+    dF = ((1 - u^2) dg + (1 - g^2) du) / (1 + g u)^2, chained through
+    dn/deps = 1/(2n), dg/dn = -2/(1 + n)^2, d rt/dn = -2j k0 d rt and
+    dGamma_r2/dn = (1 - Gamma_r2^2)/(2n), which is 0 behind metal.
+
+    Raises:
+        DegenerateGeometryError: if the series denominator is within
+            1e-12 of zero (lossless mirror resonance, nonphysical).
     """
-    n, g1r, gr2, rt = _slab_interfaces(eps_r, geom, freq)
-    return _series_sum(*_bounces(g1r, gr2, rt)), _slope(n, g1r, gr2, rt, geom, freq)
+    n, g, gr2, rt = _slab_interfaces(eps_r, geom, freq)
+    _, first, ratio = _bounces(g, gr2, rt)
+    denom = 1.0 - ratio
+    if abs(denom) < 1e-12:
+        raise DegenerateGeometryError(
+            "internal bounce series does not converge (|1 - ratio| < 1e-12)"
+        )
+    u = gr2 * rt
+    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
+    du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
+    dg_dn = -2.0 / (1.0 + n) ** 2
+    slope = ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
+    return g + first / denom, slope
 
 
 def effective_reflection_truncated(

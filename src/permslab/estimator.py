@@ -37,9 +37,7 @@ from .em import (
     SlabGeometry,
     air_face_reflection,
     complex_sqrt_lossy,
-    effective_reflection,
     effective_reflection_and_slope,
-    effective_reflection_slope,
 )
 from .errors import (AliasingError, DegenerateDataError, DegenerateRegressionError,
                      InfeasibleFitError, NoConvergenceError)
@@ -220,8 +218,10 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     stationary point of |s^2 - eps0|^2 or end of a feasible arc: a root of
     the stationary quartic in w, one of ``_box_ends``, or a root of the
     b = b_max quartic, ties to the first. Both quartics (below divided by
-    R^2) of all rhos are one stack. A rho with none of these points in the
-    box, or whose quartics overflow, gets an InfeasibleFitError.
+    R^2) of all rhos are one stack. As a - 1 = 2R x (C + R x) with
+    x = Re w (see ``_box_ends``), a root is feasible only if x >= 0, up
+    to 1e-10. A rho with none of these points in the box, or whose
+    quartics overflow, gets an InfeasibleFitError.
     """
     quartics, ends, circles = [], [], []
     for rho, (a0, b0) in zip(rhos, anchors):
@@ -239,7 +239,9 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     finite = np.isfinite(quartics).all(axis=1)
     w = _unit_circle_roots(np.where(finite[:, None], quartics, 1).reshape(-1, 5)).reshape(-1, 8)
     big_c, big_r, a0, b0 = np.array(circles).reshape(-1, 4).T[:, :, None]
-    eps = (big_c + big_r * w) ** 2
+    # the sign of Re w, not a rounded a, drops the roots near w = -1, where C + R w
+    # cancels and eps keeps no digits once C >> 1
+    eps = (big_c + big_r * np.where(w.real > -1e-10, w, np.nan)) ** 2
     eps = np.concatenate((eps[:, :4], np.array(ends).reshape(-1, 3), eps[:, 4:]), axis=1)
     # rounding of eps = s^2 at a point s of the circle, |s| <= C + R
     tol = 1e-13 * (big_c + big_r) * np.sqrt(np.abs(eps))
@@ -404,12 +406,12 @@ def fit_ideal(
     |Gamma - F p|^2 = |Gamma - z* p|^2 + M |F - z*|^2 exactly, so each
     solve works on sqrt(M) (F - z*), whose gradient and J^T J are those of
     the full residual; F is holomorphic in a - jb, so dF/da = F' and
-    dF/db = -j F' (``em.effective_reflection_slope``). Each point the
-    solver tries gets F and F' from one interface pass
-    (``em.effective_reflection_and_slope``); the Jacobian reuses the F' of
-    the last point the residual saw and recomputes it at any other point.
-    Starts are ranked, and ``residual_norm`` reported, on the full
-    M-sample residual.
+    dF/db = -j F'. Each point the solver tries gets F and F' from one call
+    of ``em.effective_reflection_and_slope``; the Jacobian reuses the F' of
+    the last point the residual saw and calls it again at any other point.
+    Starts are ranked, and ``residual_norm`` is reported, as
+    sqrt(|Gamma - z* p|^2 + M |F - z*|^2), the full residual's norm by the
+    identity above; the first term is a floor no (a, b) removes.
 
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
     ``step`` is a stage that moves toward the radar.
@@ -451,7 +453,7 @@ def fit_ideal(
     def jac(x):
         slope = slopes.get(x.tobytes())
         if slope is None:
-            slope = effective_reflection_slope(ComplexPermittivity(*x.tolist()), geom, freq)
+            _, slope = effective_reflection_and_slope(ComplexPermittivity(*x.tolist()), geom, freq)
         s = root_m * slope
         return np.array(((s.real, s.imag), (s.imag, -s.real)))  # d/db = -j d/da
 
@@ -461,16 +463,11 @@ def fit_ideal(
     if not any(r.converged for r in runs):
         raise NoConvergenceError("no start converged within the iteration cap")
 
-    win = runs[_pick_winner([math.sqrt(floor_sq + 2.0 * r.cost) for r in runs], gammas)]
-    eps = ComplexPermittivity(float(win.x[0]), float(win.x[1]))
-    residual = (gammas - effective_reflection(eps, geom, freq) * phase).view(float)
-    return FitResult(
-        permittivity=eps,
-        phase_offset=0.0,
-        residual_norm=float(np.linalg.norm(residual)),
-        iterations=win.iterations,
-        converged=win.converged,
-    )
+    norms = [math.sqrt(floor_sq + 2.0 * r.cost) for r in runs]
+    best = _pick_winner(norms, gammas)
+    win = runs[best]
+    return FitResult(ComplexPermittivity(*win.x.tolist()), phase_offset=0.0,
+                     residual_norm=norms[best], iterations=win.iterations, converged=win.converged)
 
 
 def phase_slope_diagnostic(data: SdiDataset) -> tuple[float, float]:

@@ -171,7 +171,9 @@ def benchmark_chirp() -> ChirpConfig:
     The bandwidth is deliberately narrow (10 kHz) so that the DFT
     range-window factor is the same for every stepped position to well
     below 1e-6; the stepped-calibration identity between the raw-IF
-    route and the direct sweep model then holds to float precision.
+    route and the direct sweep model then holds to float precision for a
+    single front-face echo (``bounce_count=1``). With internal bounces it
+    fails at any bandwidth (see ``fmcw.synth_slab_echoes``).
     With a wideband chirp the metal tone moves within its peak bin as
     the plate steps, so extraction at the integer bin ramps the
     calibrated amplitude and phase and biases ``|z*|`` by a few percent;
@@ -208,7 +210,9 @@ def generate_if_datasets(
 
     Args:
         bounce_count: internal slab bounces for the material trace; 1
-            keeps only the front-face echo (thick-slab condition).
+            keeps only the front-face echo (thick-slab condition), the
+            only count whose extracted sweep matches the slab model
+            (see ``fmcw.synth_slab_echoes``).
         antenna_aperture: when given, warn if the standoff is inside the
             far-field distance for the chirp start frequency.
 

@@ -19,7 +19,7 @@ from permslab import (
     fraunhofer_distance,
     fresnel_normal,
 )
-from permslab.em import effective_reflection_and_slope, effective_reflection_slope
+from permslab.em import effective_reflection_and_slope
 from permslab.errors import DegenerateGeometryError
 
 
@@ -188,9 +188,8 @@ def test_reflection_and_slope_match_their_own_functions_bit_for_bit(backing, thi
     geom = SlabGeometry(thickness, 0.25, backing)
     for a, b in itertools.product((1.0, 1.5, 2.5, 7.0, 12.48, 60.0), (0.0, 0.01, 0.467, 40.0)):
         eps = ComplexPermittivity(a, b)
-        face, slope = effective_reflection_and_slope(eps, geom, 79e9)
+        face, _ = effective_reflection_and_slope(eps, geom, 79e9)
         assert same_bits(face, effective_reflection(eps, geom, 79e9)), (a, b)
-        assert same_bits(slope, effective_reflection_slope(eps, geom, 79e9)), (a, b)
 
 
 def test_reflection_and_slope_keep_the_resonance_guard():
@@ -222,7 +221,7 @@ def test_slope_matches_central_differences(backing, thickness):
         def face(a, b):
             return effective_reflection(unchecked_permittivity(a, b), geom, 79e9)
 
-        slope = effective_reflection_slope(ComplexPermittivity(a, b), geom, 79e9)
+        _, slope = effective_reflection_and_slope(ComplexPermittivity(a, b), geom, 79e9)
         errors = []
         for k in range(14):
             h = 1e-3 / 2**k

@@ -228,7 +228,8 @@ def reference_fit(data, bounds, anchor):
             [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
             [1, k, 2j * bounds.b_max / big_r**2, -k, -1],
         ], dtype=complex)
-        eps = (big_c + big_r * estimator_module._unit_circle_roots(quartics)) ** 2
+        w = estimator_module._unit_circle_roots(quartics)
+        eps = (big_c + big_r * np.where(w.real > -1e-10, w, np.nan)) ** 2  # a >= 1 needs Re w >= 0
         # the stationary roots, the three closed-form ends, then the b = b_max roots
         ends = estimator_module._box_ends(big_c, big_r, bounds.a_max)
         eps = np.array([*eps[:4], *ends, *eps[4:]])
@@ -475,6 +476,9 @@ class TestFitIdeal:
         assert fit.permittivity.real_part == pytest.approx(3.0, abs=1e-6)
         assert fit.permittivity.imag_part == pytest.approx(0.3, abs=1e-6)
         assert fit.phase_offset == 0.0
+        # exact data: the solve stops at its gradient tolerance about 1e-11 from
+        # the truth, which leaves a residual norm of about 2.4e-12
+        assert fit.residual_norm < 1e-10
 
     def test_standoff_error_biases_fit(self):
         # 50 um of unmodeled standoff shifts every sample by ~9.5 deg of

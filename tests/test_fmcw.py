@@ -283,7 +283,9 @@ class TestSynthSlabEchoes:
     @pytest.mark.parametrize("backing", [METAL, AIR, ComplexPermittivity(12.0, 2.0)])
     @pytest.mark.parametrize("q", [2, 3, 7])
     def test_echo_sum_is_truncated_series(self, eps, backing, q):
-        # both series are built from the same bounce terms, in the same order
+        # both series are built from the same bounce terms, in the same order;
+        # this sums the echo amplitudes, not their IF tones, whose delay phase
+        # undoes the round trip each amplitude holds (see synth_slab_echoes)
         geom = SlabGeometry(0.004, 0.25, backing)
         echoes = synth_slab_echoes(eps, geom, CFG, q)
         total = echoes[0].reflection

@@ -27,7 +27,9 @@ from permslab import (
     generate_dataset,
     jacobian,
     model_gamma,
+    step_phase_advance,
 )
+from permslab.errors import InfeasibleFitError
 
 M = 40
 STEP = 1e-4
@@ -237,6 +239,43 @@ def test_data_outside_the_feasible_disk_clamp_to_the_corner(bounds):
     phase = np.angle(front_face_reflection(*corner))
     assert abs(math.remainder(fit.phase_offset - 0.3 + phase, 2 * math.pi)) <= 1e-12
     assert fit.residual_norm == pytest.approx(0.01 * largest * math.sqrt(M), rel=1e-9)
+
+
+def test_every_answer_lies_on_the_family():
+    # |r(a, b)| = |z*| for every answer that is neither the clamped corner nor
+    # infeasible, over random boxes, levels and anchors, and in a box with
+    # a_max = 1e300 at levels within 1e-13 of 1 and far anchors, where C + R
+    # reaches about 1e16 and eps = (C + R w)^2 near w = -1 keeps no digits.
+    # An a near 1 is a double, whose ulp alone moves |r| by about 6e-17.
+    rng = np.random.default_rng(1907)
+    huge = FitBounds(1e300, 50.0)
+    rows = []
+    for rho in [1.0 - k * 2.0**-53 for k in range(1, 201)] + [1.0 - 4.9e-15, 1.0 - 1.7e-15]:
+        rows.append((huge, rho, (1.5, 0.01)))
+        rows += [(huge, rho, (float(10 ** rng.uniform(0, 40)), float(rng.uniform(0, 50))))
+                 for _ in range(3)]
+    for i in range(600):
+        bounds = FitBounds(float(10 ** rng.uniform(0.01, 300 if i % 4 == 0 else 4)),
+                           float(10 ** rng.uniform(-3, 3)))
+        rho = float(rng.uniform(0, 1) if i % 2 else 10 ** rng.uniform(-11, 0))
+        a0 = float(1 + 10 ** rng.uniform(-3, math.log10(bounds.a_max)))
+        rows.append((bounds, rho, (a0, float(rng.uniform(0, bounds.b_max)))))
+    ramp = step_phase_advance(CARRIER, STEP) * np.arange(M)
+    checked = 0
+    for bounds, rho, anchor in rows:
+        c = float(rng.uniform(-math.pi, math.pi))
+        data = SdiDataset(rho * np.exp(1j * (c - ramp)), STEP, CARRIER)
+        z = abs(z_star(data))
+        try:
+            fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
+        except InfeasibleFitError:
+            continue
+        if z >= r_max(bounds):
+            continue
+        got = abs(front_face_reflection(fit.permittivity.real_part, fit.permittivity.imag_part))
+        assert got == pytest.approx(z, rel=1e-9, abs=1e-15), (bounds, rho, anchor, fit)
+        checked += 1
+    assert checked > 0.9 * len(rows)
 
 
 def test_thin_slab_ideal_fit_has_several_exact_solutions():
