@@ -92,6 +92,8 @@ def cmd_simulate(args) -> int:
         )
         records = dict(gammas=data.gammas)
     else:
+        if args.phase_offset != 0.0:
+            raise ValueError("raw-if synthesizes a zero phase offset; --phase-offset must be 0")
         if args.steps < 3 and args.steps != 0:  # 0 is reported as no metal reference
             raise ValueError("need at least 3 reflection samples")
         if args.backing == "metal":
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--eps-real", type=float, default=2.60)
     sim.add_argument("--eps-imag", type=float, default=0.1)
     sim.add_argument("--phase-offset", type=float, default=0.0,
-                     help="phase offset of the sweep, radians")
+                     help="phase offset of the sweep, radians (gamma mode; raw-if takes only 0)")
     _add_sweep_flags(sim)
     sim.add_argument("--mode", choices=("gamma", "raw-if"), default="gamma")
     sim.add_argument("--standoff-m", type=float, default=0.25)

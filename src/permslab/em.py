@@ -111,8 +111,8 @@ def air_face_reflection(n: complex) -> complex:
 
 def _slab_interfaces(eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float):
     """Slab index n = sqrt(eps_r), Gamma_1r, Gamma_r2 and rt = e^{-j 2 k_r d}."""
-    if not freq > 0.0:
-        raise ValueError(f"frequency must be > 0, got {freq}")
+    if not 0.0 < freq < math.inf:
+        raise ValueError(f"frequency must be finite and > 0, got {freq}")
     n = complex_sqrt_lossy(eps_r)
     if isinstance(geom.backing, MetalBacking):
         gr2 = -1.0 + 0.0j

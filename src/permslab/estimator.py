@@ -18,9 +18,16 @@ one-parameter family. fit_permittivity computes z in closed form (a
 mean) and reports the feasible family member nearest an anchor (a, b):
 the first entry of ``starts``, or (1.5, 0.01) for ``starts="auto"``.
 Pass explicit ``starts`` to anchor the answer to prior knowledge.
-fit_ideal, which has no phase offset, reduces its sweep to a mean z* in the
-same way and runs the bounded Levenberg-Marquardt solver of trf on the two
-numbers sqrt(M) (F(a - jb) - z*) from each start.
+
+Both fits reduce their sweep in one place, ``_reduce``: under a unit
+derotation d(m) it returns the mean z* = mean_m Gamma(m) d(m), |z*| and
+the floor |Gamma - z* conj(d)|^2, and every model w conj(d) then has the
+squared residual norm floor + M |w - z*|^2. The sweep fit uses
+d = e^{+j C1 m} and reports w = |r(a, b)| e^{j arg z*}; fit_ideal, which
+has no phase offset, uses d = conj(p_m) and runs the bounded
+Levenberg-Marquardt solver of trf on the two numbers sqrt(M) (F(a - jb) - z*)
+from each start. The degenerate and overflow rules of both fits are
+those of ``_reduce``.
 """
 
 from __future__ import annotations
@@ -312,34 +319,52 @@ def _pick_winner(norms, gammas) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails only its own row
+def _reduce(gammas: np.ndarray, derotation: np.ndarray):
+    """Reduce each row of a (T, M) sweep stack Gamma under a unit derotation d(m).
+
+    Returns per row, as lists: z* = mean_m Gamma(m) d(m), |z*|, the floor
+    |Gamma - z* conj(d)|^2, and the PermslabError that fails the row's fit
+    or None. As |d| = 1, every model w conj(d) has
+    |Gamma - w conj(d)|^2 = floor + M |w - z*|^2, so a fit ranks and
+    reports its models by that identity without forming them. A row fails
+    when every sample is below 1e-12, when |z*| overflows, or when
+    |Gamma|^2 = floor + M |z*|^2 does.
+    """
+    z = np.mean(gammas * derotation, axis=1)
+    floor = np.sum(np.abs(gammas - z[:, None] * derotation.conj()) ** 2, axis=1)
+    rho = np.hypot(z.real, z.imag)  # equals abs(complex) bit for bit; np.abs does not
+    norm_sq = floor + gammas.shape[1] * rho * rho
+    errors = [
+        DegenerateDataError("all reflection samples below 1e-12") if dead
+        else InfeasibleFitError("the sweep mean overflows") if not math.isfinite(r)
+        else InfeasibleFitError("the residual norm overflows") if not math.isfinite(n)
+        else None
+        for dead, r, n in zip(np.all(np.abs(gammas) < 1e-12, axis=1), rho, norm_sq)
+    ]
+    return z.tolist(), rho.tolist(), floor.tolist(), errors
+
+
 def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list:
     """fit_permittivity on each row of a (T, M) sweep stack, one (a0, b0) anchor per row.
 
     Returns per row (a, b, c, residual norm) or the PermslabError its fit raises.
     """
-    m = np.arange(gammas.shape[1])
-    z = np.mean(gammas * np.exp(1j * c1 * m), axis=1)
-    rho = np.hypot(z.real, z.imag)  # equals abs(complex) bit for bit; np.abs does not
+    z, rho, floor, errors = _reduce(gammas, np.exp(1j * c1 * np.arange(gammas.shape[1])))
     corner = _largest_reflection_corner(bounds)
     r_max = abs(front_face_reflection(*corner))
-    degenerate = np.all(np.abs(gammas) < 1e-12, axis=1)
     fits = [
-        DegenerateDataError("all reflection samples below 1e-12") if dead
-        else InfeasibleFitError("the sweep mean overflows") if not math.isfinite(r)
-        else corner if r >= r_max else (1.0, 0.0) if r < 1e-100 else None
-        for dead, r in zip(degenerate, rho)
+        error or (corner if r >= r_max else (1.0, 0.0) if r < 1e-100 else None)
+        for error, r in zip(errors, rho)
     ]  # rho < 1e-100: the whole family lies within 4 rho of (1, 0)
-    family = [t for t, fit in enumerate(fits) if fit is None]
-    members = iter(_nearest_members(rho[family].tolist(), [anchors[t] for t in family], bounds))
+    rows = [t for t, fit in enumerate(fits) if fit is None]  # left to the family search
+    members = iter(_nearest_members([rho[t] for t in rows], [anchors[t] for t in rows], bounds))
     fits = [next(members) if fit is None else fit for fit in fits]
-    rows = [t for t, fit in enumerate(fits) if isinstance(fit, tuple)]
-    faces = [front_face_reflection(*fits[t]) for t in rows]
-    cs = [wrap_phase(cmath.phase(z[t]) - cmath.phase(r)) for t, r in zip(rows, faces)]
-    theta = np.array(cs).reshape(-1, 1) - c1 * m
-    res = (gammas[rows] - np.array(faces).reshape(-1, 1) * np.exp(1j * theta)).view(float)
-    for t, c, norm in zip(rows, cs, map(np.linalg.norm, res)):
-        fits[t] = ((*fits[t], c, float(norm)) if norm < math.inf
-                   else InfeasibleFitError("the residual norm overflows"))
+    for t, fit in enumerate(fits):
+        if isinstance(fit, tuple):
+            # the model r e^{jc} conj(d) with c = arg z* - arg r is |r| e^{j arg z*} conj(d)
+            r = front_face_reflection(*fit)
+            c = wrap_phase(cmath.phase(z[t]) - cmath.phase(r))
+            fits[t] = (*fit, c, math.sqrt(floor[t] + gammas.shape[1] * (abs(r) - rho[t]) ** 2))
     return fits
 
 
@@ -358,7 +383,10 @@ def fit_permittivity(
     (see module docstring), and the reported (a, b) is the feasible
     member of the family |r(a, b)| = |z*| nearest the anchor, found
     exactly among the roots of two quartics and three closed-form box
-    ends (``_nearest_members``); c = arg z* - arg r(a, b).
+    ends (``_nearest_members``); c = arg z* - arg r(a, b). With the floor
+    |Gamma - z* e^{-j C1 m}|^2 of ``_reduce``, ``residual_norm`` is
+    sqrt(floor + M (|r(a, b)| - |z*|)^2), the norm of the full residual
+    by the identity there; the model rows are never formed.
 
     The anchor is the (a, b) of the first entry of ``starts``; with
     ``starts="auto"`` it is (1.5, 0.01). The result has ``iterations``
@@ -366,7 +394,8 @@ def fit_permittivity(
 
     Raises:
         DegenerateDataError: all reflection samples are ~0 (free space).
-        InfeasibleFitError: no root of the family lands in the box.
+        InfeasibleFitError: the sweep mean or the residual norm overflows,
+            or no root of the family lands in the box.
     """
     anchor = _start_list(starts)[0][:2]
     fit = _fit_rows(data.gammas[None], data.step_phase, [anchor], bounds)[0]
@@ -402,58 +431,55 @@ def fit_ideal(
     lowest residual wins and numerical ties go to the earliest start,
     so the start order picks among such solutions.
 
-    With p_m = e^{j 2 k1 (l + m dl)} and z* = mean_m Gamma(m) conj(p_m),
-    |Gamma - F p|^2 = |Gamma - z* p|^2 + M |F - z*|^2 exactly, so each
-    solve works on sqrt(M) (F - z*), whose gradient and J^T J are those of
-    the full residual; F is holomorphic in a - jb, so dF/da = F' and
-    dF/db = -j F'. Each point the solver tries gets F and F' from one call
-    of ``em.effective_reflection_and_slope``; the Jacobian reuses the F' of
-    the last point the residual saw and calls it again at any other point.
-    Starts are ranked, and ``residual_norm`` is reported, as
-    sqrt(|Gamma - z* p|^2 + M |F - z*|^2), the full residual's norm by the
-    identity above; the first term is a floor no (a, b) removes.
+    ``_reduce`` with d = conj(p_m), p_m = e^{j 2 k1 (l + m dl)}, gives
+    z* = mean_m Gamma(m) conj(p_m) and the floor |Gamma - z* p|^2 that no
+    (a, b) removes, and |Gamma - F p|^2 = floor + M |F - z*|^2 exactly, so
+    each solve works on sqrt(M) (F - z*), whose gradient and J^T J are
+    those of the full residual; F is holomorphic in a - jb, so dF/da = F'
+    and dF/db = -j F'. Each point the solver tries gets F and F' from one
+    call of ``em.effective_reflection_and_slope``; the Jacobian takes the
+    F' of the last point the residual saw, the only point ``trf`` asks it
+    about. Starts are ranked, and ``residual_norm`` is reported, as
+    sqrt(floor + M |F - z*|^2), the full residual's norm.
 
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
     ``step`` is a stage that moves toward the radar.
 
     Raises:
-        ValueError: ``gammas_at_radar`` is not 1-D or not finite,
+        ValueError: ``gammas_at_radar`` is empty, not 1-D or not finite,
             ``step`` is not finite, or ``freq`` is not finite and > 0.
+        DegenerateDataError: all reflection samples are ~0 (free space).
+        InfeasibleFitError: the sweep mean or the residual norm overflows.
+        NoConvergenceError: no start converged within the iteration cap.
     """
     if not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step}")
     if not 0.0 < freq < math.inf:
         raise ValueError(f"freq must be finite and > 0, got {freq}")
     gammas = np.asarray(gammas_at_radar, dtype=complex)
-    if gammas.ndim != 1:
-        raise ValueError(f"reflection samples must be 1-D, got shape {gammas.shape}")
+    if gammas.ndim != 1 or gammas.size == 0:
+        raise ValueError(f"reflection samples must be 1-D and not empty, got shape {gammas.shape}")
     if not np.all(np.isfinite(gammas)):
         raise ValueError("reflection samples must be finite")
-    if np.all(np.abs(gammas) < 1e-12):
-        raise DegenerateDataError("all reflection samples below 1e-12")
-    m = np.arange(gammas.size)
     k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
-    phase = np.exp(2j * k1 * (geom.standoff + m * step))
-    z = complex(np.mean(gammas * phase.conj()))
-    floor_sq = float(np.sum(np.abs(gammas - z * phase) ** 2))  # no (a, b) removes it
+    phase = np.exp(2j * k1 * (geom.standoff + np.arange(gammas.size) * step))
+    # z and floor_sq come as Python scalars, which keep fun's arithmetic cheaper than numpy's
+    (z,), _, (floor_sq,), (error,) = _reduce(gammas[None], phase.conj())
+    if error:
+        raise error
     root_m = math.sqrt(gammas.size)
-
-    slopes = {}  # F' at the last point fun saw, keyed by its bytes
+    slope = 0j  # F' at the last point fun saw, the only point trf asks jac about
 
     def fun(x):
+        nonlocal slope
         face, slope = effective_reflection_and_slope(ComplexPermittivity(*x.tolist()), geom, freq)
-        slopes.clear()
-        slopes[x.tobytes()] = slope
         d = root_m * (face - z)
         return np.array((d.real, d.imag))
 
     lb = np.array([1.0, 0.0])
     ub = np.array([bounds.a_max, bounds.b_max])
 
-    def jac(x):
-        slope = slopes.get(x.tobytes())
-        if slope is None:
-            _, slope = effective_reflection_and_slope(ComplexPermittivity(*x.tolist()), geom, freq)
+    def jac(_x):
         s = root_m * slope
         return np.array(((s.real, s.imag), (s.imag, -s.real)))  # d/db = -j d/da
 

@@ -76,6 +76,9 @@ class DatasetFile:
 
     gamma mode fills ``gammas``; raw-if mode fills ``chirp``,
     ``mut_samples`` and ``metal_samples`` (one row per metal position).
+    A non-finite sample raises DatasetFormatError at construction, so
+    ``write`` never writes a file that ``read`` refuses, and ``read``,
+    which builds through the constructor, refuses a missing trace sample.
     """
 
     mode: str
@@ -102,6 +105,8 @@ class DatasetFile:
                 raise DatasetFormatError(
                     f"record count {self.gammas.size} != step_count {self.step_count}"
                 )
+            if not np.isfinite(self.gammas).all():
+                raise DatasetFormatError("non-finite gamma record")
         else:
             if self.chirp is None or self.mut_samples is None or self.metal_samples is None:
                 raise DatasetFormatError("raw-if mode requires chirp and trace records")
@@ -117,6 +122,8 @@ class DatasetFile:
                     f"expected {self.step_count} metal traces of {n} samples, "
                     f"got shape {self.metal_samples.shape}"
                 )
+            if not (np.isfinite(self.mut_samples).all() and np.isfinite(self.metal_samples).all()):
+                raise DatasetFormatError("incomplete or non-finite trace records")
 
     def to_sweep(self) -> SdiDataset:
         """Gamma records as an estimator-ready sweep.
@@ -262,14 +269,14 @@ def _gammas(records, step_count) -> np.ndarray:
     out_of_order = np.flatnonzero(records["m"] != np.arange(step_count))
     if out_of_order.size:
         raise DatasetFormatError(f"record index {records['m'][out_of_order[0]]} out of order")
-    gammas = np.ravel(records["z"].view(complex))
-    if not np.isfinite(gammas).all():
-        raise DatasetFormatError("non-finite gamma record")
-    return gammas
+    return np.ravel(records["z"].view(complex))
 
 
 def _traces(records, step_count, sample_count) -> np.ndarray:
-    """Raw-IF records as a (1 + step_count, sample_count) stack: mut, metal-0, ..."""
+    """Raw-IF records as a (1 + step_count, sample_count) stack: mut, metal-0, ...
+
+    A sample with no record is nan, which the DatasetFile constructor refuses.
+    """
     if step_count < 1:
         raise DatasetFormatError(f"raw-if step_count {step_count} < 1")
     expected = (step_count + 1) * sample_count
@@ -286,9 +293,7 @@ def _traces(records, step_count, sample_count) -> np.ndarray:
     rows = np.array([_trace_row(name, step_count) for name in names])
     row = np.repeat(rows[which], np.diff(np.r_[starts, ids.size]))
     traces = np.full((step_count + 1, sample_count), np.nan, dtype=complex)
-    traces[row, n] = np.ravel(records["z"].view(complex))
-    if not np.isfinite(traces).all():
-        raise DatasetFormatError("incomplete or non-finite trace records")
+    traces[row, n] = np.ravel(records["z"].view(complex))  # a missing sample stays nan
     return traces
 
 

@@ -52,6 +52,17 @@ class TestSimulate:
         assert "at least one metal position" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("offset", ["0.4", "inf"])
+    def test_raw_if_phase_offset_invalid(self, offset, tmp_path, capsys):
+        # the raw-IF synthesis has no phase offset, so the flag would change only provenance
+        out = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", f"--phase-offset={offset}", "--steps", "5",
+                    "--out", str(out)]) == 2
+        assert "synthesizes a zero phase offset" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["simulate", "--mode", "raw-if", "--steps", "5", "--out", str(out)]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("steps", ["1", "2"])
     def test_raw_if_below_three_steps_invalid(self, steps, tmp_path, capsys):
         # gamma mode refuses the same counts; extract would reject the file

@@ -1,6 +1,7 @@
 """Slab electromagnetics: branch square root, Fresnel, multi-bounce."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -19,7 +20,7 @@ from permslab import (
     fraunhofer_distance,
     fresnel_normal,
 )
-from permslab.em import effective_reflection_and_slope
+from permslab.em import effective_reflection_and_slope, slab_bounce_terms
 from permslab.errors import DegenerateGeometryError
 
 
@@ -166,6 +167,16 @@ class TestEffectiveReflection:
     def test_frequency_positive(self):
         with pytest.raises(ValueError):
             effective_reflection(ComplexPermittivity(2.0), self.GEOM, 0.0)
+
+    @pytest.mark.parametrize("freq", [math.inf, math.nan, 0.0, -79e9])
+    @pytest.mark.parametrize("slab_function", [
+        effective_reflection, effective_reflection_and_slope, slab_bounce_terms,
+        functools.partial(effective_reflection_truncated, q=3),
+    ])
+    def test_frequency_finite_and_positive(self, slab_function, freq):
+        # an infinite frequency made every slab value nan+nanj
+        with pytest.raises(ValueError, match="frequency must be finite and > 0"):
+            slab_function(ComplexPermittivity(3.0, 0.1), SlabGeometry(2e-3, 0.25), freq)
 
     def test_resonance_guard(self):
         # nonphysical near-unity bounce ratio: enormous permittivity with

@@ -206,12 +206,14 @@ class TestJacobian:
 def reference_fit(data, bounds, anchor):
     """The closed-form sweep fit of one sweep alone, nearest member by a scalar search.
 
-    Returns (a, b, c, residual norm) as fit_permittivity must, bit for bit.
+    Returns (a, b, c, residual norm) as fit_permittivity must, bit for bit;
+    the norm is sqrt(floor + M (|r| - |z*|)^2) with the floor |Gamma - z* e^{-j C1 m}|^2.
     """
     if np.all(np.abs(data.gammas) < 1e-12):
         raise DegenerateDataError("all reflection samples below 1e-12")
-    m = np.arange(data.step_count)
-    z = complex(np.mean(data.gammas * np.exp(1j * data.step_phase * m)))
+    d = np.exp(1j * data.step_phase * np.arange(data.step_count))
+    z = complex(np.mean(data.gammas * d))
+    floor = float(np.sum(np.abs(data.gammas - z * d.conj()) ** 2))
     rho = abs(z)
     corner = estimator_module._largest_reflection_corner(bounds)
     if rho >= abs(front_face_reflection(*corner)):
@@ -240,8 +242,18 @@ def reference_fit(data, bounds, anchor):
         b = np.clip(b[ok], 0.0, bounds.b_max)
         i = int(np.argmin((a - a0) ** 2 + (b - b0) ** 2))
         a, b = float(a[i]), float(b[i])
-    c = wrap_phase(cmath.phase(z) - cmath.phase(front_face_reflection(a, b)))
-    return a, b, c, float(np.linalg.norm(residuals((a, b, c), data)))
+    r = front_face_reflection(a, b)
+    c = wrap_phase(cmath.phase(z) - cmath.phase(r))
+    return a, b, c, math.sqrt(floor + data.step_count * (abs(r) - rho) ** 2)
+
+
+def assert_matches_reference(fit, data, bounds, anchor):
+    """The fit is reference_fit's bit for bit, and its norm that of the full residual."""
+    eps = fit.permittivity
+    got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
+    assert got == reference_fit(data, bounds, anchor)
+    full = float(np.linalg.norm(residuals(got[:3], data)))
+    assert fit.residual_norm == pytest.approx(full, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("bounds", [FitBounds(), FitBounds(8.0, 1.0), FitBounds(4.0, 50.0),
@@ -257,9 +269,7 @@ def test_fit_permittivity_matches_per_sweep_reference(bounds):
         data = generate_dataset(ComplexPermittivity(a, b), c, 40, 1e-4, 79e9, noise)
         for anchor in ((a, b), (1.5, 0.01), (6.0, 1.0)):
             fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
-            eps = fit.permittivity
-            got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
-            assert got == reference_fit(data, bounds, anchor)
+            assert_matches_reference(fit, data, bounds, anchor)
 
 
 @pytest.mark.parametrize("bounds", [FitBounds(), FitBounds(8.0, 1.0), FitBounds(4.0, 50.0),
@@ -303,9 +313,7 @@ def test_closed_form_box_ends_lie_on_the_family_and_their_edges(bounds):
 def test_near_tie_with_an_edge_root_matches_per_sweep_reference(bounds, rho, anchor):
     data = SdiDataset(rho * np.exp(0.3j - 1j * C1_79GHZ * np.arange(40)), 1e-4, 79e9)
     fit = fit_permittivity(data, bounds=bounds, starts=[anchor])
-    eps = fit.permittivity
-    got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
-    assert got == reference_fit(data, bounds, anchor)
+    assert_matches_reference(fit, data, bounds, anchor)
 
 
 @pytest.mark.parametrize("anchor", [(1.5, 0.01), (7.0, 0.3)])
@@ -318,8 +326,7 @@ def test_huge_box_near_unit_rho_stays_on_the_family(anchor):
     eps = fit.permittivity
     assert abs(front_face_reflection(eps.real_part, eps.imag_part)) == pytest.approx(rho,
                                                                                     rel=1e-9)
-    got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
-    assert got == reference_fit(data, bounds, anchor)
+    assert_matches_reference(fit, data, bounds, anchor)
 
 
 class TestFitPermittivity:
@@ -455,6 +462,13 @@ class TestFitPermittivity:
                                           [(1.5, 0.01)] * 2, FitBounds())
         assert [str(e) for e in rows] == [message] * 2
 
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_on_model_sweep_with_an_overflowing_norm_is_an_error(self, scale):
+        # the floor about z* is ~0, but |Gamma|^2 = floor + M |z*|^2 overflows
+        data = SdiDataset(scale * np.exp(-1j * C1_79GHZ * np.arange(40)), 1e-4, 79e9)
+        with pytest.raises(InfeasibleFitError, match="the residual norm overflows"):
+            fit_permittivity(data)
+
 class TestFitIdeal:
     # thick lossy slab: internal bounces are fully absorbed, so the
     # front-face reflection is a smooth, invertible function of eps
@@ -497,6 +511,21 @@ class TestFitIdeal:
     def test_air_data_degenerate(self):
         with pytest.raises(DegenerateDataError):
             fit_ideal(np.zeros(8, dtype=complex), self.GEOM, 1e-4, self.FREQ)
+
+    def test_rejects_an_empty_sweep(self):
+        # refused before numpy reduces it, which would warn "Mean of empty slice"
+        with pytest.raises(ValueError, match="must be 1-D and not empty"):
+            fit_ideal([], self.GEOM, 1e-4, self.FREQ)
+
+    @pytest.mark.parametrize("scale, on_model", [(1e154, True), (1e160, True),
+                                                 (1e200, False), (1e300, False)])
+    def test_overflowing_samples_are_an_error(self, scale, on_model):
+        # on-model Gamma = s p_m (floor ~0, M |z*|^2 overflows) or a constant sweep
+        k1 = 2 * math.pi * self.FREQ / SPEED_OF_LIGHT
+        p = np.exp(2j * k1 * (self.GEOM.standoff + np.arange(12) * 1e-4))
+        gammas = scale * (p if on_model else np.ones(12))
+        with pytest.raises(InfeasibleFitError, match="the residual norm overflows"):
+            fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
     def test_rejects_non_finite(self, bad):

@@ -160,6 +160,11 @@ class TestGammaRoundTrip:
         with pytest.raises(DatasetFormatError, match="non-finite"):
             DatasetFile.read(path)
 
+    def test_non_finite_sample_refused_at_construction(self, tmp_path):
+        # written, such a file could not be read back
+        with pytest.raises(DatasetFormatError, match="non-finite gamma record"):
+            gamma_file(tmp_path, gammas=[1.0, math.nan, 1.0])
+
 
 class TestRawIfRoundTrip:
     def test_bit_exact(self, tmp_path):
@@ -221,6 +226,14 @@ class TestRawIfRoundTrip:
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match="non-finite"):
             DatasetFile.read(path)
+
+    @pytest.mark.parametrize("trace", ["mut", "metal"])
+    def test_non_finite_sample_refused_at_construction(self, trace):
+        mut, metal = np.ones(5, dtype=complex), np.ones((2, 5), dtype=complex)
+        (mut if trace == "mut" else metal[1])[3] = math.nan
+        with pytest.raises(DatasetFormatError, match="incomplete or non-finite trace records"):
+            DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=2,
+                        chirp=SMALL_CHIRP, mut_samples=mut, metal_samples=metal)
 
     def test_no_metal_traces_rejected(self, tmp_path):
         path = tmp_path / "raw.txt"
