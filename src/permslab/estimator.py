@@ -445,6 +445,13 @@ def fit_ideal(
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
     ``step`` is a stage that moves toward the radar.
 
+    Known defect: when |z*| is 1e16 or more (and below the overflow
+    rule), a change of |F - z*| moves the cost by less than its last
+    bit, so every step is rejected and the first start comes back
+    unchanged with ``converged`` True: 1.5 - j0.01 for an on-model sweep
+    1e16 p_m over a 2 mm metal-backed slab, where 1e12 p_m moves to about
+    2.02 - j0.
+
     Raises:
         ValueError: ``gammas_at_radar`` is empty, not 1-D or not finite,
             ``step`` is not finite, or ``freq`` is not finite and > 0.

@@ -13,8 +13,19 @@ raw-if mode records:  trace_id  sample_index  re  im  (any order, each
                       at most 15 characters)
 
 Blank lines and ``#`` comments may appear anywhere, also after the
-fields of a record line. A malformed, incomplete or non-finite record
-ends in ``DatasetFormatError``.
+fields of a record line; a ``#`` after a header value is part of the
+value. A malformed, incomplete or non-finite record ends in
+``DatasetFormatError``.
+
+Reading parses the records ``_CHUNK_LINES`` lines at a time, each chunk
+by one ``np.loadtxt`` call, and a raw-IF reader scatters each chunk into
+the trace stack it returns, so a read holds about its output plus one
+chunk of records (a pipe, which has no size to show that the stack its
+header promises fits, holds its chunks until their count is checked).
+A file is refused as a check of all its records at once would refuse
+it: a malformed record anywhere wins over a bad header value and over
+the checks of the records, and its row is counted from the file's first
+record.
 
 The ``direction`` key records which way the reference moved during the
 sweep: ``backward`` (away from the radar, the default) means the
@@ -25,8 +36,12 @@ the falling convention.
 
 from __future__ import annotations
 
+import os
+import re
+import stat
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -50,6 +65,9 @@ _RECORDS = {
 }
 _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured", "f8", 2),
                                        ("fitted", "f8", 2)]))
+# lines per np.loadtxt call: besides what it builds, a reader holds one
+# chunk of parsed records (about 0.7 MB of raw-IF records)
+_CHUNK_LINES = 16384
 
 # (key, attribute, type) of the header lines each file kind writes in this
 # order and requires on reading; the dataset's mode, direction and provenance
@@ -166,18 +184,22 @@ class DatasetFile:
 
     @classmethod
     def read(cls, path) -> "DatasetFile":
-        meta, records = _read_file(path)
+        return _read_file(path, cls._from_records)
+
+    @classmethod
+    def _from_records(cls, meta, chunks, room) -> "DatasetFile":
         common = {"mode": meta["mode"], **_read_keys(meta, _COMMON_KEYS)}
         common.update((key, meta[key]) for key in ("direction", "provenance") if key in meta)
         if meta["mode"] == "gamma":
-            return cls(gammas=_gammas(records, common["step_count"]), **common)
+            return cls(gammas=_gammas(np.concatenate(list(chunks)), common["step_count"]),
+                       **common)
         chirp = ChirpConfig(
             **_read_keys(meta, _CHIRP_KEYS),
             start_frequency=common["carrier_hz"],
             path_loss=complex(_parse(meta, "path_loss_re", default=1.0),
                               _parse(meta, "path_loss_im", default=0.0)),
         )
-        traces = _traces(records, common["step_count"], chirp.sample_count)
+        traces = _traces(chunks, common["step_count"], chirp.sample_count, room)
         return cls(chirp=chirp, mut_samples=traces[0], metal_samples=traces[1:], **common)
 
 
@@ -202,9 +224,15 @@ def _pairs(z) -> np.ndarray:
     return np.column_stack((z.real, z.imag))
 
 
-def _read_file(path, layout=None):
-    """Metadata up to ``columns:``, then the records, streamed by one
-    ``np.loadtxt`` call in ``layout`` (default: that of the file's mode)."""
+def _read_file(path, build, layout=None):
+    """Metadata up to ``columns:``, then ``build(meta, chunks, room)``.
+
+    ``chunks`` yields the records in ``layout`` (default: that of the
+    file's mode), see ``_chunks``; ``room`` bounds how many the file can
+    hold, see ``_record_room``. When ``build`` refuses the file, a bad
+    record later in it wins, as when every record was parsed before any
+    header value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             meta = _read_header(fh)
@@ -213,19 +241,57 @@ def _read_file(path, layout=None):
                 if mode not in _RECORDS:
                     raise DatasetFormatError(f"unknown mode {mode!r}")
                 layout = _RECORDS[mode]
-            kind, dtype = layout
+            chunks = _chunks(fh, *layout)
+            room = _record_room(fh)
             try:
-                with warnings.catch_warnings():
-                    # no records is an empty sweep or a count error, found below
-                    warnings.simplefilter("ignore", UserWarning)
-                    records = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1)
-            except UnicodeDecodeError:
+                return build(meta, chunks, room)
+            except (DatasetFormatError, ValueError):
+                for _ in chunks:
+                    pass
                 raise
-            except ValueError as exc:
-                raise DatasetFormatError(f"bad {kind} record: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    return meta, records
+
+
+def _chunks(fh, kind, dtype):
+    """The records left in ``fh`` as arrays of ``dtype``, each parsed by
+    one ``np.loadtxt`` call from the next ``_CHUNK_LINES`` lines.
+
+    There is at least one array, so the arrays of a file without records
+    concatenate to an empty one. A malformed record raises
+    DatasetFormatError with numpy's message, its row counted from the
+    first record of the file.
+    """
+    parsed, records = 0, None
+    for line in fh:
+        try:
+            with warnings.catch_warnings():
+                # a chunk of comments, or a file without records
+                warnings.simplefilter("ignore", UserWarning)
+                records = np.loadtxt(chain((line,), islice(fh, _CHUNK_LINES - 1)),
+                                     dtype=dtype, comments="#", ndmin=1)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            # numpy counts rows from the first record of the chunk
+            message = re.sub(r"at row (\d+)", lambda row: f"at row {parsed + int(row[1])}",
+                             str(exc), count=1)
+            raise DatasetFormatError(f"bad {kind} record: {message}") from exc
+        parsed += records.size
+        yield records
+    if records is None:  # no line after the header
+        yield np.empty(0, dtype)
+
+
+def _record_room(fh) -> int:
+    """The most raw-IF records a regular file can hold; 0, none known,
+    for a pipe or another file without a size.
+
+    A raw-IF record takes at least 8 bytes: four one-character fields,
+    three separators and a newline, which the last record may lack.
+    """
+    st = os.fstat(fh.fileno())
+    return (st.st_size + 1) // 8 if stat.S_ISREG(st.st_mode) else 0
 
 
 def _read_header(fh) -> dict:
@@ -272,28 +338,70 @@ def _gammas(records, step_count) -> np.ndarray:
     return np.ravel(records["z"].view(complex))
 
 
-def _traces(records, step_count, sample_count) -> np.ndarray:
+def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
     """Raw-IF records as a (1 + step_count, sample_count) stack: mut, metal-0, ...
 
-    A sample with no record is nan, which the DatasetFile constructor refuses.
+    Each chunk of records is checked and scattered into the stack as it
+    comes, so the whole file's records are never held at once. A sample
+    with no record is nan, which the DatasetFile constructor refuses.
+    After the last chunk the first failing check raises, in the order a
+    check of all records at once would take: the record count, the first
+    sample index out of range, then the trace ids in sorted order.
+
+    The stack is allocated up front only when the file has ``room`` for
+    its records. Otherwise (a pipe, or a header that promises more than
+    the file holds) the chunks are held and scattered once the count
+    holds, so a false header allocates no stack.
     """
     if step_count < 1:
         raise DatasetFormatError(f"raw-if step_count {step_count} < 1")
     expected = (step_count + 1) * sample_count
-    if records.size != expected:
-        raise DatasetFormatError(f"trace record count {records.size} != {expected}")
-    n = records["n"]
-    out_of_range = (n < 0) | (n >= sample_count)
-    if out_of_range.any():
-        raise DatasetFormatError(f"sample index {n[out_of_range.argmax()]} out of range")
-    # each run of equal ids is looked up once, each distinct id validated once
-    ids = records["trace_id"]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    names, which = np.unique(ids[starts], return_inverse=True)
-    rows = np.array([_trace_row(name, step_count) for name in names])
-    row = np.repeat(rows[which], np.diff(np.r_[starts, ids.size]))
-    traces = np.full((step_count + 1, sample_count), np.nan, dtype=complex)
-    traces[row, n] = np.ravel(records["z"].view(complex))  # a missing sample stays nan
+
+    def stack():
+        return np.full((step_count + 1, sample_count), np.nan, dtype=complex)
+
+    def scatter(row, records):  # a missing sample stays nan
+        traces[row, records["n"]] = records["z"].view(complex)[:, 0]
+
+    traces = stack() if expected <= room else None
+    count, bad_index, rows, bad_ids, held = 0, None, {}, {}, []
+    for records in chunks:
+        if not records.size:
+            continue
+        count += records.size
+        n = records["n"]
+        out_of_range = (n < 0) | (n >= sample_count)
+        if bad_index is None and out_of_range.any():
+            bad_index = n[out_of_range.argmax()]
+        # each run of equal ids is looked up once, each distinct id validated once
+        ids = records["trace_id"]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        names, which = np.unique(ids[starts], return_inverse=True)
+        names = names.tolist()
+        for name in names:
+            if name not in rows and name not in bad_ids:
+                try:
+                    rows[name] = _trace_row(name, step_count)
+                except DatasetFormatError as exc:
+                    bad_ids[name] = exc
+        if bad_index is not None or bad_ids:
+            continue  # the file is refused below; only its count and errors matter
+        row = np.repeat(np.array([rows[name] for name in names])[which],
+                        np.diff(np.r_[starts, ids.size]))
+        if traces is None:
+            held.append((row, records))
+        else:
+            scatter(row, records)
+    if count != expected:
+        raise DatasetFormatError(f"trace record count {count} != {expected}")
+    if bad_index is not None:
+        raise DatasetFormatError(f"sample index {bad_index} out of range")
+    if bad_ids:
+        raise bad_ids[min(bad_ids)]
+    if traces is None:
+        traces = stack()
+        for row, records in held:
+            scatter(row, records)
     return traces
 
 
@@ -356,7 +464,11 @@ class ReportFile:
 
     @classmethod
     def read(cls, path) -> "ReportFile":
-        meta, records = _read_file(path, _REPORT_RECORDS)
+        return _read_file(path, cls._from_records, _REPORT_RECORDS)
+
+    @classmethod
+    def _from_records(cls, meta, chunks, room) -> "ReportFile":
+        records = np.concatenate(list(chunks))
         values = _read_keys(meta, _REPORT_KEYS)
         if records.size != values["step_count"]:
             raise DatasetFormatError("report record count mismatch")

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,34 @@ class TestExtractEstimate:
         raw.write_bytes(data.replace(b"\nmetal-1 2 ", new))
         assert run(["extract", "--input", str(raw), "--out",
                     str(tmp_path / "x.txt")]) == 2
+
+    def test_extract_header_promising_more_records_than_the_file_holds(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # refused by the record count without allocating the promised stack of
+        # 12.8 GB; a reader that tried would fail here rather than fill it
+        full = np.full
+
+        def bounded_full(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) < 1e8, f"np.full of shape {shape}"
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", bounded_full)
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "3", "--samples", "8",
+                    "--out", str(raw)]) == 0
+        text = raw.read_text(encoding="utf-8")
+        assert text.count("\nstep_count: 3\n") == 1
+        raw.write_text(text.replace("\nstep_count: 3\n", "\nstep_count: 100000000\n"),
+                       encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = run(["extract", "--input", str(raw), "--out", str(tmp_path / "x.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "error: trace record count 32 != 800000008\n"
+        assert peak < 4e6
 
     @pytest.mark.parametrize("old, new", [("\n1 ", "\n1 0.5 "), ("\n1 ", "\n7 ")])
     def test_estimate_bad_gamma_record(self, tmp_path, old, new):

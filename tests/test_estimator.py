@@ -527,6 +527,18 @@ class TestFitIdeal:
         with pytest.raises(InfeasibleFitError, match="the residual norm overflows"):
             fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
 
+    @pytest.mark.xfail(strict=True, reason="|F - z*|^2 is below the ulp of M |z*|^2, so every "
+                       "step is rejected until the step tolerance fires (ROADMAP item 6)")
+    def test_huge_on_model_sweep_does_not_return_its_first_start(self):
+        # at 1e12 p_m the fit moves to about 2.02 - j0; at 1e16 p_m it returns
+        # AUTO_STARTS[0] = 1.5 - j0.01 unchanged and reports it converged
+        geom = SlabGeometry(thickness=0.002, standoff=0.25, backing=METAL)
+        k1 = 2 * math.pi * self.FREQ / SPEED_OF_LIGHT
+        p = np.exp(2j * k1 * (geom.standoff + np.arange(12) * 1e-4))
+        fit = fit_ideal(1e16 * p, geom, 1e-4, self.FREQ)
+        eps = fit.permittivity
+        assert not (fit.converged and (eps.real_part, eps.imag_part) == (1.5, 0.01))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
     def test_rejects_non_finite(self, bad):
         gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))

@@ -1,7 +1,10 @@
 """Dataset and report file round trips and format validation."""
 
 import math
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from permslab import (
     generate_if_datasets,
     model_gamma,
 )
+from permslab import io
 from permslab.errors import AliasingError, DatasetFormatError
 from permslab.io import GAMMA_COLUMNS, RAW_COLUMNS, REPORT_COLUMNS
 
@@ -34,6 +38,28 @@ def bits_equal(a, b):
     """Equal bit for bit, so -0.0 differs from 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def read_in_chunks(read, path):
+    """``read(path)``, after checking that chunks of one and of two lines
+    read the same values bit for bit, or raise the same error."""
+    def outcome():
+        try:
+            back = read(path)
+        except DatasetFormatError as exc:
+            return exc, (type(exc), str(exc))
+        values = {key: (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+                  for key, value in vars(back).items()}
+        return back, values
+
+    result, expected = outcome()
+    for lines in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "_CHUNK_LINES", lines)
+            assert outcome()[1] == expected
+    if isinstance(result, DatasetFormatError):
+        raise result
+    return result
 
 
 def record_lines(path, columns):
@@ -393,7 +419,7 @@ class TestReader:
         for i, line in enumerate(records):
             body += [line + "  # trailing note" if i == 3 else line, "", "# between records"]
         path.write_text("\n".join(lines[:head] + body) + "\n", encoding="utf-8")
-        back = DatasetFile.read(path)
+        back = read_in_chunks(DatasetFile.read, path)
         assert bits_equal(back.mut_samples, src.mut_samples)
         assert bits_equal(back.metal_samples, src.metal_samples)
 
@@ -404,8 +430,8 @@ class TestReader:
         ("\nmetal-1 2 ", "\nmetal-2 2 ", "metal index 2 out of range"),
         ("\nmetal-1 2 ", "\nmetal--1 2 ", "bad trace id 'metal--1'"),
         ("\nmetal-1 2 ", "\nmetal-1 5 ", "sample index 5 out of range"),
-        ("\nmetal-1 2 ", "\nmetal-1 2 7 ", "bad trace record"),
-        ("\nmetal-1 2 ", "\nmetal-1 x ", "bad trace record"),
+        ("\nmetal-1 2 ", "\nmetal-1 2 7 ", "bad trace record: .* at row 13;"),
+        ("\nmetal-1 2 ", "\nmetal-1 x ", "bad trace record: .* at row 12, column 2"),
         ("\nmetal-1 2 ", "\nmetal-1 1 ", "incomplete or non-finite"),
         ("\nmetal-1 2 ", "\n# metal-1 2 ", "trace record count 14 != 15"),
     ])
@@ -416,7 +442,7 @@ class TestReader:
         assert text.count(old) == 1
         path.write_text(text.replace(old, new), encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=message):
-            DatasetFile.read(path)
+            read_in_chunks(DatasetFile.read, path)
 
     @pytest.mark.parametrize("old, new, message", [
         ("\n1 ", "\n1 0.5 ", "bad gamma record"),
@@ -431,7 +457,96 @@ class TestReader:
         assert text.count(old) == 1
         path.write_text(text.replace(old, new), encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=message):
+            read_in_chunks(DatasetFile.read, path)
+
+    @pytest.mark.parametrize("edits, message", [
+        # a bad id in an early chunk, a missing record in a late one
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\n# metal-1 4 "},
+         "trace record count 14 != 15"),
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-1 9 "},
+         "sample index 9 out of range"),
+        ({"\nmut 1 ": "\nmut -1 ", "\nmetal-1 4 ": "\nmetal-1 9 "},
+         "sample index -1 out of range"),
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-x 4 "},
+         "bad trace id 'metal-x'"),
+        ({"\nmut 1 ": "\nmetal-7 1 ", "\nmetal-1 4 ": "\nmetal-x 4 "},
+         "metal index 7 out of range"),
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-1 4 7 "},
+         "bad trace record: .* at row 15;"),
+        # a malformed record wins over a bad header value
+        ({"\nsample_count: 5\n": "\nsample_count: x\n", "\nmetal-1 4 ": "\nmetal-1 x "},
+         "bad trace record: could not convert string 'x' to int64 at row 14, column 2"),
+        ({"\nstep_count: 2\n": "\nstep_count: 0\n", "\nmetal-1 4 ": "\nmetal-1 x "},
+         "bad trace record: .* at row 14"),
+    ])
+    def test_first_failing_check_wins_across_chunks(self, tmp_path, edits, message):
+        path = tmp_path / "raw.txt"
+        raw_file(path)
+        text = path.read_text(encoding="utf-8")
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=message):
+            read_in_chunks(DatasetFile.read, path)
+
+    def test_comment_after_a_header_value_is_part_of_it(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        raw_file(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\nsample_interval_s: 1.9999999999999999e-06\n",
+                                     "\nsample_interval_s: 1.9999999999999999e-06 # note\n"))
+        with pytest.raises(DatasetFormatError, match="bad float for 'sample_interval_s'"):
             DatasetFile.read(path)
+
+    @pytest.mark.parametrize("step_count", [2, 1000000])
+    def test_pipe_reads(self, tmp_path, step_count):
+        # a pipe has no size to bound its record count by, so the stack waits
+        # for the count; a false one allocates nothing (16 * 5000005 bytes)
+        path = tmp_path / "raw.txt"
+        src = raw_file(path)
+        text = path.read_text(encoding="utf-8")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(
+            text.replace("\nstep_count: 2\n", f"\nstep_count: {step_count}\n"),))
+        writer.start()
+        tracemalloc.start()
+        try:
+            if step_count == 2:
+                back = DatasetFile.read(pipe)
+            else:
+                with pytest.raises(DatasetFormatError, match="trace record count 15 != 5000005"):
+                    DatasetFile.read(pipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join()
+        assert peak < 1e6
+        if step_count == 2:
+            assert bits_equal(back.mut_samples, src.mut_samples)
+            assert bits_equal(back.metal_samples, src.metal_samples)
+
+    def test_read_holds_about_its_output(self, tmp_path):
+        # the (1 + M, N) stack plus one chunk of records, not the whole file's records
+        m, n = 200, 1024
+        rng = np.random.default_rng(4)
+        path = tmp_path / "raw.txt"
+        src = DatasetFile(
+            mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+            chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+            mut_samples=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            metal_samples=rng.standard_normal((m, n)) - 1j * rng.standard_normal((m, n)),
+        )
+        src.write(path)
+        tracemalloc.start()
+        try:
+            back = DatasetFile.read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * (1 + m) * n
+        assert bits_equal(back.metal_samples, src.metal_samples)
 
     def test_bad_path_loss_rejected(self, tmp_path):
         path = tmp_path / "raw.txt"
@@ -463,8 +578,8 @@ class TestReader:
         ReportFile.from_fit(fit_permittivity(data), data).write(path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("\n3 ", "\n3 0.5 "), encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match="bad report record"):
-            ReportFile.read(path)
+        with pytest.raises(DatasetFormatError, match="bad report record: .* at row 4;"):
+            read_in_chunks(ReportFile.read, path)
 
     @pytest.mark.parametrize("where", ["header", "records"])
     def test_non_utf8_rejected(self, tmp_path, where):
