@@ -234,7 +234,7 @@ def cmd_report(args) -> int:
                                   np.hypot(curve.real, curve.imag),
                                   np.degrees(np.angle(curve))))
         write_records(path, ["# x_mm re_gamma im_gamma abs_gamma phase_deg"],
-                      [([""] * args.steps, values)])
+                      [(np.zeros((args.steps, 1), np.uint8), values)])
     print(f"report files written to {outdir}")
     return EXIT_OK
 

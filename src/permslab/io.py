@@ -17,6 +17,14 @@ fields of a record line; a ``#`` after a header value is part of the
 value. A malformed, incomplete or non-finite record ends in
 ``DatasetFormatError``.
 
+Writing renders each value as ``"%.17g" % x`` does, byte for byte. A
+block of ``_KERNEL_MIN_VALUES`` values or more goes through the numpy
+kernel of ``_g17``, exact for finite 1e-6 < |x| < 1e16, with ``%`` for
+the values outside that range (zeros, subnormals, tiny, huge and
+non-finite ones); a smaller block, where numpy's cost per call does not
+pay back, is formatted by one ``%`` operation. The raw-IF writer hands
+over the traces in blocks of ``_BLOCK_RECORDS`` records.
+
 Reading parses the records ``_CHUNK_LINES`` lines at a time, each chunk
 by one ``np.loadtxt`` call, and a raw-IF reader scatters each chunk into
 the trace stack it returns, so a read holds about its output plus one
@@ -45,6 +53,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from . import _g17
 from .errors import DatasetFormatError
 from .estimator import FitResult, SdiDataset, check_step, model_gamma, step_phase_advance
 from .fmcw import ChirpConfig
@@ -68,6 +77,13 @@ _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured",
 # lines per np.loadtxt call: besides what it builds, a reader holds one
 # chunk of parsed records (about 0.7 MB of raw-IF records)
 _CHUNK_LINES = 16384
+# a block of fewer values is written by one `%` operation: below this the
+# numpy kernel's fixed cost per call outweighs what it saves per value
+_KERNEL_MIN_VALUES = 256
+# records per block of the raw-IF writer: the kernel's temporaries for
+# 8192 values take about 1.6 MB and stay in cache; larger blocks were no
+# faster and raised the process's peak memory
+_BLOCK_RECORDS = 4096
 
 # (key, attribute, type) of the header lines each file kind writes in this
 # order and requires on reading; the dataset's mode, direction and provenance
@@ -94,9 +110,11 @@ class DatasetFile:
 
     gamma mode fills ``gammas``; raw-if mode fills ``chirp``,
     ``mut_samples`` and ``metal_samples`` (one row per metal position).
-    A non-finite sample raises DatasetFormatError at construction, so
-    ``write`` never writes a file that ``read`` refuses, and ``read``,
-    which builds through the constructor, refuses a missing trace sample.
+    A non-finite sample, or a ``provenance`` that spans lines, raises
+    DatasetFormatError at construction, so ``write`` never writes a file
+    that ``read`` refuses, and ``read``, which builds through the
+    constructor, refuses a missing trace sample. The provenance is read
+    back without its surrounding whitespace.
     """
 
     mode: str
@@ -115,6 +133,8 @@ class DatasetFile:
             raise DatasetFormatError(f"unknown mode {self.mode!r}")
         if self.direction not in ("backward", "forward"):
             raise DatasetFormatError(f"unknown direction {self.direction!r}")
+        if self.provenance and ("\n" in self.provenance or "\r" in self.provenance):
+            raise DatasetFormatError(f"provenance spans lines: {self.provenance!r}")
         if self.mode == "gamma":
             if self.gammas is None:
                 raise DatasetFormatError("gamma mode requires gamma records")
@@ -166,7 +186,7 @@ class DatasetFile:
             header.append(f"provenance: {self.provenance}")
         if self.mode == "gamma":
             header.append(f"columns: {GAMMA_COLUMNS}")
-            blocks = [([f"{m} " for m in range(self.step_count)], _pairs(self.gammas))]
+            blocks = [(_indexes(self.step_count), _pairs(self.gammas))]
         else:
             c = self.chirp
             header += [
@@ -175,11 +195,9 @@ class DatasetFile:
                 f"path_loss_im: {c.path_loss.imag:.17g}",
                 f"columns: {RAW_COLUMNS}",
             ]
-            # one block per trace, formatted as it is written
-            ids = ["mut "] + [f"metal-{m} " for m in range(self.step_count)]
-            indexes = [f"{n} " for n in range(c.sample_count)]
-            traces = zip(ids, [self.mut_samples, *self.metal_samples])
-            blocks = (([i + n for n in indexes], _pairs(s)) for i, s in traces)
+            ids = _byte_rows([b"mut "] + [b"metal-%d " % m for m in range(self.step_count)])
+            blocks = _trace_blocks(ids, _indexes(c.sample_count),
+                                   (self.mut_samples[None], self.metal_samples))
         write_records(path, header, blocks)
 
     @classmethod
@@ -191,45 +209,91 @@ class DatasetFile:
         common = {"mode": meta["mode"], **_read_keys(meta, _COMMON_KEYS)}
         common.update((key, meta[key]) for key in ("direction", "provenance") if key in meta)
         if meta["mode"] == "gamma":
-            return cls(gammas=_gammas(np.concatenate(list(chunks)), common["step_count"]),
-                       **common)
+            return cls(gammas=_gammas(_joined(chunks), common["step_count"]), **common)
         chirp = ChirpConfig(
             **_read_keys(meta, _CHIRP_KEYS),
             start_frequency=common["carrier_hz"],
             path_loss=complex(_parse(meta, "path_loss_re", default=1.0),
                               _parse(meta, "path_loss_im", default=0.0)),
         )
-        traces = _traces(chunks, common["step_count"], chirp.sample_count, room)
+        traces = _traces(chunks, common["step_count"], chirp.sample_count, room())
         return cls(chirp=chirp, mut_samples=traces[0], metal_samples=traces[1:], **common)
 
 
 def write_records(path, header, blocks) -> None:
     """Write ``header`` lines, then each block of records.
 
-    A block is ``(labels, values)``: record i is ``labels[i]`` followed
-    by row i of the 2-D ``values``. One ``%`` operation formats a block;
-    ``%.17g`` rounds as ``format(x, ".17g")`` does.
+    A block is ``(labels, values)``: record i is row i of the 2-D uint8
+    ``labels`` without its 0 bytes, then row i of the 2-D float
+    ``values``, each value as ``"%.17g" % x`` writes it. A block of at
+    least ``_KERNEL_MIN_VALUES`` values is laid out in one byte array by
+    ``_g17.format_into`` and written without its 0 bytes; a smaller one
+    is formatted by one ``%`` operation.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
         for labels, values in blocks:
-            fields = " ".join(["%.17g"] * values.shape[1]) + "\n"
-            template = "".join([label + fields for label in labels])
-            fh.write(template % tuple(values.ravel().tolist()))
+            fh.write(_record_bytes(labels, values))
+
+
+def _record_bytes(labels, values) -> bytes:
+    """The bytes of one block of records, see ``write_records``."""
+    values = np.asarray(values, dtype=np.float64)
+    n, k = values.shape
+    if values.size < _KERNEL_MIN_VALUES:
+        fields = b" ".join([b"%.17g"] * k) + b"\n"
+        texts = np.ascontiguousarray(labels).view(f"S{labels.shape[1]}").ravel().tolist()
+        template = b"".join([label + fields for label in texts]).replace(b"\0", b"")
+        return template % tuple(values.ravel().tolist())
+    width = labels.shape[1]
+    rows = np.zeros((n, width + k * (_g17.SLOT + 1)), np.uint8)
+    rows[:, :width] = labels
+    cells = rows[:, width:].reshape(n, k, _g17.SLOT + 1)  # a view: each value's slot and separator
+    cells[:, :, -1] = ord(" ")
+    cells[:, -1, -1] = ord("\n")
+    _g17.format_into(values, cells)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _byte_rows(texts) -> np.ndarray:
+    """The bytes of each text as a row of uint8, padded with 0 bytes."""
+    texts = np.array(texts, dtype=bytes)
+    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
+
+
+def _indexes(count) -> np.ndarray:
+    """The labels ``0 ``, ``1 ``, ... of ``count`` records, as byte rows."""
+    return _byte_rows([b"%d " % i for i in range(count)])
+
+
+def _trace_blocks(ids, indexes, stacks):
+    """Raw-IF blocks of at most ``_BLOCK_RECORDS`` records, trace by
+    trace: ``stacks`` hold the traces as rows of samples, ``ids`` label
+    each trace in turn and ``indexes`` each sample."""
+    first = 0
+    for stack in stacks:
+        pairs = _pairs(stack)  # record r is sample r % N of the trace first + r // N
+        for start in range(0, len(pairs), _BLOCK_RECORDS):
+            trace, sample = np.divmod(np.arange(start, min(start + _BLOCK_RECORDS, len(pairs))),
+                                      len(indexes))
+            # np.take copies rows several times faster than fancy indexing
+            labels = np.hstack((np.take(ids, first + trace, axis=0),
+                                np.take(indexes, sample, axis=0)))
+            yield labels, pairs[start:start + _BLOCK_RECORDS]
+        first += len(stack)
 
 
 def _pairs(z) -> np.ndarray:
-    """Complex values as (re, im) rows."""
-    z = np.asarray(z, dtype=complex)
-    return np.column_stack((z.real, z.imag))
+    """Complex values as (re, im) rows: a view of ``z`` where it is contiguous."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64).reshape(-1, 2)
 
 
 def _read_file(path, build, layout=None):
     """Metadata up to ``columns:``, then ``build(meta, chunks, room)``.
 
     ``chunks`` yields the records in ``layout`` (default: that of the
-    file's mode), see ``_chunks``; ``room`` bounds how many the file can
-    hold, see ``_record_room``. When ``build`` refuses the file, a bad
+    file's mode), see ``_chunks``; ``room()`` bounds how many the file
+    can hold, see ``_record_room``. When ``build`` refuses the file, a bad
     record later in it wins, as when every record was parsed before any
     header value.
     """
@@ -242,9 +306,8 @@ def _read_file(path, build, layout=None):
                     raise DatasetFormatError(f"unknown mode {mode!r}")
                 layout = _RECORDS[mode]
             chunks = _chunks(fh, *layout)
-            room = _record_room(fh)
             try:
-                return build(meta, chunks, room)
+                return build(meta, chunks, lambda: _record_room(fh))
             except (DatasetFormatError, ValueError):
                 for _ in chunks:
                     pass
@@ -281,6 +344,13 @@ def _chunks(fh, kind, dtype):
         yield records
     if records is None:  # no line after the header
         yield np.empty(0, dtype)
+
+
+def _joined(chunks) -> np.ndarray:
+    """All the chunks' records in one array: the only chunk itself, as a
+    file of up to ``_CHUNK_LINES`` lines has."""
+    first, *rest = chunks
+    return np.concatenate([first, *rest]) if rest else first
 
 
 def _record_room(fh) -> int:
@@ -460,7 +530,7 @@ class ReportFile:
         m = np.arange(self.step_count)
         values = np.column_stack((m * self.step_m * 1e3, _pairs(self.measured),
                                   _pairs(self.fitted)))
-        write_records(path, header, [([f"{k} " for k in m.tolist()], values)])
+        write_records(path, header, [(_indexes(self.step_count), values)])
 
     @classmethod
     def read(cls, path) -> "ReportFile":
@@ -468,7 +538,7 @@ class ReportFile:
 
     @classmethod
     def _from_records(cls, meta, chunks, room) -> "ReportFile":
-        records = np.concatenate(list(chunks))
+        records = _joined(chunks)
         values = _read_keys(meta, _REPORT_KEYS)
         if records.size != values["step_count"]:
             raise DatasetFormatError("report record count mismatch")

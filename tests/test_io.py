@@ -191,6 +191,19 @@ class TestGammaRoundTrip:
         with pytest.raises(DatasetFormatError, match="non-finite gamma record"):
             gamma_file(tmp_path, gammas=[1.0, math.nan, 1.0])
 
+    @pytest.mark.parametrize("provenance", [
+        "a\nb", "a\rb", "trailing\r\n", "a\ncolumns: m re_gamma im_gamma\n0 1 2"])
+    def test_provenance_spanning_lines_refused_at_construction(self, tmp_path, provenance):
+        # written, it would end the header line early: a second header, or
+        # a line that reads as a metadata line without colon
+        with pytest.raises(DatasetFormatError, match="provenance spans lines"):
+            gamma_file(tmp_path, provenance=provenance)
+
+    def test_provenance_loses_surrounding_whitespace(self, tmp_path):
+        path = tmp_path / "sweep.txt"
+        gamma_file(tmp_path, provenance="  padded  ").write(path)
+        assert DatasetFile.read(path).provenance == "padded"
+
 
 class TestRawIfRoundTrip:
     def test_bit_exact(self, tmp_path):
@@ -406,6 +419,92 @@ class TestWriterGolden:
         assert bits_equal(back.fitted, fitted)
         assert bits_equal(back.eps_imag, -0.0)
         assert back.residual_norm == 5e-324
+
+
+def template_write_records(path, header, blocks):
+    """The writer before the numpy kernel, kept as the oracle: one ``%``
+    operation per block of ``str`` labels and float rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(header) + "\n")
+        for labels, values in blocks:
+            fields = " ".join(["%.17g"] * values.shape[1]) + "\n"
+            template = "".join([label + fields for label in labels])
+            fh.write(template % tuple(values.ravel().tolist()))
+
+
+def mixed_values(rng, count):
+    """Values of every scale, with some the kernel leaves to ``%`` mixed in."""
+    values = rng.standard_normal(count) * 10.0 ** rng.uniform(-8, 18, count)
+    at = rng.integers(0, count, count // 8 + 1)
+    values[at] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e-6, -1e-7, 1e16, -3e300], at.size)
+    return values
+
+
+def mixed_complex(rng, *shape):
+    count = math.prod(shape)
+    return (mixed_values(rng, count) + 1j * mixed_values(rng, count)).reshape(shape)
+
+
+class TestWriterMatchesTemplate:
+    """Files equal, byte for byte, what the template writer makes of the
+    same header and records, on blocks below, at and above the size
+    where the numpy kernel takes over, with values out of its range mixed
+    in."""
+
+    LIMIT = io._KERNEL_MIN_VALUES
+
+    @staticmethod
+    def assert_same_bytes(write, path):
+        write(path)
+        written = path.read_bytes()
+
+        def oracle(path, header, blocks):
+            template_write_records(path, header, [
+                ([row.tobytes().replace(b"\0", b"").decode() for row in labels], values)
+                for labels, values in blocks])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "write_records", oracle)
+            write(path)
+        assert written == path.read_bytes()
+
+    @pytest.mark.parametrize("steps", [LIMIT // 2 - 1, LIMIT // 2, LIMIT // 2 + 1])
+    def test_gamma(self, tmp_path, steps):
+        gammas = mixed_complex(np.random.default_rng(steps), steps)
+        self.assert_same_bytes(gamma_file(tmp_path, gammas).write, tmp_path / "sweep.txt")
+
+    def test_gamma_with_no_value_in_the_kernels_range(self, tmp_path):
+        gammas = np.zeros(self.LIMIT, dtype=complex)
+        gammas[::3] = -0.0 + 5e-324j
+        self.assert_same_bytes(gamma_file(tmp_path, gammas).write, tmp_path / "sweep.txt")
+
+    @pytest.mark.parametrize("steps", [LIMIT // 5, LIMIT // 5 + 1])
+    def test_report(self, tmp_path, steps):
+        rng = np.random.default_rng(steps)
+        report = ReportFile(
+            eps_real=2.5, eps_imag=0.1, phase_offset_rad=-1 / 3, residual_norm=1e-3,
+            converged=True, carrier_hz=79e9, step_m=1e-4, step_count=steps,
+            measured=mixed_complex(rng, steps), fitted=mixed_complex(rng, steps),
+        )
+        self.assert_same_bytes(report.write, tmp_path / "report.txt")
+
+    @pytest.mark.parametrize("samples", [LIMIT // 2 - 1, LIMIT // 2, LIMIT // 2 + 1])
+    @pytest.mark.parametrize("block_records", [io._BLOCK_RECORDS, LIMIT // 2 + 3])
+    def test_raw_if(self, tmp_path, monkeypatch, samples, block_records):
+        # a small block size splits the metal stack across traces, with a
+        # last block below the kernel's size
+        monkeypatch.setattr(io, "_BLOCK_RECORDS", block_records)
+        rng = np.random.default_rng(samples)
+        src = DatasetFile(
+            mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=3,
+            chirp=ChirpConfig(79e9, 1e4, samples * 2e-6, samples, 2e-6),
+            mut_samples=mixed_complex(rng, samples), metal_samples=mixed_complex(rng, 3, samples),
+        )
+        path = tmp_path / "raw.txt"
+        self.assert_same_bytes(src.write, path)
+        back = DatasetFile.read(path)
+        assert bits_equal(back.mut_samples, src.mut_samples)
+        assert bits_equal(back.metal_samples, src.metal_samples)
 
 
 class TestReader:
