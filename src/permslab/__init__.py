@@ -2,11 +2,19 @@
 
 The package covers the full chain: slab electromagnetics, synthetic
 FMCW intermediate-frequency traces, calibrated reflection extraction,
-bounded least-squares fitting of the sweep model, Monte-Carlo
-benchmarking, and file I/O with a CLI front end.
+the closed-form fit of the sweep model, the bounded least-squares fit of
+the known-geometry model (``fit_ideal``), Monte-Carlo benchmarking, and
+file I/O with a CLI front end.
+
+The public surface is what this module imports: ``__all__`` holds every
+name bound here that neither starts with an underscore nor is a module,
+so ``from permslab import *`` binds no submodule (no ``io`` shadows the
+standard library's).
 """
 
 __version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
 
 from .em import (
     AIR,
@@ -17,7 +25,6 @@ from .em import (
     SlabGeometry,
     complex_sqrt_lossy,
     effective_reflection,
-    effective_reflection_truncated,
     fraunhofer_distance,
     fresnel_normal,
 )
@@ -67,57 +74,7 @@ from .synth import (
     generate_if_datasets,
 )
 
-__all__ = [
-    "AIR",
-    "METAL",
-    "SPEED_OF_LIGHT",
-    "AliasingError",
-    "AllZeroSpectrumError",
-    "BenchReport",
-    "CalibrationError",
-    "ChirpConfig",
-    "ComplexPermittivity",
-    "DatasetFile",
-    "DatasetFormatError",
-    "DegenerateDataError",
-    "DegenerateGeometryError",
-    "DegenerateRegressionError",
-    "EchoComponent",
-    "FitBounds",
-    "FitResult",
-    "IfTrace",
-    "InfeasibleFitError",
-    "MetalBacking",
-    "NoConvergenceError",
-    "NoiseModel",
-    "PermslabError",
-    "ReportFile",
-    "SdiDataset",
-    "SlabGeometry",
-    "TrialRecord",
-    "TruthSummary",
-    "benchmark_chirp",
-    "calibrate_ratio",
-    "complex_sqrt_lossy",
-    "dft",
-    "effective_reflection",
-    "effective_reflection_truncated",
-    "extract_sweep",
-    "fit_ideal",
-    "fit_permittivity",
-    "fraunhofer_distance",
-    "fresnel_normal",
-    "front_face_reflection",
-    "generate_dataset",
-    "generate_if_datasets",
-    "jacobian",
-    "model_gamma",
-    "peak_bin",
-    "phase_slope_diagnostic",
-    "residuals",
-    "run_sweep",
-    "step_phase_advance",
-    "synth_if_trace",
-    "synth_slab_echoes",
-    "wrap_phase",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -158,7 +158,7 @@ def run_sweep(
 
 
 def _angle_difference(fitted: float, target: float) -> float:
-    """Signed difference wrapped to (-pi, pi]."""
+    """Signed difference wrapped to [-pi, pi] (math.remainder gives -pi for both -pi and 3 pi)."""
     d = fitted - target
     return math.remainder(d, 2.0 * math.pi)
 

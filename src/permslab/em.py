@@ -2,8 +2,8 @@
 
 Covers the loss-branch complex square root, Fresnel coefficients, the
 multi-bounce effective reflection coefficient of a backed slab (closed
-form with its slope in eps, and truncated series), and the Fraunhofer
-far-field distance.
+form with its slope in eps), the slab bounce terms any series of it is
+built from, and the Fraunhofer far-field distance.
 
 Conventions: relative permittivity eps = eps' - j*eps'' with eps' >= 1
 and eps'' >= 0 (passive, non-magnetic media), time factor e^{+jwt}, so
@@ -187,24 +187,6 @@ def effective_reflection_and_slope(
     dg_dn = -2.0 / (1.0 + n) ** 2
     slope = ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
     return g + first / denom, slope
-
-
-def effective_reflection_truncated(
-    eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float, q: int
-) -> complex:
-    """Front-face reflection keeping only the first q wave components.
-
-    Component 1 is the direct front-face reflection; components
-    2..q are the successive transmitted bounces, summed term by term.
-    Serves as the independent oracle for effective_reflection.
-    """
-    if q < 2:
-        raise ValueError(f"bounce count q must be >= 2, got {q}")
-    total, term, ratio = slab_bounce_terms(eps_r, geom, freq)
-    for _ in range(q - 1):
-        total += term
-        term *= ratio
-    return total
 
 
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:

@@ -306,15 +306,15 @@ def _start_list(starts) -> list[tuple]:
     return start_list
 
 
-def _pick_winner(norms, gammas) -> int:
+def _pick_winner(norms, data_norm: float) -> int:
     """Lowest residual norm; numerical ties go to the earliest start.
 
     Exact-fit runs stop with residual norms anywhere between machine
-    noise and the gradient tolerance, so residual norms within a small
-    absolute band are treated as equal. This keeps the winning start
-    reproducible when the objective has a flat direction.
+    noise and the gradient tolerance, so residual norms within a band
+    of 1e-9 (1 + ||Gamma||) are treated as equal. This keeps the winning
+    start reproducible when the objective has a flat direction.
     """
-    cutoff = min(norms) + 1e-9 * (1.0 + float(np.linalg.norm(gammas)))
+    cutoff = min(norms) + 1e-9 * (1.0 + data_norm)
     return next(i for i, rn in enumerate(norms) if rn <= cutoff)
 
 
@@ -471,7 +471,7 @@ def fit_ideal(
     k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
     phase = np.exp(2j * k1 * (geom.standoff + np.arange(gammas.size) * step))
     # z and floor_sq come as Python scalars, which keep fun's arithmetic cheaper than numpy's
-    (z,), _, (floor_sq,), (error,) = _reduce(gammas[None], phase.conj())
+    (z,), (rho,), (floor_sq,), (error,) = _reduce(gammas[None], phase.conj())
     if error:
         raise error
     root_m = math.sqrt(gammas.size)
@@ -497,7 +497,8 @@ def fit_ideal(
         raise NoConvergenceError("no start converged within the iteration cap")
 
     norms = [math.sqrt(floor_sq + 2.0 * r.cost) for r in runs]
-    best = _pick_winner(norms, gammas)
+    # ||Gamma||^2 = floor + M |z*|^2, the identity of _reduce
+    best = _pick_winner(norms, math.sqrt(floor_sq + gammas.size * rho * rho))
     win = runs[best]
     return FitResult(ComplexPermittivity(*win.x.tolist()), phase_offset=0.0,
                      residual_norm=norms[best], iterations=win.iterations, converged=win.converged)

@@ -14,8 +14,8 @@ raw-if mode records:  trace_id  sample_index  re  im  (any order, each
 
 Blank lines and ``#`` comments may appear anywhere, also after the
 fields of a record line; a ``#`` after a header value is part of the
-value. A malformed, incomplete or non-finite record ends in
-``DatasetFormatError``.
+value. A malformed, incomplete or non-finite record, and a chirp header
+value that ``ChirpConfig`` refuses, end in ``DatasetFormatError``.
 
 Writing renders each value as ``"%.17g" % x`` does, byte for byte. A
 block of ``_KERNEL_MIN_VALUES`` values or more goes through the numpy
@@ -210,12 +210,15 @@ class DatasetFile:
         common.update((key, meta[key]) for key in ("direction", "provenance") if key in meta)
         if meta["mode"] == "gamma":
             return cls(gammas=_gammas(_joined(chunks), common["step_count"]), **common)
-        chirp = ChirpConfig(
-            **_read_keys(meta, _CHIRP_KEYS),
-            start_frequency=common["carrier_hz"],
-            path_loss=complex(_parse(meta, "path_loss_re", default=1.0),
-                              _parse(meta, "path_loss_im", default=0.0)),
-        )
+        try:
+            chirp = ChirpConfig(
+                **_read_keys(meta, _CHIRP_KEYS),
+                start_frequency=common["carrier_hz"],
+                path_loss=complex(_parse(meta, "path_loss_re", default=1.0),
+                                  _parse(meta, "path_loss_im", default=0.0)),
+            )
+        except ValueError as exc:  # a header value that parses but ChirpConfig refuses
+            raise DatasetFormatError(f"bad chirp header: {exc}") from exc
         traces = _traces(chunks, common["step_count"], chirp.sample_count, room())
         return cls(chirp=chirp, mut_samples=traces[0], metal_samples=traces[1:], **common)
 

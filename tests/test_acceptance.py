@@ -21,7 +21,6 @@ from permslab import (
     complex_sqrt_lossy,
     dft,
     effective_reflection,
-    effective_reflection_truncated,
     extract_sweep,
     fit_permittivity,
     fraunhofer_distance,
@@ -35,6 +34,8 @@ from permslab import (
     run_sweep,
     step_phase_advance,
 )
+
+from bounce_series import effective_reflection_truncated
 
 REFERENCE_MATERIALS = [
     ComplexPermittivity(2.0, 0.1),

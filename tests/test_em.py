@@ -16,12 +16,13 @@ from permslab import (
     SlabGeometry,
     complex_sqrt_lossy,
     effective_reflection,
-    effective_reflection_truncated,
     fraunhofer_distance,
     fresnel_normal,
 )
 from permslab.em import effective_reflection_and_slope, slab_bounce_terms
 from permslab.errors import DegenerateGeometryError
+
+from bounce_series import effective_reflection_truncated
 
 
 def polar_sqrt(a, b):

@@ -18,13 +18,14 @@ from permslab import (
     calibrate_ratio,
     complex_sqrt_lossy,
     dft,
-    effective_reflection_truncated,
     fresnel_normal,
     peak_bin,
     synth_if_trace,
     synth_slab_echoes,
 )
 from permslab.errors import AllZeroSpectrumError, CalibrationError
+
+from bounce_series import effective_reflection_truncated
 
 CFG = ChirpConfig(
     start_frequency=79e9,

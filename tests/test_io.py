@@ -655,6 +655,28 @@ class TestReader:
         with pytest.raises(DatasetFormatError, match="bad float for 'path_loss_im'"):
             DatasetFile.read(path)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("\nsample_count: 5\n", "\nsample_count: 1\n", "need at least 2 samples, got 1"),
+        ("\nbandwidth_hz: 10000\n", "\nbandwidth_hz: -5\n",
+         "bandwidth and start frequency must be > 0"),
+        ("\ncarrier_hz: 79000000000\n", "\ncarrier_hz: nan\n",
+         "chirp start_frequency must be finite"),
+    ])
+    def test_chirp_header_that_parses_but_is_invalid(self, tmp_path, old, new, message):
+        # ChirpConfig's ValueError used to escape the reader
+        path = tmp_path / "raw.txt"
+        raw_file(path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=f"bad chirp header: {message}"):
+            read_in_chunks(DatasetFile.read, path)
+        # a malformed record later in the file still wins
+        path.write_text(text.replace(old, new).replace("\nmetal-1 4 ", "\nmetal-1 x "),
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="bad trace record"):
+            DatasetFile.read(path)
+
     @pytest.mark.parametrize("line", ["", "converged: True\n", "converged: 1\n",
                                       "converged:\n", "convergd: true\n"])
     def test_report_converged_must_be_true_or_false(self, tmp_path, line):
