@@ -1,35 +1,61 @@
-"""``"%.17g" % x`` for many doubles at once, byte for byte.
+"""17-digit decimal text of many doubles at once, both ways, exactly.
 
-Python formats a double to 17 significant digits with big-integer
-arithmetic (its dtoa leaves the fast path above 14 digits), about 0.5 µs
-a value. ``format_into`` does the same conversion with a few dozen numpy
-operations per block for every finite ``x`` with 1e-6 < |x| < 1e16
-(compared as doubles; the double nearest 1e-6 lies below 10**-6), and
-falls back to ``%`` for the rest: zeros, subnormals, |x| <= 1e-6,
-|x| >= 1e16, infinities and nan.
+Python converts between a double and 17 significant digits with
+big-integer arithmetic (its dtoa leaves the fast path above 14 digits
+when writing; ``float`` reads such a token in about 0.3 µs). This module
+does both with a few dozen numpy operations per block:
 
-The conversion. With ``k = floor(log10|x|)`` (one correction pass for
-the rows where ``log10`` rounds across a power of ten), |x|·10^(16−k)
-lies in [1e16, 1e17). Dekker's two-product (Numer. Math. 18, 1971)
-splits it exactly into ``hi + lo``; 10^s is exact for s <= 22, which
-sets the lower end of the range. ``hi`` is a double in [1e16, 1e17],
-above 2^53, hence an even integer, so ``hi + rint(lo)`` (summed in
-int64) is the 17-digit integer rounded to nearest with ties to even, as
-``%`` rounds. It never carries to 10^17: inside the range, the largest
-double below each power of ten is at least 8 units of the 17th digit
-below it.
+- ``format_into`` gives each double the bytes of ``"%.17g" % x`` for every
+  finite ``x`` with 1e-6 < |x| < 1e16 (compared as doubles; the double
+  nearest 1e-6 lies below 10**-6), and falls back to ``%`` for the rest:
+  zeros, subnormals, |x| <= 1e-6, |x| >= 1e16, infinities and nan;
+- ``parse`` gives each token the double ``float(token)`` gives, for the
+  tokens one of its two exact rules takes (below), and names the others,
+  which the caller reads with ``float``.
 
-The layout. Each value gets a slot of ``SLOT`` bytes: sign, the ``0.``
-and leading zeros of a fixed-point number below 1, the lead digit, the
-point of e-notation and of numbers in [1, 10), the other 16 digits, and
-the ``e-0N`` of the e-notation that ``%g`` uses for exponents below -4.
-The 16 digits are four-digit ASCII words from a 10000-entry table, with
-a second half that drops trailing zeros; in a number of 10 or more, the
-digits after the point move one byte right to make room for it. Every
-byte a value does not use is 0, and the writer drops all 0 bytes of a
-block at once.
+The digit step, shared by both. For ``x`` and a scale ``s <= 22``,
+Dekker's two-product (Numer. Math. 18, 1971) splits x·10^s exactly into
+``hi + lo``, as 10^s is an exact double for s <= 22. When x·10^s lies in
+[1e16, 1e17], ``hi`` is above 2^53, hence an even integer, so
+``hi + rint(lo)`` (summed in int64) is the 17-digit integer rounded to
+nearest with ties to even, as ``%`` rounds.
+
+Writing. With ``k = floor(log10|x|)`` (one correction pass for the rows
+where ``log10`` rounds across a power of ten), s = 16 − k puts |x|·10^s
+in [1e16, 1e17); s <= 22 sets the lower end of the range. The digits
+never carry to 10^17: inside the range, the largest double below each
+power of ten is at least 8 units of the 17th digit below it. Each value
+gets a slot of ``SLOT`` bytes: sign, the ``0.`` and leading zeros of a
+fixed-point number below 1, the lead digit, the point of e-notation and
+of numbers in [1, 10), the other 16 digits, and the ``e-0N`` of the
+e-notation that ``%g`` uses for exponents below -4. The 16 digits are
+four-digit ASCII words from a 10000-entry table, with a second half that
+drops trailing zeros; in a number of 10 or more, the digits after the
+point move one byte right to make room for it. Every byte a value does
+not use is 0, and the writer drops all 0 bytes of a block at once.
+
+Reading. A token ``[-]digits[.digits][e±dd[d]]`` of at most 24 digits is
+read as an integer D and a decimal exponent q, its value ±D·10^q: the
+mantissa's last 24 bytes are three little-endian words, the point is
+dropped by moving the bytes before it one byte on, and each word's eight
+ASCII digits are summed in place (pairs, quads, then all eight). The
+value is the nearest double to D·10^q when
+
+- D <= 2^53 and |q| <= 22 (Clinger's fast path, PLDI 1990): D and 10^|q|
+  are doubles, so one division or product rounds it correctly;
+- or D has 16 or 17 digits, written as 17 digits D17·10^−s with
+  0 <= s <= 22, and a candidate double c has D17 as its 17 digits by the
+  digit step. Then |D17 − c·10^s| <= 1/2, and as 10^16 > 2^53 that is
+  less than half the spacing of the doubles around c, scaled by 10^s, so
+  c is the double nearest the token: the 17-digit round trip, read
+  backwards. Every token ``format_into`` writes inside its range is such
+  a token.
+
+The candidate is D / 10^−q, off by up to two ulps in about one token of
+six; those get the remainder of the two-product added once and are
+checked again. Any other token, and any token the checks refuse, is
+left to ``float``.
 """
-
 from __future__ import annotations
 
 import functools
@@ -88,13 +114,19 @@ def format_into(values, out) -> None:
 
 def _two_product(x, s, pow10, high, low):
     """``hi + lo == x·10**s`` exactly, ``hi`` the rounded product."""
-    hi = x * pow10[s]
+    hi = x * np.take(pow10, s)
     scaled = _SPLIT * x
     x_high = scaled - (scaled - x)
     x_low = x - x_high
-    p_high, p_low = high[s], low[s]
+    p_high, p_low = np.take(high, s), np.take(low, s)
     lo = ((x_high * p_high - hi) + x_high * p_low + x_low * p_high) + x_low * p_low
     return hi, lo
+
+
+def _digits(hi, lo) -> np.ndarray:
+    """The integer nearest ``hi + lo`` (ties to even), for ``hi`` a
+    double of at least 2**53, hence an even integer: the digit step."""
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _kernel(values, magnitude) -> np.ndarray:
@@ -110,7 +142,7 @@ def _kernel(values, magnitude) -> np.ndarray:
     if wrong.size:
         k[wrong] += above[wrong].astype(np.int64) - below[wrong]
         hi[wrong], lo[wrong] = _two_product(magnitude[wrong], 16 - k[wrong], pow10, high, low)
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    digits = _digits(hi, lo)
     # the 17 digits: a lead digit and four words of four
     upper, lower = np.divmod(digits, 10**8)
     lead, upper = np.divmod(upper, 10**8)
@@ -148,3 +180,164 @@ def _kernel(values, magnitude) -> np.ndarray:
         slots[rows, 9 + e:25] = slots[rows, 8 + e:24]
         slots[rows, 8 + e] = ord(".")
     return slots
+
+
+# bytes ``parse`` reads up to the end of a token: the most mantissa it takes
+WINDOW = 24
+_WORD = np.dtype("<u8")  # eight bytes, the first the least significant on every host
+_ZEROS = 0x3030303030303030  # eight ASCII "0"
+_NIBBLES = 0xF0F0F0F0F0F0F0F0
+_FRACTION_DIGITS = np.array([0, *range(23, -1, -1)], np.int64)  # after a point at byte i - 1
+
+
+@functools.cache
+def _masks():
+    """Byte masks as words, built on first use; each keeps the bytes
+    named and clears the rest:
+
+    - top[n]: the last n of a word's 8 bytes; fill[n] "0" in the others;
+    - top24[n]: the last n of three words' 24 bytes;
+    - before[i], after[i]: of 24 bytes with a point at byte i - 1, the
+      bytes before and after it; before[0] none and after[0] all (no point).
+    """
+    def words(keep):
+        return np.where(keep, np.uint8(255), np.uint8(0)).view(_WORD)
+
+    byte8, byte24 = np.arange(8), np.arange(24)
+    n8, n24 = np.arange(9)[:, None], np.arange(25)[:, None]
+    top = words(byte8 >= 8 - n8)[:, 0]
+    return (top, ~top & _ZEROS, words(byte24 >= 24 - n24), words(byte24 < n24 - 1),
+            words(byte24 >= n24))
+
+
+def _all_digits(words):
+    """Whether every byte of each word is an ASCII digit: its high nibble
+    is 3, and adding 6 to it (which carries into no other byte once the
+    high nibbles are 3) leaves it so."""
+    nibbles = words & _NIBBLES
+    digits = nibbles == _ZEROS
+    np.add(words, 0x0606060606060606, out=nibbles)
+    nibbles &= _NIBBLES
+    digits &= nibbles == _ZEROS
+    return digits
+
+
+def _swar(words):
+    """The value of the eight ASCII digits of each word, its first byte
+    the most significant, computed in place: each multiplication adds
+    ten (then 100, then 10**4) times a lane to the next, and the shift
+    and mask keep every second, now twice as wide, lane."""
+    words &= 0x0F0F0F0F0F0F0F0F
+    for factor, shift, mask in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
+                                (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+                                (10000 << 32 | 1, 32, 0xFFFFFFFF)):
+        words *= factor
+        words >>= shift
+        words &= mask
+    return words
+
+
+def small_integers(words, lengths):
+    """The integer of the decimal digits in the last ``lengths[i]`` (at
+    most 8) bytes of each word, and whether those bytes are all digits."""
+    top, fill = _masks()[:2]
+    words = words & np.take(top, lengths)
+    words |= np.take(fill, lengths)
+    digits = _all_digits(words)
+    return _swar(words), digits
+
+
+def parse(buf, ends, lengths):
+    """``float(token)`` of each token that one of the two exact rules of
+    the module docstring takes.
+
+    Token i is the ``lengths[i]`` bytes of the uint8 array ``buf`` that
+    end before byte ``ends[i]``, and ``buf`` holds at least WINDOW bytes
+    before each token. Returns the float64 values and the indexes of the
+    tokens no rule takes, whose values are not set.
+    """
+    top24, before, after = _masks()[2:]
+    pow10, high, low = _tables()[2:]
+    n = lengths.size
+    words = np.ndarray((buf.size - 7,), _WORD, buf, 0, (1,))  # word p: buf[p:p + 8]
+    # the exponent: "e", a sign and two or three digits ending the token
+    two = (np.take(buf, ends - 4) == ord("e")) & (lengths > 4)
+    three = (np.take(buf, ends - 5) == ord("e")) & (lengths > 5) & ~two
+    exp_digits = two * np.uint8(2) + three * np.uint8(3)
+    exponent, taken = np.zeros(n, np.int64), np.ones(n, bool)
+    rows = np.flatnonzero(exp_digits)
+    if rows.size:
+        tail, count = words[ends[rows] - 8], exp_digits[rows]
+        value, ok = small_integers(tail, count)
+        sign = (tail >> (56 - 8 * count).astype(np.uint64)) & 0xFF
+        taken[rows] = ok & ((sign == ord("+")) | (sign == ord("-")))
+        value = value.view(np.int64)
+        exponent[rows] = np.where(sign == ord("-"), -value, value)
+    # the mantissa, after an optional "-": its last 24 bytes as three
+    # words, the bytes before it "0"
+    first = ends - lengths
+    negative = np.take(buf, first) == ord("-")
+    end = ends - exp_digits - 2 * (exp_digits > 0)
+    size = end - first - negative
+    del exp_digits
+    taken &= (size >= 1) & (size <= 24)
+    np.clip(size, 0, 24, out=size)
+    mantissa = np.ndarray((buf.size - 23,), "V24", buf, 0, (1,))[end - 24]
+    mantissa = mantissa.view(_WORD).reshape(n, 3)
+    del end
+    mantissa ^= _ZEROS
+    mantissa &= np.take(top24, size, axis=0)
+    mantissa ^= _ZEROS
+    # the point, if any, as its byte plus 1 (0 for none): mostly after the
+    # first digit, else found in the token's bytes; a second one stays, and
+    # is refused as no digit
+    point = np.where(np.take(buf, first + negative + 1) == ord("."), 26 - size, 0).astype(np.uint8)
+    rows = np.flatnonzero(point == 0)
+    if rows.size:
+        row, byte = np.divmod(np.flatnonzero(mantissa[rows].view(np.uint8) == ord(".")), 24)
+        point[rows[row]] = byte + 1
+    # drop it: the bytes before it, which never include the last, move one
+    # byte on, across words in the flat array
+    ahead = mantissa & np.take(before, point, axis=0)
+    mantissa &= np.take(after, point, axis=0)
+    ahead = ahead.ravel()
+    flat = mantissa.ravel()
+    flat[1:] |= ahead[:-1] >> 56
+    ahead <<= 8
+    flat |= ahead
+    mantissa[:, 0] |= np.where(point > 0, np.uint64(ord("0")), np.uint64(0))  # the byte left
+    del ahead, flat
+    ok = _all_digits(mantissa)
+    taken &= ok[:, 0] & ok[:, 1] & ok[:, 2] & (size > (point > 0))
+    del ok, size
+    quads = _swar(mantissa)
+    taken &= quads[:, 0] < 922  # D < 2**63
+    digits = quads[:, 0] * 10**16
+    digits += quads[:, 1] * 10**8
+    digits += quads[:, 2]
+    digits = digits.view(np.int64)
+    del mantissa, quads
+    exponent -= np.take(_FRACTION_DIGITS, point)
+    # Clinger's fast path, and the candidate of the second rule
+    values = digits.astype(np.float64)
+    values /= np.take(pow10, np.clip(-exponent, 0, 22))
+    values *= np.take(pow10, np.clip(exponent, 0, 22))
+    fast = (digits <= 2**53) & (np.abs(exponent) <= 22)
+    # 16 or 17 digits, written as 17, checked against the candidate's
+    short = digits < 10**16
+    digits = np.where(short, digits * 10, digits)
+    scale = short - exponent
+    second = ~fast & (digits >= 10**16) & (digits < 10**17) & (scale >= 0) & (scale <= 22)
+    taken &= fast | second
+    np.clip(scale, 0, 22, out=scale)
+    # zero for the other tokens, whose digits would not fit in int64
+    hi, lo = _two_product(np.where(second, values, 0.0), scale, pow10, high, low)
+    wrong = np.flatnonzero(taken & second & (_digits(hi, lo) != digits))
+    if wrong.size:
+        s, d17 = scale[wrong], digits[wrong]
+        remainder = (d17 - hi[wrong].astype(np.int64)).astype(np.float64) - lo[wrong]
+        values[wrong] += remainder / np.take(pow10, s)
+        hi, lo = _two_product(values[wrong], s, pow10, high, low)
+        taken[wrong[_digits(hi, lo) != d17]] = False
+    values = np.where(negative, -values, values)
+    return values, np.flatnonzero(~taken)

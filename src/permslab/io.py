@@ -25,15 +25,24 @@ non-finite ones); a smaller block, where numpy's cost per call does not
 pay back, is formatted by one ``%`` operation. The raw-IF writer hands
 over the traces in blocks of ``_BLOCK_RECORDS`` records.
 
-Reading parses the records ``_CHUNK_LINES`` lines at a time, each chunk
-by one ``np.loadtxt`` call, and a raw-IF reader scatters each chunk into
-the trace stack it returns, so a read holds about its output plus one
-chunk of records (a pipe, which has no size to show that the stack its
-header promises fits, holds its chunks until their count is checked).
-A file is refused as a check of all its records at once would refuse
-it: a malformed record anywhere wins over a bad header value and over
-the checks of the records, and its row is counted from the file's first
-record.
+Reading takes the file as bytes, in blocks of about ``_BLOCK_BYTES``
+cut after their last line end, and parses each block of records at once.
+A raw-IF block whose every line is ASCII ``id index re im`` with single
+spaces (no ``#`` and no control byte but the line ends) goes to
+``_raw_records``: ``_g17.parse`` reads each value that one of its two
+exact rules takes, and ``float`` each other value made of digits, signs,
+points and ``e``. Any other block, and every gamma and report block, is
+decoded and parsed by one ``np.loadtxt`` call over its lines, split at
+``\n``, ``\r\n`` and ``\r`` as text mode splits them. Both read a
+record to the same bits, so a file reads the same whichever parses it. A
+raw-IF reader scatters each block's records into the trace stack it
+returns, so a read holds about its output plus one block and the
+temporaries of its parse (a pipe, which has no size to show that the
+stack its header promises fits, holds its blocks' records until their
+count is checked). A file is refused as a check of all its records at
+once would refuse it: a malformed record anywhere wins over a bad header
+value and over the checks of the records, and its row is counted from
+the file's first record.
 
 The ``direction`` key records which way the reference moved during the
 sweep: ``backward`` (away from the radar, the default) means the
@@ -49,7 +58,8 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -74,9 +84,16 @@ _RECORDS = {
 }
 _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured", "f8", 2),
                                        ("fitted", "f8", 2)]))
-# lines per np.loadtxt call: besides what it builds, a reader holds one
-# chunk of parsed records (about 0.7 MB of raw-IF records)
-_CHUNK_LINES = 16384
+# bytes read at a time: besides what it builds, a raw-IF reader holds one
+# block, a copy and the temporaries of its parse, about 2.5 MB at the peak.
+# Reading an M=200, N=1024 file took about 60% longer in 64 KB blocks and
+# 25% longer in 128 KB ones (numpy's cost per call); 512 KB blocks were
+# about 5% faster, but raised the read's peak from 5.9 to 8.4 MB
+_BLOCK_BYTES = 1 << 18
+# a trace id of up to 16 bytes as read: mask[n] keeps its first n bytes
+_ID_MASKS = np.tril(np.full((17, 16), 255, np.uint8), -1)
+# a line with its line end, split as text mode splits lines
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 # a block of fewer values is written by one `%` operation: below this the
 # numpy kernel's fixed cost per call outweighs what it saves per value
 _KERNEL_MIN_VALUES = 256
@@ -301,14 +318,15 @@ def _read_file(path, build, layout=None):
     header value.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = _read_header(fh)
+        with open(path, "rb") as fh:
+            blocks = _blocks(fh)
+            meta, rest = _read_header(blocks)
             if layout is None:
                 mode = _parse(meta, "mode", str)
                 if mode not in _RECORDS:
                     raise DatasetFormatError(f"unknown mode {mode!r}")
                 layout = _RECORDS[mode]
-            chunks = _chunks(fh, *layout)
+            chunks = _chunks(chain((rest,), blocks), *layout)
             try:
                 return build(meta, chunks, lambda: _record_room(fh))
             except (DatasetFormatError, ValueError):
@@ -319,39 +337,117 @@ def _read_file(path, build, layout=None):
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _chunks(fh, kind, dtype):
-    """The records left in ``fh`` as arrays of ``dtype``, each parsed by
-    one ``np.loadtxt`` call from the next ``_CHUNK_LINES`` lines.
+def _blocks(fh):
+    """The rest of the binary file ``fh`` in blocks of about
+    ``_BLOCK_BYTES``, each cut after its last line end (``\\n``, or
+    ``\\r`` not followed by ``\\n``), so that no line, and no ``\\r\\n``,
+    spans two blocks; the last block holds what follows the last line end.
+    """
+    tail = b""
+    while data := fh.read(_BLOCK_BYTES):
+        data = tail + data
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        block, tail = data[:cut], data[cut:]
+        del data
+        if block:
+            yield block
+    if tail:
+        yield tail
 
-    There is at least one array, so the arrays of a file without records
-    concatenate to an empty one. A malformed record raises
-    DatasetFormatError with numpy's message, its row counted from the
-    first record of the file.
+
+def _chunks(blocks, kind, dtype):
+    """The records in ``blocks`` as arrays of ``dtype``, one per block.
+
+    A raw-IF block is parsed by ``_raw_records`` where it can; any other
+    block, decoded, by one ``np.loadtxt`` call over its lines, split as
+    text mode splits them. There is at least one array, so the arrays of
+    a file without records concatenate to an empty one. A malformed
+    record raises DatasetFormatError with numpy's message, its row
+    counted from the first record of the file.
     """
     parsed, records = 0, None
-    for line in fh:
-        try:
-            with warnings.catch_warnings():
-                # a chunk of comments, or a file without records
-                warnings.simplefilter("ignore", UserWarning)
-                records = np.loadtxt(chain((line,), islice(fh, _CHUNK_LINES - 1)),
-                                     dtype=dtype, comments="#", ndmin=1)
-        except UnicodeDecodeError:
-            raise
-        except ValueError as exc:
-            # numpy counts rows from the first record of the chunk
-            message = re.sub(r"at row (\d+)", lambda row: f"at row {parsed + int(row[1])}",
-                             str(exc), count=1)
-            raise DatasetFormatError(f"bad {kind} record: {message}") from exc
+    for block in blocks:
+        records = _raw_records(block, dtype) if kind == "trace" else None
+        if records is None:
+            records = _loaded(block, kind, dtype, parsed)
         parsed += records.size
         yield records
-    if records is None:  # no line after the header
+    if records is None:  # nothing after the header
         yield np.empty(0, dtype)
+
+
+def _loaded(block, kind, dtype, parsed):
+    """The records of a block by ``np.loadtxt``, see ``_chunks``."""
+    lines = StringIO(str(block, "utf-8"), newline=None).readlines()
+    try:
+        with warnings.catch_warnings():
+            # a block of only comments and blank lines
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+    except ValueError as exc:
+        # numpy counts rows from the first record of the block
+        message = re.sub(r"at row (\d+)", lambda row: f"at row {parsed + int(row[1])}",
+                         str(exc), count=1)
+        raise DatasetFormatError(f"bad {kind} record: {message}") from exc
+
+
+def _raw_records(block, dtype):
+    """The raw-IF records of a block, or None where ``np.loadtxt`` must
+    parse it.
+
+    Every line must be ASCII ``id index re im\\n``: single spaces, no
+    other control byte and no ``#``, an id of up to 16 bytes, an index of
+    up to 8 digits, and values that ``_g17.parse`` takes or that
+    ``float`` reads from digits, signs, points and ``e`` or ``E``.
+    ``np.loadtxt`` reads such a line to the same record, bit for bit.
+    """
+    size = len(block)
+    if not (block.endswith(b"\n") and block.isascii()) or b"#" in block:
+        return None
+    pad = _g17.WINDOW
+    buf = np.zeros(pad + size + 16, np.uint8)  # room for words and ids at either end
+    text = buf[pad:pad + size]
+    text[:] = np.frombuffer(block, np.uint8)
+    # the bytes up to " " are the 3 spaces and the line end of each line
+    ends = np.flatnonzero(text <= 32).astype(np.int32)
+    n = ends.size // 4
+    separators = np.take(text, ends)
+    if (ends.size != 4 * n or (separators[3::4] != ord("\n")).any()
+            or np.count_nonzero(separators == ord(" ")) != 3 * n):
+        return None
+    ends += pad
+    lengths = np.diff(ends, prepend=np.int32(pad - 1)).reshape(n, 4)
+    lengths -= 1
+    ends = ends.reshape(n, 4)
+    if not ((lengths > 0).all() and (lengths[:, 0] <= 16).all() and (lengths[:, 1] <= 8).all()):
+        return None
+    words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))
+    index, digits = _g17.small_integers(words[ends[:, 1] - 8], lengths[:, 1])
+    if not digits.all():
+        return None
+    value_ends, value_lengths = ends[:, 2:].ravel(), lengths[:, 2:].ravel()
+    values, rest = _g17.parse(buf, value_ends, value_lengths)
+    for i in rest.tolist():
+        token = buf[value_ends[i] - value_lengths[i]:value_ends[i]].tobytes()
+        if token.translate(None, b"0123456789+-.eE"):
+            return None  # "inf", "1_1", ...: np.loadtxt's rules, or its error
+        try:
+            values[i] = float(token)
+        except ValueError:
+            return None
+    ids = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends[:, 0] - lengths[:, 0]]
+    ids = ids.view(np.uint8).reshape(n, 16)
+    ids &= np.take(_ID_MASKS, lengths[:, 0], axis=0)
+    records = np.empty(n, dtype)
+    records["trace_id"] = ids.view("S16")[:, 0]
+    records["n"] = index
+    records["z"] = values.reshape(n, 2)
+    return records
 
 
 def _joined(chunks) -> np.ndarray:
     """All the chunks' records in one array: the only chunk itself, as a
-    file of up to ``_CHUNK_LINES`` lines has."""
+    file of up to ``_BLOCK_BYTES`` bytes has."""
     first, *rest = chunks
     return np.concatenate([first, *rest]) if rest else first
 
@@ -367,17 +463,20 @@ def _record_room(fh) -> int:
     return (st.st_size + 1) // 8 if stat.S_ISREG(st.st_mode) else 0
 
 
-def _read_header(fh) -> dict:
+def _read_header(blocks):
+    """The metadata up to ``columns:``, and the bytes of its block after
+    that line."""
     meta = {}
-    for line in iter(fh.readline, ""):
-        key, colon, value = (part.strip() for part in line.partition(":"))
-        if not (key or colon) or key.startswith("#"):
-            continue  # blank or comment
-        if not colon:
-            raise DatasetFormatError(f"metadata line without colon: {key!r}")
-        meta[key] = value
-        if key == "columns":
-            return meta
+    for block in blocks:
+        for line in _LINE.finditer(block):
+            key, colon, value = (part.strip() for part in str(line[0], "utf-8").partition(":"))
+            if not (key or colon) or key.startswith("#"):
+                continue  # blank or comment
+            if not colon:
+                raise DatasetFormatError(f"metadata line without colon: {key!r}")
+            meta[key] = value
+            if key == "columns":
+                return meta, block[line.end():]
     raise DatasetFormatError("missing columns line")
 
 

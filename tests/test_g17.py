@@ -1,4 +1,5 @@
-"""The vectorized 17-digit formatter against Python's ``"%.17g" % x``."""
+"""The vectorized 17-digit formatter against Python's ``"%.17g" % x``,
+and its reader against ``float(token)``."""
 
 import numpy as np
 import pytest
@@ -92,3 +93,100 @@ def test_any_shape_and_strided_out():
     assert not out[..., _g17.SLOT:].any()
     texts = [[cell.tobytes().translate(None, b"\0").decode() for cell in row] for row in out]
     assert texts == [["%.17g" % x for x in row] for row in values.tolist()]
+
+
+def parsed(tokens):
+    """``_g17.parse`` of byte tokens laid out one after another with a
+    space after each: the values, and whether a rule took each token."""
+    text = b" ".join(tokens) + b" "
+    buf = np.zeros(_g17.WINDOW + len(text), np.uint8)
+    buf[_g17.WINDOW:] = np.frombuffer(text, np.uint8)
+    lengths = np.array([len(t) for t in tokens])
+    values, rest = _g17.parse(buf, _g17.WINDOW + np.cumsum(lengths + 1) - 1, lengths)
+    taken = np.ones(len(tokens), bool)
+    taken[rest] = False
+    return values, taken
+
+
+def assert_reads(tokens, must_take=None):
+    """Every token a rule takes reads as ``float(token)``, bit for bit;
+    the rules take at least the tokens ``must_take`` marks."""
+    values, taken = parsed(tokens)
+    expected = np.array([float(t) for t in np.array(tokens)[taken].tolist()])
+    got = values[taken]
+    wrong = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    if wrong.size:
+        pytest.fail(f"(token, got) of the first misreads: "
+                    f"{[(np.array(tokens)[taken][i], got[i]) for i in wrong[:5]]}")
+    if must_take is not None:
+        missed = np.flatnonzero(must_take & ~taken)
+        assert not missed.size, f"left to float: {[tokens[i] for i in missed[:5]]}"
+    return taken
+
+
+def test_reads_back_what_it_writes(values):
+    # every value class of the writer's tests; a rule takes every value of
+    # the writer's range, its 17-digit ties included, and every zero
+    for block in np.array_split(values, 40):
+        tokens = (b"%.17g " * block.size % tuple(block.tolist())).split()
+        magnitude = np.abs(block)
+        taken = assert_reads(tokens, ((magnitude > 1e-6) & (magnitude < 1e16)) | (block == 0))
+        assert (block[taken].view(np.uint64) == parsed(tokens)[0][taken].view(np.uint64)).all()
+
+
+def test_reads_shortest_repr(values):
+    for block in np.array_split(values[np.isfinite(values)][::5], 8):
+        assert_reads([repr(x).encode() for x in block.tolist()])
+
+
+def midpoints(rng, count):
+    """Decimal strings of exact midpoints between adjacent doubles that
+    are short enough for the rules to see: odd integers above 2**53."""
+    odd = rng.integers(2**53, 2**56, count) | 1
+    return [b"%d" % int(x) for x in odd.tolist()]
+
+
+@pytest.mark.parametrize("tokens", [
+    # ties between doubles round to even; 2**53 - 1, 2**53 and 2**53 + 1
+    midpoints(np.random.default_rng(1), 2000)
+    + [b"9007199254740991", b"9007199254740992", b"9007199254740993",
+       b"-9007199254740993", b"18014398509481985", b"18014398509481987"],
+    # 18 to 25 digits
+    [b"0.123456789012345678", b"1234567890123456789", b"9223372036854775807",
+     b"9223372036854775808", b"99999999999999999999", b"0.1234567890123456789012345",
+     b"1.00000000000000000000001", b"4.9406564584124654417656879e-324",
+     b"1.7976931348623157081452742e+308", b"12345678901234567.5"],
+    # points at either end, leading zeros and signs
+    [b"5.", b".5", b"-.5", b"-5.", b"0.", b".0", b"-0.", b"00000000000000000000001",
+     b"0000.5000", b"-000000.000001", b"00012345678901234567.0", b"+1.5", b"+.5e-05",
+     b"1E-05", b"1e5", b"1e+5", b"1e-5", b"1.5e-005", b"-0e-300", b"0e+400"],
+    # 24 bytes of mantissa, the first no digit: none reads as float
+    [b"(12345678901234567890123", b"$00000000000000000000001", b"!2345678901234567890123",
+     b"-)2345678901234567890123", b"(1234567890123456789012.", b"0000000000000000000.(001",
+     b"\x1000000000000000000000001", b"\x0000000000000000000000001"],
+])
+def test_hand_written_tokens_read_as_float(tokens):
+    assert_reads(tokens)
+
+
+@pytest.mark.parametrize("tokens, taken", [
+    ([b"5.", b".5", b"-.5", b"0000.5000", b"00000000000000000000001", b"9007199254740992",
+      b"1e+22", b"1.5e-05", b"-0"], True),
+    ([b"9007199254740993", b"1e23", b"1E-05", b"+1", b"1e5", b"0.1234567890123456789012345",
+      b"1.2345678901234567e+17"], False),
+])
+def test_what_the_rules_take(tokens, taken):
+    assert_reads(tokens)
+    assert (parsed(tokens)[1] == taken).all()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e16])
+def test_straddles_the_range_ends(scale):
+    x = np.array([scale])
+    near = [x]
+    for _ in range(40):
+        near += [np.nextafter(near[-2 if len(near) > 1 else -1], 0), np.nextafter(near[-1], np.inf)]
+    near = np.concatenate(near)
+    near = np.concatenate([near, -near, near * 1.0000001, near / 1.0000001])
+    assert_reads((b"%.17g " * near.size % tuple(near.tolist())).split())
+    assert_reads([repr(v).encode() for v in near.tolist()])

@@ -41,8 +41,11 @@ def bits_equal(a, b):
 
 
 def read_in_chunks(read, path):
-    """``read(path)``, after checking that chunks of one and of two lines
-    read the same values bit for bit, or raise the same error."""
+    """``read(path)``, after checking that blocks of one byte (a line
+    each) and of 120 bytes (two or three raw-IF records) read the same
+    values bit for bit, or raise the same error: the blocks of records
+    that the vectorized parser takes and those that go to np.loadtxt
+    alternate, and a refusal's row is counted across them."""
     def outcome():
         try:
             back = read(path)
@@ -53,9 +56,9 @@ def read_in_chunks(read, path):
         return back, values
 
     result, expected = outcome()
-    for lines in (1, 2):
+    for size in (1, 120):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(io, "_CHUNK_LINES", lines)
+            patch.setattr(io, "_BLOCK_BYTES", size)
             assert outcome()[1] == expected
     if isinstance(result, DatasetFormatError):
         raise result
@@ -360,6 +363,23 @@ class TestReportFile:
 SMALL_CHIRP = ChirpConfig(79e9, 1e4, 200e-6, 5, 2e-6)
 
 
+def records(edit):
+    """An edit of a file's text that applies ``edit`` to each record line."""
+    def edited(text):
+        head, columns, body = text.partition(f"columns: {RAW_COLUMNS}\n")
+        return head + columns + "".join(edit(line) + "\n" for line in body.splitlines())
+    return edited
+
+
+def values(edit):
+    """An edit of a file's text that applies ``edit`` to each value token
+    of its raw-IF records, in order."""
+    def line_edit(line):
+        fields = line.split(" ")
+        return " ".join(fields[:2] + [edit(token) for token in fields[2:]])
+    return records(line_edit)
+
+
 def raw_file(path):
     """A raw-if file with edge values: mut plus 2 metal traces of 5 samples."""
     src = DatasetFile(
@@ -521,6 +541,98 @@ class TestReader:
         back = read_in_chunks(DatasetFile.read, path)
         assert bits_equal(back.mut_samples, src.mut_samples)
         assert bits_equal(back.metal_samples, src.metal_samples)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+        lambda text: text.rstrip("\n"),
+        records(lambda line: line.replace(" ", "\t")),
+        records(lambda line: line.replace(" ", "   ")),
+        records(lambda line: " " + line),
+        records(lambda line: line + "  # note"),
+        records(lambda line: line + "\n\n"),
+        records(lambda line: line.replace(" ", "\x0c", 2).replace("\x0c", " ", 1)),
+        records(lambda line: re.sub(r"(?<=\d)e(?=[+-])", "E", line)),
+        values(lambda token: token if token.startswith("-") else "+" + token),
+        values(lambda token: repr(float(token))),
+    ], ids=["crlf", "cr", "no-final-newline", "tabs", "space-runs", "leading-blank",
+            "trailing-comment", "blank-lines", "form-feed", "upper-e", "plus-sign", "repr"])
+    def test_layouts_read_as_text_mode_reads_them(self, tmp_path, edit):
+        path = tmp_path / "raw.txt"
+        src = raw_file(path)
+        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+        back = read_in_chunks(DatasetFile.read, path)
+        assert bits_equal(back.mut_samples, src.mut_samples)
+        assert bits_equal(back.metal_samples, src.metal_samples)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("\nmut 0 -0 ", "\nmut 0 -0\x00"),
+         "bad trace record: the dtype passed requires 4 columns but 3 were found at row 1"),
+        (lambda text: text.replace("\nmut 0 -0 ", "\nmut 0 1_1 "),
+         "bad trace record: could not convert string '1_1' to float64 at row 0, column 3"),
+    ], ids=["nul", "underscore"])
+    def test_refusals_keep_their_messages(self, tmp_path, edit, message):
+        path = tmp_path / "raw.txt"
+        raw_file(path)
+        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            read_in_chunks(DatasetFile.read, path)
+
+    def test_odd_layout_past_the_first_block(self, tmp_path):
+        # an M=200, N=1024 file: the parser reads the first blocks, np.loadtxt
+        # the tabbed and commented rest, and a refusal counts its row across both
+        m, n = 200, 1024
+        rng = np.random.default_rng(6)
+        path = tmp_path / "raw.txt"
+        src = DatasetFile(
+            mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+            chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+            mut_samples=rng.standard_normal(n) * 1e-3 + 1j * rng.standard_normal(n),
+            metal_samples=rng.standard_normal((m, n)) * 1e-5 - 1j * rng.standard_normal((m, n)),
+        )
+        src.write(path)
+        data = path.read_bytes()
+        head = data.index(b"\nmetal-100 0 ") + 1
+        assert head > 4 * io._BLOCK_BYTES
+        odd = data[:head] + b"# halfway\n" + data[head:].replace(b" ", b"\t")
+        path.write_bytes(odd)
+        back = DatasetFile.read(path)
+        assert bits_equal(back.mut_samples, src.mut_samples)
+        assert bits_equal(back.metal_samples, src.metal_samples)
+        lines = odd.split(b"\n")
+        row = 101 * n + 300  # a record of metal-100
+        line = lines.index(b"columns: " + RAW_COLUMNS.encode()) + 2 + row
+        lines[line] = lines[line].replace(b"\t", b"\tx", 2).replace(b"\tx", b"\t", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetFormatError, match="could not convert string 'x[^']*' "
+                                                     f"to float64 at row {row}, column 3"):
+            DatasetFile.read(path)
+
+    def test_parser_reads_what_loadtxt_reads(self, tmp_path):
+        # written records of every magnitude, zeros, subnormals and both ends
+        # of the range; and ids of 16 bytes and with points, digits or "e",
+        # indexes with leading zeros, and values only float reads
+        rng = np.random.default_rng(12)
+        m, n = 6, 512
+        z = (rng.standard_normal((m + 1, n)) * 10.0 ** rng.uniform(-320, 308, (m + 1, n))
+             + 1j * rng.standard_normal((m + 1, n)) * 10.0 ** rng.uniform(-9, 18, (m + 1, n)))
+        z[:, :8] = [0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                    1e-6, 1e16, 9007199254740993]
+        path = tmp_path / "raw.txt"
+        DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+                    chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+                    mut_samples=z[0], metal_samples=z[1:]).write(path)
+        data = path.read_bytes()
+        odd = (b"abcdefghijklmnop 0007 5. .5\n"
+               b"a.b 1 -0 1e+22\n"
+               b"e1.5 00000000 9007199254740993 -.5e-05\n"
+               b"metal-7 99999999 0.12345678901234567890123 1.7976931348623157e+308\n"
+               b"x 12 -4.9406564584124654e-324 1E5\n")
+        dtype = io._RECORDS["raw-if"][1]
+        for block in (data[data.index(b"\nmut 0 ") + 1:], odd):
+            parsed = io._raw_records(block, dtype)
+            assert parsed is not None
+            assert parsed.tobytes() == io._loaded(block, "trace", dtype, 0).tobytes()
 
     @pytest.mark.parametrize("old, new, message", [
         ("\nmetal-1 2 ", "\nmetal-x 2 ", "bad trace id 'metal-x'"),
