@@ -11,7 +11,7 @@ does both with a few dozen numpy operations per block:
   zeros, subnormals, |x| <= 1e-6, |x| >= 1e16, infinities and nan;
 - ``parse`` gives each token the double ``float(token)`` gives, for the
   tokens one of its two exact rules takes (below), and names the others,
-  which the caller reads with ``float``.
+  which the caller reads another way.
 
 The digit step, shared by both. For ``x`` and a scale ``s <= 22``,
 Dekker's two-product (Numer. Math. 18, 1971) splits x·10^s exactly into
@@ -34,7 +34,7 @@ drops trailing zeros; in a number of 10 or more, the digits after the
 point move one byte right to make room for it. Every byte a value does
 not use is 0, and the writer drops all 0 bytes of a block at once.
 
-Reading. A token ``[-]digits[.digits][e±dd[d]]`` of at most 24 digits is
+Reading. A token ``[-]digits[.digits][e±dd]`` of at most 24 digits is
 read as an integer D and a decimal exponent q, its value ±D·10^q: the
 mantissa's last 24 bytes are three little-endian words, the point is
 dropped by moving the bytes before it one byte on, and each word's eight
@@ -54,7 +54,7 @@ value is the nearest double to D·10^q when
 The candidate is D / 10^−q, off by up to two ulps in about one token of
 six; those get the remainder of the two-product added once and are
 checked again. Any other token, and any token the checks refuse, is
-left to ``float``.
+left to the caller.
 """
 from __future__ import annotations
 
@@ -260,16 +260,14 @@ def parse(buf, ends, lengths):
     pow10, high, low = _tables()[2:]
     n = lengths.size
     words = np.ndarray((buf.size - 7,), _WORD, buf, 0, (1,))  # word p: buf[p:p + 8]
-    # the exponent: "e", a sign and two or three digits ending the token
-    two = (np.take(buf, ends - 4) == ord("e")) & (lengths > 4)
-    three = (np.take(buf, ends - 5) == ord("e")) & (lengths > 5) & ~two
-    exp_digits = two * np.uint8(2) + three * np.uint8(3)
+    # the exponent: "e", a sign and two digits ending the token
+    scientific = (np.take(buf, ends - 4) == ord("e")) & (lengths > 4)
     exponent, taken = np.zeros(n, np.int64), np.ones(n, bool)
-    rows = np.flatnonzero(exp_digits)
+    rows = np.flatnonzero(scientific)
     if rows.size:
-        tail, count = words[ends[rows] - 8], exp_digits[rows]
-        value, ok = small_integers(tail, count)
-        sign = (tail >> (56 - 8 * count).astype(np.uint64)) & 0xFF
+        tail = words[ends[rows] - 8]
+        value, ok = small_integers(tail, 2)
+        sign = (tail >> 40) & 0xFF
         taken[rows] = ok & ((sign == ord("+")) | (sign == ord("-")))
         value = value.view(np.int64)
         exponent[rows] = np.where(sign == ord("-"), -value, value)
@@ -277,9 +275,9 @@ def parse(buf, ends, lengths):
     # words, the bytes before it "0"
     first = ends - lengths
     negative = np.take(buf, first) == ord("-")
-    end = ends - exp_digits - 2 * (exp_digits > 0)
+    end = ends - 4 * scientific
     size = end - first - negative
-    del exp_digits
+    del scientific
     taken &= (size >= 1) & (size <= 24)
     np.clip(size, 0, 24, out=size)
     mantissa = np.ndarray((buf.size - 23,), "V24", buf, 0, (1,))[end - 24]

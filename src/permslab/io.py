@@ -29,11 +29,11 @@ Reading takes the file as bytes, in blocks of about ``_BLOCK_BYTES``
 cut after their last line end, and parses each block of records at once.
 A raw-IF block whose every line is ASCII ``id index re im`` with single
 spaces (no ``#`` and no control byte but the line ends) goes to
-``_raw_records``: ``_g17.parse`` reads each value that one of its two
-exact rules takes, and ``float`` each other value made of digits, signs,
-points and ``e``. Any other block, and every gamma and report block, is
-decoded and parsed by one ``np.loadtxt`` call over its lines, split at
-``\n``, ``\r\n`` and ``\r`` as text mode splits them. Both read a
+``_raw_records``, which reads it when ``_g17.parse`` takes every value
+by one of its two exact rules. The first block it refuses, every later
+block of the file, and every gamma and report block, is decoded and
+parsed by one ``np.loadtxt`` call over its lines, split at ``\n``,
+``\r\n`` and ``\r`` as text mode splits them. Both read a
 record to the same bits, so a file reads the same whichever parses it. A
 raw-IF reader scatters each block's records into the trace stack it
 returns, so a read holds about its output plus one block and the
@@ -358,17 +358,21 @@ def _blocks(fh):
 def _chunks(blocks, kind, dtype):
     """The records in ``blocks`` as arrays of ``dtype``, one per block.
 
-    A raw-IF block is parsed by ``_raw_records`` where it can; any other
+    Raw-IF blocks are parsed by ``_raw_records`` up to the first block it
+    refuses; that block and every later one, and every other kind of
     block, decoded, by one ``np.loadtxt`` call over its lines, split as
-    text mode splits them. There is at least one array, so the arrays of
-    a file without records concatenate to an empty one. A malformed
-    record raises DatasetFormatError with numpy's message, its row
-    counted from the first record of the file.
+    text mode splits them. So a file whose values the parser's rules
+    refuse costs one block's parse more than ``np.loadtxt`` alone. There
+    is at least one array, so the arrays of a file without records
+    concatenate to an empty one. A malformed record raises
+    DatasetFormatError with numpy's message, its row counted from the
+    first record of the file.
     """
-    parsed, records = 0, None
+    parsed, records, raw = 0, None, kind == "trace"
     for block in blocks:
-        records = _raw_records(block, dtype) if kind == "trace" else None
+        records = _raw_records(block, dtype) if raw else None
         if records is None:
+            raw = False
             records = _loaded(block, kind, dtype, parsed)
         parsed += records.size
         yield records
@@ -397,9 +401,8 @@ def _raw_records(block, dtype):
 
     Every line must be ASCII ``id index re im\\n``: single spaces, no
     other control byte and no ``#``, an id of up to 16 bytes, an index of
-    up to 8 digits, and values that ``_g17.parse`` takes or that
-    ``float`` reads from digits, signs, points and ``e`` or ``E``.
-    ``np.loadtxt`` reads such a line to the same record, bit for bit.
+    up to 8 digits, and values that ``_g17.parse`` takes. ``np.loadtxt``
+    reads such a line to the same record, bit for bit.
     """
     size = len(block)
     if not (block.endswith(b"\n") and block.isascii()) or b"#" in block:
@@ -425,16 +428,9 @@ def _raw_records(block, dtype):
     index, digits = _g17.small_integers(words[ends[:, 1] - 8], lengths[:, 1])
     if not digits.all():
         return None
-    value_ends, value_lengths = ends[:, 2:].ravel(), lengths[:, 2:].ravel()
-    values, rest = _g17.parse(buf, value_ends, value_lengths)
-    for i in rest.tolist():
-        token = buf[value_ends[i] - value_lengths[i]:value_ends[i]].tobytes()
-        if token.translate(None, b"0123456789+-.eE"):
-            return None  # "inf", "1_1", ...: np.loadtxt's rules, or its error
-        try:
-            values[i] = float(token)
-        except ValueError:
-            return None
+    values, rest = _g17.parse(buf, ends[:, 2:].ravel(), lengths[:, 2:].ravel())
+    if rest.size:
+        return None
     ids = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends[:, 0] - lengths[:, 0]]
     ids = ids.view(np.uint8).reshape(n, 16)
     ids &= np.take(_ID_MASKS, lengths[:, 0], axis=0)

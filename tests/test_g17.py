@@ -173,7 +173,7 @@ def test_hand_written_tokens_read_as_float(tokens):
     ([b"5.", b".5", b"-.5", b"0000.5000", b"00000000000000000000001", b"9007199254740992",
       b"1e+22", b"1.5e-05", b"-0"], True),
     ([b"9007199254740993", b"1e23", b"1E-05", b"+1", b"1e5", b"0.1234567890123456789012345",
-      b"1.2345678901234567e+17"], False),
+      b"1.2345678901234567e+17", b"1.5e-005", b"-0e-300"], False),
 ])
 def test_what_the_rules_take(tokens, taken):
     assert_reads(tokens)

@@ -578,17 +578,18 @@ class TestReader:
         with pytest.raises(DatasetFormatError, match=re.escape(message)):
             read_in_chunks(DatasetFile.read, path)
 
-    def test_odd_layout_past_the_first_block(self, tmp_path):
+    def test_odd_layout_past_the_first_block(self, tmp_path, monkeypatch):
         # an M=200, N=1024 file: the parser reads the first blocks, np.loadtxt
-        # the tabbed and commented rest, and a refusal counts its row across both
+        # the first it refuses and all that follow, and a refusal counts its
+        # row across both
         m, n = 200, 1024
         rng = np.random.default_rng(6)
         path = tmp_path / "raw.txt"
         src = DatasetFile(
             mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
             chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
-            mut_samples=rng.standard_normal(n) * 1e-3 + 1j * rng.standard_normal(n),
-            metal_samples=rng.standard_normal((m, n)) * 1e-5 - 1j * rng.standard_normal((m, n)),
+            mut_samples=rng.uniform(1e-3, 1, n) + 1j * rng.uniform(-1e3, -1, n),
+            metal_samples=rng.uniform(-1, -1e-5, (m, n)) - 1j * rng.uniform(1, 1e5, (m, n)),
         )
         src.write(path)
         data = path.read_bytes()
@@ -596,7 +597,16 @@ class TestReader:
         assert head > 4 * io._BLOCK_BYTES
         odd = data[:head] + b"# halfway\n" + data[head:].replace(b" ", b"\t")
         path.write_bytes(odd)
+        parses, raw_records = [], io._raw_records
+
+        def counted(*args):
+            parses.append(raw_records(*args))
+            return parses[-1]
+
+        monkeypatch.setattr(io, "_raw_records", counted)
         back = DatasetFile.read(path)
+        assert len(parses) > 4 and parses[-1] is None
+        assert all(records is not None for records in parses[:-1])
         assert bits_equal(back.mut_samples, src.mut_samples)
         assert bits_equal(back.metal_samples, src.metal_samples)
         lines = odd.split(b"\n")
@@ -609,15 +619,14 @@ class TestReader:
             DatasetFile.read(path)
 
     def test_parser_reads_what_loadtxt_reads(self, tmp_path):
-        # written records of every magnitude, zeros, subnormals and both ends
-        # of the range; and ids of 16 bytes and with points, digits or "e",
-        # indexes with leading zeros, and values only float reads
+        # written records of every magnitude the rules take, and zeros; and
+        # ids of 16 bytes and with points, digits or "e", indexes with
+        # leading zeros, and values the writer does not write
         rng = np.random.default_rng(12)
         m, n = 6, 512
-        z = (rng.standard_normal((m + 1, n)) * 10.0 ** rng.uniform(-320, 308, (m + 1, n))
-             + 1j * rng.standard_normal((m + 1, n)) * 10.0 ** rng.uniform(-9, 18, (m + 1, n)))
-        z[:, :8] = [0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
-                    1e-6, 1e16, 9007199254740993]
+        parts = rng.choice([-1.0, 1.0], (2, m + 1, n)) * 10.0 ** rng.uniform(-6, 16, (2, m + 1, n))
+        z = parts[0] + 1j * parts[1]
+        z[:, :4] = [0, -0.0, 1.0000000000000002e-6, 9999999999999998.0]
         path = tmp_path / "raw.txt"
         DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
                     chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
@@ -625,14 +634,19 @@ class TestReader:
         data = path.read_bytes()
         odd = (b"abcdefghijklmnop 0007 5. .5\n"
                b"a.b 1 -0 1e+22\n"
-               b"e1.5 00000000 9007199254740993 -.5e-05\n"
-               b"metal-7 99999999 0.12345678901234567890123 1.7976931348623157e+308\n"
-               b"x 12 -4.9406564584124654e-324 1E5\n")
+               b"e1.5 00000000 9007199254740992 -.5e-05\n"
+               b"metal-7 99999999 0.1234567890123456 1.7976931348623157\n")
         dtype = io._RECORDS["raw-if"][1]
         for block in (data[data.index(b"\nmut 0 ") + 1:], odd):
             parsed = io._raw_records(block, dtype)
-            assert parsed is not None
             assert parsed.tobytes() == io._loaded(block, "trace", dtype, 0).tobytes()
+
+    @pytest.mark.parametrize("value", [
+        b"9007199254740993", b"0.12345678901234567890123", b"1.7976931348623157e+308",
+        b"-4.9406564584124654e-324", b"9.9999999999999995e-08", b"1.5e-005", b"1E5", b"+1"])
+    def test_a_value_no_rule_takes_sends_its_block_to_loadtxt(self, value):
+        block = b"mut 0 1.5 -2\nmetal-0 0 1.5 %b\n" % value
+        assert io._raw_records(block, io._RECORDS["raw-if"][1]) is None
 
     @pytest.mark.parametrize("old, new, message", [
         ("\nmetal-1 2 ", "\nmetal-x 2 ", "bad trace id 'metal-x'"),
