@@ -140,7 +140,7 @@ def cmd_extract(args) -> int:
         step_m=src.step_m,
         step_count=src.step_count,
         direction=src.direction,
-        provenance=(src.provenance + "; extracted from raw IF").strip("; "),
+        provenance="; ".join(filter(None, (src.provenance, "extracted from raw IF"))),
         gammas=sweep.gammas,
     )
     out.write(args.out)

@@ -37,9 +37,10 @@ parsed by one ``np.loadtxt`` call over its lines, split at ``\n``,
 record to the same bits, so a file reads the same whichever parses it. A
 raw-IF reader scatters each block's records into the trace stack it
 returns, so a read holds about its output plus one block and the
-temporaries of its parse (a pipe, which has no size to show that the
-stack its header promises fits, holds its blocks' records until their
-count is checked). A file is refused as a check of all its records at
+temporaries of its parse; a pipe, which has no size, is first read
+whole into memory. A header that promises more records than its input
+can hold is refused without allocating the stack or holding any
+records. A file is refused as a check of all its records at
 once would refuse it: a malformed record anywhere wins over a bad header
 value and over the checks of the records, and its row is counted from
 the file's first record.
@@ -53,12 +54,10 @@ the falling convention.
 
 from __future__ import annotations
 
-import os
 import re
-import stat
 import warnings
 from dataclasses import dataclass, field
-from io import StringIO
+from io import SEEK_END, BytesIO, StringIO
 from itertools import chain
 
 import numpy as np
@@ -236,7 +235,7 @@ class DatasetFile:
             )
         except ValueError as exc:  # a header value that parses but ChirpConfig refuses
             raise DatasetFormatError(f"bad chirp header: {exc}") from exc
-        traces = _traces(chunks, common["step_count"], chirp.sample_count, room())
+        traces = _traces(chunks, common["step_count"], chirp.sample_count, room)
         return cls(chirp=chirp, mut_samples=traces[0], metal_samples=traces[1:], **common)
 
 
@@ -312,13 +311,20 @@ def _read_file(path, build, layout=None):
     """Metadata up to ``columns:``, then ``build(meta, chunks, room)``.
 
     ``chunks`` yields the records in ``layout`` (default: that of the
-    file's mode), see ``_chunks``; ``room()`` bounds how many the file
-    can hold, see ``_record_room``. When ``build`` refuses the file, a bad
-    record later in it wins, as when every record was parsed before any
-    header value.
+    file's mode), see ``_chunks``. ``room`` is the most raw-IF records
+    the input can hold: a raw-IF record takes at least 8 bytes, four
+    one-character fields, three separators and a newline, which the last
+    record may lack. A seekable file is sized by its length; any other
+    input, such as a pipe, is read whole into memory first. When
+    ``build`` refuses the file, a bad record later in it wins, as when
+    every record was parsed before any header value.
     """
     try:
         with open(path, "rb") as fh:
+            if not fh.seekable():
+                fh = BytesIO(fh.read())
+            room = (fh.seek(0, SEEK_END) + 1) // 8
+            fh.seek(0)
             blocks = _blocks(fh)
             meta, rest = _read_header(blocks)
             if layout is None:
@@ -328,7 +334,7 @@ def _read_file(path, build, layout=None):
                 layout = _RECORDS[mode]
             chunks = _chunks(chain((rest,), blocks), *layout)
             try:
-                return build(meta, chunks, lambda: _record_room(fh))
+                return build(meta, chunks, room)
             except (DatasetFormatError, ValueError):
                 for _ in chunks:
                     pass
@@ -448,17 +454,6 @@ def _joined(chunks) -> np.ndarray:
     return np.concatenate([first, *rest]) if rest else first
 
 
-def _record_room(fh) -> int:
-    """The most raw-IF records a regular file can hold; 0, none known,
-    for a pipe or another file without a size.
-
-    A raw-IF record takes at least 8 bytes: four one-character fields,
-    three separators and a newline, which the last record may lack.
-    """
-    st = os.fstat(fh.fileno())
-    return (st.st_size + 1) // 8 if stat.S_ISREG(st.st_mode) else 0
-
-
 def _read_header(blocks):
     """The metadata up to ``columns:``, and the bytes of its block after
     that line."""
@@ -516,23 +511,16 @@ def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
     check of all records at once would take: the record count, the first
     sample index out of range, then the trace ids in sorted order.
 
-    The stack is allocated up front only when the file has ``room`` for
-    its records. Otherwise (a pipe, or a header that promises more than
-    the file holds) the chunks are held and scattered once the count
-    holds, so a false header allocates no stack.
+    An input without ``room`` for the records its header promises cannot
+    pass the count check, so its chunks are only counted and checked:
+    a false header allocates no stack and holds no records.
     """
     if step_count < 1:
         raise DatasetFormatError(f"raw-if step_count {step_count} < 1")
     expected = (step_count + 1) * sample_count
-
-    def stack():
-        return np.full((step_count + 1, sample_count), np.nan, dtype=complex)
-
-    def scatter(row, records):  # a missing sample stays nan
-        traces[row, records["n"]] = records["z"].view(complex)[:, 0]
-
-    traces = stack() if expected <= room else None
-    count, bad_index, rows, bad_ids, held = 0, None, {}, {}, []
+    traces = (np.full((step_count + 1, sample_count), np.nan, dtype=complex)
+              if expected <= room else None)
+    count, bad_index, rows, bad_ids = 0, None, {}, {}
     for records in chunks:
         if not records.size:
             continue
@@ -552,24 +540,17 @@ def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
                     rows[name] = _trace_row(name, step_count)
                 except DatasetFormatError as exc:
                     bad_ids[name] = exc
-        if bad_index is not None or bad_ids:
+        if traces is None or bad_index is not None or bad_ids:
             continue  # the file is refused below; only its count and errors matter
         row = np.repeat(np.array([rows[name] for name in names])[which],
                         np.diff(np.r_[starts, ids.size]))
-        if traces is None:
-            held.append((row, records))
-        else:
-            scatter(row, records)
+        traces[row, n] = records["z"].view(complex)[:, 0]  # a missing sample stays nan
     if count != expected:
         raise DatasetFormatError(f"trace record count {count} != {expected}")
     if bad_index is not None:
         raise DatasetFormatError(f"sample index {bad_index} out of range")
     if bad_ids:
         raise bad_ids[min(bad_ids)]
-    if traces is None:
-        traces = stack()
-        for row, records in held:
-            scatter(row, records)
     return traces
 
 

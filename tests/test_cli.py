@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,18 @@ class TestExtractEstimate:
         assert run(["simulate", "--eps-real", "1.0", "--eps-imag", "0.0",
                     "--out", str(sweep)]) == 0
         assert run(["estimate", "--input", str(sweep)]) == 4
+
+    @pytest.mark.parametrize("provenance, extracted", [
+        ("; batch 7 ;", "; batch 7 ;; extracted from raw IF"),
+        ("", "extracted from raw IF"),
+    ])
+    def test_extract_keeps_the_source_provenance(self, tmp_path, provenance, extracted):
+        raw = tmp_path / "raw.txt"
+        gam = tmp_path / "gam.txt"
+        assert run(["simulate", "--mode", "raw-if", "--out", str(raw)]) == 0
+        replace(DatasetFile.read(raw), provenance=provenance).write(raw)
+        assert run(["extract", "--input", str(raw), "--out", str(gam)]) == 0
+        assert DatasetFile.read(gam).provenance == extracted
 
     def test_extract_rejects_gamma_file(self, tmp_path):
         sweep = tmp_path / "sweep.txt"

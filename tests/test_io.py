@@ -773,6 +773,62 @@ class TestReader:
         assert peak < 2 * 16 * (1 + m) * n
         assert bits_equal(back.metal_samples, src.metal_samples)
 
+    def test_false_header_holds_nothing(self, tmp_path):
+        # a header promising more records than the file can hold is refused by
+        # the count, without the stack or the file's records
+        m, n = 200, 1024
+        rng = np.random.default_rng(5)
+        path = tmp_path / "raw.txt"
+        DatasetFile(
+            mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+            chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+            mut_samples=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            metal_samples=rng.standard_normal((m, n)) - 1j * rng.standard_normal((m, n)),
+        ).write(path)
+        data = path.read_bytes()
+        assert data.count(b"\nstep_count: 200\n") == 1
+        path.write_bytes(data.replace(b"\nstep_count: 200\n", b"\nstep_count: 1000000\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError,
+                               match="trace record count 205824 != 1024001024"):
+                DatasetFile.read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (1 + m) * n
+
+    @pytest.mark.parametrize("edits", [
+        {"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\n# metal-1 4 "},
+        {"\nmut 1 ": "\nmut -1 ", "\nmetal-1 4 ": "\nmetal-1 9 "},
+        {"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-x 4 "},
+        {"\nsample_count: 5\n": "\nsample_count: x\n", "\nmetal-1 4 ": "\nmetal-1 x "},
+    ], ids=["count", "index", "ids", "record-over-header"])
+    def test_pipe_refuses_as_the_file_does(self, tmp_path, edits):
+        # two defects each: a pipe, read into memory first, keeps the order of
+        # the checks that decides which one is reported
+        path = tmp_path / "raw.txt"
+        raw_file(path)
+        text = path.read_text(encoding="utf-8")
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as from_file:
+            DatasetFile.read(path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,))
+        writer.start()
+        try:
+            with pytest.raises(DatasetFormatError) as from_pipe:
+                DatasetFile.read(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (type(from_pipe.value), str(from_pipe.value)) == \
+            (type(from_file.value), str(from_file.value))
+
     def test_bad_path_loss_rejected(self, tmp_path):
         path = tmp_path / "raw.txt"
         raw_file(path)
