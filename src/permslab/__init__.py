@@ -56,7 +56,6 @@ from .estimator import (
 )
 from .fmcw import (
     ChirpConfig,
-    EchoComponent,
     IfTrace,
     calibrate_ratio,
     dft,

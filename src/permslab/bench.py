@@ -34,7 +34,12 @@ class TrialRecord:
 
 @dataclass
 class TruthSummary:
-    """Aggregate statistics of all trials for one ground truth."""
+    """Aggregate statistics of all trials for one ground truth.
+
+    The means and standard deviations are over the trials whose fit
+    succeeded: they read nan when every trial failed, and a mean whose
+    sum overflows reads inf (the errors of a truth near 1e308).
+    """
 
     truth: ComplexPermittivity
     trials: int
@@ -172,7 +177,8 @@ def _summarize(truth: ComplexPermittivity, records: list[TrialRecord]) -> TruthS
     stats = np.array([a, b, a, b, err_c, [r.residual_norm for r in ok]], dtype=float)
     stats[2:4] = np.abs(stats[2:4] - [[truth.real_part], [truth.imag_part]])
     if ok:
-        means, stds = stats.mean(axis=1).tolist(), stats[:2].std(axis=1).tolist()
+        with np.errstate(over="ignore"):  # an error sum that overflows reads inf
+            means, stds = stats.mean(axis=1).tolist(), stats[:2].std(axis=1).tolist()
     else:  # every trial failed
         means, stds = [math.nan] * 6, [math.nan] * 2
     # TruthSummary's field order: mean_a, mean_b, std_a, std_b, then the mean errors

@@ -513,14 +513,19 @@ def phase_slope_diagnostic(data: SdiDataset) -> tuple[float, float]:
         regression.
 
     Raises:
-        DegenerateRegressionError: all phases identical (no progression).
+        DegenerateRegressionError: all phases identical (no progression),
+            or a stage travel so short that the displacement variance
+            underflows to 0 or the slope is not finite.
     """
     phases = np.unwrap(np.angle(data.gammas))
     if np.all(phases == phases[0]):
         raise DegenerateRegressionError("constant phase, no slope to regress")
     x = np.arange(data.step_count) * data.step
     dx, dp = x - x.mean(), phases - phases.mean()
-    slope_rad_per_m = float(dx @ dp) / float(dx @ dx)
+    sxx = float(dx @ dx)
+    slope_rad_per_m = float(dx @ dp) / sxx if sxx > 0.0 else math.inf
+    if not math.isfinite(slope_rad_per_m):
+        raise DegenerateRegressionError(f"step {data.step} m is too short to regress a slope")
     resid = dp - slope_rad_per_m * dx
     # 1 - SS_res / SS_tot, not Sxy^2 / (Sxx Syy): the latter rounds above 1 on exact lines
     r_squared = 1.0 - float(resid @ resid) / float(dp @ dp)

@@ -79,18 +79,6 @@ class ChirpConfig:
 
 
 @dataclass(frozen=True)
-class EchoComponent:
-    """One point echo: complex reflection weight and round-trip delay."""
-
-    reflection: complex
-    delay: float
-
-    def __post_init__(self):
-        if self.delay < 0.0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-
-
-@dataclass(frozen=True)
 class IfTrace:
     """Complex IF samples of one ramp, or a stack of ramps one per row."""
 
@@ -103,28 +91,34 @@ class IfTrace:
         object.__setattr__(self, "samples", samples)
 
 
-def _if_tones(cfg: ChirpConfig, reflections, delays) -> np.ndarray:
-    """(K, N) closed-form IF tones, row k for reflections[k] at delays[k]."""
+def synth_if_trace(cfg: ChirpConfig, reflections, delays) -> IfTrace:
+    """(K, N) stack of closed-form IF tones, row k for reflections[k] at delays[k].
+
+    Each row is bit-identical to the one-echo call on its reflection and
+    delay; the trace of several echoes is the sum of their rows.
+
+    Raises:
+        ValueError: no echo, unequal list lengths, a delay that is
+            negative or NaN, or a tone that overflows ("IF samples must
+            be finite").
+    """
+    delays = np.reshape(np.asarray(delays, dtype=float), (-1, 1))
+    if not delays.size or len(reflections) != delays.size:
+        raise ValueError(f"need one delay per echo and at least one echo, got "
+                         f"{len(reflections)} reflections and {delays.size} delays")
+    if not (delays >= 0.0).all():
+        raise ValueError(f"delay must be >= 0, got {delays.min()}")
     # Python products, then weight times tone: numpy rounds complex products its own way
     weights = np.array([0.5 * cfg.amplitude**2 * cfg.path_loss * r for r in reflections])
-    delays = np.reshape(delays, (-1, 1))
-    phase = cfg.slope * delays * np.arange(cfg.sample_count) * cfg.sample_interval
-    phase += cfg.start_frequency * delays
-    tones = 2j * math.pi * phase
-    np.exp(tones, out=tones)  # in place: a raw-if metal stack is large
-    return np.multiply(weights[:, None], tones, out=tones)
+    with np.errstate(over="ignore", invalid="ignore"):  # IfTrace refuses what overflows
+        phase = cfg.slope * delays * np.arange(cfg.sample_count) * cfg.sample_interval
+        phase += cfg.start_frequency * delays
+        tones = 2j * math.pi * phase
+        np.exp(tones, out=tones)  # in place: a raw-if metal stack is large
+        return IfTrace(np.multiply(weights[:, None], tones, out=tones))
 
 
-def synth_if_trace(cfg: ChirpConfig, echoes: list[EchoComponent]) -> IfTrace:
-    """Superpose the closed-form IF tones of all echoes.
-
-    Linear in the echo list: the trace of a concatenated echo list is
-    the sum of the individual traces.
-    """
-    if not echoes:
-        raise ValueError("at least one echo is required")
-    tones = _if_tones(cfg, [e.reflection for e in echoes], [e.delay for e in echoes])
-    return IfTrace(sum(tones, np.zeros(cfg.sample_count, dtype=complex)))
+_MAX_BOUNCES = 1000  # a refusal limit: each bounce is one echo, so one (N,) tone row
 
 
 def synth_slab_echoes(
@@ -132,8 +126,8 @@ def synth_slab_echoes(
     geom: SlabGeometry,
     cfg: ChirpConfig,
     q: int,
-) -> list[EchoComponent]:
-    """Echo list of a backed slab: front-face bounce plus q-1 internal ones.
+) -> tuple[list[complex], list[float]]:
+    """Reflections and delays of a backed slab's echoes: front face plus q-1 internal ones.
 
     Echo 1 is the air-to-slab Fresnel reflection at delay 2*l/c. Echo
     i >= 2 carries the i-th transmitted bounce amplitude
@@ -145,24 +139,30 @@ def synth_slab_echoes(
 
     Only the front-face echo (q = 1) reproduces the slab model through
     the IF route. A bounce's amplitude already holds its in-slab round
-    trips e^{-j2k_r d}, in em's e^{+jwt} convention, and ``_if_tones``
+    trips e^{-j2k_r d}, in em's e^{+jwt} convention, and ``synth_if_trace``
     adds the carrier phase +2*pi*f0*tau of the longer delay, so the two
     phases of each round trip cancel: for q >= 2 the extracted sweep is
     neither the truncated series F_q nor its conjugate (an xfail test in
     tests/test_acceptance.py pins this).
+
+    Raises:
+        ValueError: q below 1 or above 1000, before any echo is built.
     """
     if q < 1:
         raise ValueError(f"bounce count q must be >= 1, got {q}")
+    if q > _MAX_BOUNCES:
+        raise ValueError(f"bounce count q must be <= {_MAX_BOUNCES}, got {q}")
     g1r, amp, ratio = slab_bounce_terms(eps_r, geom, cfg.start_frequency)
     tau1 = 2.0 * geom.standoff / SPEED_OF_LIGHT
     slab_round_trip = (
         2.0 * geom.thickness * complex_sqrt_lossy(eps_r).real / SPEED_OF_LIGHT
     )
-    echoes = [EchoComponent(g1r, tau1)]
+    reflections, delays = [g1r], [tau1]
     for i in range(2, q + 1):
-        echoes.append(EchoComponent(amp, tau1 + (i - 1) * slab_round_trip))
+        reflections.append(amp)
+        delays.append(tau1 + (i - 1) * slab_round_trip)
         amp *= ratio
-    return echoes
+    return reflections, delays
 
 
 def dft(trace: IfTrace) -> np.ndarray:

@@ -31,7 +31,6 @@ from .estimator import SdiDataset, check_step, front_face_reflection, step_phase
 from .fmcw import (
     ChirpConfig,
     IfTrace,
-    _if_tones,
     calibrate_ratio,
     dft,
     peak_bin,
@@ -206,18 +205,23 @@ def generate_if_datasets(
     standoff + step, ..., standoff + (m_count-1)*step. Per-trace noise
     multiplies each trace by (1 + amp_noise) e^{j phase_noise}; the
     metal traces additionally lose amplitude linearly along the sweep
-    (drift), mimicking a slowly weakening reference return.
+    (drift), mimicking a slowly weakening reference return. One
+    ``synth_if_trace`` call makes a tone row per slab echo and per metal
+    position; the material trace is the sum of the echo rows, and the
+    returned traces are views of that one stack.
 
     Args:
-        bounce_count: internal slab bounces for the material trace; 1
-            keeps only the front-face echo (thick-slab condition), the
-            only count whose extracted sweep matches the slab model
-            (see ``fmcw.synth_slab_echoes``).
+        bounce_count: internal slab bounces for the material trace, 1 to
+            1000; 1 keeps only the front-face echo (thick-slab
+            condition), the only count whose extracted sweep matches the
+            slab model (see ``fmcw.synth_slab_echoes``).
         antenna_aperture: when given, warn if the standoff is inside the
             far-field distance for the chirp start frequency.
 
     Raises:
-        ValueError: ``m_count`` below 1 (no metal reference trace).
+        ValueError: ``m_count`` below 1 (no metal reference trace), a
+            ``bounce_count`` outside 1 to 1000, or a trace that overflows
+            ("IF samples must be finite").
     """
     if m_count < 1:
         raise ValueError(f"need at least one metal position, got m_count={m_count}")
@@ -232,15 +236,18 @@ def generate_if_datasets(
             )
     # per trace, material then metal 0..M-1: an amplitude, then a phase draw
     amp, phase = np.random.default_rng(noise.seed).standard_normal((1 + m_count, 2)).T
-    mut = synth_if_trace(cfg, synth_slab_echoes(truth, geom, cfg, bounce_count)).samples
-    delays = 2.0 * (geom.standoff + np.arange(m_count) * step) / SPEED_OF_LIGHT
-    metal = _if_tones(cfg, [-1.0 + 0.0j] * m_count, delays)
+    reflections, echo_delays = synth_slab_echoes(truth, geom, cfg, bounce_count)
     with np.errstate(over="ignore", invalid="ignore"):  # IfTrace refuses what overflows
-        gains = (1.0 + noise.amplitude_rel_sigma * amp) * np.exp(1j * noise.phase_sigma * phase)
-        mut = mut * gains[0]
-        metal *= (1.0 - _drift_profile(noise.amplitude_drift_rel, m_count))[:, None]
-        metal *= gains[1:, None]
-    return IfTrace(mut), [IfTrace(row) for row in metal]
+        delays = 2.0 * (geom.standoff + np.arange(m_count) * step) / SPEED_OF_LIGHT
+        # one tone row per slab echo, then one per metal position
+        tones = synth_if_trace(cfg, reflections + [-1.0 + 0.0j] * m_count,
+                               np.concatenate([echo_delays, delays])).samples
+        stack = tones[len(echo_delays) - 1 :]  # material row over the last echo's row
+        stack[0] = sum(tones[: len(echo_delays)], np.zeros(cfg.sample_count, dtype=complex))
+        stack[1:] *= (1.0 - _drift_profile(noise.amplitude_drift_rel, m_count))[:, None]
+        stack *= ((1.0 + noise.amplitude_rel_sigma * amp)
+                  * np.exp(1j * noise.phase_sigma * phase))[:, None]
+    return IfTrace(stack[0]), [IfTrace(row) for row in stack[1:]]
 
 
 def extract_sweep(

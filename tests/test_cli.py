@@ -198,6 +198,22 @@ class TestExtractEstimate:
                     "--out", str(sweep)]) == 0
         assert run(["estimate", "--input", str(sweep)]) == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode, step", [("gamma", "1e-170"), ("raw-if", "1e-300")])
+    def test_estimate_on_a_step_too_short_to_regress_is_degenerate(self, mode, step, tmp_path,
+                                                                  capsys):
+        # noise keeps the phases apart; the displacement variance underflows to 0
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--mode", mode, "--steps", "40", "--step-m", step,
+                    "--amp-sigma", "0.01", "--phase-sigma-deg", "1", "--out", str(sweep)]) == 0
+        if mode == "raw-if":
+            traces, sweep = sweep, tmp_path / "extracted.txt"
+            assert run(["extract", "--input", str(traces), "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        assert run(["estimate", "--input", str(sweep)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: step {float(step)!r} m is too short to regress a slope\n")
+
     @pytest.mark.parametrize("provenance, extracted", [
         ("; batch 7 ;", "; batch 7 ;; extracted from raw IF"),
         ("", "extracted from raw IF"),
@@ -540,11 +556,14 @@ class TestReport:
       "--samples", "2", "--sample-interval-s", "1e-301"],
      "chirp slope 1e+308 / 1e-300 overflows"),
     (["simulate", "--mode", "raw-if", "--bounces", "0"], "bounce count q must be >= 1, got 0"),
+    (["simulate", "--mode", "raw-if", "--bounces", "9223372036854775808"],
+     "bounce count q must be <= 1000, got 9223372036854775808"),
     # finite input whose per-step phase or noise products overflow
     (["simulate", "--step-m", "1e300"], "per-step phase advance inf rad >= pi"),
     (["report", "--trials", "2", "--amp-sigma", "1e308"], "reflection samples must be finite"),
     (["simulate", "--mode", "raw-if", "--drift", "1e308", "--steps", "5"],
      "IF samples must be finite"),
+    (["simulate", "--mode", "raw-if", "--standoff-m", "1e308"], "IF samples must be finite"),
 ])
 def test_non_finite_input_invalid(args, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -575,6 +594,7 @@ def test_huge_finite_start(start, code, message, tmp_path, capsys):
     ["simulate", "--eps-real", "1e308", "--eps-imag", "1e308"],
     ["simulate", "--mode", "raw-if", "--eps-real", "1e308", "--bounces", "3"],
     ["report", "--truth", "1e308,0"],
+    ["report", "--truth", "1e308,0", "--trials", "2"],  # the error mean overflows to inf
 ])
 def test_huge_finite_permittivity(args, tmp_path):
     out = tmp_path / "out"

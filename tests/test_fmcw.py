@@ -12,7 +12,6 @@ from permslab import (
     SPEED_OF_LIGHT,
     ChirpConfig,
     ComplexPermittivity,
-    EchoComponent,
     IfTrace,
     SlabGeometry,
     calibrate_ratio,
@@ -56,44 +55,58 @@ def brute_force_dft(samples):
 
 class TestSynthIfTrace:
     def test_zero_reflection_gives_zero_trace(self):
-        trace = synth_if_trace(CFG, [EchoComponent(0.0, 1e-9)])
+        trace = synth_if_trace(CFG, [0.0], [1e-9])
+        assert trace.samples.shape == (1, CFG.sample_count)
         assert np.all(trace.samples == 0)
 
     def test_zero_delay_constant_trace(self):
-        trace = synth_if_trace(CFG, [EchoComponent(-1.0, 0.0)])
+        trace = synth_if_trace(CFG, [-1.0], [0.0])
         expected = -0.5 * CFG.amplitude**2 * CFG.path_loss
-        np.testing.assert_allclose(trace.samples, expected, rtol=1e-15)
+        np.testing.assert_allclose(trace.samples, [[expected] * CFG.sample_count], rtol=1e-15)
 
-    def test_linear_in_echoes(self):
-        e1 = EchoComponent(0.3 - 0.2j, 1.1e-9)
-        e2 = EchoComponent(-0.5 + 0.1j, 2.7e-9)
-        combined = synth_if_trace(CFG, [e1, e2])
-        separate = synth_if_trace(CFG, [e1]).samples + synth_if_trace(CFG, [e2]).samples
-        np.testing.assert_allclose(combined.samples, separate, atol=1e-12)
+    def test_each_row_is_its_one_echo_call(self):
+        reflections = [0.3 - 0.2j, -0.5 + 0.1j, -1.0 + 0.0j, 0.0]
+        delays = [1.1e-9, 2.7e-9, 1.7e-9, 0.4e-9]
+        stack = synth_if_trace(CFG, reflections, delays).samples
+        assert stack.shape == (4, CFG.sample_count)
+        for row, r, tau in zip(stack, reflections, delays):
+            assert row.tobytes() == synth_if_trace(CFG, [r], [tau]).samples[0].tobytes()
 
     def test_bits_of_the_closed_form(self):
-        # Python-scalar weight times the tone, added onto zeros one echo at a time
-        echoes = [EchoComponent(0.3 - 0.2j, 1.1e-9), EchoComponent(-0.5 + 0.1j, 2.7e-9),
-                  EchoComponent(-1.0 + 0.0j, 1.7e-9)]
+        # Python-scalar weight times the tone, one row per echo
+        reflections = [0.3 - 0.2j, -0.5 + 0.1j, -1.0 + 0.0j]
+        delays = [1.1e-9, 2.7e-9, 1.7e-9]
         n = np.arange(CFG.sample_count)
-        expected = np.zeros(CFG.sample_count, dtype=complex)
-        for e in echoes:
-            phase = 2.0 * math.pi * (CFG.slope * e.delay * n * CFG.sample_interval
-                                     + CFG.start_frequency * e.delay)
-            expected += 0.5 * CFG.amplitude**2 * CFG.path_loss * e.reflection * np.exp(1j * phase)
-        assert synth_if_trace(CFG, echoes).samples.tobytes() == expected.tobytes()
+        expected = []
+        for r, tau in zip(reflections, delays):
+            phase = 2.0 * math.pi * (CFG.slope * tau * n * CFG.sample_interval
+                                     + CFG.start_frequency * tau)
+            expected.append(0.5 * CFG.amplitude**2 * CFG.path_loss * r * np.exp(1j * phase))
+        got = synth_if_trace(CFG, reflections, delays).samples
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_on_bin_tone_concentrates(self):
         k0 = 12
-        trace = synth_if_trace(CFG, [EchoComponent(0.4, on_bin_delay(CFG, k0))])
-        spec = np.abs(dft(trace))
+        (spec,) = np.abs(dft(synth_if_trace(CFG, [0.4], [on_bin_delay(CFG, k0)])))
         assert int(np.argmax(spec)) == k0
         others = np.delete(spec, k0)
         assert others.max() <= 1e-9 * spec[k0]
 
-    def test_requires_echoes(self):
-        with pytest.raises(ValueError):
-            synth_if_trace(CFG, [])
+    @pytest.mark.parametrize("reflections, delays", [([], []), ([0.5], []), ([0.5], [1e-9, 2e-9])])
+    def test_requires_one_delay_per_echo(self, reflections, delays):
+        with pytest.raises(ValueError, match="need one delay per echo and at least one echo"):
+            synth_if_trace(CFG, reflections, delays)
+
+    @pytest.mark.parametrize("bad", [-1e-9, -5e-324, math.nan])
+    def test_rejects_negative_or_nan_delay(self, bad):
+        with pytest.raises(ValueError, match=f"delay must be >= 0, got {bad}"):
+            synth_if_trace(CFG, [0.5, 0.5], [1e-9, bad])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delay", [1e300, math.inf])
+    def test_overflowing_tone_is_refused_without_warning(self, delay):
+        with pytest.raises(ValueError, match="IF samples must be finite"):
+            synth_if_trace(CFG, [0.5, 0.5], [1e-9, delay])
 
 
 class TestIfTrace:
@@ -142,8 +155,7 @@ class TestDftSynthClosedForm:
         # with k_b = slope * tau * N * dt; the sum is geometric
         gamma = 0.37 - 0.21j
         tau = 1.55e-9
-        trace = synth_if_trace(CFG, [EchoComponent(gamma, tau)])
-        spec = dft(trace)
+        (spec,) = dft(synth_if_trace(CFG, [gamma], [tau]))
 
         n_samp = CFG.sample_count
         k_b = CFG.slope * tau * n_samp * CFG.sample_interval
@@ -169,11 +181,10 @@ class TestPeakBin:
         assert peak_bin(spec) == 9
 
     def test_stronger_echo_wins(self):
-        e_strong = EchoComponent(0.8, on_bin_delay(CFG, 10))
-        e_weak = EchoComponent(0.2, on_bin_delay(CFG, 40))
-        spec = dft(synth_if_trace(CFG, [e_strong, e_weak]))
-        strong_alone = dft(synth_if_trace(CFG, [e_strong]))
-        assert peak_bin(spec) == peak_bin(strong_alone) == 10
+        strong_alone, weak_alone = synth_if_trace(
+            CFG, [0.8, 0.2], [on_bin_delay(CFG, 10), on_bin_delay(CFG, 40)]).samples
+        spec = dft(IfTrace(strong_alone + weak_alone))
+        assert peak_bin(spec) == peak_bin(dft(IfTrace(strong_alone))) == 10
 
     def test_tie_goes_to_lower_index(self):
         assert peak_bin(np.array([0.0, 3.0, 3.0, 1.0])) == 1
@@ -198,8 +209,7 @@ class TestCalibrateRatio:
     def test_equal_delay_identity(self):
         gamma, _ = fresnel_normal(AIR, ComplexPermittivity(4.0))
         tau = on_bin_delay(CFG, 7)
-        mut = dft(synth_if_trace(CFG, [EchoComponent(gamma, tau)]))
-        metal = dft(synth_if_trace(CFG, [EchoComponent(-1.0, tau)]))
+        mut, metal = dft(synth_if_trace(CFG, [gamma, -1.0], [tau, tau]))
         k = peak_bin(metal)
         got = calibrate_ratio(mut[k], metal[k])
         assert got == pytest.approx(gamma, abs=1e-12)
@@ -207,8 +217,7 @@ class TestCalibrateRatio:
     def test_acrylic_pipeline_value(self):
         gamma, _ = fresnel_normal(AIR, ComplexPermittivity(2.60, 0.1))
         tau = on_bin_delay(CFG, 7)
-        mut = dft(synth_if_trace(CFG, [EchoComponent(gamma, tau)]))
-        metal = dft(synth_if_trace(CFG, [EchoComponent(-1.0, tau)]))
+        mut, metal = dft(synth_if_trace(CFG, [gamma, -1.0], [tau, tau]))
         k = peak_bin(metal)
         got = calibrate_ratio(mut[k], metal[k])
         assert got == pytest.approx(-0.2347 + 0.0091j, abs=1e-4)
@@ -220,8 +229,7 @@ class TestCalibrateRatio:
             ang = rng.uniform(-math.pi, math.pi)
             gamma = mag * cmath.exp(1j * ang)
             tau = on_bin_delay(CFG, int(rng.integers(1, 100)))
-            mut = dft(synth_if_trace(CFG, [EchoComponent(gamma, tau)]))
-            metal = dft(synth_if_trace(CFG, [EchoComponent(-1.0, tau)]))
+            mut, metal = dft(synth_if_trace(CFG, [gamma, -1.0], [tau, tau]))
             k = peak_bin(metal)
             got = calibrate_ratio(mut[k], metal[k])
             assert got == pytest.approx(gamma, abs=1e-9)
@@ -250,20 +258,20 @@ class TestSynthSlabEchoes:
     GEOM = SlabGeometry(thickness=0.02, standoff=0.25, backing=METAL)
 
     def test_single_bounce_is_front_face(self):
-        echoes = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=1)
+        reflections, delays = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=1)
         gamma, _ = fresnel_normal(AIR, self.EPS)
-        assert len(echoes) == 1
-        assert echoes[0].reflection == gamma
-        assert echoes[0].delay == pytest.approx(2 * 0.25 / SPEED_OF_LIGHT, rel=1e-15)
+        assert reflections == [gamma]
+        assert len(delays) == 1
+        assert delays[0] == pytest.approx(2 * 0.25 / SPEED_OF_LIGHT, rel=1e-15)
 
     def test_matched_backing_single_nonzero_echo(self):
         geom = SlabGeometry(0.02, 0.25, backing=self.EPS)
-        echoes = synth_slab_echoes(self.EPS, geom, CFG, q=5)
-        assert len(echoes) == 5
-        assert all(e.reflection == 0 for e in echoes[1:])
+        reflections, delays = synth_slab_echoes(self.EPS, geom, CFG, q=5)
+        assert len(reflections) == len(delays) == 5
+        assert all(r == 0 for r in reflections[1:])
 
     def test_bounce_amplitudes_match_series_terms(self):
-        echoes = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=4)
+        reflections, _ = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=4)
         # independent reconstruction of the bounce terms
         g1r, t1r = fresnel_normal(AIR, self.EPS)
         gr1, tr1 = fresnel_normal(self.EPS, AIR)
@@ -271,13 +279,13 @@ class TestSynthSlabEchoes:
         k_r = k0 * complex_sqrt_lossy(self.EPS)
         rt = cmath.exp(-2j * k_r * self.GEOM.thickness)
         term = tr1 * (-1.0) * t1r * rt
-        for i, echo in enumerate(echoes[1:]):
+        for i, reflection in enumerate(reflections[1:]):
             expected = term * (gr1 * (-1.0) * rt) ** i
-            assert echo.reflection == pytest.approx(expected, rel=1e-12)
+            assert reflection == pytest.approx(expected, rel=1e-12)
 
     def test_metal_backed_magnitudes_decay(self):
-        echoes = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
-        mags = [abs(e.reflection) for e in echoes[1:]]
+        reflections, _ = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
+        mags = [abs(r) for r in reflections[1:]]
         assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
 
     @pytest.mark.parametrize("eps", [ComplexPermittivity(3.0, 0.15), ComplexPermittivity(7.5, 0.0)])
@@ -288,20 +296,25 @@ class TestSynthSlabEchoes:
         # this sums the echo amplitudes, not their IF tones, whose delay phase
         # undoes the round trip each amplitude holds (see synth_slab_echoes)
         geom = SlabGeometry(0.004, 0.25, backing)
-        echoes = synth_slab_echoes(eps, geom, CFG, q)
-        total = echoes[0].reflection
-        for echo in echoes[1:]:
-            total += echo.reflection
+        reflections, _ = synth_slab_echoes(eps, geom, CFG, q)
+        total = reflections[0]
+        for reflection in reflections[1:]:
+            total += reflection
         expected = effective_reflection_truncated(eps, geom, CFG.start_frequency, q)
         assert np.array([total]).view(np.uint64).tolist() == (
             np.array([expected]).view(np.uint64).tolist()
         )
 
     def test_delays_spaced_by_slab_round_trip(self):
-        echoes = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
+        _, delays = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
         expected_gap = 2 * 0.02 * complex_sqrt_lossy(self.EPS).real / SPEED_OF_LIGHT
-        gaps = np.diff([e.delay for e in echoes])
-        np.testing.assert_allclose(gaps, expected_gap, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(delays), expected_gap, rtol=1e-12)
+
+    @pytest.mark.parametrize("q", [1001, 2**63])
+    def test_bounce_count_above_1000_is_refused(self, q):
+        with pytest.raises(ValueError, match=f"bounce count q must be <= 1000, got {q}"):
+            synth_slab_echoes(self.EPS, self.GEOM, CFG, q)
+        assert len(synth_slab_echoes(self.EPS, self.GEOM, CFG, 1000)[0]) == 1000
 
 
 class TestCarrierPhaseStep:
@@ -310,8 +323,7 @@ class TestCarrierPhaseStep:
         # term ~18.97 deg; the range-window term adds O(B/2f0) on top
         tau = on_bin_delay(CFG, 12)
         dtau = 2 * 1e-4 / SPEED_OF_LIGHT
-        s0 = dft(synth_if_trace(CFG, [EchoComponent(-1.0, tau)]))
-        s1 = dft(synth_if_trace(CFG, [EchoComponent(-1.0, tau + dtau)]))
+        s0, s1 = dft(synth_if_trace(CFG, [-1.0, -1.0], [tau, tau + dtau]))
         k = peak_bin(s0)
         dphi = math.degrees(cmath.phase(s1[k] / s0[k]))
         assert dphi == pytest.approx(18.97, abs=0.5)
@@ -350,7 +362,3 @@ class TestChirpConfig:
         with pytest.raises(ValueError, match="chirp slope .* overflows"):
             ChirpConfig(79e9, bandwidth, duration, 2, duration / 10)
         assert ChirpConfig(79e9, 1e300, 1e-8, 2, 1e-9).slope == 1e308
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EchoComponent(0.5, -1e-9)

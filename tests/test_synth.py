@@ -11,7 +11,6 @@ from permslab import (
     SPEED_OF_LIGHT,
     ChirpConfig,
     ComplexPermittivity,
-    EchoComponent,
     IfTrace,
     NoiseModel,
     SlabGeometry,
@@ -172,13 +171,14 @@ class TestGenerateIfDatasets:
             amp = 1.0 + noise.amplitude_rel_sigma * rng.standard_normal()
             return amp * np.exp(1j * noise.phase_sigma * rng.standard_normal())
 
-        expected = [synth_if_trace(cfg, synth_slab_echoes(TRUTH, geom, cfg, bounces)).samples
-                    * gain()]
+        # the material trace sums its echo rows onto zeros, one echo at a time
+        echoes = synth_if_trace(cfg, *synth_slab_echoes(TRUTH, geom, cfg, bounces)).samples
+        expected = [sum(echoes, np.zeros(cfg.sample_count, dtype=complex)) * gain()]
         for m in range(m_count):
             tau = 2.0 * (geom.standoff + m * 1e-4) / SPEED_OF_LIGHT
             drift = noise.amplitude_drift_rel * m / (m_count - 1) if m_count > 1 else 0.0
-            trace = synth_if_trace(cfg, [EchoComponent(-1.0 + 0.0j, tau)])
-            expected.append(trace.samples * (1.0 - drift) * gain())
+            (trace,) = synth_if_trace(cfg, [-1.0 + 0.0j], [tau]).samples
+            expected.append(trace * (1.0 - drift) * gain())
         mut, metal = generate_if_datasets(TRUTH, geom, cfg, m_count, 1e-4, noise,
                                           bounce_count=bounces)
         assert len(metal) == m_count
@@ -191,8 +191,8 @@ class TestGenerateIfDatasets:
         _, metal = generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 1, 1e-4, noise)
         assert len(metal) == 1
         tau = 2.0 * GEOM.standoff / SPEED_OF_LIGHT
-        undrifted = synth_if_trace(benchmark_chirp(), [EchoComponent(-1.0 + 0.0j, tau)])
-        assert np.array_equal(metal[0].samples, undrifted.samples)
+        (undrifted,) = synth_if_trace(benchmark_chirp(), [-1.0 + 0.0j], [tau]).samples
+        assert np.array_equal(metal[0].samples, undrifted)
 
     def test_overflowing_drift_raises_documented_error(self):
         with pytest.raises(ValueError, match="IF samples must be finite"):
