@@ -25,14 +25,20 @@ where ``log10`` rounds across a power of ten), s = 16 − k puts |x|·10^s
 in [1e16, 1e17); s <= 22 sets the lower end of the range. The digits
 never carry to 10^17: inside the range, the largest double below each
 power of ten is at least 8 units of the 17th digit below it. Each value
-gets a slot of ``SLOT`` bytes: sign, the ``0.`` and leading zeros of a
-fixed-point number below 1, the lead digit, the point of e-notation and
-of numbers in [1, 10), the other 16 digits, and the ``e-0N`` of the
-e-notation that ``%g`` uses for exponents below -4. The 16 digits are
-four-digit ASCII words from a 10000-entry table, with a second half that
-drops trailing zeros; in a number of 10 or more, the digits after the
-point move one byte right to make room for it. Every byte a value does
-not use is 0, and the writer drops all 0 bytes of a block at once.
+owns ``WORDS`` little-endian 64-bit words of the caller's array, which
+the kernel fills a column at a time: word 0 holds the sign and the
+``0.`` and leading zeros of a fixed-point number below 1 (a 12-entry
+table of words), the lead digit in byte 6 and, in byte 7, the point of
+e-notation and of numbers in [1, 10); words 1-2 hold the other 16
+digits, one ``take`` of a 10000-entry table of four-digit ASCII words,
+with a second half that drops trailing zeros; word 3 holds the ``e-0N``
+of the e-notation that ``%g`` uses for exponents below -4, and in its
+top byte the byte the caller puts after the value (a space, or the line
+end). In a number of 10 or more, the digits after the point move one
+byte on, across words 1-3, to make room for it. Every byte a value does
+not use is 0, and the writer drops all 0 bytes of a block at once. A
+value outside the range is written by ``%`` into its 32 bytes, which
+hold its at most 24.
 
 Reading. A token ``[-]digits[.digits][e±dd]`` of at most 24 digits is
 read as an integer D and a decimal exponent q, its value ±D·10^q: the
@@ -62,64 +68,90 @@ import functools
 
 import numpy as np
 
-# bytes per value: 0-5 sign and "0.000", 6 lead digit, 7 point, 8-23 digits, 24-27 "e-0N"
-SLOT = 28
+# words per value: 0 sign and "0.000", lead digit and point; 1-2 the other
+# 16 digits; 3 the "e-0N" of e-notation, and in its top byte the byte after
+# the value
+WORDS = 4
+WORD = np.dtype("<u8")  # eight bytes, the first the least significant on every host
+
+
+def _byte_masks(keep):
+    """Words of the bool bytes ``keep``: 255 in each byte kept, 0 in the others."""
+    return np.where(keep, np.uint8(255), np.uint8(0)).view(WORD)
+
+
+# FIRST_BYTES[n]: of 16 bytes as two words, the first n kept
+FIRST_BYTES = _byte_masks(np.arange(16) < np.arange(17)[:, None])
 _ROOM = 1e-6, 1e16  # the kernel's range of |x|, both ends open
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
+_SHIFT_BYTE, _SHIFT_LEAD, _SHIFT_TOP = np.uint64(8), np.uint64(48), np.uint64(56)
+_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # eight "."
+_EXPONENT = np.uint64(int.from_bytes(b"e-0", "little"))
 
 
 @functools.cache
 def _tables():
     """Built on first use, so importing permslab does not pay for them.
 
-    - words: the four digits of w in 0..9999 as ASCII at index w, and
+    - quad_text: the four digits of w in 0..9999 as ASCII at index w, and
       the same with trailing zeros dropped at index 10000 + w, as uint32;
     - prefixes: sign and "0.000…" for (negative, length of "0.000…")
-      at index 6·negative + length, as uint64 padded with 0 bytes;
+      at index 6·negative + length, as words padded with 0 bytes;
     - 10**s for s <= 22 and its Dekker halves.
     """
     w = np.arange(10000, dtype=np.int16)
-    words = np.empty((2, 10000, 4), np.uint8)
+    text = np.empty((2, 10000, 4), np.uint8)
     for j, unit in enumerate((1000, 100, 10, 1)):
-        words[:, :, j] = w // unit % 10 + 48
+        text[:, :, j] = w // unit % 10 + 48
     zeros = np.ones(10000, bool)  # this digit and all after it are zeros
     for j in (3, 2, 1, 0):
-        zeros &= words[1, :, j] == ord("0")
-        words[1, zeros, j] = 0
+        zeros &= text[1, :, j] == ord("0")
+        text[1, zeros, j] = 0
     prefixes = np.array([sign + b"0.000"[:length] for sign in (b"", b"-") for length in range(6)],
                         dtype="S8")
     pow10 = 10.0 ** np.arange(23)
     scaled = _SPLIT * pow10
     high = scaled - (scaled - pow10)
-    return (words.reshape(-1, 4).view(np.uint32).ravel(),
-            prefixes.view(np.uint64), pow10, high, pow10 - high)
+    return (text.reshape(-1, 4).view(np.uint32).ravel(), prefixes.view(WORD), pow10, high,
+            pow10 - high)
 
 
-def format_into(values, out) -> None:
+def format_into(values, out, ends) -> None:
     """Write ``"%.17g" % x`` of each of the float64 ``values`` (any
-    shape) into the zero bytes ``out[..., :SLOT]``, left to right, with
-    0 in every byte the text does not use."""
+    shape) into its ``WORDS`` words ``out[..., :WORDS]`` (of dtype
+    ``WORD``), left to right, with the byte ``ends`` (broadcast against
+    ``values``) in the top byte of the last word and 0 in every other
+    byte the text does not use."""
+    ends = np.asarray(ends, WORD) << _SHIFT_TOP
     magnitude = np.abs(values)
-    inside = (magnitude > _ROOM[0]) & (magnitude < _ROOM[1])
-    if inside.all():
-        slots = _kernel(values.ravel(), magnitude.ravel())
-        out[..., :SLOT] = slots.reshape(*values.shape, SLOT)
+    outside = ~((magnitude > _ROOM[0]) & (magnitude < _ROOM[1]))
+    if not outside.any():
+        _kernel(values, magnitude, ends, out)
         return
-    outside = ~inside
-    text = [b"%.17g" % x for x in values[outside].tolist()]
-    out[outside, :SLOT] = np.array(text, dtype=f"S{SLOT}").view(np.uint8).reshape(-1, SLOT)
-    if inside.any():
-        out[inside, :SLOT] = _kernel(values[inside], magnitude[inside])
+    # the kernel writes 1 for each value outside its range, which `%` then writes
+    _kernel(np.where(outside, 1.0, values), np.where(outside, 1.0, magnitude), ends, out)
+    text = [b"%.17g" % x for x in values[outside].tolist()]  # at most 24 bytes
+    words = np.array(text, dtype=f"S{8 * WORDS}").view(WORD).reshape(-1, WORDS)
+    words[:, -1] |= np.broadcast_to(ends, values.shape)[outside]
+    out[outside, :WORDS] = words
 
 
 def _two_product(x, s, pow10, high, low):
     """``hi + lo == x·10**s`` exactly, ``hi`` the rounded product."""
     hi = x * np.take(pow10, s)
-    scaled = _SPLIT * x
-    x_high = scaled - (scaled - x)
+    x_high = _SPLIT * x
+    term = x_high - x
+    x_high -= term
     x_low = x - x_high
     p_high, p_low = np.take(high, s), np.take(low, s)
-    lo = ((x_high * p_high - hi) + x_high * p_low + x_low * p_high) + x_low * p_low
+    # ((x_high·p_high − hi) + x_high·p_low + x_low·p_high) + x_low·p_low,
+    # in place and in that order
+    lo = x_high * p_high
+    lo -= hi
+    lo += np.multiply(x_high, p_low, out=term)
+    lo += np.multiply(x_low, p_high, out=term)
+    x_low *= p_low
+    lo += x_low
     return hi, lo
 
 
@@ -129,9 +161,12 @@ def _digits(hi, lo) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _kernel(values, magnitude) -> np.ndarray:
-    """The (n, SLOT) slots of n values inside the kernel's range."""
-    words, prefixes, pow10, high, low = _tables()
+def _kernel(values, magnitude, ends, out) -> None:
+    """``format_into`` of values inside the kernel's range, of the shape
+    of ``out[..., 0]``, by column stores into ``out``."""
+    quad_text, prefixes, pow10, high, low = _tables()
+    shape = out.shape[:-1]
+    values, magnitude = values.ravel(), magnitude.ravel()
     n = values.size
     k = np.floor(np.log10(magnitude)).astype(np.int64)
     np.clip(k, -6, 15, out=k)  # a log10 an ulp off at the range ends stays in the table
@@ -143,50 +178,84 @@ def _kernel(values, magnitude) -> np.ndarray:
         k[wrong] += above[wrong].astype(np.int64) - below[wrong]
         hi[wrong], lo[wrong] = _two_product(magnitude[wrong], 16 - k[wrong], pow10, high, low)
     digits = _digits(hi, lo)
-    # the 17 digits: a lead digit and four words of four
-    upper, lower = np.divmod(digits, 10**8)
-    lead, upper = np.divmod(upper, 10**8)
+    # the 17 digits: a lead digit and four words of four (numpy's floor
+    # division of integers is several times faster than its divmod)
+    upper = digits // 10**8
+    lower = (digits - upper * 10**8).astype(np.int32)
+    lead = upper // 10**8
+    upper = (upper - lead * 10**8).astype(np.int32)
     quads = np.empty((n, 4), np.int32)
-    quads[:, 0], quads[:, 1] = np.divmod(upper.astype(np.int32), 10000)
-    quads[:, 2], quads[:, 3] = np.divmod(lower.astype(np.int32), 10000)
-    # a word drops its trailing zeros once every later word is zero
+    quads[:, 0] = upper // 10000
+    quads[:, 1] = upper - quads[:, 0] * 10000
+    quads[:, 2] = lower // 10000
+    quads[:, 3] = lower - quads[:, 2] * 10000
+    fixed = k >= -4  # "%g" writes e-notation below 1e-4
+    point_first = fixed & (k < 0)  # "0.000ddd"
+    # word 0: the prefix, the lead digit in byte 6, and the point after it
+    # (e-notation, and [1, 10)) where a fraction digit is left
+    head = np.take(prefixes, np.where(point_first, 1 - k, 0) + 6 * (values < 0))
+    lead += ord("0")
+    head |= lead.view(np.uint64) << _SHIFT_LEAD
+    rows = np.flatnonzero(~point_first & (k <= 0))
+    head[rows[digits[rows] % 10**16 != 0]] |= np.uint64(ord(".")) << _SHIFT_TOP
+    out[..., 0] = head.reshape(shape)
+    # words 1-2 without trailing zeros: the last word of four drops its
+    # own, and where it is 0000 the words before it may drop theirs
+    stripped = quads.copy()
+    stripped[:, 3] += 10000
+    rows = np.flatnonzero(quads[:, 3] == 0)
+    if rows.size:
+        stripped[rows] = _stripped(quads[rows])
+    body = np.take(quad_text, stripped).view(WORD)
+    tail = np.broadcast_to(ends, shape)  # word 3
+    sci = np.flatnonzero(~fixed)
+    big = np.flatnonzero(k > 0)
+    if sci.size or big.size:
+        tail = tail.flatten()
+        # "e-0" in bytes 0-2, the exponent's last digit in byte 3
+        tail[sci] |= _EXPONENT | (ord("0") - k[sci]).astype(np.uint64) << np.uint64(24)
+    # 10 and above: the point after digit e, or none in a whole number,
+    # which keeps the zeros of its integer part
+    for e in set(k[big].tolist()):
+        rows = big[k[big] == e]
+        whole = digits[rows] % 10 ** (16 - e) == 0
+        kept = rows[whole]
+        body[kept] = np.take(quad_text, quads[kept]).view(WORD) & FIRST_BYTES[e]
+        # the digits from e on move one byte on, the last into word 3
+        rows = rows[~whole]
+        digits16 = body[rows]
+        moved = digits16 << _SHIFT_BYTE
+        moved[:, 1] |= digits16[:, 0] >> _SHIFT_TOP
+        tail[rows] |= digits16[:, 1] >> _SHIFT_TOP
+        before, through = FIRST_BYTES[e], FIRST_BYTES[e + 1]
+        body[rows] = (digits16 & before) | (moved & ~through) | (through & ~before & _POINTS)
+    store(out[..., 1:3], body.reshape(*shape, 2))
+    out[..., 3] = tail.reshape(shape)
+
+
+def store(out, words) -> None:
+    """``out[...] = words`` for arrays of words whose last axes are
+    contiguous, copied a row at a time as one item: numpy stores strided
+    rows several times faster that way than word by word."""
+    item = f"V{8 * words.shape[-1]}"
+    out.view(item)[..., 0] = words.view(item)[..., 0]
+
+
+def _stripped(quads):
+    """Indexes into the table of four digits of the words ``quads``
+    (n, 4): a word drops its trailing zeros once every later word is zero."""
     stripped = np.empty_like(quads)
-    later_zero = np.ones(n, bool)
+    later_zero = np.ones(len(quads), bool)
     for j in (3, 2, 1, 0):
         np.add(quads[:, j], 10000 * later_zero, out=stripped[:, j])
         later_zero &= quads[:, j] == 0
-    fixed = k >= -4  # "%g" writes e-notation below 1e-4
-    point_first = fixed & (k < 0)  # "0.000ddd"
-    slots = np.zeros((n, SLOT), np.uint8)
-    prefix = prefixes[np.where(point_first, 1 - k, 0) + 6 * (values < 0)]
-    slots[:, :8] = prefix.view(np.uint8).reshape(n, 8)
-    slots[:, 6] = lead + 48
-    slots[:, 8:24] = np.take(words, stripped).view(np.uint8).reshape(n, 16)
-    # the point after the lead digit (e-notation, and [1, 10)) where a
-    # fraction digit is left
-    rows = np.flatnonzero(~point_first & (k <= 0))
-    slots[rows[digits[rows] % 10**16 != 0], 7] = ord(".")
-    sci = np.flatnonzero(~fixed)
-    slots[sci, 24:27] = np.frombuffer(b"e-0", np.uint8)
-    slots[sci, 27] = 48 - k[sci]
-    # 10 and above: the point after digit e, or none in a whole number,
-    # which keeps the zeros of its integer part
-    for e in set(k[k > 0].tolist()):
-        rows = np.flatnonzero(k == e)
-        whole = digits[rows] % 10 ** (16 - e) == 0
-        kept = rows[whole]
-        slots[kept, 8:8 + e] = np.take(words, quads[kept]).view(np.uint8).reshape(-1, 16)[:, :e]
-        rows = rows[~whole]
-        slots[rows, 9 + e:25] = slots[rows, 8 + e:24]
-        slots[rows, 8 + e] = ord(".")
-    return slots
+    return stripped
 
 
 # bytes ``parse`` reads up to the end of a token: the most mantissa it takes
 WINDOW = 24
-_WORD = np.dtype("<u8")  # eight bytes, the first the least significant on every host
-_ZEROS = 0x3030303030303030  # eight ASCII "0"
-_NIBBLES = 0xF0F0F0F0F0F0F0F0
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
+_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _FRACTION_DIGITS = np.array([0, *range(23, -1, -1)], np.int64)  # after a point at byte i - 1
 
 
@@ -200,14 +269,11 @@ def _masks():
     - before[i], after[i]: of 24 bytes with a point at byte i - 1, the
       bytes before and after it; before[0] none and after[0] all (no point).
     """
-    def words(keep):
-        return np.where(keep, np.uint8(255), np.uint8(0)).view(_WORD)
-
     byte8, byte24 = np.arange(8), np.arange(24)
     n8, n24 = np.arange(9)[:, None], np.arange(25)[:, None]
-    top = words(byte8 >= 8 - n8)[:, 0]
-    return (top, ~top & _ZEROS, words(byte24 >= 24 - n24), words(byte24 < n24 - 1),
-            words(byte24 >= n24))
+    top = _byte_masks(byte8 >= 8 - n8)[:, 0]
+    return (top, ~top & _ZEROS, _byte_masks(byte24 >= 24 - n24), _byte_masks(byte24 < n24 - 1),
+            _byte_masks(byte24 >= n24))
 
 
 def _all_digits(words):
@@ -216,7 +282,7 @@ def _all_digits(words):
     high nibbles are 3) leaves it so."""
     nibbles = words & _NIBBLES
     digits = nibbles == _ZEROS
-    np.add(words, 0x0606060606060606, out=nibbles)
+    np.add(words, np.uint64(0x0606060606060606), out=nibbles)
     nibbles &= _NIBBLES
     digits &= nibbles == _ZEROS
     return digits
@@ -227,13 +293,13 @@ def _swar(words):
     the most significant, computed in place: each multiplication adds
     ten (then 100, then 10**4) times a lane to the next, and the shift
     and mask keep every second, now twice as wide, lane."""
-    words &= 0x0F0F0F0F0F0F0F0F
+    words &= np.uint64(0x0F0F0F0F0F0F0F0F)
     for factor, shift, mask in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
                                 (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
                                 (10000 << 32 | 1, 32, 0xFFFFFFFF)):
-        words *= factor
-        words >>= shift
-        words &= mask
+        words *= np.uint64(factor)
+        words >>= np.uint64(shift)
+        words &= np.uint64(mask)
     return words
 
 
@@ -259,7 +325,7 @@ def parse(buf, ends, lengths):
     top24, before, after = _masks()[2:]
     pow10, high, low = _tables()[2:]
     n = lengths.size
-    words = np.ndarray((buf.size - 7,), _WORD, buf, 0, (1,))  # word p: buf[p:p + 8]
+    words = np.ndarray((buf.size - 7,), WORD, buf, 0, (1,))  # word p: buf[p:p + 8]
     # the exponent: "e", a sign and two digits ending the token
     scientific = (np.take(buf, ends - 4) == ord("e")) & (lengths > 4)
     exponent, taken = np.zeros(n, np.int64), np.ones(n, bool)
@@ -281,7 +347,7 @@ def parse(buf, ends, lengths):
     taken &= (size >= 1) & (size <= 24)
     np.clip(size, 0, 24, out=size)
     mantissa = np.ndarray((buf.size - 23,), "V24", buf, 0, (1,))[end - 24]
-    mantissa = mantissa.view(_WORD).reshape(n, 3)
+    mantissa = mantissa.view(WORD).reshape(n, 3)
     del end
     mantissa ^= _ZEROS
     mantissa &= np.take(top24, size, axis=0)

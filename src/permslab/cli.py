@@ -162,7 +162,7 @@ def cmd_estimate(args) -> int:
     print(f"phase_offset:    {fit.phase_offset:.6f} rad")
     print(f"residual_norm:   {fit.residual_norm:.3e}")
     print(f"converged:       {fit.converged}")
-    print(f"phase_slope:     {slope:.2f} deg/mm (R^2 = {r2:.9f})")
+    print(f"phase_slope:     {slope:.6g} deg/mm (R^2 = {r2:.9f})")
     if args.report_out:
         ReportFile.from_fit(fit, data).write(args.report_out)
         print(f"report written to {args.report_out}")
@@ -234,7 +234,7 @@ def cmd_report(args) -> int:
                                   np.hypot(curve.real, curve.imag),
                                   np.degrees(np.angle(curve))))
         write_records(path, ["# x_mm re_gamma im_gamma abs_gamma phase_deg"],
-                      [(np.zeros((args.steps, 1), np.uint8), values)])
+                      [((), values)])
     print(f"report files written to {outdir}")
     return EXIT_OK
 

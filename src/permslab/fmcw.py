@@ -200,4 +200,18 @@ def calibrate_ratio(mut_peak: complex, metal_peak: complex) -> complex:
     if bad.any():
         peak = np.ravel(metal_peak)[bad.argmax()]
         raise CalibrationError(f"unusable metal reference peak: {peak!r}")
-    return -(mut_peak / metal_peak)
+    # numpy divides by a complex number through its reciprocal, which
+    # overflows once |metal_peak| is below about 5.6e-309: both peaks are
+    # first scaled by the power of two that brings the metal peak to [0.5, 1),
+    # which is exact and leaves the quotient's bits as they were
+    exponent = -np.frexp(mag)[1]
+    return -(_scaled(mut_peak, exponent) / _scaled(metal_peak, exponent))
+
+
+def _scaled(z, exponent) -> np.ndarray:
+    """``z · 2**exponent`` of complex ``z``, part by part."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(np.broadcast(z, exponent).shape, dtype=complex)
+    out.real = np.ldexp(z.real, exponent)
+    out.imag = np.ldexp(z.imag, exponent)
+    return out

@@ -18,23 +18,30 @@ value. A malformed, incomplete or non-finite record, and a chirp header
 value that ``ChirpConfig`` refuses, end in ``DatasetFormatError``.
 
 Writing renders each value as ``"%.17g" % x`` does, byte for byte. A
-block of ``_KERNEL_MIN_VALUES`` values or more goes through the numpy
-kernel of ``_g17``, exact for finite 1e-6 < |x| < 1e16, with ``%`` for
-the values outside that range (zeros, subnormals, tiny, huge and
-non-finite ones); a smaller block, where numpy's cost per call does not
-pay back, is formatted by one ``%`` operation. The raw-IF writer hands
-over the traces in blocks of ``_BLOCK_RECORDS`` records.
+block of ``_KERNEL_MIN_VALUES`` values or more is laid out as one array
+of 64-bit words, a row per record: the label's words, gathered from
+tables of words made once per file (two for each trace id, one for each
+sample index), then four for each value from the numpy kernel of ``_g17``,
+exact for finite 1e-6 < |x| < 1e16, with ``%`` for the values outside
+that range (zeros, subnormals, tiny, huge and non-finite ones). The
+space or line end after a value is the top byte of its last word, and
+one ``bytes.translate`` drops the 0 bytes that pad labels and values.
+A smaller block, where numpy's cost per call does not pay back, is
+formatted by one ``%`` operation. The raw-IF writer hands over the
+traces in blocks of ``_BLOCK_RECORDS`` records.
 
 Reading takes the file as bytes, in blocks of about ``_BLOCK_BYTES``
 cut after their last line end, and parses each block of records at once.
 A raw-IF block whose every line is ASCII ``id index re im`` with single
 spaces (no ``#`` and no control byte but the line ends) goes to
 ``_raw_records``, which reads it when ``_g17.parse`` takes every value
-by one of its two exact rules. The first block it refuses, every later
-block of the file, and every gamma and report block, is decoded and
-parsed by one ``np.loadtxt`` call over its lines, split at ``\n``,
-``\r\n`` and ``\r`` as text mode splits them. Both read a
-record to the same bits, so a file reads the same whichever parses it. A
+by one of its two exact rules; it gathers each trace id as two 64-bit
+words with the bytes after the id cleared, and ``_traces`` finds the
+runs of records of one trace by comparing those words. The first block
+it refuses, every later block of the file, and every gamma and report
+block, is decoded and parsed by one ``np.loadtxt`` call over its lines,
+split at ``\n``, ``\r\n`` and ``\r`` as text mode splits them. Both read
+a record to the same bits, so a file reads the same whichever parses it. A
 raw-IF reader scatters each block's records into the trace stack it
 returns, so a read holds about its output plus one block and the
 temporaries of its parse; a pipe, which has no size, is first read
@@ -77,10 +84,11 @@ REPORT_COLUMNS = "m x_mm re_measured im_measured re_fitted im_fitted"
 # record name and np.loadtxt layout per dataset mode, and of reports; each
 # (re, im) pair is one field, viewed as complex bit for bit. A 16-byte trace
 # id may have been cut short, so it is rejected.
-_RECORDS = {
-    "gamma": ("gamma", np.dtype([("m", "i8"), ("z", "f8", 2)])),
-    "raw-if": ("trace", np.dtype([("trace_id", "S16"), ("n", "i8"), ("z", "f8", 2)])),
-}
+_RAW = np.dtype([("trace_id", "S16"), ("n", "i8"), ("z", "f8", 2)])
+_RECORDS = {"gamma": ("gamma", np.dtype([("m", "i8"), ("z", "f8", 2)])), "raw-if": ("trace", _RAW)}
+# raw-IF records with each trace id as its two words, to gather and compare
+_RAW_ID_WORDS = np.dtype({"names": ["trace_id"], "formats": [(_g17.WORD, 2)],
+                          "itemsize": _RAW.itemsize})
 _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured", "f8", 2),
                                        ("fitted", "f8", 2)]))
 # bytes read at a time: besides what it builds, a raw-IF reader holds one
@@ -89,16 +97,16 @@ _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured",
 # 25% longer in 128 KB ones (numpy's cost per call); 512 KB blocks were
 # about 5% faster, but raised the read's peak from 5.9 to 8.4 MB
 _BLOCK_BYTES = 1 << 18
-# a trace id of up to 16 bytes as read: mask[n] keeps its first n bytes
-_ID_MASKS = np.tril(np.full((17, 16), 255, np.uint8), -1)
 # a line with its line end, split as text mode splits lines
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 # a block of fewer values is written by one `%` operation: below this the
 # numpy kernel's fixed cost per call outweighs what it saves per value
 _KERNEL_MIN_VALUES = 256
-# records per block of the raw-IF writer: the kernel's temporaries for
-# 8192 values take about 1.6 MB and stay in cache; larger blocks were no
-# faster and raised the process's peak memory
+# records per block of the raw-IF writer: at M=200 a block's words take
+# 88 bytes a record (360 KB), its bytes as much again before the 0 bytes
+# go, and the kernel's temporaries for its 8192 values about 1 MB, so
+# writing an M=200, N=1024 file peaks at 1.8 MB (tracemalloc). Blocks of
+# 2048 and 8192 records were slower, and 8192 doubled that peak
 _BLOCK_RECORDS = 4096
 
 # (key, attribute, type) of the header lines each file kind writes in this
@@ -202,7 +210,7 @@ class DatasetFile:
             header.append(f"provenance: {self.provenance}")
         if self.mode == "gamma":
             header.append(f"columns: {GAMMA_COLUMNS}")
-            blocks = [(_indexes(self.step_count), _pairs(self.gammas))]
+            blocks = [((_indexes(self.step_count),), _pairs(self.gammas))]
         else:
             c = self.chirp
             header += [
@@ -211,7 +219,7 @@ class DatasetFile:
                 f"path_loss_im: {c.path_loss.imag:.17g}",
                 f"columns: {RAW_COLUMNS}",
             ]
-            ids = _byte_rows([b"mut "] + [b"metal-%d " % m for m in range(self.step_count)])
+            ids = _word_rows([b"mut "] + [b"metal-%d " % m for m in range(self.step_count)])
             blocks = _trace_blocks(ids, _indexes(c.sample_count),
                                    (self.mut_samples[None], self.metal_samples))
         write_records(path, header, blocks)
@@ -242,11 +250,13 @@ class DatasetFile:
 def write_records(path, header, blocks) -> None:
     """Write ``header`` lines, then each block of records.
 
-    A block is ``(labels, values)``: record i is row i of the 2-D uint8
-    ``labels`` without its 0 bytes, then row i of the 2-D float
-    ``values``, each value as ``"%.17g" % x`` writes it. A block of at
-    least ``_KERNEL_MIN_VALUES`` values is laid out in one byte array by
-    ``_g17.format_into`` and written without its 0 bytes; a smaller one
+    A block is ``(labels, values)``: ``labels`` is a tuple, maybe empty,
+    of 2-D arrays of words (``_g17.WORD``), and record i is row i of each
+    of them side by side, without their 0 bytes, then row i of the
+    2-D float ``values``, each value as ``"%.17g" % x`` writes it. A block
+    of at least ``_KERNEL_MIN_VALUES`` values is laid out as one array of
+    words, the labels' and then ``_g17.WORDS`` per value from
+    ``_g17.format_into``, and written without its 0 bytes; a smaller one
     is formatted by one ``%`` operation.
     """
     with open(path, "wb") as fh:
@@ -261,43 +271,47 @@ def _record_bytes(labels, values) -> bytes:
     n, k = values.shape
     if values.size < _KERNEL_MIN_VALUES:
         fields = b" ".join([b"%.17g"] * k) + b"\n"
-        texts = np.ascontiguousarray(labels).view(f"S{labels.shape[1]}").ravel().tolist()
-        template = b"".join([label + fields for label in texts]).replace(b"\0", b"")
-        return template % tuple(values.ravel().tolist())
-    width = labels.shape[1]
-    rows = np.zeros((n, width + k * (_g17.SLOT + 1)), np.uint8)
-    rows[:, :width] = labels
-    cells = rows[:, width:].reshape(n, k, _g17.SLOT + 1)  # a view: each value's slot and separator
-    cells[:, :, -1] = ord(" ")
-    cells[:, -1, -1] = ord("\n")
-    _g17.format_into(values, cells)
+        texts = [np.ascontiguousarray(part).view(f"S{8 * part.shape[1]}").ravel().tolist()
+                 for part in labels]
+        # the column of b"" gives each record its line where no label does
+        template = b"".join([b"".join(label) + fields for label in zip(*texts, [b""] * n)])
+        return template.replace(b"\0", b"") % tuple(values.ravel().tolist())
+    width = sum(part.shape[1] for part in labels)
+    rows = np.empty((n, width + k * _g17.WORDS), _g17.WORD)
+    start = 0
+    for part in labels:
+        _g17.store(rows[:, start:start + part.shape[1]], part)
+        start += part.shape[1]
+    ends = np.full(k, ord(" "))
+    ends[-1] = ord("\n")
+    _g17.format_into(values, rows[:, width:].reshape(n, k, _g17.WORDS), ends)
     return rows.tobytes().translate(None, b"\0")
 
 
-def _byte_rows(texts) -> np.ndarray:
-    """The bytes of each text as a row of uint8, padded with 0 bytes."""
-    texts = np.array(texts, dtype=bytes)
-    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
+def _word_rows(texts) -> np.ndarray:
+    """The bytes of each text as a row of words, padded with 0 bytes."""
+    width = -(-max(map(len, texts), default=1) // 8)
+    return np.array(texts, dtype=f"S{8 * width}").view(_g17.WORD).reshape(len(texts), width)
 
 
 def _indexes(count) -> np.ndarray:
-    """The labels ``0 ``, ``1 ``, ... of ``count`` records, as byte rows."""
-    return _byte_rows([b"%d " % i for i in range(count)])
+    """The labels ``0 ``, ``1 ``, ... of ``count`` records, as word rows."""
+    return _word_rows([b"%d " % i for i in range(count)])
 
 
 def _trace_blocks(ids, indexes, stacks):
     """Raw-IF blocks of at most ``_BLOCK_RECORDS`` records, trace by
     trace: ``stacks`` hold the traces as rows of samples, ``ids`` label
-    each trace in turn and ``indexes`` each sample."""
+    each trace in turn and ``indexes`` each sample, both as word rows."""
     first = 0
     for stack in stacks:
         pairs = _pairs(stack)  # record r is sample r % N of the trace first + r // N
         for start in range(0, len(pairs), _BLOCK_RECORDS):
-            trace, sample = np.divmod(np.arange(start, min(start + _BLOCK_RECORDS, len(pairs))),
-                                      len(indexes))
+            record = np.arange(start, min(start + _BLOCK_RECORDS, len(pairs)))
+            trace = record // len(indexes)  # numpy's divmod of integers is several times slower
+            sample = record - trace * len(indexes)
             # np.take copies rows several times faster than fancy indexing
-            labels = np.hstack((np.take(ids, first + trace, axis=0),
-                                np.take(indexes, sample, axis=0)))
+            labels = np.take(ids, first + trace, axis=0), np.take(indexes, sample, axis=0)
             yield labels, pairs[start:start + _BLOCK_RECORDS]
         first += len(stack)
 
@@ -430,16 +444,17 @@ def _raw_records(block, dtype):
     ends = ends.reshape(n, 4)
     if not ((lengths > 0).all() and (lengths[:, 0] <= 16).all() and (lengths[:, 1] <= 8).all()):
         return None
-    words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))
+    words = np.ndarray((buf.size - 7,), _g17.WORD, buf, 0, (1,))
     index, digits = _g17.small_integers(words[ends[:, 1] - 8], lengths[:, 1])
     if not digits.all():
         return None
     values, rest = _g17.parse(buf, ends[:, 2:].ravel(), lengths[:, 2:].ravel())
     if rest.size:
         return None
+    # each trace id as two words, the bytes after it cleared
     ids = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends[:, 0] - lengths[:, 0]]
-    ids = ids.view(np.uint8).reshape(n, 16)
-    ids &= np.take(_ID_MASKS, lengths[:, 0], axis=0)
+    ids = ids.view(_g17.WORD).reshape(n, 2)
+    ids &= np.take(_g17.FIRST_BYTES, lengths[:, 0], axis=0)
     records = np.empty(n, dtype)
     records["trace_id"] = ids.view("S16")[:, 0]
     records["n"] = index
@@ -530,9 +545,13 @@ def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
         if bad_index is None and out_of_range.any():
             bad_index = n[out_of_range.argmax()]
         # each run of equal ids is looked up once, each distinct id validated once
-        ids = records["trace_id"]
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        names, which = np.unique(ids[starts], return_inverse=True)
+        ids = records.view(_RAW_ID_WORDS)["trace_id"]
+        starts = np.empty(records.size, bool)
+        starts[0] = True
+        np.not_equal(ids[1:, 0], ids[:-1, 0], out=starts[1:])
+        starts[1:] |= ids[1:, 1] != ids[:-1, 1]
+        starts = np.flatnonzero(starts)
+        names, which = np.unique(records["trace_id"][starts], return_inverse=True)
         names = names.tolist()
         for name in names:
             if name not in rows and name not in bad_ids:
@@ -543,7 +562,7 @@ def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
         if traces is None or bad_index is not None or bad_ids:
             continue  # the file is refused below; only its count and errors matter
         row = np.repeat(np.array([rows[name] for name in names])[which],
-                        np.diff(np.r_[starts, ids.size]))
+                        np.diff(starts, append=records.size))
         traces[row, n] = records["z"].view(complex)[:, 0]  # a missing sample stays nan
     if count != expected:
         raise DatasetFormatError(f"trace record count {count} != {expected}")
@@ -609,7 +628,7 @@ class ReportFile:
         m = np.arange(self.step_count)
         values = np.column_stack((m * self.step_m * 1e3, _pairs(self.measured),
                                   _pairs(self.fitted)))
-        write_records(path, header, [(_indexes(self.step_count), values)])
+        write_records(path, header, [((_indexes(self.step_count),), values)])
 
     @classmethod
     def read(cls, path) -> "ReportFile":

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -290,6 +291,41 @@ class TestExtractEstimate:
         f.write(raw)
         assert run(["extract", "--input", str(raw), "--out",
                     str(tmp_path / "x.txt")]) == 4
+
+    @pytest.mark.parametrize("amplitude, code", [
+        ("1e-155", 0), ("1e-158", 0), ("1e-160", 0), ("1e-162", 4)])
+    def test_tiny_metal_peaks_calibrate_without_overflow(self, amplitude, code, tmp_path, capsys):
+        # numpy's complex division took the reciprocal of a metal peak below
+        # about 5.6e-309 and overflowed, though the ratio is about 0.2 (the
+        # suite's warnings are errors); at 1e-162 the spectrum is all zeros
+        reference, raw, sweep = (tmp_path / name for name in ("ref.txt", "raw.txt", "sweep.txt"))
+        for amp, out in (("1", reference), (amplitude, raw)):
+            assert run(["simulate", "--mode", "raw-if", "--steps", "3", "--amplitude", amp,
+                        "--out", str(out)]) == 0
+        assert run(["extract", "--input", str(reference), "--out", str(reference)]) == 0
+        capsys.readouterr()
+        assert run(["extract", "--input", str(raw), "--out", str(sweep)]) == code
+        if code:
+            assert capsys.readouterr().err == "error: spectrum has no nonzero bin\n"
+            return
+        assert run(["estimate", "--input", str(sweep)]) == 0
+        # the samples lose digits to subnormals, not to the ratio
+        np.testing.assert_allclose(DatasetFile.read(sweep).gammas,
+                                   DatasetFile.read(reference).gammas, atol=1e-2)
+
+    def test_phase_slope_line_has_a_bounded_width(self, tmp_path, capsys):
+        # the slope regressed over a 1e-150 m step is noise of about 1e144
+        # deg/mm, which the R^2 shows; it prints to 6 significant digits
+        sweep = tmp_path / "sweep.txt"
+        assert run(["simulate", "--steps", "40", "--step-m", "1e-150", "--amp-sigma", "0.01",
+                    "--phase-sigma-deg", "1", "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        assert run(["estimate", "--input", str(sweep)]) == 0
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("phase_slope:")]
+        assert re.fullmatch(r"phase_slope: +-?\d\.\d{0,5}e\+\d{3} deg/mm \(R\^2 = 0\.\d{9}\)",
+                            line), line
+        assert len(line) <= 57
 
     def test_estimate_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -234,6 +234,14 @@ class TestCalibrateRatio:
             got = calibrate_ratio(mut[k], metal[k])
             assert got == pytest.approx(gamma, abs=1e-9)
 
+    def test_subnormal_peaks_divide_exactly(self):
+        # numpy's complex division overflows in the reciprocal of a divisor
+        # below about 5.6e-309; these peaks and their ratio are exact
+        mut, metal = math.ldexp(0.75, -1030) * (1 + 1j), math.ldexp(1.0, -1028)
+        assert calibrate_ratio(mut, metal) == -(0.1875 + 0.1875j)
+        got = calibrate_ratio(mut, np.array([metal, -1j * metal, 1.0]))
+        assert got.tolist() == [-(0.1875 + 0.1875j), 0.1875 - 0.1875j, -mut]
+
     def test_zero_reference_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_ratio(1.0, 1e-18)

@@ -9,9 +9,8 @@ from permslab import _g17
 
 def rendered(values) -> str:
     """``format_into`` of each value and a newline, with the 0 bytes dropped."""
-    out = np.zeros((values.size, _g17.SLOT + 1), np.uint8)
-    out[:, -1] = ord("\n")
-    _g17.format_into(values, out)
+    out = np.full((values.size, _g17.WORDS), ord("?") * 0x0101010101010101, _g17.WORD)
+    _g17.format_into(values, out, ord("\n"))  # leaves none of the "?" fill
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -88,9 +87,9 @@ def test_range_ends(x):
 
 def test_any_shape_and_strided_out():
     values = np.array([[0.1, -2.5e-5], [0.0, 1e300], [123456.789, -np.inf]])
-    out = np.zeros((3, 2, _g17.SLOT + 3), np.uint8)
-    _g17.format_into(values, out)
-    assert not out[..., _g17.SLOT:].any()
+    out = np.zeros((3, 2, _g17.WORDS + 1), _g17.WORD)
+    _g17.format_into(values, out, 0)
+    assert not out[..., _g17.WORDS:].any()
     texts = [[cell.tobytes().translate(None, b"\0").decode() for cell in row] for row in out]
     assert texts == [["%.17g" % x for x in row] for row in values.tolist()]
 

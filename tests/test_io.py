@@ -480,7 +480,8 @@ class TestWriterMatchesTemplate:
 
         def oracle(path, header, blocks):
             template_write_records(path, header, [
-                ([row.tobytes().replace(b"\0", b"").decode() for row in labels], values)
+                ([b"".join(row.tobytes() for row in rows).replace(b"\0", b"").decode()
+                  for rows in zip(*labels)], values)
                 for labels, values in blocks])
 
         with pytest.MonkeyPatch.context() as patch:
@@ -525,6 +526,39 @@ class TestWriterMatchesTemplate:
         back = DatasetFile.read(path)
         assert bits_equal(back.mut_samples, src.mut_samples)
         assert bits_equal(back.metal_samples, src.metal_samples)
+
+
+    @staticmethod
+    def boundary_values(rng, count):
+        """Values of 10 and above, whole and with a fraction, e-notation
+        values, values outside the kernel's range, and ordinary ones with
+        17 digits and with 3."""
+        magnitude = 10.0 ** rng.uniform(1, 15.9, count)
+        kinds = [np.round(magnitude), magnitude, 10.0 ** rng.uniform(-5.99, -4.01, count),
+                 rng.choice([0.0, -0.0, 5e-324, 1e-7, 1e16, -2e300, np.inf, np.nan], count),
+                 rng.standard_normal(count), np.round(rng.standard_normal(count), 3)]
+        values = np.choose(rng.integers(0, len(kinds), count), kinds)
+        return np.where(rng.random(count) < 0.5, -values, values)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17])
+    @pytest.mark.parametrize("shape", [(LIMIT - 1, 1), (LIMIT, 1), (LIMIT + 1, 1), (85, 3),
+                                       (LIMIT // 2, 2), (86, 3)])
+    def test_labels_across_word_boundaries(self, tmp_path, width, shape):
+        # labels up to `width` bytes, padded to whole words, before blocks of
+        # values below, at and above the size where the kernel takes over
+        rng = np.random.default_rng(width * 1000 + shape[0])
+        letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789.-_", np.uint8)
+        texts = [bytes(rng.choice(letters, length - 1)) + b" "
+                 for length in rng.integers(1, width + 1, shape[0])]
+        texts[0] = texts[0].rjust(width, b"x")
+        labels = (io._word_rows(texts),)
+        assert labels[0].shape[1] == -(-width // 8)
+        values = self.boundary_values(rng, math.prod(shape)).reshape(shape)
+        blocks = [(labels, values), (labels, values[::-1])]
+        io.write_records(tmp_path / "words.txt", ["# header"], blocks)
+        template_write_records(tmp_path / "template.txt", ["# header"],
+                               [([text.decode() for text in texts], v) for _, v in blocks])
+        assert (tmp_path / "words.txt").read_bytes() == (tmp_path / "template.txt").read_bytes()
 
 
 class TestReader:
@@ -617,6 +651,35 @@ class TestReader:
         with pytest.raises(DatasetFormatError, match="could not convert string 'x[^']*' "
                                                      f"to float64 at row {row}, column 3"):
             DatasetFile.read(path)
+
+    def test_ids_equal_in_their_first_word_alternate(self, tmp_path):
+        # metal-100 and metal-101 share their first 8 bytes: record by record
+        # they alternate, a run of one record each, and still read apart
+        m, n = 102, 8
+        rng = np.random.default_rng(9)
+        path = tmp_path / "raw.txt"
+        src = DatasetFile(
+            mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+            chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+            mut_samples=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            metal_samples=rng.standard_normal((m, n)) - 1j * rng.standard_normal((m, n)),
+        )
+        src.write(path)
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        pair = [[line for line in lines if line.startswith(f"metal-{i} ")] for i in (100, 101)]
+        assert len(pair[0]) == len(pair[1]) == n
+        rest = [line for line in lines if line not in pair[0] + pair[1]]
+        path.write_text("".join(rest + [line for two in zip(*pair) for line in two]),
+                        encoding="utf-8")
+        back = read_in_chunks(DatasetFile.read, path)
+        assert bits_equal(back.mut_samples, src.mut_samples)
+        assert bits_equal(back.metal_samples, src.metal_samples)
+        # a 16-byte id may have been cut short, and is refused
+        path.write_text(path.read_text(encoding="utf-8").replace("\nmetal-101 3 ",
+                                                                 "\nmetal-0000000101 3 "))
+        with pytest.raises(DatasetFormatError, match="^bad trace id 'metal-0000000101'$"):
+            read_in_chunks(DatasetFile.read, path)
 
     def test_parser_reads_what_loadtxt_reads(self, tmp_path):
         # written records of every magnitude the rules take, and zeros; and
