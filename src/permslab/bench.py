@@ -157,9 +157,7 @@ def run_sweep(
         else:
             fitted, error = (*fit, True), None
         records.append(TrialRecord(*row, *fitted, error=error))
-    summaries = [_summarize(truth, records[ti * trials : (ti + 1) * trials])
-                 for ti, truth in enumerate(truths)]
-    return BenchReport(noise, trials, records, summaries)
+    return BenchReport(noise, trials, records, _summarize(truths, records))
 
 
 def _angle_difference(fitted: float, target: float) -> float:
@@ -168,19 +166,32 @@ def _angle_difference(fitted: float, target: float) -> float:
     return math.remainder(d, 2.0 * math.pi)
 
 
-def _summarize(truth: ComplexPermittivity, records: list[TrialRecord]) -> TruthSummary:
-    ok = [r for r in records if r.error is None]
-    a = [r.fitted_a for r in ok]
-    b = [r.fitted_b for r in ok]
-    err_c = [abs(_angle_difference(r.fitted_c, r.phase_offset)) for r in ok]
-    # rows of one C-contiguous array: each sums pairwise exactly as its own 1-D reduction
-    stats = np.array([a, b, a, b, err_c, [r.residual_norm for r in ok]], dtype=float)
-    stats[2:4] = np.abs(stats[2:4] - [[truth.real_part], [truth.imag_part]])
-    if ok:
-        with np.errstate(over="ignore"):  # an error sum that overflows reads inf
-            means, stds = stats.mean(axis=1).tolist(), stats[:2].std(axis=1).tolist()
-    else:  # every trial failed
-        means, stds = [math.nan] * 6, [math.nan] * 2
-    # TruthSummary's field order: mean_a, mean_b, std_a, std_b, then the mean errors
-    return TruthSummary(truth, len(records), sum(1 for r in records if r.converged),
-                        *means[:2], *stds, *means[2:])
+def _summarize(truths: list[ComplexPermittivity],
+               records: list[TrialRecord]) -> list[TruthSummary]:
+    """The TruthSummary of each truth, whose trials are the next equal share of ``records``.
+
+    The truths with k successful trials are summarized as one C-contiguous
+    (G, 6, k) stack, and each of its rows sums pairwise exactly as its own
+    1-D reduction would.
+    """
+    trials, groups, summaries = len(records) // len(truths), {}, []
+    for ti, truth in enumerate(truths):
+        share = records[ti * trials : (ti + 1) * trials]
+        ok = [r for r in share if r.error is None]
+        groups.setdefault(len(ok), []).append((ti, truth, ok))
+        summaries.append([truth, trials, sum(1 for r in share if r.converged)])
+    for k, group in groups.items():
+        stack = np.array([[[r.fitted_a for r in ok], [r.fitted_b for r in ok]] * 2
+                          + [[abs(_angle_difference(r.fitted_c, r.phase_offset)) for r in ok],
+                             [r.residual_norm for r in ok]] for _, _, ok in group], dtype=float)
+        targets = [[[truth.real_part], [truth.imag_part]] for _, truth, _ in group]
+        stack[:, 2:4] = np.abs(stack[:, 2:4] - targets)
+        if k:
+            with np.errstate(over="ignore"):  # an error sum that overflows reads inf
+                means, stds = stack.mean(axis=2).tolist(), stack[:, :2].std(axis=2).tolist()
+        else:  # every trial failed
+            means, stds = [[math.nan] * 6] * len(group), [[math.nan] * 2] * len(group)
+        for (ti, _, _), mean, std in zip(group, means, stds):
+            # TruthSummary's field order: mean_a, mean_b, std_a, std_b, then the mean errors
+            summaries[ti] += (*mean[:2], *std, *mean[2:])
+    return [TruthSummary(*summary) for summary in summaries]

@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:  # map library errors to documented exit codes
         code = _exit_code(exc)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

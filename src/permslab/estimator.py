@@ -224,13 +224,18 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     s = C + R w, |w| = 1, and eps = s^2. The member is the nearest feasible
     stationary point of |s^2 - eps0|^2 or end of a feasible arc: a root of
     the stationary quartic in w, one of ``_box_ends``, or a root of the
-    b = b_max quartic, ties to the first. Both quartics (below divided by
-    R^2) of all rhos are one stack. As a - 1 = 2R x (C + R x) with
+    b = b_max quartic, ties to the first. The b = b_max quartic has roots
+    on the circle only where the family's top b reaches b_max. With b as
+    in ``_box_ends``, that top is 2R (C + R x) sqrt(1 - x^2) at the root
+    x of 2R x^2 + C x = R, and a rho whose top lies below b_max / 2, with
+    a wide margin for rounding, skips that quartic. The stationary
+    quartics of all rhos and the b = b_max quartics kept (all divided by
+    R^2) are one stack. As a - 1 = 2R x (C + R x) with
     x = Re w (see ``_box_ends``), a root is feasible only if x >= 0, up
     to 1e-10. A rho with none of these points in the box, or whose
-    quartics overflow, gets an InfeasibleFitError.
+    quartics overflow (the one skipped included), gets an InfeasibleFitError.
     """
-    quartics, ends, circles = [], [], []
+    quartics, ends, circles, keep = [], [], [], []
     for rho, (a0, b0) in zip(rhos, anchors):
         # Python scalars: numpy rounds x**2 and complex / float differently
         big_c = (1.0 + rho * rho) / (1.0 - rho * rho)
@@ -240,11 +245,19 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
         g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
         quartics += ([2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
                      [1, k, 2j * bounds.b_max / big_r**2, -k, -1])
+        x = 2.0 * big_r / (big_c + math.sqrt(big_c * big_c + 8.0 * big_r * big_r))
+        b_top = 2.0 * big_r * (big_c + big_r * x) * math.sqrt((1.0 - x) * (1.0 + x))
+        keep += (True, not b_top < bounds.b_max / 2)  # a nan top keeps its quartic
         ends.append(_box_ends(big_c, big_r, bounds.a_max))
         circles.append((big_c, big_r, a0, b0))
     quartics = np.array(quartics, dtype=complex).reshape(-1, 10)
     finite = np.isfinite(quartics).all(axis=1)
-    w = _unit_circle_roots(np.where(finite[:, None], quartics, 1).reshape(-1, 5)).reshape(-1, 8)
+    stack = np.where(finite[:, None], quartics, 1).reshape(-1, 5)
+    if any(keep[1::2]):  # the b = b_max roots a rho skips read nan, never feasible
+        w = np.full((len(circles), 8), np.nan, dtype=complex)
+        w.reshape(-1, 4)[keep] = _unit_circle_roots(stack[keep]).reshape(-1, 4)
+    else:  # every rho skips it: the stationary roots alone, with no scatter
+        w = _unit_circle_roots(stack[::2]).reshape(-1, 4)
     big_c, big_r, a0, b0 = np.array(circles).reshape(-1, 4).T[:, :, None]
     # the sign of Re w, not a rounded a, drops the roots near w = -1, where C + R w
     # cancels and eps keeps no digits once C >> 1
@@ -382,8 +395,9 @@ def fit_permittivity(
     Otherwise the data leave one parameter combination free
     (see module docstring), and the reported (a, b) is the feasible
     member of the family |r(a, b)| = |z*| nearest the anchor, found
-    exactly among the roots of two quartics and three closed-form box
-    ends (``_nearest_members``); c = arg z* - arg r(a, b). With the floor
+    exactly among the roots of the stationary quartic, three closed-form
+    box ends and, where the family reaches b_max, the roots of the
+    b = b_max quartic (``_nearest_members``); c = arg z* - arg r(a, b). With the floor
     |Gamma - z* e^{-j C1 m}|^2 of ``_reduce``, ``residual_norm`` is
     sqrt(floor + M (|r(a, b)| - |z*|)^2), the norm of the full residual
     by the identity there; the model rows are never formed.

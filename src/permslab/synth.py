@@ -124,7 +124,12 @@ def _noisy_sweeps(rows, m_count: int, step: float, carrier: float, noise: NoiseM
         rng.standard_normal(out=amp_noise[t])
         rng.standard_normal(out=phase_noise[t])
     c1 = step_phase_advance(carrier, step)
-    faces = np.array([front_face_reflection(tr.real_part, tr.imag_part) for tr, _, _ in rows])
+    faces, last = [], None
+    for tr, _, _ in rows:  # run_sweep's rows repeat each truth object in one run
+        if tr is not last:
+            last, face = tr, front_face_reflection(tr.real_part, tr.imag_part)
+        faces.append(face)
+    faces = np.array(faces)
     theta = np.array([c for _, c, _ in rows]).reshape(-1, 1) - c1 * np.arange(m_count)
     clean = faces.reshape(-1, 1) * np.exp(1j * theta)
     with np.errstate(over="ignore", invalid="ignore"):

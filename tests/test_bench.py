@@ -115,7 +115,7 @@ def reference_run_sweep(truths, noise, trials, m_count=40, step=1e-4, carrier=79
                 error = f"{type(exc).__name__}: {exc}"
             records.append(TrialRecord(truth, phase_offset, trial_seed, *fitted, error=error))
         report.records.extend(records)
-        report.summaries.append(bench_module._summarize(truth, records))
+        report.summaries.append(per_statistic_summary(truth, records))
     return report
 
 
@@ -153,21 +153,28 @@ def test_stacked_sweep_covers_corner_and_interior_rows():
     assert not any(corner[4:])
 
 
-def test_each_row_solves_two_quartics_in_one_call(monkeypatch):
-    # the stationary and the b = b_max quartic of every row, under either policy;
-    # the other box ends are closed-form
+@pytest.mark.parametrize("truths, bounds, quartics_per_row", [
+    (FIG5_TRUTHS, FitBounds(), 1),  # the Fig. 5 families top out below b = 5
+    # the Fig. 5 rows take the corner of this box; 1.2 - j0.0005's family reaches b_max
+    ([ComplexPermittivity(1.2, 5e-4)] * 3, FitBounds(1.5, 1e-3), 2),
+], ids=["fig5-default-box", "thin-box-reached"])
+def test_each_row_solves_its_quartics_in_one_call(monkeypatch, truths, bounds,
+                                                   quartics_per_row):
+    # the stationary quartic of every row, under either policy, and the b = b_max
+    # quartic where the family's top b reaches b_max / 2; the other box ends are closed-form
     solved = []
     real_roots = estimator_module._unit_circle_roots
     monkeypatch.setattr(estimator_module, "_unit_circle_roots",
                         lambda quartics: solved.append(len(quartics)) or real_roots(quartics))
-    args = (FIG5_TRUTHS, NoiseModel(seed=4242), 8)
-    run_sweep(*args)
-    assert solved == [2 * 3 * 8]
+    args = (truths, NoiseModel(seed=4242), 8)
+    run_sweep(*args, bounds=bounds)
+    assert solved == [quartics_per_row * 3 * 8]
     solved.clear()
-    auto = json.dumps(run_sweep(*args, start_policy="auto").to_dict())
-    assert solved == [2 * 3 * 8]
+    auto = json.dumps(run_sweep(*args, bounds=bounds, start_policy="auto").to_dict())
+    assert solved == [quartics_per_row * 3 * 8]
     monkeypatch.undo()
-    assert auto == json.dumps(reference_run_sweep(*args, start_policy="auto").to_dict())
+    assert auto == json.dumps(
+        reference_run_sweep(*args, bounds=bounds, start_policy="auto").to_dict())
 
 
 def per_statistic_summary(truth, records):
@@ -192,25 +199,34 @@ def per_statistic_summary(truth, records):
     )
 
 
-@pytest.mark.parametrize("trials", [1, 4, 8, 9, 17])
-@pytest.mark.parametrize("failing", [(), (1, 2, 7, 8, 16), "all"])
+@pytest.mark.parametrize("trials", [1, 4, 8, 9, 17, 129])
+@pytest.mark.parametrize("failing", [[(), (1, 2, 7, 8, 16), "all"] * 2,
+                                     ["all", "all", (), (1, 2, 7, 8, 16), (), (1, 2, 7, 8, 16)]])
 def test_summary_matches_per_statistic_reductions(trials, failing):
-    # pairwise summation unrolls from 8 values on; 9 and 17 leave remainders
+    # pairwise summation sums blocks of 8 values and splits from 128 on; 9, 17 and 129
+    # leave remainders. Truths with one success count share one stacked reduction, and
+    # each summary must come back in its truth's place.
     rng = np.random.default_rng(trials)
-    truth = ComplexPermittivity(3.0, 0.15)
+    truths = [ComplexPermittivity(3.0, 0.15), ComplexPermittivity(7.0, 0.3),
+              ComplexPermittivity(2.0, 0.1), ComplexPermittivity(3.0, 0.15),
+              ComplexPermittivity(5.0, 2.0), ComplexPermittivity(1.5, 0.0)]
     records = []
-    for k in range(trials):
-        offset = float(rng.uniform(-math.pi, math.pi))
-        if failing == "all" or k in failing:
-            records.append(TrialRecord(truth, offset, k, None, None, None, None, False,
-                                       error="InfeasibleFitError: no root"))
-        else:
-            fit = (3.0 + rng.normal(0.0, 0.1), abs(rng.normal(0.15, 0.1)),
-                   offset + rng.normal(0.0, 0.5), rng.uniform(0.0, 1e-3))
-            records.append(TrialRecord(truth, offset, k, *map(float, fit), True))
-    got = bench_module._summarize(truth, records)
-    assert repr(dataclasses.astuple(got)) == repr(
-        dataclasses.astuple(per_statistic_summary(truth, records)))
+    for truth, fails in zip(truths, failing):
+        for k in range(trials):
+            offset = float(rng.uniform(-math.pi, math.pi))
+            if fails == "all" or k in fails:
+                records.append(TrialRecord(truth, offset, k, None, None, None, None, False,
+                                           error="InfeasibleFitError: no root"))
+            else:
+                fit = (truth.real_part + rng.normal(0.0, 0.1),
+                       abs(rng.normal(truth.imag_part, 0.1)),
+                       offset + rng.normal(0.0, 0.5), rng.uniform(0.0, 1e-3))
+                records.append(TrialRecord(truth, offset, k, *map(float, fit), True))
+    got = bench_module._summarize(truths, records)
+    assert len(got) == len(truths)
+    for ti, (truth, summary) in enumerate(zip(truths, got)):
+        expected = per_statistic_summary(truth, records[ti * trials : (ti + 1) * trials])
+        assert repr(dataclasses.astuple(summary)) == repr(dataclasses.astuple(expected))
 
 
 def test_report_dict_round_trips_fields():

@@ -672,6 +672,17 @@ def test_allocation_failure_is_invalid_input(args, target, tmp_path, monkeypatch
     assert capsys.readouterr().err == "error: Unable to allocate 1.42 TiB for an array\n"
     assert not out.exists()
 
+
+def test_error_without_a_message_names_its_class(tmp_path, monkeypatch, capsys):
+    # a trial list that outgrows memory partway raises a bare MemoryError()
+    def refuse(*_, **__):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    assert run(["report", "--truth", "2,0.1", "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert "permslab" in capsys.readouterr().out

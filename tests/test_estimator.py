@@ -208,6 +208,8 @@ def reference_fit(data, bounds, anchor):
 
     Returns (a, b, c, residual norm) as fit_permittivity must, bit for bit;
     the norm is sqrt(floor + M (|r| - |z*|)^2) with the floor |Gamma - z* e^{-j C1 m}|^2.
+    Both quartics are solved for every family; a fit that fails raises the error
+    fit_permittivity must raise.
     """
     if np.all(np.abs(data.gammas) < 1e-12):
         raise DegenerateDataError("all reflection samples below 1e-12")
@@ -230,6 +232,9 @@ def reference_fit(data, bounds, anchor):
             [2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
             [1, k, 2j * bounds.b_max / big_r**2, -k, -1],
         ], dtype=complex)
+        if not np.isfinite(quartics).all():
+            raise InfeasibleFitError(f"the root quartics of the family |r| = {rho:.17g} "
+                                     "overflow for this anchor and box")
         w = estimator_module._unit_circle_roots(quartics)
         eps = (big_c + big_r * np.where(w.real > -1e-10, w, np.nan)) ** 2  # a >= 1 needs Re w >= 0
         # the stationary roots, the three closed-form ends, then the b = b_max roots
@@ -238,9 +243,12 @@ def reference_fit(data, bounds, anchor):
         a, b = eps.real, -eps.imag
         tol = 1e-13 * (big_c + big_r) * np.sqrt(np.abs(eps))
         ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
+        if not ok.any():
+            raise InfeasibleFitError(f"no root of the family |r| = {rho:.17g} in the box")
         a = np.clip(a[ok], 1.0, bounds.a_max)
         b = np.clip(b[ok], 0.0, bounds.b_max)
-        i = int(np.argmin((a - a0) ** 2 + (b - b0) ** 2))
+        with np.errstate(over="ignore"):  # all distances inf: the first point, as in the fit
+            i = int(np.argmin((a - a0) ** 2 + (b - b0) ** 2))
         a, b = float(a[i]), float(b[i])
     r = front_face_reflection(a, b)
     c = wrap_phase(cmath.phase(z) - cmath.phase(r))
@@ -329,6 +337,89 @@ def test_huge_box_near_unit_rho_stays_on_the_family(anchor):
     assert_matches_reference(fit, data, bounds, anchor)
 
 
+def family_top_b(rho):
+    """The largest b on the b >= 0 half of the family |r| = rho, by golden-section search.
+
+    b = -Im (C + R e^{j theta})^2 has one maximum for theta in (-pi, 0).
+    """
+    big_c, big_r = (1.0 + rho * rho) / (1.0 - rho * rho), 2.0 * rho / (1.0 - rho * rho)
+
+    def b(theta):
+        return -((big_c + big_r * cmath.exp(1j * theta)) ** 2).imag
+
+    lo, hi, golden = -math.pi, 0.0, (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        left, right = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        lo, hi = (left, hi) if b(left) < b(right) else (lo, right)
+    return b((lo + hi) / 2.0)
+
+
+def rho_with_top(target):
+    """The rho whose family's top b is target, by bisection in log rho."""
+    lo, hi = -99.0, math.log10(1.0 - 1e-12)
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if family_top_b(10.0**mid) < target else (lo, mid)
+    return 10.0**lo
+
+
+def sweep_with_mean_near(rho, c, rng):
+    """A 40-step sweep whose derotated mean z* lies near rho e^{jc}.
+
+    Samples below the 1e-12 floor would make the sweep degenerate, so for a tiny rho
+    the sweep is a unit sample pair whose derotated products cancel exactly in the
+    mean's first sums, plus one sample that carries 40 rho.
+    """
+    d = np.exp(1j * C1_79GHZ * np.arange(40))
+    if rho >= 1e-11:
+        noise = 1.0 + 1e-4 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        return rho * np.exp(1j * c) * d.conj() * noise
+    gammas = np.zeros(40, dtype=complex)
+    gammas[1], gammas[2] = d[1].conj(), 40.0 * rho * np.exp(1j * c) * d[2].conj()
+    gammas[0] = -(gammas * d)[1]
+    return gammas
+
+
+@pytest.mark.parametrize("bounds", [FitBounds(), FitBounds(8.0, 1.0), FitBounds(1.5, 1e-3),
+                                    FitBounds(1e6, 1e-6), FitBounds(1e300, 50.0),
+                                    FitBounds(100.0, 1e300)])
+def test_fit_matches_two_quartic_reference_over_a_corpus(bounds):
+    # a family whose top b lies below b_max / 2 skips its b = b_max quartic; every fit and
+    # error must still be the two-quartic reference's, alone and in one stacked call
+    rng = np.random.default_rng(28)
+    rhos = [10.0 ** -rng.uniform(0.0, 99.0) for _ in range(24)]
+    rhos += [1.0 - 10.0 ** -rng.uniform(1.0, 12.0) for _ in range(8)] + [1e-99, 1.0 - 1e-12]
+    for target in (bounds.b_max / 2, bounds.b_max):  # where reached below |r| = 1 - 1e-12
+        if target < family_top_b(1.0 - 1e-12):
+            rhos += [rho_with_top(target) * (1.0 + step) for step in (-1e-6, -1e-12, 1e-12, 1e-6)]
+    anchors = [(1.5, 0.0), (40.0, 0.0), (2.0, bounds.b_max * (1.0 - 1e-9)),
+               (1.5, 0.01), (1e7, 3.0), (3.0, 1e13)]
+    data = [SdiDataset(sweep_with_mean_near(rho, rng.uniform(-math.pi, math.pi), rng),
+                       1e-4, 79e9) for rho in rhos]
+    rows, expected = [], []
+    for sweep in data:
+        for anchor in anchors:
+            try:
+                want = reference_fit(sweep, bounds, anchor)
+            except InfeasibleFitError as exc:
+                want = str(exc)
+            try:
+                fit = fit_permittivity(sweep, bounds=bounds, starts=[anchor])
+                eps = fit.permittivity
+                got = (eps.real_part, eps.imag_part, fit.phase_offset, fit.residual_norm)
+            except InfeasibleFitError as exc:
+                got = str(exc)
+            assert got == want
+            rows.append((sweep.gammas, anchor))
+            expected.append(want)
+    gammas, row_anchors = np.array([g for g, _ in rows]), [anchor for _, anchor in rows]
+    stacked = estimator_module._fit_rows(gammas, C1_79GHZ, row_anchors, bounds)
+    assert [fit if isinstance(fit, tuple) else str(fit) for fit in stacked] == expected
+    # the corpus holds a tiny |z*| and failing fits
+    assert min(abs(np.mean(g * np.exp(1j * C1_79GHZ * np.arange(40)))) for g in gammas) < 1e-90
+    assert any(isinstance(want, str) for want in expected)
+
+
 class TestFitPermittivity:
     def test_seeded_noiseless_recovery(self):
         data = quiet_dataset(3.0, 0.15, 0.5)
@@ -403,8 +494,9 @@ class TestFitPermittivity:
         rows_seen = []
 
         def roots(quartics):
-            # one call holds the stationary and the b = b_max quartic of every row
-            w = real_roots(quartics).reshape(-1, 8)
+            # one call holds the stationary quartic of every row; no family of these
+            # rows reaches the default b_max, so none solves a b = b_max quartic
+            w = real_roots(quartics).reshape(-1, 4)
             w[off_box["row"]] = -1.0
             return w.ravel()
 
