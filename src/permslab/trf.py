@@ -18,12 +18,21 @@ Termination (reported via ``converged``):
 The problems are tiny (fit_ideal's has n = 2), so numpy's per-call cost
 would outweigh its arithmetic. The elementwise work of a step therefore
 runs on Python floats over range(n): the projected-gradient norm, the
-free mask, the damped matrix, the clip to the box and the step. numpy
-keeps what its rounding decides or a caller sees: the fun and jac
-values, J^T f, J^T J, the dot products f.f, s.s and x.x, the predicted
-reduction and one np.linalg.solve per trial step. The float clip picks
-signed zeros and passes nans as np.minimum(np.maximum(v, lb), ub) does,
-so the iterates are those of the all-numpy loop bit for bit.
+free mask, the damped matrix, its solve, the clip to the box and the
+step. numpy keeps what its rounding decides or a caller sees: the fun
+and jac values, J^T f, J^T J, the dot products f.f, s.s and x.x and the
+predicted reduction. The float clip picks signed zeros and passes nans
+as np.minimum(np.maximum(v, lb), ub) does, so the iterates are those of
+the all-numpy loop bit for bit.
+
+The damped system is solved by Gaussian elimination without pivoting
+(``_solve``). It is symmetric positive definite whenever it is reached:
+a pinned variable's row and column are the identity's, and the free
+block is J^T J + lam I with lam > 0. Elimination without pivoting is
+backward stable for such systems (Golub & Van Loan, Matrix
+Computations, section 4.2), so the step's error bound is of the order
+of LAPACK's partially pivoted one, and, being plain double arithmetic,
+the step is the same on every CPU.
 """
 
 from __future__ import annotations
@@ -62,6 +71,34 @@ def projected_gradient_norm(x, g, lb, ub) -> float:
         if d > norm or d != d:  # a nan stays, as in numpy's max
             norm = d
     return float(norm)
+
+
+def _solve(A, b):
+    """Solve A p = b by Gaussian elimination without pivoting; overwrites A and b, returns p.
+
+    A is a list of n row lists and b a list of n floats. An entry of A
+    that is 0 is skipped as a multiplier, so a row and column of the
+    identity with a 0 right-hand side give a component of exactly 0,
+    even when the other rows hold nans. A zero pivot is taken as nan:
+    its component, and every one it reaches, comes out nan, a
+    non-finite step that least_squares_trf rejects (np.linalg.solve
+    raises LinAlgError on such a system).
+    """
+    n = len(b)
+    for k in range(n):
+        pivot = A[k][k] or math.nan
+        for i in range(k + 1, n):
+            if A[i][k]:
+                m = A[i][k] / pivot
+                for j in range(k + 1, n):
+                    A[i][j] -= m * A[k][j]
+                b[i] -= m * b[k]
+    for k in reversed(range(n)):
+        b[k] /= A[k][k] or math.nan
+        for i in range(k):
+            if A[i][k]:
+                b[i] -= A[i][k] * b[k]
+    return b
 
 
 def least_squares_trf(fun, jac, x0, lb, ub):
@@ -110,7 +147,7 @@ def least_squares_trf(fun, jac, x0, lb, ub):
         free = [not (xs[i] <= lo[i] and gs[i] > 0 or xs[i] >= hi[i] and gs[i] < 0) for i in ids]
         A = [[H[i][j] + lam * (i == j) if free[i] and free[j] else float(i == j) for j in ids]
              for i in ids]
-        p = np.linalg.solve(np.array(A), np.array([-gs[i] * free[i] for i in ids])).tolist()
+        p = _solve(A, [-gs[i] * free[i] for i in ids])
         xs_new = [_clip(xs[i] + p[i], lo[i], hi[i]) for i in ids]
         x_new = np.array(xs_new)
         step = np.array([xs_new[i] - xs[i] for i in ids])

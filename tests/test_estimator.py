@@ -31,6 +31,7 @@ from permslab import (
     wrap_phase,
 )
 from permslab import estimator as estimator_module
+from permslab import trf as trf_module
 from permslab.trf import least_squares_trf, numerical_jacobian
 from permslab.errors import (
     AliasingError,
@@ -729,6 +730,48 @@ class TestFitIdealThinSlabs:
             truth_res = float(np.linalg.norm(gammas - clean))
             assert fit.converged, (i, geom.thickness)
             assert fit.residual_norm <= truth_res * (1 + 1e-9) + 1e-9, (i, geom.thickness)
+
+
+def thin_slab_sweeps(seed, count, backing):
+    """TestFitIdealThinSlabs's noisy sweeps (its corpus for METAL and seed 5001) on any backing."""
+    cls = TestFitIdealThinSlabs
+    noise = NoiseModel()
+    rng = np.random.default_rng(seed)
+    k1 = 2 * math.pi * cls.FREQ / SPEED_OF_LIGHT
+    m = np.arange(cls.M)
+    for i in range(count):
+        truth = ComplexPermittivity(*cls.TRUTHS[i % 3])
+        geom = SlabGeometry(float(rng.uniform(1e-3, 5e-3)), cls.STANDOFF, backing)
+        clean = effective_reflection(truth, geom, cls.FREQ) * np.exp(
+            2j * k1 * (cls.STANDOFF + m * cls.STEP)
+        )
+        amp = (1.0 + noise.amplitude_drift_rel * m / (cls.M - 1)
+               + noise.amplitude_rel_sigma * rng.standard_normal(cls.M))
+        yield geom, clean * amp * np.exp(1j * noise.phase_sigma * rng.standard_normal(cls.M))
+
+
+@pytest.mark.parametrize("backing, seed", [(METAL, 5001), (AIR, 5011),
+                                           (ComplexPermittivity(4.0, 0.4), 5021)])
+def test_fit_ideal_agrees_with_a_lapack_step_solve(monkeypatch, backing, seed):
+    # trf solves each damped step by elimination on Python floats; with
+    # numpy's LAPACK solve in its place the fits agree to rounding. Bit
+    # identity is not asked for: LAPACK on another CPU may round differently
+    step, freq = TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ
+    sweeps = list(thin_slab_sweeps(seed, 12, backing))
+    fits = [fit_ideal(gammas, geom, step, freq) for geom, gammas in sweeps]
+    solved = []
+
+    def lapack_solve(A, b):
+        solved.append(len(b))
+        return np.linalg.solve(np.array(A), np.array(b)).tolist()
+
+    monkeypatch.setattr(trf_module, "_solve", lapack_solve)
+    for (geom, gammas), fit in zip(sweeps, fits):
+        lapack = fit_ideal(gammas, geom, step, freq)
+        assert fit.permittivity.real_part == pytest.approx(lapack.permittivity.real_part, abs=1e-9)
+        assert fit.permittivity.imag_part == pytest.approx(lapack.permittivity.imag_part, abs=1e-9)
+        assert fit.residual_norm == pytest.approx(lapack.residual_norm, rel=1e-12)
+    assert solved and set(solved) == {2}
 
 
 def full_residual_fit_ideal(gammas, geom, step, freq, starts, bounds=FitBounds()):

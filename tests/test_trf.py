@@ -152,13 +152,13 @@ def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
     # and stays pinned there, and the damping rejects some trial steps,
     # which reuse the J^T J of their point
     systems = []
-    solve = np.linalg.solve
+    solve = trf._solve
 
     def recording_solve(A, b):
-        systems.append((A.copy(), b.copy()))
+        systems.append((np.array(A), np.array(b)))
         return solve(A, b)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(trf, "_solve", recording_solve)
     jac_points = []
 
     def jac(x):
@@ -180,7 +180,8 @@ def test_variable_pinned_partway_with_rejected_steps(monkeypatch):
     pinned = [A[0, 1] == 0.0 and A[1, 0] == 0.0 and A[0, 0] == 1.0 and b[0] == 0.0
               for A, b in systems]
     assert not pinned[0] and pinned[-1] and pinned == sorted(pinned)
-    assert all(solve(A, b)[0] == 0.0 for (A, b), p in zip(systems, pinned) if p)
+    assert all(solve(A.tolist(), b.tolist())[0] == 0.0
+               for (A, b), p in zip(systems, pinned) if p)
     assert res.iterations > len(jac_points) - 1  # some trial steps were rejected
     assert projected_gradient_norm(res.x, gradient(fun, jac, res.x), lb, ub) < 1e-9
 
@@ -223,7 +224,10 @@ def reference_projected_gradient_norm(x, g, lb, ub) -> float:
 
 
 def reference_least_squares_trf(fun, jac, x0, lb, ub):
-    """The all-numpy loop the float loop of trf replaced, kept as its bit-for-bit oracle."""
+    """The all-numpy loop the float loop of trf replaced, kept as its bit-for-bit oracle.
+
+    Its one step solve is trf._solve, the solve the float loop runs.
+    """
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
@@ -246,7 +250,7 @@ def reference_least_squares_trf(fun, jac, x0, lb, ub):
         iteration += 1
         free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
         A = np.where(free & free[:, None], JtJ + lam * eye, eye)
-        p = np.linalg.solve(A, -g * free)
+        p = np.array(trf._solve(A.tolist(), (-g * free).tolist()))
         x_new = np.minimum(np.maximum(x + p, lb), ub)
         step = x_new - x
         f_new = np.asarray(fun(x_new), dtype=float)
@@ -424,13 +428,13 @@ def test_non_finite_trial_is_rejected_and_damping_grows(monkeypatch, bad):
     # f = 1/(2 - x) - 1 is 0 at x = 1; the nearly undamped step from 0 lands
     # near x = 2, and from x = 1.5 on fun returns a non-finite residual
     systems = []
-    solve = np.linalg.solve
+    solve = trf._solve
 
     def recording_solve(A, b):
-        systems.append((A.copy(), b.copy()))
+        systems.append((np.array(A), np.array(b)))
         return solve(A, b)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(trf, "_solve", recording_solve)
     trials, jac_points = [], []
 
     def fun(x):
@@ -477,3 +481,103 @@ def test_projected_gradient_norm_matches_numpy_on_special_values():
         assert type(got) is float
         assert np.array([got]).tobytes() == np.array(
             [reference_projected_gradient_norm(x, g, lb, ub)]).tobytes()
+
+
+def damped_system(H, g, lam, free):
+    """The system of a least_squares_trf step: a pinned row is the identity's, 0 on the right."""
+    ids = range(len(g))
+    A = [[H[i][j] + lam * (i == j) if free[i] and free[j] else float(i == j) for j in ids]
+         for i in ids]
+    return A, [-g[i] * free[i] for i in ids]
+
+
+def damped_systems():
+    """Seeded damped systems: n = 1, 2, 3, a random and a rank-one J, lam
+    from 1e-12 to 1e12 times J^T J's largest diagonal entry, every pinned pattern."""
+    rng = np.random.default_rng(29)
+    for n, rank_one in itertools.product((1, 2, 3), (False, True)):
+        J = rng.standard_normal((20, n))
+        if rank_one:
+            J = np.outer(J[:, 0], rng.standard_normal(n))
+        H, g = (J.T @ J).tolist(), (J.T @ rng.standard_normal(20)).tolist()
+        patterns = list(itertools.product((True, False), repeat=n))
+        for e, free in itertools.product(range(-12, 13), patterns):
+            yield (*damped_system(H, g, 10.0 ** e * max(H[i][i] for i in range(n)), free), free)
+
+
+def test_solve_matches_lapack_within_its_error_bound():
+    # Both solves are backward stable (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., Thm 9.4): each solves (A + dA) p = b
+    # exactly with |dA| <= 3n u |L||U| to first order. For a positive
+    # definite A, || |L||U| ||_2 <= n ||A||_2 without pivoting (|L||U| is
+    # |R^T||R| for the Cholesky factor R), and LAPACK's partial pivoting can
+    # raise that by at most its growth factor, 2^(n-1) <= 4 for n <= 3. So
+    # each step is within 4 * 3n^2 kappa_2(A) u of the exact one, relative,
+    # and the two are within twice that of each other.
+    u = np.finfo(float).eps / 2
+    count = 0
+    for A, b, free in damped_systems():
+        n = len(b)
+        lapack = np.linalg.solve(np.array(A), np.array(b))
+        bound = 2 * 4 * 3 * n**2 * np.linalg.cond(np.array(A)) * u
+        p = trf._solve([row[:] for row in A], b[:])
+        assert all(pi == 0.0 for pi, f in zip(p, free) if not f)
+        assert np.linalg.norm(np.array(p) - lapack) <= bound * np.linalg.norm(lapack), (A, b)
+        count += 1
+    assert count == 2 * 25 * (2 + 4 + 8)
+
+
+def test_solve_of_an_overflowed_damping_is_non_finite():
+    # lam = inf puts inf on the free diagonal and, as lam * 0, nan off it;
+    # with two or more free variables the free step is non-finite, as
+    # numpy's is, so least_squares_trf rejects the trial; a pinned one stays 0
+    H = [[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 3.0]]
+    g = [0.7, -0.4, 0.1]
+    for free in itertools.product((True, False), repeat=3):
+        if sum(free) < 2:
+            continue
+        A, b = damped_system(H, g, INF, free)
+        lapack = np.linalg.solve(np.array(A), np.array(b))
+        p = trf._solve(A, b)
+        assert not np.isfinite([pi for pi, f in zip(p, free) if f]).any()
+        assert not np.isfinite(lapack[list(free)]).any()
+        assert all(pi == 0.0 for pi, f in zip(p, free) if not f)
+
+
+@pytest.mark.parametrize("A, b, nan", [
+    ([[0.0]], [1.0], [True]),
+    ([[0.0]], [0.0], [True]),
+    ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [True, True]),
+    ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], [True, True]),  # the second pivot becomes 0
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 0.0],
+     [True, True, True]),  # a 0 pivot above a nonzero entry
+    ([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [1.0, 0.0, 3.0],
+     [True, False, True]),
+    ([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [4.0, 1.0, 3.0], [False, True, False]),
+])
+def test_solve_zero_pivot_gives_nan_not_an_error(A, b, nan):
+    # np.linalg.solve raises on these exactly singular systems; _solve takes
+    # a zero pivot as nan, so every component it reaches is nan and the rest
+    # are solved as before
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array(A), np.array(b))
+    p = trf._solve([row[:] for row in A], b[:])
+    assert [math.isnan(pi) for pi in p] == nan
+    assert all(pi == bi / A[i][i] for i, (pi, bi) in enumerate(zip(p, b)) if not nan[i])
+
+
+@pytest.mark.parametrize("A, b, expected", [
+    ([[3.0]], [1.0], ["0x1.5555555555555p-2"]),
+    ([[0.7, 0.3], [0.3, 5.0]], [0.6, -1.3], ["0x1.fcff3fcff3fd1p-1", "-0x1.4751d4751d476p-2"]),
+    ([[1.0 + 2**-30, 1.0], [1.0, 1.0 + 2**-30]], [0.3, 0.1],
+     ["0x1.9999999ccccccp+26", "-0x1.9999998ffffffp+26"]),
+    ([[4.1, 0.3, -0.2], [0.3, 2.7, 0.45], [-0.2, 0.45, 1.9]], [0.6, -1.3, 0.25],
+     ["0x1.9a8efdf60c142p-3", "-0x1.1a1631499200fp-1", "0x1.21f7173d45cbbp-2"]),
+    ([[4.1, 0.0, -0.2], [0.0, 1.0, 0.0], [-0.2, 0.0, 1.9]], [0.6, -0.0, 0.25],
+     ["0x1.3a7793a7793a8p-3", "-0x0.0p+0", "0x1.2e9352e9352eap-3"]),
+])
+def test_solve_is_the_same_double_arithmetic_on_every_cpu(A, b, expected):
+    # the step solve is IEEE double arithmetic on Python floats, with no BLAS
+    # or LAPACK kernel to pick fused or reordered operations, so its bits are
+    # pinned here and CI runs this on a second CPU architecture
+    assert [pi.hex() for pi in trf._solve(A, b)] == expected
