@@ -25,9 +25,9 @@ the floor |Gamma - z* conj(d)|^2, and every model w conj(d) then has the
 squared residual norm floor + M |w - z*|^2. The sweep fit uses
 d = e^{+j C1 m} and reports w = |r(a, b)| e^{j arg z*}; fit_ideal, which
 has no phase offset, uses d = conj(p_m) and runs the bounded
-Levenberg-Marquardt solver of trf on the two numbers sqrt(M) (F(a - jb) - z*)
-from each start. The degenerate and overflow rules of both fits are
-those of ``_reduce``.
+Levenberg-Marquardt solver of trf on the one complex number
+sqrt(M) (F(a - jb) - z*), holomorphic in a - jb, from each start. The
+degenerate and overflow rules of both fits are those of ``_reduce``.
 """
 
 from __future__ import annotations
@@ -448,12 +448,13 @@ def fit_ideal(
     ``_reduce`` with d = conj(p_m), p_m = e^{j 2 k1 (l + m dl)}, gives
     z* = mean_m Gamma(m) conj(p_m) and the floor |Gamma - z* p|^2 that no
     (a, b) removes, and |Gamma - F p|^2 = floor + M |F - z*|^2 exactly, so
-    each solve works on sqrt(M) (F - z*), whose gradient and J^T J are
-    those of the full residual; F is holomorphic in a - jb, so dF/da = F'
-    and dF/db = -j F'. Each point the solver tries gets F and F' from one
-    call of ``em.effective_reflection_and_slope``; the Jacobian takes the
-    F' of the last point the residual saw, the only point ``trf`` asks it
-    about. Starts are ranked, and ``residual_norm`` is reported, as
+    each solve works on the one complex number sqrt(M) (F - z*), whose
+    gradient and J^T J are those of the full residual. F is holomorphic
+    in a - jb, so ``trf`` needs only the slope sqrt(M) F' = d/da; its
+    damped step is then diagonal. Each point the solver tries gets F and
+    F' from one call of ``em.effective_reflection_and_slope``; the slope
+    is the F' of the last point the residual saw, the only point ``trf``
+    asks about. Starts are ranked, and ``residual_norm`` is reported, as
     sqrt(floor + M |F - z*|^2), the full residual's norm.
 
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
@@ -493,20 +494,14 @@ def fit_ideal(
 
     def fun(x):
         nonlocal slope
-        face, slope = effective_reflection_and_slope(ComplexPermittivity(*x.tolist()), geom, freq)
-        d = root_m * (face - z)
-        return np.array((d.real, d.imag))
-
-    lb = np.array([1.0, 0.0])
-    ub = np.array([bounds.a_max, bounds.b_max])
+        face, slope = effective_reflection_and_slope(ComplexPermittivity(*x), geom, freq)
+        return root_m * (face - z)
 
     def jac(_x):
-        s = root_m * slope
-        return np.array(((s.real, s.imag), (s.imag, -s.real)))  # d/db = -j d/da
+        return root_m * slope
 
-    runs = [
-        least_squares_trf(fun, jac, np.array(s0[:2]), lb, ub) for s0 in _start_list(starts)
-    ]
+    lb, ub = (1.0, 0.0), (bounds.a_max, bounds.b_max)
+    runs = [least_squares_trf(fun, jac, s0[:2], lb, ub) for s0 in _start_list(starts)]
     if not any(r.converged for r in runs):
         raise NoConvergenceError("no start converged within the iteration cap")
 

@@ -1,38 +1,33 @@
-"""Bound-constrained nonlinear least squares by a bounded Levenberg-Marquardt loop.
+"""Bounded Levenberg-Marquardt for one complex unknown of a holomorphic residual.
 
-Dense, small-problem solver for min 0.5*|f(x)|^2 subject to
-lb <= x <= ub. Each iteration fixes every variable that sits on a bound
-with its gradient pointing out of the box, solves the damped normal
-equations (J^T J + lam I) p = -g over the remaining free variables,
-clips x + p to the box and accepts the step if the cost falls. The
-damping follows Nielsen's update (Madsen, Nielsen & Tingleff, "Methods
-for Non-Linear Least Squares Problems", 2004): an accepted step scales
-lam by max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the
-predicted cost reduction; a rejected step, or one whose residual is not
-finite, doubles lam, then quadruples it, and so on.
+Minimizes 0.5*|f(x)|^2 subject to lb <= x <= ub, where x = (a, b) and
+the complex residual f is holomorphic in a - jb: with s = df/da,
+df/db = -j s. Taken as the real 2-vector (Re f, Im f), f has the
+gradient g = (Re(conj(s) f), -Im(conj(s) f)) and the Gauss-Newton
+matrix J^T J = |s|^2 I, so the damped normal equations
+(J^T J + lam I) p = -g are diagonal. Each iteration pins every variable
+that sits on a bound with its gradient pointing out of the box; a free
+variable steps by -g_i / (|s|^2 + lam), a pinned one by 0. x + p is
+clipped to the box and accepted if the cost falls. The damping follows
+Nielsen's update (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
+Least Squares Problems", 2004): an accepted step scales lam by
+max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
+cost reduction; a rejected step, or one whose residual is not finite,
+doubles lam, then quadruples it, and so on.
 
 Termination (reported via ``converged``):
   * projected-gradient infinity norm below ``_GTOL``, or
   * step norm below ``_XTOL * (_XTOL + |x|)``.
 
-The problems are tiny (fit_ideal's has n = 2), so numpy's per-call cost
-would outweigh its arithmetic. The elementwise work of a step therefore
-runs on Python floats over range(n): the projected-gradient norm, the
-free mask, the damped matrix, its solve, the clip to the box and the
-step. numpy keeps what its rounding decides or a caller sees: the fun
-and jac values, J^T f, J^T J, the dot products f.f, s.s and x.x and the
-predicted reduction. The float clip picks signed zeros and passes nans
-as np.minimum(np.maximum(v, lb), ub) does, so the iterates are those of
-the all-numpy loop bit for bit.
-
-The damped system is solved by Gaussian elimination without pivoting
-(``_solve``). It is symmetric positive definite whenever it is reached:
-a pinned variable's row and column are the identity's, and the free
-block is J^T J + lam I with lam > 0. Elimination without pivoting is
-backward stable for such systems (Golub & Van Loan, Matrix
-Computations, section 4.2), so the step's error bound is of the order
-of LAPACK's partially pivoted one, and, being plain double arithmetic,
-the step is the same on every CPU.
+Every step is computed on Python floats, one rounding per operation:
+no BLAS kernel or C compiler can fuse or reorder it, so the iterates
+are the same double arithmetic on every CPU. They are bit for bit those
+of the general n-variable loop on the real 2-vector form with its dot
+products summed left to right, up to a lam that overflows to inf: there
+that loop's lam * I puts nan off the diagonal and its step is nan,
+where this step is 0 and ends the loop on the step tolerance. The float
+clip picks signed zeros and passes nans as np.minimum(np.maximum(v, lb),
+ub) does.
 """
 
 from __future__ import annotations
@@ -73,100 +68,64 @@ def projected_gradient_norm(x, g, lb, ub) -> float:
     return float(norm)
 
 
-def _solve(A, b):
-    """Solve A p = b by Gaussian elimination without pivoting; overwrites A and b, returns p.
-
-    A is a list of n row lists and b a list of n floats. An entry of A
-    that is 0 is skipped as a multiplier, so a row and column of the
-    identity with a 0 right-hand side give a component of exactly 0,
-    even when the other rows hold nans. A zero pivot is taken as nan:
-    its component, and every one it reaches, comes out nan, a
-    non-finite step that least_squares_trf rejects (np.linalg.solve
-    raises LinAlgError on such a system).
-    """
-    n = len(b)
-    for k in range(n):
-        pivot = A[k][k] or math.nan
-        for i in range(k + 1, n):
-            if A[i][k]:
-                m = A[i][k] / pivot
-                for j in range(k + 1, n):
-                    A[i][j] -= m * A[k][j]
-                b[i] -= m * b[k]
-    for k in reversed(range(n)):
-        b[k] /= A[k][k] or math.nan
-        for i in range(k):
-            if A[i][k]:
-                b[i] -= A[i][k] * b[k]
-    return b
+def _gradient(s, f):
+    """g = (Re(conj(s) f), -Im(conj(s) f)) and |s|^2, on the floats of s = df/da and f."""
+    sr, si, fr, fi = s.real, s.imag, f.real, f.imag
+    return (sr * fr + si * fi, si * fr - sr * fi), sr * sr + si * si
 
 
 def least_squares_trf(fun, jac, x0, lb, ub):
-    """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub.
-
-    J^T J is formed once per accepted point and reused by the rejected
-    trial steps from it.
+    """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub, x = (a, b).
 
     Args:
-        fun: residual callable, x -> (m,) array.
-        jac: Jacobian callable, x -> (m, n) array.
-        x0: starting point; clipped to the box.
-        lb, ub: bound arrays, -inf/inf entries allowed.
+        fun: residual callable, x -> complex f, holomorphic in a - jb;
+            x is a list of two floats.
+        jac: x -> df/da as a complex number; it is asked only at the
+            point fun saw last.
+        x0: starting (a, b); clipped to the box.
+        lb, ub: (a, b) bounds, -inf/inf entries allowed.
 
     Returns:
         LeastSquaresResult; ``converged`` is True when either tolerance
         fired, False when the iteration cap was exhausted.
     """
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    f = np.asarray(fun(x), dtype=float)
-    J = np.asarray(jac(x), dtype=float)
-    cost = 0.5 * float(f @ f)
-    g, JtJ = J.T @ f, J.T @ J
-    lam = 1e-3 * float(JtJ.diagonal().max())
+    lb, ub = [float(v) for v in lb], [float(v) for v in ub]
+    x = [_clip(float(v), lo, hi) for v, lo, hi in zip(x0, lb, ub)]
+    f = fun(x)
+    cost = 0.5 * (f.real * f.real + f.imag * f.imag)
+    g, H = _gradient(jac(x), f)
+    lam = 1e-3 * H
     growth = 2.0
     converged = False
     iteration = 0
-    # float mirrors of x, g, J^T J and the bounds
-    lo, hi, xs, gs, H = lb.tolist(), ub.tolist(), x.tolist(), g.tolist(), JtJ.tolist()
-    ids = range(x.size)
-    step_floor = _XTOL * (_XTOL + math.sqrt(x @ x))
+    step_floor = _XTOL * (_XTOL + math.sqrt(x[0] * x[0] + x[1] * x[1]))
 
     while True:
-        if projected_gradient_norm(xs, gs, lo, hi) < _GTOL:
+        if projected_gradient_norm(x, g, lb, ub) < _GTOL:
             converged = True
             break
         if iteration >= _MAX_ITER:
             break
         iteration += 1
-        # a pinned variable's row and column are the identity's and its
-        # right-hand side 0, so its step is 0 and the free ones solve
-        # (J^T J + lam I) p = -g among themselves; lam * (i == j) is
-        # lam * eye, a nan off the diagonal once lam overflows
-        free = [not (xs[i] <= lo[i] and gs[i] > 0 or xs[i] >= hi[i] and gs[i] < 0) for i in ids]
-        A = [[H[i][j] + lam * (i == j) if free[i] and free[j] else float(i == j) for j in ids]
-             for i in ids]
-        p = _solve(A, [-gs[i] * free[i] for i in ids])
-        xs_new = [_clip(xs[i] + p[i], lo[i], hi[i]) for i in ids]
-        x_new = np.array(xs_new)
-        step = np.array([xs_new[i] - xs[i] for i in ids])
-        f_new = np.asarray(fun(x_new), dtype=float)
-        cost_new = 0.5 * float(f_new @ f_new)
-        small_step = math.sqrt(step @ step) < step_floor
+        # a pinned variable, on a bound with its gradient pointing out, steps by 0
+        x_new = [_clip(xi + (0.0 if xi <= lo and gi > 0 or xi >= hi and gi < 0
+                             else -gi / (H + lam)), lo, hi)
+                 for xi, gi, lo, hi in zip(x, g, lb, ub)]
+        f_new = fun(x_new)
+        cost_new = 0.5 * (f_new.real * f_new.real + f_new.imag * f_new.imag)
+        da, db = x_new[0] - x[0], x_new[1] - x[1]
+        small_step = math.sqrt(da * da + db * db) < step_floor
 
         if cost_new < cost:  # False for a non-finite residual
             # the reduction the linear model predicts for the clipped step;
             # rho >= 1 already gives the smallest factor, 1/3
-            predicted = -float(g @ step + 0.5 * (step @ JtJ @ step))
+            predicted = -(g[0] * da + g[1] * db + 0.5 * (da * H * da + db * H * db))
             rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             growth = 2.0
-            x, xs, f, cost = x_new, xs_new, f_new, cost_new
-            J = np.asarray(jac(x), dtype=float)
-            g, JtJ = J.T @ f, J.T @ J
-            gs, H = g.tolist(), JtJ.tolist()
-            step_floor = _XTOL * (_XTOL + math.sqrt(x @ x))
+            x, f, cost = x_new, f_new, cost_new
+            g, H = _gradient(jac(x), f)
+            step_floor = _XTOL * (_XTOL + math.sqrt(x[0] * x[0] + x[1] * x[1]))
         else:
             lam *= growth
             growth *= 2.0
@@ -175,7 +134,7 @@ def least_squares_trf(fun, jac, x0, lb, ub):
             converged = True
             break
 
-    return LeastSquaresResult(x=x, cost=cost, iterations=iteration, converged=converged)
+    return LeastSquaresResult(x=np.array(x), cost=cost, iterations=iteration, converged=converged)
 
 
 def numerical_jacobian(fun, x, lb, ub):

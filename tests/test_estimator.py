@@ -31,8 +31,7 @@ from permslab import (
     wrap_phase,
 )
 from permslab import estimator as estimator_module
-from permslab import trf as trf_module
-from permslab.trf import least_squares_trf, numerical_jacobian
+from permslab.trf import numerical_jacobian
 from permslab.errors import (
     AliasingError,
     DegenerateDataError,
@@ -40,6 +39,8 @@ from permslab.errors import (
     InfeasibleFitError,
     NoConvergenceError,
 )
+
+from trf_reference import NUMPY_LAPACK, real_form, reference_least_squares_trf
 
 C1_79GHZ = step_phase_advance(79e9, 1e-4)
 
@@ -753,25 +754,47 @@ def thin_slab_sweeps(seed, count, backing):
 @pytest.mark.parametrize("backing, seed", [(METAL, 5001), (AIR, 5011),
                                            (ComplexPermittivity(4.0, 0.4), 5021)])
 def test_fit_ideal_agrees_with_a_lapack_step_solve(monkeypatch, backing, seed):
-    # trf solves each damped step by elimination on Python floats; with
-    # numpy's LAPACK solve in its place the fits agree to rounding. Bit
-    # identity is not asked for: LAPACK on another CPU may round differently
+    # trf takes each damped step as a diagonal solve on Python floats; with
+    # the general loop on numpy's BLAS products and LAPACK solve in its
+    # place the fits agree to rounding. Bit identity is not asked for:
+    # BLAS may fuse multiply-adds, and LAPACK on another CPU may round differently
     step, freq = TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ
     sweeps = list(thin_slab_sweeps(seed, 12, backing))
     fits = [fit_ideal(gammas, geom, step, freq) for geom, gammas in sweeps]
     solved = []
 
-    def lapack_solve(A, b):
-        solved.append(len(b))
-        return np.linalg.solve(np.array(A), np.array(b)).tolist()
+    def lapack_solve(fun, jac, x0, lb, ub):
+        solved.append(x0)
+        return reference_least_squares_trf(*real_form(fun, jac), x0, lb, ub, NUMPY_LAPACK)
 
-    monkeypatch.setattr(trf_module, "_solve", lapack_solve)
+    monkeypatch.setattr(estimator_module, "least_squares_trf", lapack_solve)
     for (geom, gammas), fit in zip(sweeps, fits):
         lapack = fit_ideal(gammas, geom, step, freq)
         assert fit.permittivity.real_part == pytest.approx(lapack.permittivity.real_part, abs=1e-9)
         assert fit.permittivity.imag_part == pytest.approx(lapack.permittivity.imag_part, abs=1e-9)
         assert fit.residual_norm == pytest.approx(lapack.residual_norm, rel=1e-12)
-    assert solved and set(solved) == {2}
+    assert solved == list(estimator_module.AUTO_STARTS) * len(sweeps)
+
+
+@pytest.mark.parametrize("backing, seed, index, expected", [
+    (METAL, 5001, 0, ("0x1.000702bd9a67dp+1", "0x1.9143354581f23p-4", "0x1.38a19f18ca6d7p-4", 7)),
+    (METAL, 5002, 1, ("0x1.55975114ce1d0p+0", "0x1.0a879c0e24f58p-4", "0x1.1b9a3ce98b129p-4", 6)),
+    (ComplexPermittivity(4.0, 0.4), 5021, 0,
+     ("0x1.ffa3fa554f053p+0", "0x1.8326817fca1e8p-4", "0x1.68c2c49958e39p-6", 12)),
+], ids=["metal-5001", "metal-5002", "backed-5021"])
+def test_fit_ideal_is_the_same_double_arithmetic_on_every_cpu(backing, seed, index, expected):
+    # trf's steps are IEEE double arithmetic on Python floats, with no BLAS
+    # kernel to fuse or reorder operations, so a fit's bits are pinned here
+    # and CI runs this on a second CPU architecture. The sweep, the numpy
+    # reductions that give z* and em's complex algebra are outside that:
+    # they go through numpy's kernels and the C library's exp, sin and cos.
+    # On an x86-64 Xeon, the last bits of these three fits differ from those
+    # of the same loop with its dot products taken by OpenBLAS, which fuses
+    # multiply-adds
+    geom, gammas = list(thin_slab_sweeps(seed, index + 1, backing))[index]
+    fit = fit_ideal(gammas, geom, TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ)
+    assert (fit.permittivity.real_part.hex(), fit.permittivity.imag_part.hex(),
+            fit.residual_norm.hex(), fit.iterations) == expected
 
 
 def full_residual_fit_ideal(gammas, geom, step, freq, starts, bounds=FitBounds()):
@@ -789,8 +812,8 @@ def full_residual_fit_ideal(gammas, geom, step, freq, starts, bounds=FitBounds()
         face = effective_reflection(ComplexPermittivity(x[0], x[1]), geom, freq)
         return (gammas - face * phase).view(float)
 
-    runs = [least_squares_trf(fun, lambda x: numerical_jacobian(fun, x, lb, ub),
-                              np.array(s0[:2], dtype=float), lb, ub) for s0 in starts]
+    runs = [reference_least_squares_trf(fun, lambda x: numerical_jacobian(fun, x, lb, ub),
+                                        s0[:2], lb, ub) for s0 in starts]
     norms = [math.sqrt(2 * r.cost) for r in runs]
     band = 1e-9 * (1 + np.linalg.norm(gammas))
     win = next(r for r, rn in zip(runs, norms) if rn <= min(norms) + band)
