@@ -6,9 +6,9 @@ when writing; ``float`` reads such a token in about 0.3 µs). This module
 does both with a few dozen numpy operations per block:
 
 - ``format_into`` gives each double the bytes of ``"%.17g" % x`` for every
-  finite ``x`` with 1e-6 < |x| < 1e16 (compared as doubles; the double
-  nearest 1e-6 lies below 10**-6), and falls back to ``%`` for the rest:
-  zeros, subnormals, |x| <= 1e-6, |x| >= 1e16, infinities and nan;
+  finite ``x`` with 1e-4 < |x| < 10 (compared as doubles), which ``%g``
+  writes as ``[-]0.000ddd…`` or ``[-]d.ddd…``, and falls back to ``%`` for
+  the rest: zeros, subnormals, |x| <= 1e-4, |x| >= 10, infinities and nan;
 - ``parse`` gives each token the double ``float(token)`` gives, for the
   tokens one of its two exact rules takes (below), and names the others,
   which the caller reads another way.
@@ -22,23 +22,28 @@ nearest with ties to even, as ``%`` rounds.
 
 Writing. With ``k = floor(log10|x|)`` (one correction pass for the rows
 where ``log10`` rounds across a power of ten), s = 16 − k puts |x|·10^s
-in [1e16, 1e17); s <= 22 sets the lower end of the range. The digits
-never carry to 10^17: inside the range, the largest double below each
-power of ten is at least 8 units of the 17th digit below it. Each value
-owns ``WORDS`` little-endian 64-bit words of the caller's array, which
-the kernel fills a column at a time: word 0 holds the sign and the
-``0.`` and leading zeros of a fixed-point number below 1 (a 12-entry
-table of words), the lead digit in byte 6 and, in byte 7, the point of
-e-notation and of numbers in [1, 10); words 1-2 hold the other 16
-digits, one ``take`` of a 10000-entry table of four-digit ASCII words,
-with a second half that drops trailing zeros; word 3 holds the ``e-0N``
-of the e-notation that ``%g`` uses for exponents below -4, and in its
-top byte the byte the caller puts after the value (a space, or the line
-end). In a number of 10 or more, the digits after the point move one
-byte on, across words 1-3, to make room for it. Every byte a value does
-not use is 0, and the writer drops all 0 bytes of a block at once. A
-value outside the range is written by ``%`` into its 32 bytes, which
-hold its at most 24.
+in [1e16, 1e17). Inside the range k is -4 to 0, the decimal exponents
+``%g`` writes in fixed notation: the double 1e-4 lies above 10^-4, so a
+double above it has an exponent of -4 or more, and below 10 the point
+always follows the lead digit. The digits never carry to 10^17:
+the largest double below each power of ten is at least 8 units of the
+17th digit below it. Each value owns ``WORDS`` little-endian 64-bit
+words of the caller's array, which the kernel fills a column at a time:
+word 0 holds the sign and the ``0.`` and leading zeros of a number below
+1 (a 12-entry table of words), the lead digit in byte 6 and, in byte 7,
+the point of a number in [1, 10); words 1-2 hold the other 16 digits,
+one ``take`` of a 10000-entry table of four-digit ASCII words, with a
+second half that drops trailing zeros; word 3 holds only, in its top
+byte, the byte the caller puts after the value (a space, or the line
+end). Every byte a value does not use is 0, and the writer drops all 0
+bytes of a block at once. A value outside the range is written by ``%``
+into its 32 bytes, which hold its at most 24 and the byte after it.
+
+The range is what the program writes in blocks large enough for the
+kernel: reflection coefficients (|Γ| <= 1) and raw IF samples. Of the
+413,048 values a CLI ``simulate --mode raw-if`` (M=200, N=1024),
+``extract`` and ``estimate`` write, all but the 100 report distances of
+10 mm and more lie inside it; ``%`` writes those one at a time.
 
 Reading. A token ``[-]digits[.digits][e±dd]`` of at most 24 digits is
 read as an integer D and a decimal exponent q, its value ±D·10^q: the
@@ -69,8 +74,8 @@ import functools
 import numpy as np
 
 # words per value: 0 sign and "0.000", lead digit and point; 1-2 the other
-# 16 digits; 3 the "e-0N" of e-notation, and in its top byte the byte after
-# the value
+# 16 digits; 3 in its top byte the byte after the value, and room for the
+# longer text `%` writes outside the kernel's range
 WORDS = 4
 WORD = np.dtype("<u8")  # eight bytes, the first the least significant on every host
 
@@ -82,11 +87,9 @@ def _byte_masks(keep):
 
 # FIRST_BYTES[n]: of 16 bytes as two words, the first n kept
 FIRST_BYTES = _byte_masks(np.arange(16) < np.arange(17)[:, None])
-_ROOM = 1e-6, 1e16  # the kernel's range of |x|, both ends open
+_ROOM = 1e-4, 10.0  # the kernel's range of |x|, both ends open
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
-_SHIFT_BYTE, _SHIFT_LEAD, _SHIFT_TOP = np.uint64(8), np.uint64(48), np.uint64(56)
-_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # eight "."
-_EXPONENT = np.uint64(int.from_bytes(b"e-0", "little"))
+_SHIFT_LEAD, _SHIFT_TOP = np.uint64(48), np.uint64(56)
 
 
 @functools.cache
@@ -169,7 +172,7 @@ def _kernel(values, magnitude, ends, out) -> None:
     values, magnitude = values.ravel(), magnitude.ravel()
     n = values.size
     k = np.floor(np.log10(magnitude)).astype(np.int64)
-    np.clip(k, -6, 15, out=k)  # a log10 an ulp off at the range ends stays in the table
+    np.clip(k, -4, 0, out=k)  # a log10 an ulp off at the range ends stays in the range
     hi, lo = _two_product(magnitude, 16 - k, pow10, high, low)
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
@@ -189,14 +192,13 @@ def _kernel(values, magnitude, ends, out) -> None:
     quads[:, 1] = upper - quads[:, 0] * 10000
     quads[:, 2] = lower // 10000
     quads[:, 3] = lower - quads[:, 2] * 10000
-    fixed = k >= -4  # "%g" writes e-notation below 1e-4
-    point_first = fixed & (k < 0)  # "0.000ddd"
+    point_first = k < 0  # "0.000ddd"
     # word 0: the prefix, the lead digit in byte 6, and the point after it
-    # (e-notation, and [1, 10)) where a fraction digit is left
+    # in [1, 10) where a fraction digit is left
     head = np.take(prefixes, np.where(point_first, 1 - k, 0) + 6 * (values < 0))
     lead += ord("0")
     head |= lead.view(np.uint64) << _SHIFT_LEAD
-    rows = np.flatnonzero(~point_first & (k <= 0))
+    rows = np.flatnonzero(~point_first)
     head[rows[digits[rows] % 10**16 != 0]] |= np.uint64(ord(".")) << _SHIFT_TOP
     out[..., 0] = head.reshape(shape)
     # words 1-2 without trailing zeros: the last word of four drops its
@@ -206,31 +208,8 @@ def _kernel(values, magnitude, ends, out) -> None:
     rows = np.flatnonzero(quads[:, 3] == 0)
     if rows.size:
         stripped[rows] = _stripped(quads[rows])
-    body = np.take(quad_text, stripped).view(WORD)
-    tail = np.broadcast_to(ends, shape)  # word 3
-    sci = np.flatnonzero(~fixed)
-    big = np.flatnonzero(k > 0)
-    if sci.size or big.size:
-        tail = tail.flatten()
-        # "e-0" in bytes 0-2, the exponent's last digit in byte 3
-        tail[sci] |= _EXPONENT | (ord("0") - k[sci]).astype(np.uint64) << np.uint64(24)
-    # 10 and above: the point after digit e, or none in a whole number,
-    # which keeps the zeros of its integer part
-    for e in set(k[big].tolist()):
-        rows = big[k[big] == e]
-        whole = digits[rows] % 10 ** (16 - e) == 0
-        kept = rows[whole]
-        body[kept] = np.take(quad_text, quads[kept]).view(WORD) & FIRST_BYTES[e]
-        # the digits from e on move one byte on, the last into word 3
-        rows = rows[~whole]
-        digits16 = body[rows]
-        moved = digits16 << _SHIFT_BYTE
-        moved[:, 1] |= digits16[:, 0] >> _SHIFT_TOP
-        tail[rows] |= digits16[:, 1] >> _SHIFT_TOP
-        before, through = FIRST_BYTES[e], FIRST_BYTES[e + 1]
-        body[rows] = (digits16 & before) | (moved & ~through) | (through & ~before & _POINTS)
-    store(out[..., 1:3], body.reshape(*shape, 2))
-    out[..., 3] = tail.reshape(shape)
+    store(out[..., 1:3], np.take(quad_text, stripped).view(WORD).reshape(*shape, 2))
+    out[..., 3] = ends
 
 
 def store(out, words) -> None:

@@ -1,10 +1,10 @@
 """Command-line pipeline: simulate, extract, estimate, check-farfield, report.
 
 Exit codes: 0 success, 2 invalid input (bad flags, malformed or
-unreadable files, aliasing step sizes, sizes too large to allocate), 3
-numerical failure (degenerate slab geometry, a sweep fit with no
-feasible root or an overflow), 4 degenerate data (free-space sweeps,
-unusable calibration reference).
+unreadable files, aliasing step sizes, sizes too large to allocate, a
+trace whose spectrum overflows), 3 numerical failure (degenerate slab
+geometry, a sweep fit with no feasible root or an overflow), 4
+degenerate data (free-space sweeps, unusable calibration reference).
 """
 
 from __future__ import annotations

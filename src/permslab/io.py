@@ -22,8 +22,10 @@ block of ``_KERNEL_MIN_VALUES`` values or more is laid out as one array
 of 64-bit words, a row per record: the label's words, gathered from
 tables of words made once per file (two for each trace id, one for each
 sample index), then four for each value from the numpy kernel of ``_g17``,
-exact for finite 1e-6 < |x| < 1e16, with ``%`` for the values outside
-that range (zeros, subnormals, tiny, huge and non-finite ones). The
+exact for finite 1e-4 < |x| < 10, the fixed-point range where
+reflection coefficients and unit-amplitude IF samples lie, with ``%``
+for the values outside it (zeros, values up to 1e-4, values of 10 and
+more, non-finite ones). The
 space or line end after a value is the top byte of its last word, and
 one ``bytes.translate`` drops the 0 bytes that pad labels and values.
 A smaller block, where numpy's cost per call does not pay back, is

@@ -268,8 +268,9 @@ def extract_sweep(
     then ratioed against the material's peak (see ``calibrate_ratio``).
 
     Raises:
-        ValueError: traces of unequal length; the unnormalized DFT gains
-            would differ by the ratio of the lengths.
+        ValueError: traces of unequal length, as the unnormalized DFT
+            gains would differ by the ratio of the lengths; or a spectrum
+            that overflows, as samples near 1e308 make it.
         AllZeroSpectrumError: a trace whose spectrum is all zero.
         CalibrationError: a metal peak that is zero, non-finite, or at
             most 1e-15 of the material peak (see ``calibrate_ratio``).
@@ -279,6 +280,9 @@ def extract_sweep(
         if trace.samples.size != n:
             raise ValueError(f"a metal trace has {trace.samples.size} samples and the "
                              f"material trace {n}; all traces need the same length")
-    bins = dft(IfTrace(np.array([mut_trace.samples, *(t.samples for t in metal_traces)])))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        bins = dft(IfTrace(np.array([mut_trace.samples, *(t.samples for t in metal_traces)])))
+    if not np.isfinite(bins).all():
+        raise ValueError("a trace's spectrum overflows: its DFT is not finite")
     peaks = bins[np.arange(len(bins)), peak_bin(bins)]
     return SdiDataset(calibrate_ratio(peaks[0], peaks[1:]), step, carrier)

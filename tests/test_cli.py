@@ -292,6 +292,18 @@ class TestExtractEstimate:
         assert run(["extract", "--input", str(raw), "--out",
                     str(tmp_path / "x.txt")]) == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extract_spectrum_overflow_is_invalid(self, tmp_path, capsys):
+        # samples up to about 6.5e307 are finite, but their DFT is not
+        raw = tmp_path / "raw.txt"
+        assert run(["simulate", "--mode", "raw-if", "--steps", "4", "--samples", "16",
+                    "--sample-interval-s", "1e-6", "--chirp-duration-s", "2e-5",
+                    "--amp-sigma", "1e308", "--out", str(raw)]) == 0
+        capsys.readouterr()
+        assert run(["extract", "--input", str(raw), "--out", str(tmp_path / "x.txt")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: a trace's spectrum overflows: its DFT is not finite\n")
+
     @pytest.mark.parametrize("amplitude, code", [
         ("1e-155", 0), ("1e-158", 0), ("1e-160", 0), ("1e-162", 4)])
     def test_tiny_metal_peaks_calibrate_without_overflow(self, amplitude, code, tmp_path, capsys):

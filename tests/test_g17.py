@@ -51,7 +51,7 @@ def edge_values(rng):
 
 @pytest.fixture(scope="module")
 def values():
-    """Seeded, and with its negation, 1.02 million values."""
+    """Seeded, and with its negation, 1.86 million values."""
     rng = np.random.default_rng(20261019)
     bits = rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(np.float64)
     scaled = rng.standard_normal(300_000) * 10.0 ** rng.uniform(-9, 18, 300_000)
@@ -59,14 +59,16 @@ def values():
     scale = 10.0 ** rng.integers(0, 6, 40_000)
     short = np.round(rng.standard_normal(40_000) * 10.0 ** rng.uniform(-3, 16, 40_000)
                      * scale) / scale
-    values = np.concatenate([bits, scaled, short, edge_values(rng)])
+    # the kernel's range, as the reflection coefficients and IF samples fill it
+    room = 10.0 ** rng.uniform(np.log10(_g17._ROOM[0]), np.log10(_g17._ROOM[1]), 420_000)
+    values = np.concatenate([bits, scaled, short, room, edge_values(rng)])
     return np.concatenate([values, -values])
 
 
 def test_at_least_a_million_values(values):
     assert values.size >= 1_000_000
     magnitude = np.abs(values)
-    inside = (magnitude > 1e-6) & (magnitude < 1e16)
+    inside = (magnitude > _g17._ROOM[0]) & (magnitude < _g17._ROOM[1])
     # most go through the kernel, and every kind of value it leaves to `%` is there
     assert inside.mean() > 0.5
     outside = values[~inside]
@@ -80,7 +82,9 @@ def test_matches_percent_format_byte_for_byte(values):
         assert_matches(block)
 
 
-@pytest.mark.parametrize("x", [1e-6, -1e-6, 1e16, -1e16, np.nextafter(1e16, 0)])
+@pytest.mark.parametrize("x", [1e-6, -1e-6, 1e16, -1e16, np.nextafter(1e16, 0),
+                               1e-4, -1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+                               10.0, -10.0, np.nextafter(10.0, 0)])
 def test_range_ends(x):
     assert_matches(np.array([x]))
 
@@ -125,7 +129,8 @@ def assert_reads(tokens, must_take=None):
 
 def test_reads_back_what_it_writes(values):
     # every value class of the writer's tests; a rule takes every value of
-    # the writer's range, its 17-digit ties included, and every zero
+    # 1e-6 < |x| < 1e16, a range wider than the writer's kernel takes, its
+    # 17-digit ties included, and every zero
     for block in np.array_split(values, 40):
         tokens = (b"%.17g " * block.size % tuple(block.tolist())).split()
         magnitude = np.abs(block)

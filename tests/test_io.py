@@ -530,11 +530,15 @@ class TestWriterMatchesTemplate:
 
     @staticmethod
     def boundary_values(rng, count):
-        """Values of 10 and above, whole and with a fraction, e-notation
-        values, values outside the kernel's range, and ordinary ones with
-        17 digits and with 3."""
+        """Values of 10 and above, whole and with a fraction, and
+        e-notation values, all outside the kernel's range and so written
+        by `%`; the range ends and the doubles next to them; zeros,
+        subnormals, huge and non-finite values; and ordinary ones with 17
+        digits and with 3."""
         magnitude = 10.0 ** rng.uniform(1, 15.9, count)
+        ends = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 10.0, np.nextafter(10.0, 0)]
         kinds = [np.round(magnitude), magnitude, 10.0 ** rng.uniform(-5.99, -4.01, count),
+                 rng.choice(ends, count),
                  rng.choice([0.0, -0.0, 5e-324, 1e-7, 1e16, -2e300, np.inf, np.nan], count),
                  rng.standard_normal(count), np.round(rng.standard_normal(count), 3)]
         values = np.choose(rng.integers(0, len(kinds), count), kinds)

@@ -299,6 +299,20 @@ class TestGenerateIfDatasets:
         with pytest.raises(ValueError, match="32 samples and the material trace 64"):
             extract_sweep(mut, metal, 1e-4, 79e9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overflowing", ["material", "metal"])
+    def test_extraction_spectrum_overflow_is_named(self, overflowing):
+        # finite samples up to 1e308 whose DFT overflows: no reference is
+        # weak, so the overflow, not the metal peak, is named
+        mut, metal = generate_if_datasets(TRUTH, GEOM, benchmark_chirp(), 4, 1e-4,
+                                          NoiseModel.quiet())
+        if overflowing == "material":
+            mut = IfTrace(mut.samples / np.abs(mut.samples).max() * 1e308)
+        else:
+            metal[2] = IfTrace(metal[2].samples / np.abs(metal[2].samples).max() * 1e308)
+        with pytest.raises(ValueError, match="spectrum overflows"):
+            extract_sweep(mut, metal, 1e-4, 79e9)
+
     def test_metal_trace_is_single_tone(self):
         _, metal = generate_if_datasets(
             TRUTH, GEOM, benchmark_chirp(), 3, 1e-4, NoiseModel.quiet()
