@@ -5,6 +5,14 @@ multi-bounce effective reflection coefficient of a backed slab (closed
 form with its slope in eps), the slab bounce terms any series of it is
 built from, and the Fraunhofer far-field distance.
 
+The slab algebra is written once, in the evaluators that ``_slab_bounces``
+and ``_slab_at`` build for one geometry and carrier: they check the
+carrier and settle k0 = 2 pi f / c, k0 d and the backing once, and then
+take eps = a - jb as two floats per point, unchecked. A solver that
+tries many points of one slab, ``estimator.fit_ideal``, builds one;
+``slab_bounce_terms``, ``effective_reflection`` and
+``effective_reflection_and_slope`` build one per call.
+
 Conventions: relative permittivity eps = eps' - j*eps'' with eps' >= 1
 and eps'' >= 0 (passive, non-magnetic media), time factor e^{+jwt}, so
 waves propagate as e^{-jkx} with Im(k) <= 0 and decay in lossy media.
@@ -81,8 +89,11 @@ def complex_sqrt_lossy(eps: ComplexPermittivity) -> complex:
     which avoids the cancellation the literal form suffers for b << a.
     Halving before the sum keeps (mag + a) / 2 finite whenever mag is.
     """
-    a = eps.real_part
-    b = eps.imag_part
+    return _sqrt_lossy(eps.real_part, eps.imag_part)
+
+
+def _sqrt_lossy(a: float, b: float) -> complex:
+    """``complex_sqrt_lossy`` of a - jb on floats."""
     p = math.sqrt(math.hypot(a, b) / 2.0 + a / 2.0)
     return complex(p, -b / (2.0 * p))
 
@@ -98,8 +109,11 @@ def fresnel_normal(
     Returns:
         (reflection, transmission); T = 1 + Gamma holds identically.
     """
-    n_from = complex_sqrt_lossy(eps_from)
-    n_to = complex_sqrt_lossy(eps_to)
+    return _fresnel(complex_sqrt_lossy(eps_from), complex_sqrt_lossy(eps_to))
+
+
+def _fresnel(n_from: complex, n_to: complex) -> tuple[complex, complex]:
+    """``fresnel_normal`` from the two media's indexes sqrt(eps)."""
     denom = n_from + n_to
     return (n_from - n_to) / denom, 2.0 * n_from / denom
 
@@ -109,23 +123,53 @@ def air_face_reflection(n: complex) -> complex:
     return (1.0 - n) / (1.0 + n)
 
 
-def _slab_interfaces(eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float):
-    """Slab index n = sqrt(eps_r), Gamma_1r, Gamma_r2 and rt = e^{-j 2 k_r d}."""
+def _slab_bounces(geom: SlabGeometry, freq: float):
+    """(a, b) -> (Gamma_1r, first, ratio, n, Gamma_r2, rt) of the slab at eps = a - jb.
+
+    The first three are ``slab_bounce_terms``'s, n = sqrt(eps) and
+    rt = e^{-j 2 k_r d}. The carrier check, k0 = 2 pi f / c and the
+    backing are settled once here, not at every (a, b).
+    """
     if not 0.0 < freq < math.inf:
         raise ValueError(f"frequency must be finite and > 0, got {freq}")
-    n = complex_sqrt_lossy(eps_r)
-    if isinstance(geom.backing, MetalBacking):
-        gr2 = -1.0 + 0.0j
-    else:
-        gr2, _ = fresnel_normal(eps_r, geom.backing)
-    k_r = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * n  # decaying branch, Im(k_r) <= 0
-    return n, air_face_reflection(n), gr2, cmath.exp(-2j * k_r * geom.thickness)
+    k0, d = 2.0 * math.pi * freq / SPEED_OF_LIGHT, geom.thickness
+    metal = isinstance(geom.backing, MetalBacking)
+    n2 = None if metal else complex_sqrt_lossy(geom.backing)
+
+    def bounces(a, b):
+        n = _sqrt_lossy(a, b)
+        gr2 = -1.0 + 0.0j if metal else _fresnel(n, n2)[0]
+        rt = cmath.exp(-2j * (k0 * n) * d)  # k_r = k0 n on the decaying branch, Im(k_r) <= 0
+        g1r = air_face_reflection(n)
+        gr1 = -g1r
+        return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt, n, gr2, rt
+
+    return bounces
 
 
-def _bounces(g1r: complex, gr2: complex, rt: complex) -> tuple[complex, complex, complex]:
-    """(Gamma_1r, first, ratio) of ``slab_bounce_terms`` from the interface values."""
-    gr1 = -g1r
-    return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt
+def _slab_at(geom: SlabGeometry, freq: float):
+    """(a, b) -> (F, dF/d eps) of ``effective_reflection_and_slope`` at eps = a - jb.
+
+    Builds the slab's evaluator once, for a solver that asks many points
+    of one geometry and carrier; ``a`` and ``b`` are not checked.
+    """
+    bounces = _slab_bounces(geom, freq)
+    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
+
+    def at(a, b):
+        g, first, ratio, n, gr2, rt = bounces(a, b)
+        denom = 1.0 - ratio
+        if abs(denom) < 1e-12:
+            raise DegenerateGeometryError(
+                "internal bounce series does not converge (|1 - ratio| < 1e-12)"
+            )
+        u = gr2 * rt
+        du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
+        dg_dn = -2.0 / (1.0 + n) ** 2
+        slope = ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
+        return g + first / denom, slope
+
+    return at
 
 
 def slab_bounce_terms(
@@ -143,15 +187,14 @@ def slab_bounce_terms(
     so bounce i >= 2 carries first * ratio^{i-2}. Every slab series
     starts from these same three numbers and so rounds alike.
     """
-    _, g1r, gr2, rt = _slab_interfaces(eps_r, geom, freq)
-    return _bounces(g1r, gr2, rt)
+    return _slab_bounces(geom, freq)(eps_r.real_part, eps_r.imag_part)[:3]
 
 
 def effective_reflection(
     eps_r: ComplexPermittivity, geom: SlabGeometry, freq: float
 ) -> complex:
     """Total front-face reflection of a backed slab: F of ``effective_reflection_and_slope``."""
-    return effective_reflection_and_slope(eps_r, geom, freq)[0]
+    return _slab_at(geom, freq)(eps_r.real_part, eps_r.imag_part)[0]
 
 
 def effective_reflection_and_slope(
@@ -174,19 +217,7 @@ def effective_reflection_and_slope(
         DegenerateGeometryError: if the series denominator is within
             1e-12 of zero (lossless mirror resonance, nonphysical).
     """
-    n, g, gr2, rt = _slab_interfaces(eps_r, geom, freq)
-    _, first, ratio = _bounces(g, gr2, rt)
-    denom = 1.0 - ratio
-    if abs(denom) < 1e-12:
-        raise DegenerateGeometryError(
-            "internal bounce series does not converge (|1 - ratio| < 1e-12)"
-        )
-    u = gr2 * rt
-    k0d = (2.0 * math.pi * freq / SPEED_OF_LIGHT) * geom.thickness
-    du_dn = u * (-2j * k0d) + (1.0 - gr2 * gr2) / (2.0 * n) * rt
-    dg_dn = -2.0 / (1.0 + n) ** 2
-    slope = ((1.0 - u * u) * dg_dn + (1.0 - g * g) * du_dn) / ((1.0 + g * u) ** 2 * (2.0 * n))
-    return g + first / denom, slope
+    return _slab_at(geom, freq)(eps_r.real_part, eps_r.imag_part)
 
 
 def fraunhofer_distance(aperture: float, wavelength: float) -> float:

@@ -42,9 +42,9 @@ from .em import (
     SPEED_OF_LIGHT,
     ComplexPermittivity,
     SlabGeometry,
+    _slab_at,
     air_face_reflection,
     complex_sqrt_lossy,
-    effective_reflection_and_slope,
 )
 from .errors import (AliasingError, DegenerateDataError, DegenerateRegressionError,
                      InfeasibleFitError, NoConvergenceError)
@@ -451,11 +451,13 @@ def fit_ideal(
     each solve works on the one complex number sqrt(M) (F - z*), whose
     gradient and J^T J are those of the full residual. F is holomorphic
     in a - jb, so ``trf`` needs only the slope sqrt(M) F' = d/da; its
-    damped step is then diagonal. Each point the solver tries gets F and
-    F' from one call of ``em.effective_reflection_and_slope``; the slope
-    is the F' of the last point the residual saw, the only point ``trf``
-    asks about. Starts are ranked, and ``residual_norm`` is reported, as
-    sqrt(floor + M |F - z*|^2), the full residual's norm.
+    damped step is then diagonal. The slab's evaluator is built once per
+    fit (``em._slab_at``: carrier, k0 d and backing settled), and each
+    point the solver tries gets F and F' from one call of it, on floats,
+    bit for bit those of ``em.effective_reflection_and_slope``; the
+    slope is the F' of the last point the residual saw, the only point
+    ``trf`` asks about. Starts are ranked, and ``residual_norm`` is
+    reported, as sqrt(floor + M |F - z*|^2), the full residual's norm.
 
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
     ``step`` is a stage that moves toward the radar.
@@ -490,11 +492,15 @@ def fit_ideal(
     if error:
         raise error
     root_m = math.sqrt(gammas.size)
+    slab = _slab_at(geom, freq)
     slope = 0j  # F' at the last point fun saw, the only point trf asks jac about
 
     def fun(x):
         nonlocal slope
-        face, slope = effective_reflection_and_slope(ComplexPermittivity(*x), geom, freq)
+        a, b = x
+        if not (1.0 <= a < math.inf and 0.0 <= b < math.inf):
+            ComplexPermittivity(a, b)  # raises its ValueError for a nan or out-of-box point
+        face, slope = slab(a, b)
         return root_m * (face - z)
 
     def jac(_x):

@@ -19,15 +19,17 @@ Termination (reported via ``converged``):
   * projected-gradient infinity norm below ``_GTOL``, or
   * step norm below ``_XTOL * (_XTOL + |x|)``.
 
-Every step is computed on Python floats, one rounding per operation:
-no BLAS kernel or C compiler can fuse or reorder it, so the iterates
-are the same double arithmetic on every CPU. They are bit for bit those
-of the general n-variable loop on the real 2-vector form with its dot
-products summed left to right, up to a lam that overflows to inf: there
-that loop's lam * I puts nan off the diagonal and its step is nan,
-where this step is 0 and ends the loop on the step tolerance. The float
-clip picks signed zeros and passes nans as np.minimum(np.maximum(v, lb),
-ub) does.
+Every step is computed on Python floats, one rounding per operation,
+with a and b as two named floats rather than vectors: no BLAS kernel or
+C compiler can fuse or reorder it, so the iterates are the same double
+arithmetic on every CPU. They are bit for bit those of the general
+n-variable loop on the real 2-vector form with its dot products summed
+left to right, up to a lam that overflows to inf: there that loop's
+lam * I puts nan off the diagonal and its step is nan, where this step
+is 0 and ends the loop on the step tolerance. The float clip picks
+signed zeros and passes nans as np.minimum(np.maximum(v, lb), ub) does,
+and the projected-gradient test fails on a nan entry as numpy's max
+passes it on.
 """
 
 from __future__ import annotations
@@ -58,22 +60,6 @@ def _clip(v, lo, hi):
     return v if v < hi or v != v else hi
 
 
-def projected_gradient_norm(x, g, lb, ub) -> float:
-    """Infinity norm of x - P(x - g), the box-projected gradient; nan if any entry is nan."""
-    norm = 0.0
-    for xi, gi, lo, hi in zip(x, g, lb, ub):
-        d = abs(xi - _clip(xi - gi, lo, hi))
-        if d > norm or d != d:  # a nan stays, as in numpy's max
-            norm = d
-    return float(norm)
-
-
-def _gradient(s, f):
-    """g = (Re(conj(s) f), -Im(conj(s) f)) and |s|^2, on the floats of s = df/da and f."""
-    sr, si, fr, fi = s.real, s.imag, f.real, f.imag
-    return (sr * fr + si * fi, si * fr - sr * fi), sr * sr + si * si
-
-
 def least_squares_trf(fun, jac, x0, lb, ub):
     """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub, x = (a, b).
 
@@ -89,43 +75,50 @@ def least_squares_trf(fun, jac, x0, lb, ub):
         LeastSquaresResult; ``converged`` is True when either tolerance
         fired, False when the iteration cap was exhausted.
     """
-    lb, ub = [float(v) for v in lb], [float(v) for v in ub]
-    x = [_clip(float(v), lo, hi) for v, lo, hi in zip(x0, lb, ub)]
+    (lo_a, lo_b), (hi_a, hi_b) = [float(v) for v in lb], [float(v) for v in ub]
+    a, b = x = [_clip(float(x0[0]), lo_a, hi_a), _clip(float(x0[1]), lo_b, hi_b)]
     f = fun(x)
     cost = 0.5 * (f.real * f.real + f.imag * f.imag)
-    g, H = _gradient(jac(x), f)
+    # the gradient g = (Re(conj(s) f), -Im(conj(s) f)) and H = |s|^2 for s = df/da
+    s, fr, fi = jac(x), f.real, f.imag
+    ga, gb, H = (s.real * fr + s.imag * fi, s.imag * fr - s.real * fi,
+                 s.real * s.real + s.imag * s.imag)
     lam = 1e-3 * H
     growth = 2.0
     converged = False
     iteration = 0
-    step_floor = _XTOL * (_XTOL + math.sqrt(x[0] * x[0] + x[1] * x[1]))
+    step_floor = _XTOL * (_XTOL + math.sqrt(a * a + b * b))
 
     while True:
-        if projected_gradient_norm(x, g, lb, ub) < _GTOL:
+        # the infinity norm of x - P(x - g), the box-projected gradient: a nan entry fails it
+        if (abs(a - _clip(a - ga, lo_a, hi_a)) < _GTOL
+                and abs(b - _clip(b - gb, lo_b, hi_b)) < _GTOL):
             converged = True
             break
         if iteration >= _MAX_ITER:
             break
         iteration += 1
         # a pinned variable, on a bound with its gradient pointing out, steps by 0
-        x_new = [_clip(xi + (0.0 if xi <= lo and gi > 0 or xi >= hi and gi < 0
-                             else -gi / (H + lam)), lo, hi)
-                 for xi, gi, lo, hi in zip(x, g, lb, ub)]
+        pa = 0.0 if a <= lo_a and ga > 0 or a >= hi_a and ga < 0 else -ga / (H + lam)
+        pb = 0.0 if b <= lo_b and gb > 0 or b >= hi_b and gb < 0 else -gb / (H + lam)
+        a_new, b_new = x_new = [_clip(a + pa, lo_a, hi_a), _clip(b + pb, lo_b, hi_b)]
         f_new = fun(x_new)
         cost_new = 0.5 * (f_new.real * f_new.real + f_new.imag * f_new.imag)
-        da, db = x_new[0] - x[0], x_new[1] - x[1]
+        da, db = a_new - a, b_new - b
         small_step = math.sqrt(da * da + db * db) < step_floor
 
         if cost_new < cost:  # False for a non-finite residual
             # the reduction the linear model predicts for the clipped step;
             # rho >= 1 already gives the smallest factor, 1/3
-            predicted = -(g[0] * da + g[1] * db + 0.5 * (da * H * da + db * H * db))
+            predicted = -(ga * da + gb * db + 0.5 * (da * H * da + db * H * db))
             rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             growth = 2.0
-            x, f, cost = x_new, f_new, cost_new
-            g, H = _gradient(jac(x), f)
-            step_floor = _XTOL * (_XTOL + math.sqrt(x[0] * x[0] + x[1] * x[1]))
+            x, a, b, f, cost = x_new, a_new, b_new, f_new, cost_new
+            s, fr, fi = jac(x), f.real, f.imag
+            ga, gb, H = (s.real * fr + s.imag * fi, s.imag * fr - s.real * fi,
+                         s.real * s.real + s.imag * s.imag)
+            step_floor = _XTOL * (_XTOL + math.sqrt(a * a + b * b))
         else:
             lam *= growth
             growth *= 2.0

@@ -19,9 +19,11 @@ from permslab import (
     fraunhofer_distance,
     fresnel_normal,
 )
+from permslab import em
 from permslab.em import effective_reflection_and_slope, slab_bounce_terms
 from permslab.errors import DegenerateGeometryError
 
+import bounce_series
 from bounce_series import effective_reflection_truncated
 
 
@@ -211,6 +213,32 @@ def test_reflection_and_slope_keep_the_resonance_guard():
     geom = SlabGeometry(math.pi / (2 * k0 * math.sqrt(a)), 0.25, backing=METAL)
     with pytest.raises(DegenerateGeometryError, match="does not converge"):
         effective_reflection_and_slope(ComplexPermittivity(a, 0.0), geom, 79e9)
+
+
+@pytest.mark.parametrize("backing", [METAL, AIR, ComplexPermittivity(4.0, 0.4)])
+def test_slab_evaluator_is_the_bounce_algebra_bit_for_bit(backing):
+    # the evaluator a fit builds once per geometry, and the three functions
+    # over it, round exactly as em's slab algebra did when every point
+    # rebuilt its constants (bounce_series): the same double operations in
+    # the same order, so this holds on any CPU
+    rng = np.random.default_rng(32)
+    a_grid = np.concatenate([[1.0, 60.0], rng.uniform(1.0, 60.0, 18)]).tolist()
+    b_grid = np.concatenate([[0.0, 40.0], rng.uniform(0.0, 40.0, 18)]).tolist()
+    thicknesses = np.concatenate([[5e-4, 0.1], np.exp(rng.uniform(math.log(5e-4),
+                                                                  math.log(0.1), 6))])
+    freq = 79e9
+    for thickness in thicknesses.tolist():
+        geom = SlabGeometry(thickness, 0.25, backing)
+        slab = em._slab_at(geom, freq)
+        for a, b in itertools.product(a_grid, b_grid):
+            eps = ComplexPermittivity(a, b)
+            face, slope = bounce_series.reflection_and_slope(eps, geom, freq)
+            terms = bounce_series.bounces(*bounce_series.interfaces(eps, geom, freq)[1:])
+            got = [*slab(a, b), effective_reflection(eps, geom, freq),
+                   *effective_reflection_and_slope(eps, geom, freq),
+                   *slab_bounce_terms(eps, geom, freq)]
+            want = [face, slope, face, face, slope, *terms]
+            assert all(map(same_bits, got, want)), (thickness, a, b)
 
 
 def unchecked_permittivity(a, b):

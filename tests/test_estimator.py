@@ -704,6 +704,24 @@ class TestFitIdeal:
                       self.FREQ)
 
 
+    @pytest.mark.parametrize("x, match", [
+        ((math.nan, 0.1), "real part"), ((0.5, 0.1), "real part"), ((math.inf, 0.1), "real part"),
+        ((2.0, math.nan), "loss part"), ((2.0, -0.1), "loss part"), ((2.0, math.inf), "loss part"),
+    ])
+    def test_residual_refuses_a_point_outside_the_passive_box(self, monkeypatch, x, match):
+        # trf keeps its points in the box, but one that is not, such as a nan
+        # step, ends in ComplexPermittivity's error, not in a value of F
+        solve = estimator_module.least_squares_trf
+
+        def probing_solve(fun, jac, x0, lb, ub):
+            with pytest.raises(ValueError, match=match):
+                fun(list(x))
+            return solve(fun, jac, x0, lb, ub)
+
+        monkeypatch.setattr(estimator_module, "least_squares_trf", probing_solve)
+        fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4, self.FREQ)
+
+
 class TestFitIdealThinSlabs:
     """Thin metal-backed slabs, where the internal bounces stay strong."""
 

@@ -10,17 +10,15 @@ import numpy as np
 import pytest
 from permslab import METAL, SPEED_OF_LIGHT, ComplexPermittivity, SlabGeometry, effective_reflection
 from permslab import estimator, fit_ideal, trf
-from permslab.trf import (
-    least_squares_trf,
-    numerical_jacobian,
-    projected_gradient_norm,
-)
+from permslab.trf import least_squares_trf, numerical_jacobian
 
 from trf_reference import (
     NUMPY_LAPACK,
     PLAIN_DOUBLES,
     assert_same_result,
+    diagonal_gradient,
     plain_matmul,
+    projected_gradient_norm,
     real_form,
     reference_least_squares_trf,
     reference_projected_gradient_norm,
@@ -146,7 +144,7 @@ def test_non_finite_trial_is_rejected_and_damping_grows(bad):
     assert rejected == list(range(len(rejected))) and len(rejected) >= 2
     # each rejected trial steps from a = 0 by -g / (H + lam) with the start's
     # g and H, and lam grows by 2, 4, 8, ...
-    g, H = trf._gradient(jac((0.0, 0.0)), fun((0.0, 0.0)))
+    g, H = diagonal_gradient(jac((0.0, 0.0)), fun((0.0, 0.0)))
     lams = [-g[0] / a - H for a, _ in trials[1: len(rejected) + 2]]
     assert [lams[k + 1] / lams[k] for k in range(len(rejected))] == pytest.approx(
         [2.0 ** (k + 1) for k in range(len(rejected))], rel=1e-6)
@@ -294,3 +292,15 @@ def test_projected_gradient_norm_matches_numpy_on_special_values():
         assert type(got) is float
         assert np.array([got]).tobytes() == np.array(
             [reference_projected_gradient_norm(x, g, lb, ub)]).tobytes()
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf and inf * 0 in the reference loop
+def test_special_starts_match_the_reference_loop_bit_for_bit():
+    # the loop's clip, pinning and projected-gradient test on two named
+    # floats against numpy's on arrays: signed zeros, infinities and nans
+    # (whose gradient test never passes) as starts, in three boxes; the
+    # optimum (0.4, 3.0) lies outside two of them
+    fun, jac = linear((0.4, 3.0))
+    for x0 in itertools.product(SPECIALS, repeat=2):
+        for lb, ub in ((LB, UB), ((-INF, -INF), (INF, INF)), ((-1.5, 0.0), (2.0, INF))):
+            solve_checked(fun, jac, x0, lb, ub)

@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 from permslab import trf
-from permslab.trf import numerical_jacobian, projected_gradient_norm
+from permslab.trf import numerical_jacobian
 
 from trf_reference import (
     NUMPY_LAPACK,
     PLAIN_DOUBLES,
     eliminate,
     plain_matmul,
+    projected_gradient_norm,
     reference_least_squares_trf,
 )
 

@@ -12,6 +12,11 @@ solve taken from a ``linalg`` pair (matmul, solve):
   this is permslab.trf's arithmetic bit for bit.
 * ``NUMPY_LAPACK``: numpy's ``@`` (BLAS, which may fuse multiply-adds)
   and ``np.linalg.solve``.
+
+``projected_gradient_norm`` and ``diagonal_gradient`` give, on Python
+floats, the stopping measure and the gradient that ``permslab.trf``'s
+loop takes inline on its two variables, for the tests to check
+solutions and steps with.
 """
 
 import functools
@@ -76,6 +81,22 @@ def real_form(fun, jac):
         return np.array([[s.real, s.imag], [s.imag, -s.real]])  # d/db = -j d/da
 
     return real_fun, real_jac
+
+
+def projected_gradient_norm(x, g, lb, ub) -> float:
+    """Infinity norm of x - P(x - g), the box-projected gradient; nan if any entry is nan."""
+    norm = 0.0
+    for xi, gi, lo, hi in zip(x, g, lb, ub):
+        d = abs(xi - trf._clip(xi - gi, lo, hi))
+        if d > norm or d != d:  # a nan stays, as in numpy's max
+            norm = d
+    return float(norm)
+
+
+def diagonal_gradient(s, f):
+    """g = (Re(conj(s) f), -Im(conj(s) f)) and |s|^2, on the floats of s = df/da and f."""
+    sr, si, fr, fi = s.real, s.imag, f.real, f.imag
+    return (sr * fr + si * fi, si * fr - sr * fi), sr * sr + si * si
 
 
 def reference_projected_gradient_norm(x, g, lb, ub) -> float:
