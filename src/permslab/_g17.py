@@ -20,9 +20,14 @@ Dekker's two-product (Numer. Math. 18, 1971) splits x·10^s exactly into
 ``hi + rint(lo)`` (summed in int64) is the 17-digit integer rounded to
 nearest with ties to even, as ``%`` rounds.
 
-Writing. With ``k = floor(log10|x|)`` (one correction pass for the rows
-where ``log10`` rounds across a power of ten), s = 16 − k puts |x|·10^s
-in [1e16, 1e17). Inside the range k is -4 to 0, the decimal exponents
+Writing. The decade of |x| is four comparisons,
+``k = -4 + (|x| >= 1e-3) + (|x| >= 1e-2) + (|x| >= 1e-1) + (|x| >= 1)``,
+exact: 1 is a double, and the doubles 1e-3, 1e-2 and 1e-1 lie above
+their powers of ten (by 2.1e-20, 2.1e-19 and 5.6e-18), so no double lies
+between a power and the double nearest it. Then s = 16 − k puts
+|x|·10^s in [1e16, 1e17), and one two-product gives the digits, so the
+bytes written rest on IEEE comparisons, products and sums alone, with no
+libm call. Inside the range k is -4 to 0, the decimal exponents
 ``%g`` writes in fixed notation: the double 1e-4 lies above 10^-4, so a
 double above it has an exponent of -4 or more, and below 10 the point
 always follows the lead digit. The digits never carry to 10^17:
@@ -171,16 +176,9 @@ def _kernel(values, magnitude, ends, out) -> None:
     shape = out.shape[:-1]
     values, magnitude = values.ravel(), magnitude.ravel()
     n = values.size
-    k = np.floor(np.log10(magnitude)).astype(np.int64)
-    np.clip(k, -4, 0, out=k)  # a log10 an ulp off at the range ends stays in the range
-    hi, lo = _two_product(magnitude, 16 - k, pow10, high, low)
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    wrong = np.flatnonzero(below | above)
-    if wrong.size:
-        k[wrong] += above[wrong].astype(np.int64) - below[wrong]
-        hi[wrong], lo[wrong] = _two_product(magnitude[wrong], 16 - k[wrong], pow10, high, low)
-    digits = _digits(hi, lo)
+    # the exact decade of |x| (module docstring)
+    k = sum(magnitude >= bound for bound in (1e-3, 1e-2, 1e-1, 1.0)) - 4
+    digits = _digits(*_two_product(magnitude, 16 - k, pow10, high, low))
     # the 17 digits: a lead digit and four words of four (numpy's floor
     # division of integers is several times faster than its divmod)
     upper = digits // 10**8

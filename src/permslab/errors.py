@@ -35,7 +35,8 @@ class NoConvergenceError(PermslabError):
 
 
 class InfeasibleFitError(PermslabError):
-    """No root of the sweep fit's gauge family lands in the box (rounding, overflow)."""
+    """A sweep mean |z*| >= 1, or no root of the sweep fit's gauge family lands in the box
+    (rounding, overflow)."""
 
 
 class DegenerateRegressionError(PermslabError):

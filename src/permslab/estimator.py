@@ -366,7 +366,9 @@ def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list
     corner = _largest_reflection_corner(bounds)
     r_max = abs(front_face_reflection(*corner))
     fits = [
-        error or (corner if r >= r_max else (1.0, 0.0) if r < 1e-100 else None)
+        error or (InfeasibleFitError(f"|z*| = {r:.17g} >= 1: no passive half-space reflects "
+                                     "that much") if r >= 1.0
+                  else corner if r >= r_max else (1.0, 0.0) if r < 1e-100 else None)
         for error, r in zip(errors, rho)
     ]  # rho < 1e-100: the whole family lies within 4 rho of (1, 0)
     rows = [t for t, fit in enumerate(fits) if fit is None]  # left to the family search
@@ -391,12 +393,13 @@ def fit_permittivity(
     The model is linear in z = r(a, b) e^{jc}, so the least-squares
     optimum is z* = mean_m Gamma(m) e^{+j C1 m}. The largest |r| in
     the box, r_max, is attained at (1, b_max) or (a_max, b_max),
-    whichever is larger; at |z*| >= r_max the fit returns that corner.
-    Otherwise the data leave one parameter combination free
-    (see module docstring), and the reported (a, b) is the feasible
-    member of the family |r(a, b)| = |z*| nearest the anchor, found
-    exactly among the roots of the stationary quartic, three closed-form
-    box ends and, where the family reaches b_max, the roots of the
+    whichever is larger; at r_max <= |z*| < 1 the fit returns that corner,
+    the bounded least-squares optimum, and a |z*| of 1 or more, which no
+    passive half-space reflects, is refused. Otherwise the data leave one
+    parameter combination free (see module docstring), and the reported
+    (a, b) is the feasible member of the family |r(a, b)| = |z*| nearest
+    the anchor, found exactly among the roots of the stationary quartic,
+    three closed-form box ends and, where the family reaches b_max, the roots of the
     b = b_max quartic (``_nearest_members``); c = arg z* - arg r(a, b). With the floor
     |Gamma - z* e^{-j C1 m}|^2 of ``_reduce``, ``residual_norm`` is
     sqrt(floor + M (|r(a, b)| - |z*|)^2), the norm of the full residual
@@ -408,8 +411,8 @@ def fit_permittivity(
 
     Raises:
         DegenerateDataError: all reflection samples are ~0 (free space).
-        InfeasibleFitError: the sweep mean or the residual norm overflows,
-            or no root of the family lands in the box.
+        InfeasibleFitError: |z*| >= 1, the sweep mean or the residual norm
+            overflows, or no root of the family lands in the box.
     """
     anchor = _start_list(starts)[0][:2]
     fit = _fit_rows(data.gammas[None], data.step_phase, [anchor], bounds)[0]

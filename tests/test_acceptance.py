@@ -34,6 +34,8 @@ from permslab import (
     run_sweep,
     step_phase_advance,
 )
+from permslab.cli import main
+from permslab.io import ReportFile
 
 from bounce_series import effective_reflection_truncated
 
@@ -185,6 +187,44 @@ def test_multi_bounce_pipeline_identity(q):
         face = effective_reflection_truncated(truth, geom, cfg.start_frequency, q)
         worst = max(worst, float(np.max(np.abs(via_if.gammas - face * ramp))))
     assert worst <= 1e-6
+
+
+NO_PLATE_FIT = ("estimate takes no --thickness-m or --backing, so no CLI fit models the "
+                "plate (ROADMAP item 23, step 2)")
+ECHOES_CANCEL = ("each bounce's IF delay phase cancels the in-slab round trip its amplitude "
+                 "holds (fmcw.synth_slab_echoes, ROADMAP item 12)")
+WIDEBAND_RAMP = ("extraction at the integer bin ramps a wideband sweep "
+                 "(synth.benchmark_chirp, ROADMAP item 2)")
+NARROW_CHIRP = []  # benchmark_chirp: simulate's defaults
+WIDE_CHIRP = ["--carrier-hz", "77e9", "--bandwidth-hz", "4e9", "--chirp-duration-s", "80e-6",
+              "--samples", "256", "--sample-interval-s", "1e-7"]
+
+
+def plate_case(chirp, thickness, *links):
+    return pytest.param(chirp, thickness, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="; ".join(links)))
+
+
+@pytest.mark.parametrize("chirp, thickness", [
+    plate_case(NARROW_CHIRP, "2e-3", NO_PLATE_FIT, ECHOES_CANCEL),
+    plate_case(NARROW_CHIRP, "5e-3", NO_PLATE_FIT, ECHOES_CANCEL),
+    plate_case(WIDE_CHIRP, "2e-3", NO_PLATE_FIT, ECHOES_CANCEL, WIDEBAND_RAMP),
+    plate_case(WIDE_CHIRP, "5e-3", NO_PLATE_FIT, ECHOES_CANCEL, WIDEBAND_RAMP),
+], ids=["benchmark-chirp-2mm", "benchmark-chirp-5mm", "77GHz-4GHz-N256-2mm",
+        "77GHz-4GHz-N256-5mm"])
+def test_paper_plate_end_to_end(chirp, thickness, tmp_path):
+    # the paper's experiment: an air-backed 2.6 - j0.02 plate with all its echoes,
+    # noiseless, through raw IF and a known-geometry estimate on the command line
+    plate = ["--thickness-m", thickness, "--backing", "1,0"]
+    traces, sweep, fit = (str(tmp_path / name) for name in ("traces", "sweep", "fit"))
+    assert main(["simulate", "--mode", "raw-if", "--eps-real", "2.6", "--eps-imag", "0.02",
+                 "--standoff-m", "0.27", "--bounces", "200", *plate, *chirp,
+                 "--out", traces]) == 0
+    assert main(["extract", "--input", traces, "--out", sweep]) == 0
+    assert main(["estimate", "--input", sweep, *plate, "--report-out", fit]) == 0
+    eps = ReportFile.read(fit)
+    assert abs(eps.eps_real - 2.6) <= 1e-3
+    assert abs(eps.eps_imag - 0.02) <= 1e-3
 
 
 def test_criterion_7_solver_validity():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ def test_per_trial_failures_recorded_not_raised():
     assert errors[3:] == [None] * 3
     assert [s.converged_count for s in report.summaries] == [0, 3]
     assert math.isnan(report.summaries[0].mean_a)
+
+
+def test_nonphysical_trials_recorded_not_raised():
+    # a 10% upward drift lifts |z*| of the near-mirror 1e4 - j0 above 1; those trials
+    # are refused one by one, and the other truth's rows in the same stack still fit
+    report = run_sweep([ComplexPermittivity(1e4, 0.0), ComplexPermittivity(2.6, 0.1)],
+                       NoiseModel(5e-4, 0.01, 0.1, seed=2), trials=3)
+    errors = [r.error for r in report.records]
+    assert all(re.fullmatch(r"InfeasibleFitError: \|z\*\| = 1\.0\d+ >= 1: no passive "
+                            r"half-space reflects that much", e) for e in errors[:3])
+    assert errors[3:] == [None] * 3
+    assert [s.converged_count for s in report.summaries] == [0, 3]
 
 
 def reference_run_sweep(truths, noise, trials, m_count=40, step=1e-4, carrier=79e9,

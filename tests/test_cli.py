@@ -665,6 +665,22 @@ def test_overflowing_samples_are_numerical_failure(scale, message, tmp_path, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_nonphysical_sweep_is_numerical_failure(tmp_path, capsys):
+    # a noiseless 3 - j0.15 sweep scaled by 4 reflects more than a passive half-space can
+    sweep = tmp_path / "sweep.txt"
+    assert run(["simulate", "--eps-real", "3", "--eps-imag", "0.15", "--amp-sigma", "0",
+                "--phase-sigma-deg", "0", "--drift", "0", "--out", str(sweep)]) == 0
+    src = DatasetFile.read(sweep)
+    src.gammas = src.gammas * 4
+    src.write(sweep)
+    capsys.readouterr()
+    assert run(["estimate", "--input", str(sweep)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: \|z\*\| = 1\.07\d+ >= 1: no passive half-space reflects "
+                        r"that much\n", captured.err)
+
+
 @pytest.mark.parametrize("args, target", [
     (["simulate", "--steps", "100000000000"], "generate_dataset"),
     (["simulate", "--mode", "raw-if", "--samples", "100000000000", "--chirp-duration-s", "1e6"],

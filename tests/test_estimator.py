@@ -220,6 +220,9 @@ def reference_fit(data, bounds, anchor):
     floor = float(np.sum(np.abs(data.gammas - z * d.conj()) ** 2))
     rho = abs(z)
     corner = estimator_module._largest_reflection_corner(bounds)
+    if rho >= 1.0:
+        raise InfeasibleFitError(f"|z*| = {rho:.17g} >= 1: no passive half-space reflects "
+                                 "that much")
     if rho >= abs(front_face_reflection(*corner)):
         a, b = corner
     elif rho < 1e-100:

@@ -89,6 +89,16 @@ def test_range_ends(x):
     assert_matches(np.array([x]))
 
 
+def test_decade_ends_within_64_ulps():
+    """Every double within 64 ulps of the powers of ten where the
+    kernel's decade changes or its range ends, both signs."""
+    ends = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
+    bits = ends.view(np.uint64)[:, None] + np.arange(-64, 65).astype(np.uint64)
+    values = bits.view(np.float64).ravel()
+    assert values.size == 6 * 129 and np.unique(values).size == values.size
+    assert_matches(np.concatenate([values, -values]))
+
+
 def test_any_shape_and_strided_out():
     values = np.array([[0.1, -2.5e-5], [0.0, 1e300], [123456.789, -np.inf]])
     out = np.zeros((3, 2, _g17.WORDS + 1), _g17.WORD)

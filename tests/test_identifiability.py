@@ -241,6 +241,16 @@ def test_data_outside_the_feasible_disk_clamp_to_the_corner(bounds):
     assert fit.residual_norm == pytest.approx(0.01 * largest * math.sqrt(M), rel=1e-9)
 
 
+@pytest.mark.parametrize("rho", [1.0 + 1e-9, 1.074, 4.0])
+def test_data_no_passive_half_space_reflects_are_refused(rho):
+    # the corner is the bounded optimum only below |z*| = 1; from there on the
+    # sweep is nonphysical for every box, and the fit names its |z*|
+    c1 = SdiDataset(np.ones(3), STEP, CARRIER).step_phase
+    data = SdiDataset(rho * np.exp(0.3j - 1j * c1 * np.arange(M)), STEP, CARRIER)
+    with pytest.raises(InfeasibleFitError, match=r"^\|z\*\| = [\d.]+ >= 1: no passive"):
+        fit_permittivity(data, bounds=FitBounds(1e300, 1e300))
+
+
 def test_every_answer_lies_on_the_family():
     # |r(a, b)| = |z*| for every answer that is neither the clamped corner nor
     # infeasible, over random boxes, levels and anchors, and in a box with
