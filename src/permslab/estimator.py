@@ -26,8 +26,8 @@ squared residual norm floor + M |w - z*|^2. The sweep fit uses
 d = e^{+j C1 m} and reports w = |r(a, b)| e^{j arg z*}; fit_ideal, which
 has no phase offset, uses d = conj(p_m) and runs the bounded
 Levenberg-Marquardt solver of trf on the one complex number
-sqrt(M) (F(a - jb) - z*), holomorphic in a - jb, from each start. The
-degenerate and overflow rules of both fits are those of ``_reduce``.
+sqrt(M) (F(a - jb) - z*), holomorphic in a - jb, from each start in
+turn until one provably wins. The degenerate and overflow rules of both fits are those of ``_reduce``.
 """
 
 from __future__ import annotations
@@ -443,10 +443,15 @@ def fit_ideal(
     slab that reflection repeats as the round trip through the slab
     gains whole turns of phase: distinct permittivities (for example
     7 - j0.3 and about 12.48 - j0.467 on a 2.046 mm metal-backed slab)
-    fit a noiseless sweep exactly. Each (a, b) start, the (a, b) of an
-    (a, b, c) start included, runs the bounded solver of ``trf``; the
-    lowest residual wins and numerical ties go to the earliest start,
-    so the start order picks among such solutions.
+    fit a noiseless sweep exactly. The (a, b) starts, the (a, b) of an
+    (a, b, c) start included, run the bounded solver of ``trf`` in order;
+    the lowest residual wins and numerical ties go to the earliest start
+    (``_pick_winner``), so the start order picks among such solutions.
+    No residual norm lies below sqrt(floor) (below), so once the winner
+    so far is within the tie band 1e-9 (1 + ||Gamma||) of sqrt(floor)
+    and some start has converged, no later start can change the pick,
+    and the later starts are not run: the result is that of running
+    them all, bit for bit, and only a start that runs can raise.
 
     ``_reduce`` with d = conj(p_m), p_m = e^{j 2 k1 (l + m dl)}, gives
     z* = mean_m Gamma(m) conj(p_m) and the floor |Gamma - z* p|^2 that no
@@ -510,13 +515,20 @@ def fit_ideal(
         return root_m * slope
 
     lb, ub = (1.0, 0.0), (bounds.a_max, bounds.b_max)
-    runs = [least_squares_trf(fun, jac, s0[:2], lb, ub) for s0 in _start_list(starts)]
+    # ||Gamma||^2 = floor + M |z*|^2, the identity of _reduce
+    data_norm = math.sqrt(floor_sq + gammas.size * rho * rho)
+    # no norm lies below sqrt(floor): a winner this close wins against every later start
+    settled = math.sqrt(floor_sq) + 1e-9 * (1.0 + data_norm)
+    runs, norms = [], []
+    for s0 in _start_list(starts):
+        runs.append(least_squares_trf(fun, jac, s0[:2], lb, ub))
+        norms.append(math.sqrt(floor_sq + 2.0 * runs[-1].cost))
+        best = _pick_winner(norms, data_norm)
+        if norms[best] <= settled and any(r.converged for r in runs):
+            break
     if not any(r.converged for r in runs):
         raise NoConvergenceError("no start converged within the iteration cap")
 
-    norms = [math.sqrt(floor_sq + 2.0 * r.cost) for r in runs]
-    # ||Gamma||^2 = floor + M |z*|^2, the identity of _reduce
-    best = _pick_winner(norms, math.sqrt(floor_sq + gammas.size * rho * rho))
     win = runs[best]
     return FitResult(ComplexPermittivity(*win.x.tolist()), phase_offset=0.0,
                      residual_norm=norms[best], iterations=win.iterations, converged=win.converged)

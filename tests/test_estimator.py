@@ -13,6 +13,7 @@ from permslab import (
     SPEED_OF_LIGHT,
     ComplexPermittivity,
     FitBounds,
+    FitResult,
     NoiseModel,
     SdiDataset,
     SlabGeometry,
@@ -680,18 +681,81 @@ class TestFitIdeal:
         with pytest.raises(ValueError, match="finite numbers"):
             fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ, starts=[(math.nan, 0.1)])
 
-    def test_auto_starts_run_one_solve_each(self, monkeypatch):
-        # the benchmark's tracer counts one useful start in len(AUTO_STARTS)
-        x0s = []
+    def test_a_start_after_the_provable_winner_never_runs(self, monkeypatch):
+        # exact data: start 0 ends within the tie band of sqrt(floor), so the
+        # starts after it are not solved and the raising start 1 is never asked
         solve = estimator_module.least_squares_trf
+        x0s = []
 
-        def counting_solve(fun, jac, x0, *args, **kwargs):
+        def late_raising_solve(fun, jac, x0, lb, ub):
             x0s.append(tuple(x0))
-            return solve(fun, jac, x0, *args, **kwargs)
+            if tuple(x0) == estimator_module.AUTO_STARTS[1]:
+                raise RuntimeError("start 1 ran")
+            return solve(fun, jac, x0, lb, ub)
 
-        monkeypatch.setattr(estimator_module, "least_squares_trf", counting_solve)
-        fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4, self.FREQ)
-        assert x0s == list(estimator_module.AUTO_STARTS)
+        monkeypatch.setattr(estimator_module, "least_squares_trf", late_raising_solve)
+        fit = fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4,
+                        self.FREQ)
+        assert x0s == [estimator_module.AUTO_STARTS[0]]
+        assert fit.permittivity.real_part == pytest.approx(3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("over_floor, solved", [(0.5, 1), (2.0, 2)])
+    def test_the_stop_band_is_the_tie_band(self, monkeypatch, over_floor, solved):
+        # start 0 is moved to over_floor tie bands above sqrt(floor) ~ 0 of exact
+        # data: inside the band it wins at once, outside it start 1 runs and wins
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        band = 1e-9 * (1.0 + np.linalg.norm(gammas))
+        solve = estimator_module.least_squares_trf
+        x0s = []
+
+        def raised_first_solve(fun, jac, x0, lb, ub):
+            x0s.append(tuple(x0))
+            result = solve(fun, jac, x0, lb, ub)
+            if len(x0s) == 1:
+                result.cost = 0.5 * (over_floor * band) ** 2
+            return result
+
+        monkeypatch.setattr(estimator_module, "least_squares_trf", raised_first_solve)
+        fit = fit_ideal(gammas, self.GEOM, 1e-4, self.FREQ)
+        assert x0s == list(estimator_module.AUTO_STARTS[:solved])
+        assert (fit.residual_norm > 0.1 * band) == (solved == 1)  # start 0 won
+
+    def test_a_late_start_raises_when_no_start_reaches_the_floor(self, monkeypatch):
+        # the box ends below the truth 3 - j0.3, so no start reaches sqrt(floor),
+        # every start runs, and start 5's error propagates as it always did
+        solve = estimator_module.least_squares_trf
+        x0s = []
+
+        def late_raising_solve(fun, jac, x0, lb, ub):
+            x0s.append(tuple(x0))
+            if tuple(x0) == estimator_module.AUTO_STARTS[5]:
+                raise RuntimeError("start 5 ran")
+            return solve(fun, jac, x0, lb, ub)
+
+        monkeypatch.setattr(estimator_module, "least_squares_trf", late_raising_solve)
+        with pytest.raises(RuntimeError, match="start 5 ran"):
+            fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4,
+                      self.FREQ, bounds=FitBounds(2.0, 0.1))
+        assert x0s == list(estimator_module.AUTO_STARTS[:6])
+
+    def test_the_stop_waits_for_a_converged_start(self, monkeypatch):
+        # start 0 reaches sqrt(floor) but reports no convergence: the fit solves on
+        # to the first converged start and, as with every start solved, start 0 wins
+        solve = estimator_module.least_squares_trf
+        x0s = []
+
+        def capped_first_solves(fun, jac, x0, lb, ub):
+            x0s.append(tuple(x0))
+            result = solve(fun, jac, x0, lb, ub)
+            result.converged = len(x0s) > 2
+            return result
+
+        monkeypatch.setattr(estimator_module, "least_squares_trf", capped_first_solves)
+        fit = fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4,
+                        self.FREQ)
+        assert x0s == list(estimator_module.AUTO_STARTS[:3])
+        assert not fit.converged
+        assert fit.permittivity.real_part == pytest.approx(3.0, abs=1e-6)
 
     def test_no_converged_start_raises(self, monkeypatch):
         solve = estimator_module.least_squares_trf
@@ -772,29 +836,129 @@ def thin_slab_sweeps(seed, count, backing):
         yield geom, clean * amp * np.exp(1j * noise.phase_sigma * rng.standard_normal(cls.M))
 
 
+def recorded_fit_ideal(gammas, geom, step, freq, **kwargs):
+    """fit_ideal, the (x0, result) of each solve it ran, and its problem (fun, jac, lb, ub)."""
+    solve = estimator_module.least_squares_trf
+    solved, problem = [], []
+
+    def recording_solve(fun, jac, x0, lb, ub):
+        problem[:] = [fun, jac, lb, ub]
+        result = solve(fun, jac, x0, lb, ub)
+        solved.append((tuple(x0), result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator_module, "least_squares_trf", recording_solve)
+        fit = fit_ideal(gammas, geom, step, freq, **kwargs)
+    return fit, solved, tuple(problem)
+
+
+def floor_and_data_norm(gammas, geom, step, freq):
+    """fit_ideal's floor |Gamma - z* p|^2 and ||Gamma||, from _reduce on its derotation."""
+    k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
+    phase = np.exp(2j * k1 * (geom.standoff + np.arange(gammas.size) * step))
+    _, (rho,), (floor_sq,), _ = estimator_module._reduce(gammas[None], phase.conj())
+    return floor_sq, math.sqrt(floor_sq + gammas.size * rho * rho)
+
+
+def every_start_fit(problem, starts, floor_sq, data_norm):
+    """Every start solved with least_squares_trf, then _pick_winner on all the norms."""
+    fun, jac, lb, ub = problem
+    runs = [estimator_module.least_squares_trf(fun, jac, s0[:2], lb, ub) for s0 in starts]
+    if not any(r.converged for r in runs):
+        raise NoConvergenceError("no start converged within the iteration cap")
+    norms = [math.sqrt(floor_sq + 2.0 * r.cost) for r in runs]
+    best = estimator_module._pick_winner(norms, data_norm)
+    win = runs[best]
+    return best, FitResult(ComplexPermittivity(*win.x.tolist()), phase_offset=0.0,
+                           residual_norm=norms[best], iterations=win.iterations,
+                           converged=win.converged)
+
+
+def fit_bits(fit):
+    eps = fit.permittivity
+    return (eps.real_part.hex(), eps.imag_part.hex(), fit.phase_offset.hex(),
+            fit.residual_norm.hex(), fit.iterations, fit.converged)
+
+
+def stopping_corpus():
+    """300 noisy thin-slab sweeps on three backings, some scaled 1.3x, boxed tight or
+    fitted from explicit starts; the clamped ones leave every start above sqrt(floor)."""
+    explicit = [(7.0, 0.3), (2.0, 0.1, 0.5), (12.0, 0.5)]
+    for backing, seed in ((METAL, 5001), (AIR, 5011), (ComplexPermittivity(4.0, 0.4), 5021)):
+        for i, (geom, gammas) in enumerate(thin_slab_sweeps(seed, 100, backing)):
+            bounds = FitBounds(2.5, 0.12) if i % 5 == 4 else FitBounds()
+            yield (geom, gammas * 1.3 if i % 10 == 3 else gammas, bounds,
+                   explicit if i % 7 == 6 else "auto")
+
+
+def test_fit_ideal_solves_a_prefix_of_its_starts_up_to_the_provable_winner():
+    # no norm sqrt(floor + 2 cost) lies below sqrt(floor): the fit stops after the
+    # first solve whose winner so far is within the tie band of it, once a start
+    # has converged, and runs all its starts when none gets there
+    step, freq = TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ
+    solved_counts = set()
+    for geom, gammas, bounds, starts in stopping_corpus():
+        fit, solved, _ = recorded_fit_ideal(gammas, geom, step, freq, bounds=bounds,
+                                            starts=starts)
+        start_list = estimator_module._start_list(starts)
+        x0s = [x0 for x0, _ in solved]
+        assert x0s == [s0[:2] for s0 in start_list[:len(x0s)]]
+        floor_sq, data_norm = floor_and_data_norm(gammas, geom, step, freq)
+        settled = math.sqrt(floor_sq) + 1e-9 * (1.0 + data_norm)
+        norms = [math.sqrt(floor_sq + 2.0 * r.cost) for _, r in solved]
+        stops = []
+        for k in range(1, len(solved) + 1):
+            best = estimator_module._pick_winner(norms[:k], data_norm)
+            stops.append(norms[best] <= settled and any(r.converged for _, r in solved[:k]))
+        assert not any(stops[:-1])
+        assert stops[-1] or len(solved) == len(start_list)
+        solved_counts.add((len(solved), stops[-1]))
+    # stops after start 0, after a later start, and runs that never reach the band
+    assert {(1, True), (8, False)} <= solved_counts
+    assert any(count > 1 and stopped for count, stopped in solved_counts)
+
+
+def test_fit_ideal_equals_solving_every_start_bit_for_bit():
+    step, freq = TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ
+    winners, all_solved = set(), 0
+    for geom, gammas, bounds, starts in stopping_corpus():
+        fit, solved, problem = recorded_fit_ideal(gammas, geom, step, freq, bounds=bounds,
+                                                  starts=starts)
+        start_list = estimator_module._start_list(starts)
+        best, expected = every_start_fit(problem, start_list,
+                                          *floor_and_data_norm(gammas, geom, step, freq))
+        assert fit_bits(fit) == fit_bits(expected)
+        winners.add(best)
+        all_solved += len(solved) == len(start_list) == len(estimator_module.AUTO_STARTS)
+    assert max(winners) >= 2
+    assert all_solved >= 10
+
+
 @pytest.mark.parametrize("backing, seed", [(METAL, 5001), (AIR, 5011),
                                            (ComplexPermittivity(4.0, 0.4), 5021)])
-def test_fit_ideal_agrees_with_a_lapack_step_solve(monkeypatch, backing, seed):
+def test_fit_ideal_agrees_with_a_lapack_step_solve(backing, seed):
     # trf takes each damped step as a diagonal solve on Python floats; with
     # the general loop on numpy's BLAS products and LAPACK solve in its
-    # place the fits agree to rounding. Bit identity is not asked for:
-    # BLAS may fuse multiply-adds, and LAPACK on another CPU may round differently
+    # place, fit_ideal's residual solved from every auto start ends at the
+    # same norm to rounding, and the winners agree. Bit identity is not asked
+    # for: BLAS may fuse multiply-adds, and LAPACK on another CPU may round differently
     step, freq = TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ
-    sweeps = list(thin_slab_sweeps(seed, 12, backing))
-    fits = [fit_ideal(gammas, geom, step, freq) for geom, gammas in sweeps]
-    solved = []
-
-    def lapack_solve(fun, jac, x0, lb, ub):
-        solved.append(x0)
-        return reference_least_squares_trf(*real_form(fun, jac), x0, lb, ub, NUMPY_LAPACK)
-
-    monkeypatch.setattr(estimator_module, "least_squares_trf", lapack_solve)
-    for (geom, gammas), fit in zip(sweeps, fits):
-        lapack = fit_ideal(gammas, geom, step, freq)
-        assert fit.permittivity.real_part == pytest.approx(lapack.permittivity.real_part, abs=1e-9)
-        assert fit.permittivity.imag_part == pytest.approx(lapack.permittivity.imag_part, abs=1e-9)
-        assert fit.residual_norm == pytest.approx(lapack.residual_norm, rel=1e-12)
-    assert solved == list(estimator_module.AUTO_STARTS) * len(sweeps)
+    for geom, gammas in thin_slab_sweeps(seed, 12, backing):
+        fit, _, (fun, jac, lb, ub) = recorded_fit_ideal(gammas, geom, step, freq)
+        floor_sq, data_norm = floor_and_data_norm(gammas, geom, step, freq)
+        norms, lapack_norms, lapack_xs = [], [], []
+        for x0 in estimator_module.AUTO_STARTS:
+            res = estimator_module.least_squares_trf(fun, jac, x0, lb, ub)
+            lapack = reference_least_squares_trf(*real_form(fun, jac), x0, lb, ub, NUMPY_LAPACK)
+            norms.append(math.sqrt(floor_sq + 2.0 * res.cost))
+            lapack_norms.append(math.sqrt(floor_sq + 2.0 * lapack.cost))
+            lapack_xs.append(lapack.x)
+            assert norms[-1] == pytest.approx(lapack_norms[-1], rel=1e-12)
+        best = estimator_module._pick_winner(lapack_norms, data_norm)
+        assert fit.permittivity.real_part == pytest.approx(lapack_xs[best][0], abs=1e-9)
+        assert fit.permittivity.imag_part == pytest.approx(lapack_xs[best][1], abs=1e-9)
+        assert fit.residual_norm == pytest.approx(lapack_norms[best], rel=1e-12)
 
 
 @pytest.mark.parametrize("backing, seed, index, expected", [
