@@ -128,11 +128,14 @@ def _slab_bounces(geom: SlabGeometry, freq: float):
 
     The first three are ``slab_bounce_terms``'s, n = sqrt(eps) and
     rt = e^{-j 2 k_r d}. The carrier check, k0 = 2 pi f / c and the
-    backing are settled once here, not at every (a, b).
+    backing are settled once here, not at every (a, b); a carrier whose
+    k0 overflows (f above about 2.9e307 Hz) is refused, not turned into nan.
     """
     if not 0.0 < freq < math.inf:
         raise ValueError(f"frequency must be finite and > 0, got {freq}")
     k0, d = 2.0 * math.pi * freq / SPEED_OF_LIGHT, geom.thickness
+    if k0 == math.inf:
+        raise ValueError(f"carrier {freq} Hz overflows its wavenumber 2 pi f / c")
     metal = isinstance(geom.backing, MetalBacking)
     n2 = None if metal else complex_sqrt_lossy(geom.backing)
 

@@ -461,11 +461,11 @@ def fit_ideal(
     in a - jb, so ``trf`` needs only the slope sqrt(M) F' = d/da; its
     damped step is then diagonal. The slab's evaluator is built once per
     fit (``em._slab_at``: carrier, k0 d and backing settled), and each
-    point the solver tries gets F and F' from one call of it, on floats,
-    bit for bit those of ``em.effective_reflection_and_slope``; the
-    slope is the F' of the last point the residual saw, the only point
-    ``trf`` asks about. Starts are ranked, and ``residual_norm`` is
-    reported, as sqrt(floor + M |F - z*|^2), the full residual's norm.
+    point the solver tries gets sqrt(M) (F - z*) and sqrt(M) F' from one
+    call of it, on floats, bit for bit those of
+    ``em.effective_reflection_and_slope``. Starts are ranked, and
+    ``residual_norm`` is reported, as sqrt(floor + M |F - z*|^2), the
+    full residual's norm.
 
     Returns a FitResult with ``phase_offset`` fixed at 0. A negative
     ``step`` is a stage that moves toward the radar.
@@ -479,7 +479,8 @@ def fit_ideal(
 
     Raises:
         ValueError: ``gammas_at_radar`` is empty, not 1-D or not finite,
-            ``step`` is not finite, or ``freq`` is not finite and > 0.
+            ``step`` is not finite, ``freq`` is not finite and > 0, or
+            its wavenumber 2 pi freq / c overflows.
         DegenerateDataError: all reflection samples are ~0 (free space).
         InfeasibleFitError: the sweep mean or the residual norm overflows.
         NoConvergenceError: no start converged within the iteration cap.
@@ -493,26 +494,20 @@ def fit_ideal(
         raise ValueError(f"reflection samples must be 1-D and not empty, got shape {gammas.shape}")
     if not np.all(np.isfinite(gammas)):
         raise ValueError("reflection samples must be finite")
+    slab = _slab_at(geom, freq)  # refuses a carrier whose wavenumber k1 overflows
     k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
     phase = np.exp(2j * k1 * (geom.standoff + np.arange(gammas.size) * step))
-    # z and floor_sq come as Python scalars, which keep fun's arithmetic cheaper than numpy's
+    # z and floor_sq come as Python scalars, which keep point's arithmetic cheaper than numpy's
     (z,), (rho,), (floor_sq,), (error,) = _reduce(gammas[None], phase.conj())
     if error:
         raise error
     root_m = math.sqrt(gammas.size)
-    slab = _slab_at(geom, freq)
-    slope = 0j  # F' at the last point fun saw, the only point trf asks jac about
 
-    def fun(x):
-        nonlocal slope
-        a, b = x
+    def point(a, b):
         if not (1.0 <= a < math.inf and 0.0 <= b < math.inf):
             ComplexPermittivity(a, b)  # raises its ValueError for a nan or out-of-box point
         face, slope = slab(a, b)
-        return root_m * (face - z)
-
-    def jac(_x):
-        return root_m * slope
+        return root_m * (face - z), root_m * slope
 
     lb, ub = (1.0, 0.0), (bounds.a_max, bounds.b_max)
     # ||Gamma||^2 = floor + M |z*|^2, the identity of _reduce
@@ -521,7 +516,7 @@ def fit_ideal(
     settled = math.sqrt(floor_sq) + 1e-9 * (1.0 + data_norm)
     runs, norms = [], []
     for s0 in _start_list(starts):
-        runs.append(least_squares_trf(fun, jac, s0[:2], lb, ub))
+        runs.append(least_squares_trf(point, x0=s0[:2], lb=lb, ub=ub))
         norms.append(math.sqrt(floor_sq + 2.0 * runs[-1].cost))
         best = _pick_winner(norms, data_norm)
         if norms[best] <= settled and any(r.converged for r in runs):
@@ -530,7 +525,7 @@ def fit_ideal(
         raise NoConvergenceError("no start converged within the iteration cap")
 
     win = runs[best]
-    return FitResult(ComplexPermittivity(*win.x.tolist()), phase_offset=0.0,
+    return FitResult(ComplexPermittivity(*win.x), phase_offset=0.0,
                      residual_norm=norms[best], iterations=win.iterations, converged=win.converged)
 
 

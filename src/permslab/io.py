@@ -512,10 +512,14 @@ def _parse(meta, key, kind=float, default=None):
 def _gammas(records, step_count) -> np.ndarray:
     if records.size != step_count:
         raise DatasetFormatError(f"record count {records.size} != step_count {step_count}")
-    out_of_order = np.flatnonzero(records["m"] != np.arange(step_count))
-    if out_of_order.size:
-        raise DatasetFormatError(f"record index {records['m'][out_of_order[0]]} out of order")
+    _check_order(records["m"])
     return np.ravel(records["z"].view(complex))
+
+
+def _check_order(m) -> None:
+    """Refuse a record index column that is not 0, 1, 2, ... in order."""
+    if (out_of_order := np.flatnonzero(m != np.arange(m.size))).size:
+        raise DatasetFormatError(f"record index {m[out_of_order[0]]} out of order")
 
 
 def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
@@ -589,7 +593,13 @@ def _trace_row(name: bytes, step_count) -> int:
 
 @dataclass
 class ReportFile:
-    """Fit summary plus measured-vs-fitted curve samples for plotting."""
+    """Fit summary plus measured-vs-fitted curve samples for plotting.
+
+    ``measured`` and ``fitted`` hold ``step_count`` finite samples each;
+    any other length, or a non-finite sample, raises DatasetFormatError
+    at construction, so ``write`` never writes a file that ``read``,
+    which builds through the constructor, refuses.
+    """
 
     eps_real: float
     eps_imag: float
@@ -601,6 +611,16 @@ class ReportFile:
     step_count: int
     measured: np.ndarray = field(repr=False)
     fitted: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("measured", "fitted"):
+            samples = np.asarray(getattr(self, name), dtype=complex)
+            if samples.shape != (self.step_count,):
+                raise DatasetFormatError(
+                    f"{name} samples of shape {samples.shape} != step_count {self.step_count}")
+            if not np.isfinite(samples).all():
+                raise DatasetFormatError(f"non-finite {name} sample")
+            setattr(self, name, samples)
 
     @classmethod
     def from_fit(cls, fit: FitResult, data: SdiDataset) -> "ReportFile":
@@ -621,7 +641,7 @@ class ReportFile:
             carrier_hz=data.carrier,
             step_m=data.step,
             step_count=data.step_count,
-            measured=np.asarray(data.gammas, dtype=complex),
+            measured=data.gammas,
             fitted=fitted,
         )
 
@@ -642,6 +662,7 @@ class ReportFile:
         values = _read_keys(meta, _REPORT_KEYS)
         if records.size != values["step_count"]:
             raise DatasetFormatError("report record count mismatch")
+        _check_order(records["m"])
         return cls(
             **values,
             measured=np.ravel(records["measured"].view(complex)),

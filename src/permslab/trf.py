@@ -1,14 +1,17 @@
 """Bounded Levenberg-Marquardt for one complex unknown of a holomorphic residual.
 
-Minimizes 0.5*|f(x)|^2 subject to lb <= x <= ub, where x = (a, b) and
-the complex residual f is holomorphic in a - jb: with s = df/da,
-df/db = -j s. Taken as the real 2-vector (Re f, Im f), f has the
-gradient g = (Re(conj(s) f), -Im(conj(s) f)) and the Gauss-Newton
-matrix J^T J = |s|^2 I, so the damped normal equations
-(J^T J + lam I) p = -g are diagonal. Each iteration pins every variable
-that sits on a bound with its gradient pointing out of the box; a free
-variable steps by -g_i / (|s|^2 + lam), a pinned one by 0. x + p is
-clipped to the box and accepted if the cost falls. The damping follows
+Minimizes 0.5*|f(a, b)|^2 subject to lb <= (a, b) <= ub, where the
+complex residual f is holomorphic in a - jb: with s = df/da,
+df/db = -j s. The caller passes one point evaluator, (a, b) -> (f, s),
+the interface a Newton inversion of f would also take, and the loop
+asks it once per trial point. Taken as the real 2-vector (Re f, Im f),
+f has the gradient g = (Re(conj(s) f), -Im(conj(s) f)) and the
+Gauss-Newton matrix J^T J = |s|^2 I, computed once per accepted point,
+so the damped normal equations (J^T J + lam I) p = -g are diagonal.
+Each iteration pins every variable that sits on a bound with its
+gradient pointing out of the box; a free variable steps by
+-g_i / (|s|^2 + lam), a pinned one by 0. (a, b) + p is clipped to the
+box and accepted if the cost falls. The damping follows
 Nielsen's update (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
 Least Squares Problems", 2004): an accepted step scales lam by
 max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
@@ -17,7 +20,7 @@ doubles lam, then quadruples it, and so on.
 
 Termination (reported via ``converged``):
   * projected-gradient infinity norm below ``_GTOL``, or
-  * step norm below ``_XTOL * (_XTOL + |x|)``.
+  * step norm below ``_XTOL * (_XTOL + |(a, b)|)``.
 
 Every step is computed on Python floats, one rounding per operation,
 with a and b as two named floats rather than vectors: no BLAS kernel or
@@ -46,9 +49,9 @@ _MAX_ITER = 500  # cap on the number of trial steps
 
 @dataclass
 class LeastSquaresResult:
-    """Solver output: solution, cost, trial steps taken and whether a tolerance fired."""
+    """Solver output: solution (a, b), cost, trial steps taken and whether a tolerance fired."""
 
-    x: np.ndarray
+    x: tuple[float, float]
     cost: float
     iterations: int
     converged: bool
@@ -60,49 +63,46 @@ def _clip(v, lo, hi):
     return v if v < hi or v != v else hi
 
 
-def least_squares_trf(fun, jac, x0, lb, ub):
-    """Minimize 0.5*|fun(x)|^2 subject to lb <= x <= ub, x = (a, b).
+def least_squares_trf(point, x0, lb, ub):
+    """Minimize 0.5*|f(a, b)|^2 subject to lb <= (a, b) <= ub.
 
     Args:
-        fun: residual callable, x -> complex f, holomorphic in a - jb;
-            x is a list of two floats.
-        jac: x -> df/da as a complex number; it is asked only at the
-            point fun saw last.
+        point: (a, b) -> (f, df/da), the complex residual, holomorphic
+            in a - jb, and its slope, from one call on two floats.
         x0: starting (a, b); clipped to the box.
         lb, ub: (a, b) bounds, -inf/inf entries allowed.
 
     Returns:
-        LeastSquaresResult; ``converged`` is True when either tolerance
-        fired, False when the iteration cap was exhausted.
+        LeastSquaresResult with x the two floats (a, b); ``converged``
+        is True when either tolerance fired, False when the iteration
+        cap was exhausted.
     """
     (lo_a, lo_b), (hi_a, hi_b) = [float(v) for v in lb], [float(v) for v in ub]
-    a, b = x = [_clip(float(x0[0]), lo_a, hi_a), _clip(float(x0[1]), lo_b, hi_b)]
-    f = fun(x)
+    a, b = _clip(float(x0[0]), lo_a, hi_a), _clip(float(x0[1]), lo_b, hi_b)
+    f, s = point(a, b)
     cost = 0.5 * (f.real * f.real + f.imag * f.imag)
-    # the gradient g = (Re(conj(s) f), -Im(conj(s) f)) and H = |s|^2 for s = df/da
-    s, fr, fi = jac(x), f.real, f.imag
-    ga, gb, H = (s.real * fr + s.imag * fi, s.imag * fr - s.real * fi,
-                 s.real * s.real + s.imag * s.imag)
-    lam = 1e-3 * H
-    growth = 2.0
-    converged = False
     iteration = 0
-    step_floor = _XTOL * (_XTOL + math.sqrt(a * a + b * b))
+    moved = True
 
     while True:
+        if moved:  # the start or an accepted point: g = (Re(conj(s) f), -Im(conj(s) f)), H = |s|^2
+            fr, fi, sr, si = f.real, f.imag, s.real, s.imag
+            ga, gb, H = sr * fr + si * fi, si * fr - sr * fi, sr * sr + si * si
+            lam = 1e-3 * H if iteration == 0 else lam  # the start's lam is 1e-3 |s|^2
+            growth = 2.0
+            step_floor = _XTOL * (_XTOL + math.sqrt(a * a + b * b))
+            moved = False
         # the infinity norm of x - P(x - g), the box-projected gradient: a nan entry fails it
-        if (abs(a - _clip(a - ga, lo_a, hi_a)) < _GTOL
-                and abs(b - _clip(b - gb, lo_b, hi_b)) < _GTOL):
-            converged = True
-            break
-        if iteration >= _MAX_ITER:
-            break
+        stationary = (abs(a - _clip(a - ga, lo_a, hi_a)) < _GTOL
+                      and abs(b - _clip(b - gb, lo_b, hi_b)) < _GTOL)
+        if stationary or iteration >= _MAX_ITER:
+            return LeastSquaresResult((a, b), cost, iteration, stationary)
         iteration += 1
         # a pinned variable, on a bound with its gradient pointing out, steps by 0
         pa = 0.0 if a <= lo_a and ga > 0 or a >= hi_a and ga < 0 else -ga / (H + lam)
         pb = 0.0 if b <= lo_b and gb > 0 or b >= hi_b and gb < 0 else -gb / (H + lam)
-        a_new, b_new = x_new = [_clip(a + pa, lo_a, hi_a), _clip(b + pb, lo_b, hi_b)]
-        f_new = fun(x_new)
+        a_new, b_new = _clip(a + pa, lo_a, hi_a), _clip(b + pb, lo_b, hi_b)
+        f_new, s_new = point(a_new, b_new)
         cost_new = 0.5 * (f_new.real * f_new.real + f_new.imag * f_new.imag)
         da, db = a_new - a, b_new - b
         small_step = math.sqrt(da * da + db * db) < step_floor
@@ -113,21 +113,13 @@ def least_squares_trf(fun, jac, x0, lb, ub):
             predicted = -(ga * da + gb * db + 0.5 * (da * H * da + db * H * db))
             rho = min((cost - cost_new) / predicted, 1.0) if predicted > 0 else 0.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            growth = 2.0
-            x, a, b, f, cost = x_new, a_new, b_new, f_new, cost_new
-            s, fr, fi = jac(x), f.real, f.imag
-            ga, gb, H = (s.real * fr + s.imag * fi, s.imag * fr - s.real * fi,
-                         s.real * s.real + s.imag * s.imag)
-            step_floor = _XTOL * (_XTOL + math.sqrt(a * a + b * b))
+            a, b, f, s, cost, moved = a_new, b_new, f_new, s_new, cost_new, True
         else:
             lam *= growth
             growth *= 2.0
 
         if small_step:
-            converged = True
-            break
-
-    return LeastSquaresResult(x=np.array(x), cost=cost, iterations=iteration, converged=converged)
+            return LeastSquaresResult((a, b), cost, iteration, True)
 
 
 def numerical_jacobian(fun, x, lb, ub):

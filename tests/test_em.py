@@ -181,6 +181,16 @@ class TestEffectiveReflection:
         with pytest.raises(ValueError, match="frequency must be finite and > 0"):
             slab_function(ComplexPermittivity(3.0, 0.1), SlabGeometry(2e-3, 0.25), freq)
 
+    @pytest.mark.parametrize("freq", [2.9e307, 1e308, 1.7976931348623157e308])
+    @pytest.mark.parametrize("slab_function", [
+        effective_reflection, effective_reflection_and_slope, slab_bounce_terms,
+        functools.partial(effective_reflection_truncated, q=3),
+    ])
+    def test_carrier_whose_wavenumber_overflows_is_refused(self, slab_function, freq):
+        # 2 pi f / c overflowed to inf and every slab value came out nan+nanj
+        with pytest.raises(ValueError, match="carrier .* Hz overflows its wavenumber"):
+            slab_function(ComplexPermittivity(3.0, 0.1), SlabGeometry(2e-3, 0.25), freq)
+
     def test_resonance_guard(self):
         # nonphysical near-unity bounce ratio: enormous permittivity with
         # the thickness tuned to a half-wave resonance

@@ -652,6 +652,8 @@ class TestFitIdeal:
         (1e-4, math.nan, "freq must be finite and > 0"),
         (1e-4, 0.0, "freq must be finite and > 0"),
         (1e-4, -79e9, "freq must be finite and > 0"),
+        # refused before numpy's phase vector meets an infinite wavenumber
+        (1e-4, 1e308, r"carrier 1e\+308 Hz overflows its wavenumber"),
     ])
     def test_rejects_non_finite_step_or_freq(self, step, freq, match):
         gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
@@ -687,11 +689,11 @@ class TestFitIdeal:
         solve = estimator_module.least_squares_trf
         x0s = []
 
-        def late_raising_solve(fun, jac, x0, lb, ub):
+        def late_raising_solve(point, x0, lb, ub):
             x0s.append(tuple(x0))
             if tuple(x0) == estimator_module.AUTO_STARTS[1]:
                 raise RuntimeError("start 1 ran")
-            return solve(fun, jac, x0, lb, ub)
+            return solve(point, x0, lb, ub)
 
         monkeypatch.setattr(estimator_module, "least_squares_trf", late_raising_solve)
         fit = fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4,
@@ -708,9 +710,9 @@ class TestFitIdeal:
         solve = estimator_module.least_squares_trf
         x0s = []
 
-        def raised_first_solve(fun, jac, x0, lb, ub):
+        def raised_first_solve(point, x0, lb, ub):
             x0s.append(tuple(x0))
-            result = solve(fun, jac, x0, lb, ub)
+            result = solve(point, x0, lb, ub)
             if len(x0s) == 1:
                 result.cost = 0.5 * (over_floor * band) ** 2
             return result
@@ -726,11 +728,11 @@ class TestFitIdeal:
         solve = estimator_module.least_squares_trf
         x0s = []
 
-        def late_raising_solve(fun, jac, x0, lb, ub):
+        def late_raising_solve(point, x0, lb, ub):
             x0s.append(tuple(x0))
             if tuple(x0) == estimator_module.AUTO_STARTS[5]:
                 raise RuntimeError("start 5 ran")
-            return solve(fun, jac, x0, lb, ub)
+            return solve(point, x0, lb, ub)
 
         monkeypatch.setattr(estimator_module, "least_squares_trf", late_raising_solve)
         with pytest.raises(RuntimeError, match="start 5 ran"):
@@ -744,9 +746,9 @@ class TestFitIdeal:
         solve = estimator_module.least_squares_trf
         x0s = []
 
-        def capped_first_solves(fun, jac, x0, lb, ub):
+        def capped_first_solves(point, x0, lb, ub):
             x0s.append(tuple(x0))
-            result = solve(fun, jac, x0, lb, ub)
+            result = solve(point, x0, lb, ub)
             result.converged = len(x0s) > 2
             return result
 
@@ -780,10 +782,10 @@ class TestFitIdeal:
         # step, ends in ComplexPermittivity's error, not in a value of F
         solve = estimator_module.least_squares_trf
 
-        def probing_solve(fun, jac, x0, lb, ub):
+        def probing_solve(point, x0, lb, ub):
             with pytest.raises(ValueError, match=match):
-                fun(list(x))
-            return solve(fun, jac, x0, lb, ub)
+                point(*x)
+            return solve(point, x0, lb, ub)
 
         monkeypatch.setattr(estimator_module, "least_squares_trf", probing_solve)
         fit_ideal(self.ideal_sweep(ComplexPermittivity(3.0, 0.3)), self.GEOM, 1e-4, self.FREQ)
@@ -837,13 +839,13 @@ def thin_slab_sweeps(seed, count, backing):
 
 
 def recorded_fit_ideal(gammas, geom, step, freq, **kwargs):
-    """fit_ideal, the (x0, result) of each solve it ran, and its problem (fun, jac, lb, ub)."""
+    """fit_ideal, the (x0, result) of each solve it ran, and its problem (point, lb, ub)."""
     solve = estimator_module.least_squares_trf
     solved, problem = [], []
 
-    def recording_solve(fun, jac, x0, lb, ub):
-        problem[:] = [fun, jac, lb, ub]
-        result = solve(fun, jac, x0, lb, ub)
+    def recording_solve(point, x0, lb, ub):
+        problem[:] = [point, lb, ub]
+        result = solve(point, x0, lb, ub)
         solved.append((tuple(x0), result))
         return result
 
@@ -863,14 +865,14 @@ def floor_and_data_norm(gammas, geom, step, freq):
 
 def every_start_fit(problem, starts, floor_sq, data_norm):
     """Every start solved with least_squares_trf, then _pick_winner on all the norms."""
-    fun, jac, lb, ub = problem
-    runs = [estimator_module.least_squares_trf(fun, jac, s0[:2], lb, ub) for s0 in starts]
+    point, lb, ub = problem
+    runs = [estimator_module.least_squares_trf(point, s0[:2], lb, ub) for s0 in starts]
     if not any(r.converged for r in runs):
         raise NoConvergenceError("no start converged within the iteration cap")
     norms = [math.sqrt(floor_sq + 2.0 * r.cost) for r in runs]
     best = estimator_module._pick_winner(norms, data_norm)
     win = runs[best]
-    return best, FitResult(ComplexPermittivity(*win.x.tolist()), phase_offset=0.0,
+    return best, FitResult(ComplexPermittivity(*win.x), phase_offset=0.0,
                            residual_norm=norms[best], iterations=win.iterations,
                            converged=win.converged)
 
@@ -945,12 +947,12 @@ def test_fit_ideal_agrees_with_a_lapack_step_solve(backing, seed):
     # for: BLAS may fuse multiply-adds, and LAPACK on another CPU may round differently
     step, freq = TestFitIdealThinSlabs.STEP, TestFitIdealThinSlabs.FREQ
     for geom, gammas in thin_slab_sweeps(seed, 12, backing):
-        fit, _, (fun, jac, lb, ub) = recorded_fit_ideal(gammas, geom, step, freq)
+        fit, _, (point, lb, ub) = recorded_fit_ideal(gammas, geom, step, freq)
         floor_sq, data_norm = floor_and_data_norm(gammas, geom, step, freq)
         norms, lapack_norms, lapack_xs = [], [], []
         for x0 in estimator_module.AUTO_STARTS:
-            res = estimator_module.least_squares_trf(fun, jac, x0, lb, ub)
-            lapack = reference_least_squares_trf(*real_form(fun, jac), x0, lb, ub, NUMPY_LAPACK)
+            res = estimator_module.least_squares_trf(point, x0, lb, ub)
+            lapack = reference_least_squares_trf(*real_form(point), x0, lb, ub, NUMPY_LAPACK)
             norms.append(math.sqrt(floor_sq + 2.0 * res.cost))
             lapack_norms.append(math.sqrt(floor_sq + 2.0 * lapack.cost))
             lapack_xs.append(lapack.x)

@@ -349,6 +349,52 @@ class TestReportFile:
         back = ReportFile.read(path)
         assert back.converged and back.step_count == 5
 
+    @staticmethod
+    def report(step_count=5, **samples):
+        samples = {"measured": np.full(5, 0.5 + 0.25j), "fitted": np.full(5, 0.5j), **samples}
+        return ReportFile(eps_real=2.0, eps_imag=0.1, phase_offset_rad=0.0, residual_norm=0.0,
+                          converged=True, carrier_hz=79e9, step_m=1e-4, step_count=step_count,
+                          **samples)
+
+    @pytest.mark.parametrize("which", ["measured", "fitted"])
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1)])
+    def test_sample_count_other_than_step_count_rejected(self, which, shape):
+        # refused at construction, not by numpy inside write
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{which} samples of shape {shape} != step_count 5")):
+            self.report(**{which: np.ones(shape)})
+
+    @pytest.mark.parametrize("which", ["measured", "fitted"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_sample_rejected(self, which, bad):
+        samples = np.ones(5, dtype=complex)
+        samples[2] = bad
+        with pytest.raises(DatasetFormatError, match=f"non-finite {which} sample"):
+            self.report(**{which: samples})
+
+    @pytest.mark.parametrize("column", [2, 5])
+    def test_non_finite_sample_in_a_file_rejected(self, tmp_path, column):
+        path = tmp_path / "report.txt"
+        self.report().write(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[-3].split()
+        assert fields[0] == "2"
+        fields[column] = "nan"
+        lines[-3] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="non-finite"):
+            ReportFile.read(path)
+
+    def test_record_index_out_of_order_rejected(self, tmp_path):
+        # the check gamma files make
+        path = tmp_path / "report.txt"
+        self.report().write(path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n0 ") == 1
+        path.write_text(text.replace("\n0 ", "\n7 "), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="record index 7 out of order"):
+            read_in_chunks(ReportFile.read, path)
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             ReportFile.read(tmp_path / "missing.txt")

@@ -30,44 +30,44 @@ ALPHA = 1.3 - 0.4j
 
 
 def linear(optimum, alpha=ALPHA):
-    """f = alpha (a - jb) - beta, 0 at (a, b) = optimum, and its df/da = alpha."""
+    """point(a, b) -> (f, df/da) of f = alpha (a - jb) - beta, 0 at (a, b) = optimum."""
     beta = alpha * complex(optimum[0], -optimum[1])
-    return lambda x: alpha * complex(x[0], -x[1]) - beta, lambda x: alpha
+    return lambda a, b: (alpha * complex(a, -b) - beta, alpha)
 
 
-def reference(fun, jac, x0, lb, ub):
-    """The reference loop on the real 2-vector form of fun."""
-    return reference_least_squares_trf(*real_form(fun, jac), x0, lb, ub)
+def reference(point, x0, lb, ub):
+    """The reference loop on the real 2-vector form of point's residual."""
+    return reference_least_squares_trf(*real_form(point), x0, lb, ub)
 
 
-def solve_checked(fun, jac, x0, lb, ub):
+def solve_checked(point, x0, lb, ub):
     """least_squares_trf, asserted bit for bit equal to the reference loop."""
-    res = least_squares_trf(fun, jac, x0, lb, ub)
-    assert_same_result(res, reference(fun, jac, x0, lb, ub))
+    res = least_squares_trf(point, x0, lb, ub)
+    assert_same_result(res, reference(point, x0, lb, ub))
     return res
 
 
-def real_gradient(fun, jac, x):
+def real_gradient(point, x):
     """J^T f of the real 2-vector form at x, the gradient of 0.5*|f|^2."""
-    real_fun, real_jac = real_form(fun, jac)
+    real_fun, real_jac = real_form(point)
     x = np.asarray(x, dtype=float)
     return real_jac(x).T @ real_fun(x)
 
 
-def recording(fun):
-    """fun, and the list of the points it is called at."""
+def recording(point):
+    """point, and the list of the (a, b) it is called at."""
     points = []
 
-    def recorded(x):
-        points.append(tuple(x))
-        return fun(x)
+    def recorded(a, b):
+        points.append((a, b))
+        return point(a, b)
 
     return recorded, points
 
 
 def test_linear_optimum_inside_the_box():
-    fun, jac = linear((3.7, 0.2))
-    res = solve_checked(fun, jac, (1.5, 0.01), LB, UB)
+    point = linear((3.7, 0.2))
+    res = solve_checked(point, (1.5, 0.01), LB, UB)
     assert res.converged
     np.testing.assert_allclose(res.x, [3.7, 0.2], atol=1e-10)
     assert res.cost < 1e-20
@@ -81,15 +81,15 @@ def test_linear_optimum_inside_the_box():
 def test_optimum_outside_the_box_is_projected(optimum, expected, pinned):
     # J^T J = |alpha|^2 I, so the cost is isotropic in (a, b) and the box
     # optimum is the unconstrained one clipped to the box
-    fun, jac = linear(optimum)
-    watched_fun, points = recording(fun)
-    res = least_squares_trf(watched_fun, jac, (1.5, 0.01), LB, UB)
-    assert_same_result(res, reference(fun, jac, (1.5, 0.01), LB, UB))
+    point = linear(optimum)
+    watched, points = recording(point)
+    res = least_squares_trf(watched, (1.5, 0.01), LB, UB)
+    assert_same_result(res, reference(point, (1.5, 0.01), LB, UB))
     assert res.converged
     bounds = [i for i in range(2) if pinned in (None, i)]
     assert all(res.x[i] == expected[i] for i in bounds)
     np.testing.assert_allclose(res.x, expected, atol=1e-10)
-    assert projected_gradient_norm(res.x, real_gradient(fun, jac, res.x), LB, UB) < 1e-9
+    assert projected_gradient_norm(res.x, real_gradient(point, res.x), LB, UB) < 1e-9
     # the start is free; once a trial reaches the bound, every later one stays on it
     first = next(k for k, x in enumerate(points) if all(x[i] == expected[i] for i in bounds))
     assert first > 0 and all(x[i] == expected[i] for x in points[first:] for i in bounds)
@@ -98,11 +98,11 @@ def test_optimum_outside_the_box_is_projected(optimum, expected, pinned):
 def test_start_on_bound_with_outward_gradient_stays_pinned():
     # the optimum has b = -0.5; the start sits on b = 0 with the gradient
     # pointing out of the box, so b steps by 0 at every trial
-    fun, jac = linear((3.7, -0.5))
-    assert real_gradient(fun, jac, (2.0, 0.0))[1] > 0
-    watched_fun, points = recording(fun)
-    res = least_squares_trf(watched_fun, jac, (2.0, 0.0), LB, UB)
-    assert_same_result(res, reference(fun, jac, (2.0, 0.0), LB, UB))
+    point = linear((3.7, -0.5))
+    assert real_gradient(point, (2.0, 0.0))[1] > 0
+    watched, points = recording(point)
+    res = least_squares_trf(watched, (2.0, 0.0), LB, UB)
+    assert_same_result(res, reference(point, (2.0, 0.0), LB, UB))
     assert res.converged
     assert len(points) > 2 and all(x[1] == 0.0 for x in points)
     assert res.x[0] == pytest.approx(3.7, abs=1e-10)
@@ -113,38 +113,37 @@ def test_iteration_cap_reports_not_converged(monkeypatch):
     monkeypatch.setattr(trf, "_GTOL", 0.0)
     monkeypatch.setattr(trf, "_XTOL", 0.0)
     monkeypatch.setattr(trf, "_MAX_ITER", 2)
-    fun, jac = linear((3.7, 0.2))
-    res = solve_checked(fun, jac, (15.0, 1.9), LB, UB)
+    res = solve_checked(linear((3.7, 0.2)), (15.0, 1.9), LB, UB)
     assert not res.converged
     assert res.iterations == 2
 
 
 def reciprocal(bad):
-    """f = 1/(2 - eps) - 1, 0 at eps = 1 + j0, and a non-finite residual from a = 1.5 on."""
-    def fun(x):
-        return 1.0 / (2.0 - complex(x[0], -x[1])) - 1.0 if x[0] < 1.5 else complex(bad, 0.0)
+    """point of f = 1/(2 - eps) - 1, 0 at eps = 1 + j0; f and df/da are non-finite from a = 1.5."""
+    def point(a, b):
+        if a >= 1.5:
+            return complex(bad, 0.0), complex(bad, 0.0)
+        return 1.0 / (2.0 - complex(a, -b)) - 1.0, 1.0 / (2.0 - complex(a, -b)) ** 2
 
-    def jac(x):
-        return 1.0 / (2.0 - complex(x[0], -x[1])) ** 2
-
-    return fun, jac
+    return point
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_trial_is_rejected_and_damping_grows(bad):
     # the nearly undamped step from a = 0 lands near a = 2, past the finite region
-    fun, jac = reciprocal(bad)
-    (watched_fun, trials), (watched_jac, jac_points) = recording(fun), recording(jac)
+    point = reciprocal(bad)
+    watched, trials = recording(point)
     lb, ub = (-INF, -INF), (INF, INF)
-    res = least_squares_trf(watched_fun, watched_jac, (0.0, 0.0), lb, ub)
-    assert_same_result(res, reference(fun, jac, (0.0, 0.0), lb, ub))
-    # no non-finite point is ever accepted: jac runs only at accepted points
-    assert all(a < 1.5 for a, _ in jac_points) and np.isfinite(res.cost)
+    res = least_squares_trf(watched, (0.0, 0.0), lb, ub)
+    assert_same_result(res, reference(point, (0.0, 0.0), lb, ub))
+    # no non-finite point is ever accepted
+    assert np.isfinite(res.cost)
     rejected = [k for k, (a, _) in enumerate(trials[1:]) if a >= 1.5]
     assert rejected == list(range(len(rejected))) and len(rejected) >= 2
     # each rejected trial steps from a = 0 by -g / (H + lam) with the start's
     # g and H, and lam grows by 2, 4, 8, ...
-    g, H = diagonal_gradient(jac((0.0, 0.0)), fun((0.0, 0.0)))
+    f, s = point(0.0, 0.0)
+    g, H = diagonal_gradient(s, f)
     lams = [-g[0] / a - H for a, _ in trials[1: len(rejected) + 2]]
     assert [lams[k + 1] / lams[k] for k in range(len(rejected))] == pytest.approx(
         [2.0 ** (k + 1) for k in range(len(rejected))], rel=1e-6)
@@ -153,38 +152,11 @@ def test_non_finite_trial_is_rejected_and_damping_grows(bad):
 
 
 PROBLEMS = {
-    "inside": lambda: (*linear((3.7, 0.2)), (1.5, 0.01), LB, UB),
-    "corner": lambda: (*linear((0.4, 3.0)), (1.5, 0.01), LB, UB),
-    "start-pinned": lambda: (*linear((3.7, -0.5)), (2.0, 0.0), LB, UB),
-    "reciprocal": lambda: (*reciprocal(np.nan), (0.0, 0.0), (-INF, -INF), (INF, INF)),
+    "inside": lambda: (linear((3.7, 0.2)), (1.5, 0.01), LB, UB),
+    "corner": lambda: (linear((0.4, 3.0)), (1.5, 0.01), LB, UB),
+    "start-pinned": lambda: (linear((3.7, -0.5)), (2.0, 0.0), LB, UB),
+    "reciprocal": lambda: (reciprocal(np.nan), (0.0, 0.0), (-INF, -INF), (INF, INF)),
 }
-
-
-@pytest.mark.parametrize("name", [*PROBLEMS, "fit_ideal"])
-def test_jac_is_called_only_at_the_latest_fun_point(monkeypatch, name):
-    # fit_ideal's jac returns the F' of the point its fun saw last
-    at_latest = []
-
-    def watched_solve(fun, jac, x0, lb, ub):
-        latest = []
-
-        def watched_fun(x):
-            latest[:] = [np.array(x).tobytes()]
-            return fun(x)
-
-        def watched_jac(x):
-            at_latest.append(np.array(x).tobytes() == latest[0])
-            return jac(x)
-
-        return least_squares_trf(watched_fun, watched_jac, x0, lb, ub)
-
-    if name == "fit_ideal":
-        monkeypatch.setattr(estimator, "least_squares_trf", watched_solve)
-        gammas, geom = thin_slab_sweep(1, METAL)
-        fit_ideal(gammas, geom, 1e-4, 79e9)
-    else:
-        watched_solve(*PROBLEMS[name]())
-    assert at_latest and all(at_latest)
 
 
 def thin_slab_sweep(seed, backing):
@@ -198,23 +170,45 @@ def thin_slab_sweep(seed, backing):
     return effective_reflection(truth, geom, 79e9) * phase * noise, geom
 
 
+def fit_ideal_problem(monkeypatch, seed, backing):
+    """fit_ideal's (point, lb, ub) on thin_slab_sweep(seed, backing): its reduced
+    residual sqrt(M) (F - z*) with the slope sqrt(M) F', and its box."""
+    gammas, geom = thin_slab_sweep(seed, backing)
+    problem = []
+
+    def capturing_solve(point, x0, lb, ub):
+        problem[:] = [point, lb, ub]
+        return least_squares_trf(point, x0, lb, ub)
+
+    monkeypatch.setattr(estimator, "least_squares_trf", capturing_solve)
+    fit_ideal(gammas, geom, 1e-4, 79e9)
+    return problem
+
+
+@pytest.mark.parametrize("name", [*PROBLEMS, "fit_ideal"])
+def test_point_is_asked_once_at_the_start_and_once_per_trial(monkeypatch, name):
+    # one call gives f and df/da: the start's, then one per trial step,
+    # accepted or rejected, and none more
+    if name == "fit_ideal":
+        point, lb, ub = fit_ideal_problem(monkeypatch, 1, METAL)
+        problems = [(point, x0, lb, ub) for x0 in estimator.AUTO_STARTS]
+    else:
+        problems = [PROBLEMS[name]()]
+    for point, x0, lb, ub in problems:
+        watched, points = recording(point)
+        res = least_squares_trf(watched, x0, lb, ub)
+        assert res.iterations > 0
+        assert len(points) == 1 + res.iterations
+
+
 @pytest.mark.parametrize("backing", [METAL, ComplexPermittivity(4.0, 0.4)])
 @pytest.mark.parametrize("seed", range(3))
 def test_fit_ideal_starts_match_the_reference_loop_bit_for_bit(monkeypatch, backing, seed):
     # fit_ideal's reduced residual sqrt(M) (F - z*) and its slope, solved from
     # every auto start, including those the fit itself stops before
-    gammas, geom = thin_slab_sweep(seed, backing)
-    problem = []
-
-    def capturing_solve(fun, jac, x0, lb, ub):
-        problem[:] = [fun, jac, lb, ub]
-        return least_squares_trf(fun, jac, x0, lb, ub)
-
-    monkeypatch.setattr(estimator, "least_squares_trf", capturing_solve)
-    fit_ideal(gammas, geom, 1e-4, 79e9)
-    fun, jac, lb, ub = problem
+    point, lb, ub = fit_ideal_problem(monkeypatch, seed, backing)
     for x0 in estimator.AUTO_STARTS:
-        solve_checked(fun, jac, x0, lb, ub)
+        solve_checked(point, x0, lb, ub)
 
 
 def test_reference_loop_solves_a_general_problem_with_either_linalg():
@@ -303,7 +297,7 @@ def test_special_starts_match_the_reference_loop_bit_for_bit():
     # floats against numpy's on arrays: signed zeros, infinities and nans
     # (whose gradient test never passes) as starts, in three boxes; the
     # optimum (0.4, 3.0) lies outside two of them
-    fun, jac = linear((0.4, 3.0))
+    point = linear((0.4, 3.0))
     for x0 in itertools.product(SPECIALS, repeat=2):
         for lb, ub in ((LB, UB), ((-INF, -INF), (INF, INF)), ((-1.5, 0.0), (2.0, INF))):
-            solve_checked(fun, jac, x0, lb, ub)
+            solve_checked(point, x0, lb, ub)

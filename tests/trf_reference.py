@@ -70,14 +70,14 @@ PLAIN_DOUBLES = (plain_matmul, eliminate)
 NUMPY_LAPACK = (np.matmul, np.linalg.solve)
 
 
-def real_form(fun, jac):
-    """A complex residual holomorphic in a - jb, and its df/da, as a real 2-vector and 2x2 J."""
+def real_form(point):
+    """point(a, b) -> (f, df/da), f holomorphic in a - jb, as a real 2-vector and 2x2 J."""
     def real_fun(x):
-        f = fun(x.tolist())
+        f, _ = point(*x.tolist())
         return np.array([f.real, f.imag])
 
     def real_jac(x):
-        s = jac(x.tolist())
+        _, s = point(*x.tolist())
         return np.array([[s.real, s.imag], [s.imag, -s.real]])  # d/db = -j d/da
 
     return real_fun, real_jac
@@ -159,8 +159,9 @@ def reference_least_squares_trf(fun, jac, x0, lb, ub, linalg=PLAIN_DOUBLES):
 
 
 def assert_same_result(res, ref):
-    """Bit identity of two solver results: x bytes, cost hex, iterations and converged."""
-    assert isinstance(res.x, np.ndarray)
-    assert res.x.tobytes() == ref.x.tobytes()
+    """Bit identity of a solver result, whose x is two floats, and a reference loop's:
+    x bytes, cost hex, iterations and converged."""
+    assert type(res.x) is tuple and [type(v) for v in res.x] == [float, float]
+    assert np.array(res.x).tobytes() == ref.x.tobytes()
     assert float(res.cost).hex() == float(ref.cost).hex()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
