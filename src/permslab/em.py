@@ -130,24 +130,36 @@ def _slab_bounces(geom: SlabGeometry, freq: float):
     rt = e^{-j 2 k_r d}. The carrier check, k0 = 2 pi f / c and the
     backing are settled once here, not at every (a, b); a carrier whose
     k0 overflows (f above about 2.9e307 Hz) is refused, not turned into nan.
+    So is a slab whose round-trip phase 2 k_r d overflows: here when it
+    does at eps = 1, where it is least, and else at the point where it does.
     """
     if not 0.0 < freq < math.inf:
         raise ValueError(f"frequency must be finite and > 0, got {freq}")
     k0, d = 2.0 * math.pi * freq / SPEED_OF_LIGHT, geom.thickness
     if k0 == math.inf:
         raise ValueError(f"carrier {freq} Hz overflows its wavenumber 2 pi f / c")
+    if 2.0 * k0 * d == math.inf:
+        raise _phase_overflow(d, freq)
     metal = isinstance(geom.backing, MetalBacking)
     n2 = None if metal else complex_sqrt_lossy(geom.backing)
 
     def bounces(a, b):
         n = _sqrt_lossy(a, b)
         gr2 = -1.0 + 0.0j if metal else _fresnel(n, n2)[0]
-        rt = cmath.exp(-2j * (k0 * n) * d)  # k_r = k0 n on the decaying branch, Im(k_r) <= 0
+        try:
+            rt = cmath.exp(-2j * (k0 * n) * d)  # k_r = k0 n on the decaying branch, Im(k_r) <= 0
+        except ValueError:  # cmath's "math domain error" for an infinite phase
+            raise _phase_overflow(d, freq) from None
         g1r = air_face_reflection(n)
         gr1 = -g1r
         return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt, n, gr2, rt
 
     return bounces
+
+
+def _phase_overflow(thickness: float, freq: float) -> ValueError:
+    return ValueError(f"slab thickness {thickness} m at carrier {freq} Hz overflows "
+                      "the in-slab phase 2 k d")
 
 
 def _slab_at(geom: SlabGeometry, freq: float):

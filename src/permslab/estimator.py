@@ -479,8 +479,9 @@ def fit_ideal(
 
     Raises:
         ValueError: ``gammas_at_radar`` is empty, not 1-D or not finite,
-            ``step`` is not finite, ``freq`` is not finite and > 0, or
-            its wavenumber 2 pi freq / c overflows.
+            ``step`` or its phase 2 k1 (l + m dl) is not finite, ``freq``
+            is not finite and > 0, its wavenumber 2 pi freq / c
+            overflows, or the slab's in-slab phase does.
         DegenerateDataError: all reflection samples are ~0 (free space).
         InfeasibleFitError: the sweep mean or the residual norm overflows.
         NoConvergenceError: no start converged within the iteration cap.
@@ -496,6 +497,11 @@ def fit_ideal(
         raise ValueError("reflection samples must be finite")
     slab = _slab_at(geom, freq)  # refuses a carrier whose wavenumber k1 overflows
     k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT
+    # the phase 2 k1 (l + m dl) is linear in m, so it is largest at one end of the sweep
+    far = 2.0 * k1 * (geom.standoff + (gammas.size - 1) * step)
+    if not (-math.inf < far < math.inf and 2.0 * k1 * geom.standoff < math.inf):
+        raise ValueError(f"step must be finite with a finite phase 2 k1 (l + m dl) at every m, "
+                         f"got {step} at standoff {geom.standoff} over {gammas.size} steps")
     phase = np.exp(2j * k1 * (geom.standoff + np.arange(gammas.size) * step))
     # z and floor_sq come as Python scalars, which keep point's arithmetic cheaper than numpy's
     (z,), (rho,), (floor_sq,), (error,) = _reduce(gammas[None], phase.conj())

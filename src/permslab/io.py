@@ -47,12 +47,15 @@ a record to the same bits, so a file reads the same whichever parses it. A
 raw-IF reader scatters each block's records into the trace stack it
 returns, so a read holds about its output plus one block and the
 temporaries of its parse; a pipe, which has no size, is first read
-whole into memory. A header that promises more records than its input
-can hold is refused without allocating the stack or holding any
-records. A file is refused as a check of all its records at
-once would refuse it: a malformed record anywhere wins over a bad header
-value and over the checks of the records, and its row is counted from
-the file's first record.
+whole into memory. A file is refused at its first defect in reading
+order. Its header values come first: a raw-IF header that promises more
+records than its input can hold is refused before the stack is allocated
+or any record is read. Then the records, block by block: in a block, a
+malformed record (its row counted from the file's first record), then a
+sample index out of range, then a bad trace id. The record count comes
+last, and after it a missing or non-finite sample, which the
+constructor refuses. Gamma and report records are checked once all are
+read: their count, then their order.
 
 The ``direction`` key records which way the reference moved during the
 sweep: ``backward`` (away from the radar, the default) means the
@@ -234,6 +237,9 @@ class DatasetFile:
     def _from_records(cls, meta, chunks, room) -> "DatasetFile":
         common = {"mode": meta["mode"], **_read_keys(meta, _COMMON_KEYS)}
         common.update((key, meta[key]) for key in ("direction", "provenance") if key in meta)
+        # a header value: refused before the records, not by the constructor after them
+        if common.setdefault("direction", "backward") not in ("backward", "forward"):
+            raise DatasetFormatError(f"unknown direction {common['direction']!r}")
         if meta["mode"] == "gamma":
             return cls(gammas=_gammas(_joined(chunks), common["step_count"]), **common)
         try:
@@ -331,9 +337,8 @@ def _read_file(path, build, layout=None):
     the input can hold: a raw-IF record takes at least 8 bytes, four
     one-character fields, three separators and a newline, which the last
     record may lack. A seekable file is sized by its length; any other
-    input, such as a pipe, is read whole into memory first. When
-    ``build`` refuses the file, a bad record later in it wins, as when
-    every record was parsed before any header value.
+    input, such as a pipe, is read whole into memory first. The first
+    defect ``build`` meets, in reading order, refuses the file.
     """
     try:
         with open(path, "rb") as fh:
@@ -348,13 +353,7 @@ def _read_file(path, build, layout=None):
                 if mode not in _RECORDS:
                     raise DatasetFormatError(f"unknown mode {mode!r}")
                 layout = _RECORDS[mode]
-            chunks = _chunks(chain((rest,), blocks), *layout)
-            try:
-                return build(meta, chunks, room)
-            except (DatasetFormatError, ValueError):
-                for _ in chunks:
-                    pass
-                raise
+            return build(meta, _chunks(chain((rest,), blocks), *layout), room)
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -378,19 +377,20 @@ def _blocks(fh):
 
 
 def _chunks(blocks, kind, dtype):
-    """The records in ``blocks`` as arrays of ``dtype``, one per block.
+    """The records in ``blocks`` as arrays of ``dtype``, one per block;
+    ``blocks`` holds at least one, so the arrays of a file without
+    records concatenate to an empty one.
 
     Raw-IF blocks are parsed by ``_raw_records`` up to the first block it
     refuses; that block and every later one, and every other kind of
     block, decoded, by one ``np.loadtxt`` call over its lines, split as
     text mode splits them. So a file whose values the parser's rules
-    refuse costs one block's parse more than ``np.loadtxt`` alone. There
-    is at least one array, so the arrays of a file without records
-    concatenate to an empty one. A malformed record raises
-    DatasetFormatError with numpy's message, its row counted from the
-    first record of the file.
+    refuse costs one block's parse more than ``np.loadtxt`` alone. A
+    malformed record raises DatasetFormatError with numpy's message, its
+    row counted from the first record of the file, when its block is
+    parsed: after the records of every block before it have been used.
     """
-    parsed, records, raw = 0, None, kind == "trace"
+    parsed, raw = 0, kind == "trace"
     for block in blocks:
         records = _raw_records(block, dtype) if raw else None
         if records is None:
@@ -398,8 +398,6 @@ def _chunks(blocks, kind, dtype):
             records = _loaded(block, kind, dtype, parsed)
         parsed += records.size
         yield records
-    if records is None:  # nothing after the header
-        yield np.empty(0, dtype)
 
 
 def _loaded(block, kind, dtype, parsed):
@@ -525,32 +523,32 @@ def _check_order(m) -> None:
 def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
     """Raw-IF records as a (1 + step_count, sample_count) stack: mut, metal-0, ...
 
-    Each chunk of records is checked and scattered into the stack as it
-    comes, so the whole file's records are never held at once. A sample
-    with no record is nan, which the DatasetFile constructor refuses.
-    After the last chunk the first failing check raises, in the order a
-    check of all records at once would take: the record count, the first
-    sample index out of range, then the trace ids in sorted order.
-
-    An input without ``room`` for the records its header promises cannot
-    pass the count check, so its chunks are only counted and checked:
-    a false header allocates no stack and holds no records.
+    A header that promises more records than the input has ``room`` for
+    is refused before any record is read, so it allocates no stack. Each
+    chunk of records is then checked and scattered into the stack as it
+    comes, so the whole file's records are never held at once: in a
+    chunk, the first sample index out of range is refused, then the
+    first bad trace id in sorted order. The record count is checked
+    after the last chunk. A sample with no record is nan, which the
+    DatasetFile constructor refuses.
     """
     if step_count < 1:
         raise DatasetFormatError(f"raw-if step_count {step_count} < 1")
     expected = (step_count + 1) * sample_count
-    traces = (np.full((step_count + 1, sample_count), np.nan, dtype=complex)
-              if expected <= room else None)
-    count, bad_index, rows, bad_ids = 0, None, {}, {}
+    if expected > room:
+        raise DatasetFormatError(f"header promises {expected} trace records; "
+                                 f"the input has room for at most {room}")
+    traces = np.full((step_count + 1, sample_count), np.nan, dtype=complex)
+    count = 0
     for records in chunks:
         if not records.size:
             continue
         count += records.size
         n = records["n"]
         out_of_range = (n < 0) | (n >= sample_count)
-        if bad_index is None and out_of_range.any():
-            bad_index = n[out_of_range.argmax()]
-        # each run of equal ids is looked up once, each distinct id validated once
+        if out_of_range.any():
+            raise DatasetFormatError(f"sample index {n[out_of_range.argmax()]} out of range")
+        # each run of equal ids is looked up once, each distinct id of the chunk validated once
         ids = records.view(_RAW_ID_WORDS)["trace_id"]
         starts = np.empty(records.size, bool)
         starts[0] = True
@@ -558,24 +556,11 @@ def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
         starts[1:] |= ids[1:, 1] != ids[:-1, 1]
         starts = np.flatnonzero(starts)
         names, which = np.unique(records["trace_id"][starts], return_inverse=True)
-        names = names.tolist()
-        for name in names:
-            if name not in rows and name not in bad_ids:
-                try:
-                    rows[name] = _trace_row(name, step_count)
-                except DatasetFormatError as exc:
-                    bad_ids[name] = exc
-        if traces is None or bad_index is not None or bad_ids:
-            continue  # the file is refused below; only its count and errors matter
-        row = np.repeat(np.array([rows[name] for name in names])[which],
+        row = np.repeat(np.array([_trace_row(name, step_count) for name in names.tolist()])[which],
                         np.diff(starts, append=records.size))
         traces[row, n] = records["z"].view(complex)[:, 0]  # a missing sample stays nan
     if count != expected:
         raise DatasetFormatError(f"trace record count {count} != {expected}")
-    if bad_index is not None:
-        raise DatasetFormatError(f"sample index {bad_index} out of range")
-    if bad_ids:
-        raise bad_ids[min(bad_ids)]
     return traces
 
 
@@ -658,8 +643,8 @@ class ReportFile:
 
     @classmethod
     def _from_records(cls, meta, chunks, room) -> "ReportFile":
-        records = _joined(chunks)
         values = _read_keys(meta, _REPORT_KEYS)
+        records = _joined(chunks)
         if records.size != values["step_count"]:
             raise DatasetFormatError("report record count mismatch")
         _check_order(records["m"])

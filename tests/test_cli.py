@@ -387,7 +387,7 @@ class TestExtractEstimate:
 
     def test_extract_header_promising_more_records_than_the_file_holds(self, tmp_path, capsys,
                                                                         monkeypatch):
-        # refused by the record count without allocating the promised stack of
+        # refused by its header without allocating the promised stack of
         # 12.8 GB; a reader that tried would fail here rather than fill it
         full = np.full
 
@@ -410,7 +410,9 @@ class TestExtractEstimate:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert capsys.readouterr().err == "error: trace record count 32 != 800000008\n"
+        room = (raw.stat().st_size + 1) // 8
+        assert capsys.readouterr().err == ("error: header promises 800000008 trace records; "
+                                           f"the input has room for at most {room}\n")
         assert peak < 4e6
 
     @pytest.mark.parametrize("old, new", [("\n1 ", "\n1 0.5 "), ("\n1 ", "\n7 ")])
@@ -612,6 +614,8 @@ class TestReport:
     (["simulate", "--mode", "raw-if", "--drift", "1e308", "--steps", "5"],
      "IF samples must be finite"),
     (["simulate", "--mode", "raw-if", "--standoff-m", "1e308"], "IF samples must be finite"),
+    (["simulate", "--mode", "raw-if", "--thickness-m", "1e306"],
+     "slab thickness 1e+306 m at carrier 79000000000.0 Hz overflows the in-slab phase"),
 ])
 def test_non_finite_input_invalid(args, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -709,6 +713,17 @@ def test_error_without_a_message_names_its_class(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_sweep", refuse)
     assert run(["report", "--truth", "2,0.1", "--outdir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_error_without_an_exit_code_propagates(tmp_path, monkeypatch, capsys):
+    # a fault of the program, not of its input, has no documented exit code
+    def fail(*_, **__):
+        raise RuntimeError("not an input error")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    with pytest.raises(RuntimeError, match="^not an input error$"):
+        run(["report", "--truth", "2,0.1", "--outdir", str(tmp_path / "out")])
+    assert capsys.readouterr().err == ""
 
 
 def test_version_flag(capsys):

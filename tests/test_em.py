@@ -4,6 +4,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ class TestEffectiveReflection:
         with pytest.raises(ValueError, match="carrier .* Hz overflows its wavenumber"):
             slab_function(ComplexPermittivity(3.0, 0.1), SlabGeometry(2e-3, 0.25), freq)
 
+    @pytest.mark.parametrize("eps, thickness", [
+        # the phase overflows at eps = 1 already, and is refused with the evaluator
+        ((3.0, 0.1), 1e306),
+        # finite at eps = 1, it overflows at this eps, lossless or lossy
+        ((1e6, 0.0), 1e304), ((1e6, 1e3), 1e304),
+    ])
+    @pytest.mark.parametrize("slab_function", [
+        effective_reflection, effective_reflection_and_slope, slab_bounce_terms,
+        functools.partial(effective_reflection_truncated, q=3),
+    ])
+    def test_slab_whose_phase_overflows_is_refused(self, slab_function, eps, thickness):
+        # cmath.exp raised a bare "math domain error"
+        message = f"slab thickness {thickness} m at carrier 79000000000.0 Hz overflows the in-slab"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} phase 2 k d$"):
+            slab_function(ComplexPermittivity(*eps), SlabGeometry(thickness, 0.25), 79e9)
+
     def test_resonance_guard(self):
         # nonphysical near-unity bounce ratio: enormous permittivity with
         # the thickness tuned to a half-wave resonance
@@ -303,6 +320,12 @@ class TestFraunhofer:
     def test_rejects_distance_not_finite_positive(self, aperture, wavelength):
         with pytest.raises(ValueError, match="finite distance"):
             fraunhofer_distance(aperture, wavelength)
+
+
+def test_metal_repr():
+    assert repr(METAL) == "METAL"
+    assert repr(SlabGeometry(0.02, 0.25)) == \
+        "SlabGeometry(thickness=0.02, standoff=0.25, backing=METAL)"
 
 
 def test_geometry_invariants():

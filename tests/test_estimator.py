@@ -660,6 +660,20 @@ class TestFitIdeal:
         with pytest.raises(ValueError, match=match):
             fit_ideal(gammas, self.GEOM, step, freq)
 
+    @pytest.mark.parametrize("step, standoff", [(1e306, 0.25), (-1e306, 0.25), (1e-4, 1e306),
+                                                (8e307, 0.25)])
+    def test_rejects_a_step_whose_phase_overflows(self, step, standoff):
+        # numpy's phase vector 2 k1 (l + m dl) overflowed with a RuntimeWarning
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        with pytest.raises(ValueError, match="^step must be finite with a finite phase 2 k1 "):
+            fit_ideal(gammas, SlabGeometry(2e-3, standoff), step, self.FREQ)
+
+    def test_rejects_a_slab_whose_phase_overflows(self):
+        # cmath.exp raised a bare "math domain error" from the first start
+        gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3))
+        with pytest.raises(ValueError, match=r"^slab thickness 1e\+306 m at carrier "):
+            fit_ideal(gammas, SlabGeometry(1e306, 0.25), 1e-4, self.FREQ)
+
     def test_rejects_gammas_that_are_not_one_dimensional(self):
         gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3)).reshape(3, 4)
         with pytest.raises(ValueError, match="must be 1-D"):

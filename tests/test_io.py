@@ -45,7 +45,10 @@ def read_in_chunks(read, path):
     each) and of 120 bytes (two or three raw-IF records) read the same
     values bit for bit, or raise the same error: the blocks of records
     that the vectorized parser takes and those that go to np.loadtxt
-    alternate, and a refusal's row is counted across them."""
+    alternate, and a refusal's row is counted across them. A file is
+    refused at its first defect in reading order, and a block's records
+    are checked together, so the error is the same in every block size
+    only for a file with one defect, as each file read here has."""
     def outcome():
         try:
             back = read(path)
@@ -277,6 +280,23 @@ class TestRawIfRoundTrip:
             DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=2,
                         chirp=SMALL_CHIRP, mut_samples=mut, metal_samples=metal)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"mode": "sweep"}, "unknown mode 'sweep'"),
+        ({"mode": "gamma"}, "gamma mode requires gamma records"),
+        ({"mut_samples": np.ones(4)}, "mut trace length != sample_count"),
+        ({"mut_samples": np.ones((1, 5))}, "mut trace length != sample_count"),
+        ({"metal_samples": np.ones((2, 4))},
+         "expected 2 metal traces of 5 samples, got shape (2, 4)"),
+        ({"metal_samples": np.ones((3, 5))},
+         "expected 2 metal traces of 5 samples, got shape (3, 5)"),
+        ({"metal_samples": np.ones(10)}, "expected 2 metal traces of 5 samples, got shape (10,)"),
+    ])
+    def test_inconsistent_fields_refused_at_construction(self, changes, message):
+        fields = dict(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=2,
+                      chirp=SMALL_CHIRP, mut_samples=np.ones(5), metal_samples=np.ones((2, 5)))
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            DatasetFile(**{**fields, **changes})
+
     def test_no_metal_traces_rejected(self, tmp_path):
         path = tmp_path / "raw.txt"
         raw_file(path)
@@ -401,8 +421,15 @@ class TestReportFile:
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "report.txt"
+        self.report().write(path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n2 ") == 1
+        path.write_text(text.replace("\n2 ", "\n2 x "), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="bad report record: .* at row 3;"):
+            read_in_chunks(ReportFile.read, path)
+        # the header comes first: a missing key is named before the records are read
         path.write_text("step_count: 1\ncolumns: m x_mm re im re im\n0 0 x 1 2 3\n")
-        with pytest.raises(DatasetFormatError, match="bad report record"):
+        with pytest.raises(DatasetFormatError, match="missing metadata key 'eps_real'"):
             ReportFile.read(path)
 
 
@@ -798,26 +825,30 @@ class TestReader:
             read_in_chunks(DatasetFile.read, path)
 
     @pytest.mark.parametrize("edits, message", [
-        # a bad id in an early chunk, a missing record in a late one
-        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\n# metal-1 4 "},
-         "trace record count 14 != 15"),
-        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-1 9 "},
-         "sample index 9 out of range"),
+        # the first defective line in the file is named, the record count last
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\n# metal-1 4 "}, "bad trace id 'probe'"),
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-1 9 "}, "bad trace id 'probe'"),
         ({"\nmut 1 ": "\nmut -1 ", "\nmetal-1 4 ": "\nmetal-1 9 "},
          "sample index -1 out of range"),
-        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-x 4 "},
-         "bad trace id 'metal-x'"),
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-x 4 "}, "bad trace id 'probe'"),
         ({"\nmut 1 ": "\nmetal-7 1 ", "\nmetal-1 4 ": "\nmetal-x 4 "},
          "metal index 7 out of range"),
-        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-1 4 7 "},
-         "bad trace record: .* at row 15;"),
-        # a malformed record wins over a bad header value
+        ({"\nmut 1 ": "\nprobe 1 ", "\nmetal-1 4 ": "\nmetal-1 4 7 "}, "bad trace id 'probe'"),
+        ({"\nmut 1 ": "\nmut x ", "\nmetal-1 4 ": "\nprobe 4 "},
+         "bad trace record: could not convert string 'x' to int64 at row 1, column 2."),
+        ({"\nmetal-0 2 ": "\n# metal-0 2 ", "\nmetal-1 4 ": "\nmetal-1 9 "},
+         "sample index 9 out of range"),
+        # the header comes before the records
         ({"\nsample_count: 5\n": "\nsample_count: x\n", "\nmetal-1 4 ": "\nmetal-1 x "},
-         "bad trace record: could not convert string 'x' to int64 at row 14, column 2"),
+         "bad int for 'sample_count': 'x'"),
         ({"\nstep_count: 2\n": "\nstep_count: 0\n", "\nmetal-1 4 ": "\nmetal-1 x "},
-         "bad trace record: .* at row 14"),
+         "raw-if step_count 0 < 1"),
+        ({"\ndirection: backward\n": "\ndirection: sideways\n", "\nmut 1 ": "\nmut x "},
+         "unknown direction 'sideways'"),
     ])
-    def test_first_failing_check_wins_across_chunks(self, tmp_path, edits, message):
+    def test_first_failing_check_wins_across_chunks(self, tmp_path, monkeypatch, edits, message):
+        # in blocks of one line each, so a block's order of checks plays no part
+        monkeypatch.setattr(io, "_BLOCK_BYTES", 1)
         path = tmp_path / "raw.txt"
         raw_file(path)
         text = path.read_text(encoding="utf-8")
@@ -825,8 +856,8 @@ class TestReader:
             assert text.count(old) == 1
             text = text.replace(old, new)
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match=message):
-            read_in_chunks(DatasetFile.read, path)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            DatasetFile.read(path)
 
     def test_comment_after_a_header_value_is_part_of_it(self, tmp_path):
         path = tmp_path / "raw.txt"
@@ -839,22 +870,24 @@ class TestReader:
 
     @pytest.mark.parametrize("step_count", [2, 1000000])
     def test_pipe_reads(self, tmp_path, step_count):
-        # a pipe has no size to bound its record count by, so the stack waits
-        # for the count; a false one allocates nothing (16 * 5000005 bytes)
+        # a pipe is sized once read whole, and a false header allocates no
+        # stack (16 * 5000005 bytes)
         path = tmp_path / "raw.txt"
         src = raw_file(path)
         text = path.read_text(encoding="utf-8")
+        text = text.replace("\nstep_count: 2\n", f"\nstep_count: {step_count}\n")
+        room = (len(text.encode()) + 1) // 8
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_text, args=(
-            text.replace("\nstep_count: 2\n", f"\nstep_count: {step_count}\n"),))
+        writer = threading.Thread(target=pipe.write_text, args=(text,))
         writer.start()
         tracemalloc.start()
         try:
             if step_count == 2:
                 back = DatasetFile.read(pipe)
             else:
-                with pytest.raises(DatasetFormatError, match="trace record count 15 != 5000005"):
+                with pytest.raises(DatasetFormatError, match="^header promises 5000005 trace "
+                                   f"records; the input has room for at most {room}$"):
                     DatasetFile.read(pipe)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -887,8 +920,8 @@ class TestReader:
         assert bits_equal(back.metal_samples, src.metal_samples)
 
     def test_false_header_holds_nothing(self, tmp_path):
-        # a header promising more records than the file can hold is refused by
-        # the count, without the stack or the file's records
+        # a header promising more records than the file can hold is refused
+        # before the stack is allocated or any record is read
         m, n = 200, 1024
         rng = np.random.default_rng(5)
         path = tmp_path / "raw.txt"
@@ -903,8 +936,9 @@ class TestReader:
         path.write_bytes(data.replace(b"\nstep_count: 200\n", b"\nstep_count: 1000000\n"))
         tracemalloc.start()
         try:
-            with pytest.raises(DatasetFormatError,
-                               match="trace record count 205824 != 1024001024"):
+            room = (path.stat().st_size + 1) // 8
+            with pytest.raises(DatasetFormatError, match="^header promises 1024001024 trace "
+                               f"records; the input has room for at most {room}$"):
                 DatasetFile.read(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -966,10 +1000,10 @@ class TestReader:
         path.write_text(text.replace(old, new), encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=f"bad chirp header: {message}"):
             read_in_chunks(DatasetFile.read, path)
-        # a malformed record later in the file still wins
+        # the header comes first: a malformed record later in the file is not named
         path.write_text(text.replace(old, new).replace("\nmetal-1 4 ", "\nmetal-1 x "),
                         encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match="bad trace record"):
+        with pytest.raises(DatasetFormatError, match=f"bad chirp header: {message}"):
             DatasetFile.read(path)
 
     @pytest.mark.parametrize("line", ["", "converged: True\n", "converged: 1\n",
