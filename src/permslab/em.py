@@ -130,8 +130,9 @@ def _slab_bounces(geom: SlabGeometry, freq: float):
     rt = e^{-j 2 k_r d}. The carrier check, k0 = 2 pi f / c and the
     backing are settled once here, not at every (a, b); a carrier whose
     k0 overflows (f above about 2.9e307 Hz) is refused, not turned into nan.
-    So is a slab whose round-trip phase 2 k_r d overflows: here when it
-    does at eps = 1, where it is least, and else at the point where it does.
+    So is a slab whose round-trip phase 2 k_r d overflows, lossless or
+    lossy: here when it does at eps = 1, where it is least, and else at the
+    point where it does, by one comparison of its imaginary part.
     """
     if not 0.0 < freq < math.inf:
         raise ValueError(f"frequency must be finite and > 0, got {freq}")
@@ -146,10 +147,12 @@ def _slab_bounces(geom: SlabGeometry, freq: float):
     def bounces(a, b):
         n = _sqrt_lossy(a, b)
         gr2 = -1.0 + 0.0j if metal else _fresnel(n, n2)[0]
-        try:
-            rt = cmath.exp(-2j * (k0 * n) * d)  # k_r = k0 n on the decaying branch, Im(k_r) <= 0
-        except ValueError:  # cmath's "math domain error" for an infinite phase
-            raise _phase_overflow(d, freq) from None
+        phase = -2j * (k0 * n) * d  # k_r = k0 n on the decaying branch, Im(k_r) <= 0
+        # Im(phase) = -2 k0 d Re(n) is the larger part, as |Im n| <= Re n: it reads -inf
+        # or nan where the phase overflows, and cmath.exp raises for no phase that passes
+        if not phase.imag > -math.inf:
+            raise _phase_overflow(d, freq)
+        rt = cmath.exp(phase)
         g1r = air_face_reflection(n)
         gr1 = -g1r
         return g1r, (1.0 + gr1) * gr2 * (1.0 + g1r) * rt, gr1 * gr2 * rt, n, gr2, rt

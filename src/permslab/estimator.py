@@ -43,6 +43,7 @@ from .em import (
     ComplexPermittivity,
     SlabGeometry,
     _slab_at,
+    _sqrt_lossy,
     air_face_reflection,
     complex_sqrt_lossy,
 )
@@ -52,6 +53,9 @@ from .trf import least_squares_trf
 
 # (a, b) starts of fit_ideal's "auto" policy, a-major; the first is fit_permittivity's anchor
 AUTO_STARTS = tuple((a, b) for a in (1.5, 3.0, 6.0, 12.0) for b in (0.01, 0.5))
+# the ones below the first row of every quartic's companion matrix, shared and read-only
+_SUBDIAGONAL = np.eye(3)
+_SUBDIAGONAL.flags.writeable = False
 
 
 def wrap_phase(c: float) -> float:
@@ -187,18 +191,26 @@ def _unit_circle_roots(quartics: np.ndarray) -> np.ndarray:
     so keeping it adds a candidate but never a wrong answer.
     """
     companion = np.zeros((len(quartics), 4, 4), dtype=complex)
-    companion[:, 0, :] = -quartics[:, 1:] / quartics[:, :1]
-    companion[:, 1:, :-1] = np.eye(3)
+    lead = quartics[:, :1]
+    companion[:, 0, :] = -quartics[:, 1:] / lead
+    companion[:, 1:, :-1] = _SUBDIAGONAL
     w = np.linalg.eigvals(companion)
     with np.errstate(all="ignore"):  # double and far-off roots
         for _ in range(2):
-            p, dp = quartics[:, :1], 0.0
-            for k in range(1, 5):
-                dp = dp * w + p
-                p = p * w + quartics[:, k : k + 1]
-            step = p / dp
-            w = np.where(np.isfinite(step), w - step, w)
-    return (w / np.abs(w)).ravel()
+            # Horner's rule for p and its derivative dp, in place
+            dp = np.multiply(0.0, w)
+            dp += lead
+            p = np.multiply(lead, w)
+            p += quartics[:, 1:2]
+            for k in range(2, 5):
+                dp *= w
+                dp += p
+                p *= w
+                p += quartics[:, k : k + 1]
+            np.true_divide(p, dp, out=p)
+            np.subtract(w, p, out=w, where=np.isfinite(p))
+    w /= np.abs(w)
+    return w.ravel()
 
 
 def _box_ends(big_c: float, big_r: float, a_max: float) -> tuple[complex, ...]:
@@ -243,15 +255,16 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
         k = 2.0 * big_c / big_r
         # g = 0 would lower the degree; an ulp-sized g keeps the same roots
         g = (big_c * big_c - complex(a0, -b0)) / big_r**2 or 1e-16
-        quartics += ([2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g],
-                     [1, k, 2j * bounds.b_max / big_r**2, -k, -1])
+        # the two quartics' coefficients in one flat list, which numpy converts fastest
+        quartics += (2 * g.conjugate(), k * (1 + g.conjugate()), 0, -k * (1 + g), -2 * g,
+                     1, k, 2j * bounds.b_max / big_r**2, -k, -1)
         x = 2.0 * big_r / (big_c + math.sqrt(big_c * big_c + 8.0 * big_r * big_r))
         b_top = 2.0 * big_r * (big_c + big_r * x) * math.sqrt((1.0 - x) * (1.0 + x))
         keep += (True, not b_top < bounds.b_max / 2)  # a nan top keeps its quartic
         ends.append(_box_ends(big_c, big_r, bounds.a_max))
         circles.append((big_c, big_r, a0, b0))
     quartics = np.array(quartics, dtype=complex).reshape(-1, 10)
-    finite = np.isfinite(quartics).all(axis=1)
+    finite = np.logical_and.reduce(np.isfinite(quartics), axis=1)
     stack = np.where(finite[:, None], quartics, 1).reshape(-1, 5)
     if any(keep[1::2]):  # the b = b_max roots a rho skips read nan, never feasible
         w = np.full((len(circles), 8), np.nan, dtype=complex)
@@ -259,18 +272,24 @@ def _nearest_members(rhos, anchors, bounds: FitBounds) -> list:
     else:  # every rho skips it: the stationary roots alone, with no scatter
         w = _unit_circle_roots(stack[::2]).reshape(-1, 4)
     big_c, big_r, a0, b0 = np.array(circles).reshape(-1, 4).T[:, :, None]
+    # the candidates: the stationary roots, the box ends, the b = b_max roots
+    eps = np.empty((len(circles), 3 + w.shape[1]), dtype=complex)
+    eps[:, 4:7] = ends
     # the sign of Re w, not a rounded a, drops the roots near w = -1, where C + R w
     # cancels and eps keeps no digits once C >> 1
-    eps = (big_c + big_r * np.where(w.real > -1e-10, w, np.nan)) ** 2
-    eps = np.concatenate((eps[:, :4], np.array(ends).reshape(-1, 3), eps[:, 4:]), axis=1)
+    s = big_c + big_r * np.where(w.real > -1e-10, w, np.nan)
+    np.square(s[:, :4], out=eps[:, :4])
+    np.square(s[:, 4:], out=eps[:, 7:])
     # rounding of eps = s^2 at a point s of the circle, |s| <= C + R
     tol = 1e-13 * (big_c + big_r) * np.sqrt(np.abs(eps))
     a, b = eps.real, -eps.imag  # b is -0.0 where eps is real; the + 0.0 below makes it 0.0
     ok = (a > 1.0 - tol) & (a < bounds.a_max + tol) & (b > -tol) & (b < bounds.b_max + tol)
-    a, b = np.clip(a, 1.0, bounds.a_max), np.clip(b, 0.0, bounds.b_max) + 0.0
+    a = np.minimum(np.maximum(a, 1.0), bounds.a_max)
+    b = np.minimum(np.maximum(b, 0.0), bounds.b_max) + 0.0
     dist = np.where(ok, (a - a0) ** 2 + (b - b0) ** 2, np.inf)
     # the first feasible point at the least distance, also when every distance overflows
-    pick = np.arange(len(dist)), np.argmax(ok & (dist == dist.min(axis=1, keepdims=True)), axis=1)
+    least = np.minimum.reduce(dist, axis=1, keepdims=True)
+    pick = np.arange(len(dist)), (ok & (dist == least)).argmax(axis=1)
     a, b, ok = a[pick].tolist(), b[pick].tolist(), ok[pick] & finite
     return [(x, y) if kept else InfeasibleFitError(
         f"no root of the family |r| = {rho:.17g} in the box" if solved
@@ -342,19 +361,33 @@ def _reduce(gammas: np.ndarray, derotation: np.ndarray):
     reports its models by that identity without forming them. A row fails
     when every sample is below 1e-12, when |z*| overflows, or when
     |Gamma|^2 = floor + M |z*|^2 does.
+
+    The mean is np.mean's own arithmetic, one add reduction and a division
+    by M, and the floor np.sum's, called as ufuncs to spare the wrappers'
+    cost per call. Only a row with |z*| < 2e-12 has its samples tested
+    against 1e-12: the rounded mean of M samples below 1e-12 in modulus,
+    each turned by a unit d, stays below 1e-12 (1 + M eps), so a row at
+    or above 2e-12 never has them all below 1e-12.
     """
-    z = np.mean(gammas * derotation, axis=1)
-    floor = np.sum(np.abs(gammas - z[:, None] * derotation.conj()) ** 2, axis=1)
+    m = gammas.shape[1]
+    z = np.add.reduce(gammas * derotation, axis=1)
+    np.true_divide(z, m, out=z)
+    residual = np.abs(gammas - z[:, None] * derotation.conj())
+    np.multiply(residual, residual, out=residual)
+    floor = np.add.reduce(residual, axis=1)
     rho = np.hypot(z.real, z.imag)  # equals abs(complex) bit for bit; np.abs does not
-    norm_sq = floor + gammas.shape[1] * rho * rho
+    norm_sq = floor + m * rho * rho
+    rho, norm_sq = rho.tolist(), norm_sq.tolist()
     errors = [
-        DegenerateDataError("all reflection samples below 1e-12") if dead
+        None if 2e-12 <= r and n < math.inf  # no rule below fails such a row
+        else DegenerateDataError("all reflection samples below 1e-12")
+        if r < 2e-12 and (np.abs(gammas[t]) < 1e-12).all()
         else InfeasibleFitError("the sweep mean overflows") if not math.isfinite(r)
         else InfeasibleFitError("the residual norm overflows") if not math.isfinite(n)
         else None
-        for dead, r, n in zip(np.all(np.abs(gammas) < 1e-12, axis=1), rho, norm_sq)
+        for t, (r, n) in enumerate(zip(rho, norm_sq))
     ]
-    return z.tolist(), rho.tolist(), floor.tolist(), errors
+    return z.tolist(), rho, floor.tolist(), errors
 
 
 def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list:
@@ -372,12 +405,14 @@ def _fit_rows(gammas: np.ndarray, c1: float, anchors, bounds: FitBounds) -> list
         for error, r in zip(errors, rho)
     ]  # rho < 1e-100: the whole family lies within 4 rho of (1, 0)
     rows = [t for t, fit in enumerate(fits) if fit is None]  # left to the family search
-    members = iter(_nearest_members([rho[t] for t in rows], [anchors[t] for t in rows], bounds))
+    members = iter(_nearest_members([rho[t] for t in rows], [anchors[t] for t in rows], bounds)
+                   if rows else ())
     fits = [next(members) if fit is None else fit for fit in fits]
     for t, fit in enumerate(fits):
         if isinstance(fit, tuple):
-            # the model r e^{jc} conj(d) with c = arg z* - arg r is |r| e^{j arg z*} conj(d)
-            r = front_face_reflection(*fit)
+            # the model r e^{jc} conj(d) with c = arg z* - arg r is |r| e^{j arg z*} conj(d);
+            # r is front_face_reflection's, without its check of an (a, b) in the box
+            r = air_face_reflection(_sqrt_lossy(*fit))
             c = wrap_phase(cmath.phase(z[t]) - cmath.phase(r))
             fits[t] = (*fit, c, math.sqrt(floor[t] + gammas.shape[1] * (abs(r) - rho[t]) ** 2))
     return fits
@@ -493,7 +528,7 @@ def fit_ideal(
     gammas = np.asarray(gammas_at_radar, dtype=complex)
     if gammas.ndim != 1 or gammas.size == 0:
         raise ValueError(f"reflection samples must be 1-D and not empty, got shape {gammas.shape}")
-    if not np.all(np.isfinite(gammas)):
+    if not np.logical_and.reduce(np.isfinite(gammas)):
         raise ValueError("reflection samples must be finite")
     slab = _slab_at(geom, freq)  # refuses a carrier whose wavenumber k1 overflows
     k1 = 2.0 * math.pi * freq / SPEED_OF_LIGHT

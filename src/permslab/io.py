@@ -36,14 +36,17 @@ Reading takes the file as bytes, in blocks of about ``_BLOCK_BYTES``
 cut after their last line end, and parses each block of records at once.
 A raw-IF block whose every line is ASCII ``id index re im`` with single
 spaces (no ``#`` and no control byte but the line ends) goes to
-``_raw_records``, which reads it when ``_g17.parse`` takes every value
-by one of its two exact rules; it gathers each trace id as two 64-bit
-words with the bytes after the id cleared, and ``_traces`` finds the
-runs of records of one trace by comparing those words. The first block
-it refuses, every later block of the file, and every gamma and report
+``_raw_records``, which reads it when ``_g17.parse`` takes its values by
+one of its two exact rules, and ``float`` the few it refuses (at most two,
+or one in ``_FLOAT_SHARE``), each a plain decimal number; it gathers each
+trace id as two 64-bit words with the bytes after the id cleared, and
+``_traces`` finds the runs of records of one trace by comparing those
+words. An empty block, such as the rest of the ``columns:`` line's
+block, has no records and leaves the parser on. The first block it
+refuses, every later block of the file, and every gamma and report
 block, is decoded and parsed by one ``np.loadtxt`` call over its lines,
-split at ``\n``, ``\r\n`` and ``\r`` as text mode splits them. Both read
-a record to the same bits, so a file reads the same whichever parses it. A
+split at ``\n``, ``\r\n`` and ``\r`` as text mode splits them. All three
+read a value to the same bits, so a file reads the same whichever parses it. A
 raw-IF reader scatters each block's records into the trace stack it
 returns, so a read holds about its output plus one block and the
 temporaries of its parse; a pipe, which has no size, is first read
@@ -104,6 +107,14 @@ _REPORT_RECORDS = ("report", np.dtype([("m", "i8"), ("x_mm", "f8"), ("measured",
 _BLOCK_BYTES = 1 << 18
 # a line with its line end, split as text mode splits lines
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+# a decimal number as float and np.loadtxt both read it, to the same double
+# (both round correctly); float reads the few values of a raw-IF block that
+# _g17.parse refuses, at about 1.2 µs each against about 0.35 µs a value for
+# the block's parse and 0.6 µs for np.loadtxt's (2-vCPU x86-64 VM, numpy
+# 2.4), so a block where more than a record's two values and more than one
+# in _FLOAT_SHARE are refused goes to np.loadtxt
+_NUMBER = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_FLOAT_SHARE = 8
 # a block of fewer values is written by one `%` operation: below this the
 # numpy kernel's fixed cost per call outweighs what it saves per value
 _KERNEL_MIN_VALUES = 256
@@ -382,10 +393,14 @@ def _chunks(blocks, kind, dtype):
     records concatenate to an empty one.
 
     Raw-IF blocks are parsed by ``_raw_records`` up to the first block it
-    refuses; that block and every later one, and every other kind of
-    block, decoded, by one ``np.loadtxt`` call over its lines, split as
-    text mode splits them. So a file whose values the parser's rules
-    refuse costs one block's parse more than ``np.loadtxt`` alone. A
+    refuses (an empty block it takes, with no records); that block and
+    every later one, and every other kind of block, decoded, by one
+    ``np.loadtxt`` call over its lines, split as text mode splits them.
+    A block where ``_g17.parse`` refuses a few values is still the
+    parser's, which reads those with ``float``; one where it refuses more
+    than two and more than one in ``_FLOAT_SHARE`` is refused, so a file
+    whose values the parser's rules mostly refuse costs one block's parse
+    more than ``np.loadtxt`` alone. A
     malformed record raises DatasetFormatError with numpy's message, its
     row counted from the first record of the file, when its block is
     parsed: after the records of every block before it have been used.
@@ -421,10 +436,14 @@ def _raw_records(block, dtype):
 
     Every line must be ASCII ``id index re im\\n``: single spaces, no
     other control byte and no ``#``, an id of up to 16 bytes, an index of
-    up to 8 digits, and values that ``_g17.parse`` takes. ``np.loadtxt``
-    reads such a line to the same record, bit for bit.
+    up to 8 digits, and values that ``_g17.parse`` takes, but for at most
+    two, or one in ``_FLOAT_SHARE``, that are decimal numbers (``_NUMBER``)
+    and are read with ``float``. ``np.loadtxt`` reads such a line to the
+    same record, bit for bit. An empty block has no records.
     """
     size = len(block)
+    if not size:  # the rest of the columns line's block, or a file without records
+        return np.empty(0, dtype)
     if not (block.endswith(b"\n") and block.isascii()) or b"#" in block:
         return None
     pad = _g17.WINDOW
@@ -448,9 +467,16 @@ def _raw_records(block, dtype):
     index, digits = _g17.small_integers(words[ends[:, 1] - 8], lengths[:, 1])
     if not digits.all():
         return None
-    values, rest = _g17.parse(buf, ends[:, 2:].ravel(), lengths[:, 2:].ravel())
+    value_ends, value_lengths = ends[:, 2:].ravel(), lengths[:, 2:].ravel()
+    values, rest = _g17.parse(buf, value_ends, value_lengths)
     if rest.size:
-        return None
+        if rest.size > max(2, values.size // _FLOAT_SHARE):
+            return None
+        tokens = [block[end - length:end] for end, length
+                  in zip((value_ends[rest] - pad).tolist(), value_lengths[rest].tolist())]
+        if not all(map(_NUMBER.fullmatch, tokens)):
+            return None
+        values[rest] = list(map(float, tokens))
     # each trace id as two words, the bytes after it cleared
     ids = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends[:, 0] - lengths[:, 0]]
     ids = ids.view(_g17.WORD).reshape(n, 2)

@@ -208,6 +208,18 @@ class TestEffectiveReflection:
         with pytest.raises(ValueError, match=f"^{re.escape(message)} phase 2 k d$"):
             slab_function(ComplexPermittivity(*eps), SlabGeometry(thickness, 0.25), 79e9)
 
+    @pytest.mark.parametrize("eps", [(1e300, 0.0), (1e300, 1.0), (1e300, 1e299)])
+    @pytest.mark.parametrize("slab_function", [
+        effective_reflection, effective_reflection_and_slope, slab_bounce_terms,
+        functools.partial(effective_reflection_truncated, q=3),
+    ])
+    def test_slab_whose_in_slab_wavenumber_overflows_is_refused(self, slab_function, eps):
+        # k0 n overflows to inf, so -2j k0 n d has a nan real part, which cmath.exp
+        # passes through without an error: a lossless slab came out nan+nanj
+        message = "slab thickness 0.001 m at carrier 1e+307 Hz overflows the in-slab phase 2 k d"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            slab_function(ComplexPermittivity(*eps), SlabGeometry(1e-3, 0.25), 1e307)
+
     def test_resonance_guard(self):
         # nonphysical near-unity bounce ratio: enormous permittivity with
         # the thickness tuned to a half-wave resonance

@@ -674,6 +674,15 @@ class TestFitIdeal:
         with pytest.raises(ValueError, match=r"^slab thickness 1e\+306 m at carrier "):
             fit_ideal(gammas, SlabGeometry(1e306, 0.25), 1e-4, self.FREQ)
 
+    @pytest.mark.parametrize("start", [(1e300, 0.0), (1e300, 1.0)])
+    def test_rejects_a_start_whose_in_slab_phase_overflows(self, start):
+        # k0 n overflows at the start: a lossless slab's F came out nan, and the
+        # fit ended in "real part must be finite and >= 1, got nan"
+        gammas = np.full(12, 0.3 + 0.1j)
+        with pytest.raises(ValueError, match=r"^slab thickness 0.001 m at carrier 1e\+307 Hz "):
+            fit_ideal(gammas, SlabGeometry(1e-3, 0.25), 1e-4, 1e307,
+                      bounds=FitBounds(1e301, 2.0), starts=[start])
+
     def test_rejects_gammas_that_are_not_one_dimensional(self):
         gammas = self.ideal_sweep(ComplexPermittivity(3.0, 0.3)).reshape(3, 4)
         with pytest.raises(ValueError, match="must be 1-D"):

@@ -9,11 +9,14 @@ documented far-field one.
 ``report`` and ``check-farfield``. Seeded mutated copies of a gamma, a
 raw-IF and a report file go through ``extract``, ``estimate`` and
 ``ReportFile.read``. Sizes stay small: at most 8 steps and 16 samples,
-and int flags take only 0, -1, 1 and 2.
+and int flags take only 0, -1, 1 and 2. The mutations' seed is 19, or
+the integer in the ``PERMSLAB_FUZZ_SEED`` environment variable, so a run
+can try other seeds with the same test.
 """
 
 import contextlib
 import io
+import os
 import warnings
 
 import numpy as np
@@ -179,7 +182,7 @@ def test_mutated_files_end_in_documented_errors(tmp_path):
     for name, argv in sources.items():
         assert run([*argv, "--out", paths[name]]) == (0, [])
     assert run(["estimate", "--input", paths["gamma"], "--report-out", paths["report"]]) == (0, [])
-    rng = np.random.default_rng(19)
+    rng = np.random.default_rng(int(os.environ.get("PERMSLAB_FUZZ_SEED", "19")))
     mutant, extracted = str(tmp_path / "mutant.txt"), str(tmp_path / "extracted.txt")
     found = []
     for name, path in paths.items():

@@ -43,26 +43,47 @@ def bits_equal(a, b):
 def read_in_chunks(read, path):
     """``read(path)``, after checking that blocks of one byte (a line
     each) and of 120 bytes (two or three raw-IF records) read the same
-    values bit for bit, or raise the same error: the blocks of records
-    that the vectorized parser takes and those that go to np.loadtxt
-    alternate, and a refusal's row is counted across them. A file is
-    refused at its first defect in reading order, and a block's records
-    are checked together, so the error is the same in every block size
-    only for a file with one defect, as each file read here has."""
-    def outcome():
-        try:
-            back = read(path)
-        except DatasetFormatError as exc:
-            return exc, (type(exc), str(exc))
-        values = {key: (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
-                  for key, value in vars(back).items()}
-        return back, values
+    values bit for bit, or raise the same error, and that a raw-IF file
+    whose records ``_raw_records`` parses all in one block it parses all,
+    block by block, at every size (a counting monkeypatch tells which
+    parser took each block's records). A refusal's row is counted across
+    the blocks of both parsers. A file is refused at its first defect in
+    reading order, and a block's records are checked together, so the
+    error is the same in every block size only for a file with one
+    defect, as each file read here has."""
+    def outcome(size):
+        parsed = {"raw": 0, "loadtxt": 0}
+        raw_records, loaded = io._raw_records, io._loaded
 
-    result, expected = outcome()
-    for size in (1, 120):
+        def counted_raw(*args):
+            records = raw_records(*args)
+            parsed["raw"] += 0 if records is None else records.size
+            return records
+
+        def counted_loaded(*args):
+            records = loaded(*args)
+            parsed["loadtxt"] += records.size
+            return records
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(io, "_BLOCK_BYTES", size)
-            assert outcome()[1] == expected
+            patch.setattr(io, "_raw_records", counted_raw)
+            patch.setattr(io, "_loaded", counted_loaded)
+            try:
+                back = read(path)
+            except DatasetFormatError as exc:
+                return exc, (type(exc), str(exc)), parsed
+        values = {key: (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+                  for key, value in vars(back).items()}
+        return back, values, parsed
+
+    result, expected, parsed = outcome(io._BLOCK_BYTES)
+    raw_only = parsed["raw"] > 0 and parsed["loadtxt"] == 0
+    for size in (1, 120):
+        _, values, sized = outcome(size)
+        assert values == expected
+        if raw_only:
+            assert sized["raw"] > 0 and sized["loadtxt"] == 0, (size, sized)
     if isinstance(result, DatasetFormatError):
         raise result
     return result
@@ -783,10 +804,60 @@ class TestReader:
 
     @pytest.mark.parametrize("value", [
         b"9007199254740993", b"0.12345678901234567890123", b"1.7976931348623157e+308",
-        b"-4.9406564584124654e-324", b"9.9999999999999995e-08", b"1.5e-005", b"1E5", b"+1"])
-    def test_a_value_no_rule_takes_sends_its_block_to_loadtxt(self, value):
+        b"-4.9406564584124654e-324", b"9.9999999999999995e-08", b"1.5e-005", b"1E5", b"+1",
+        b"1e400", b"-1e-400", b".5E+0"])
+    def test_a_value_no_rule_takes_is_read_by_float(self, value):
+        # a decimal number the parser's two rules refuse: float and np.loadtxt
+        # both round it correctly, so the block still parses to loadtxt's bits
+        block = b"mut 0 1.5 -2\nmetal-0 0 1.5 %b\n" % value
+        dtype = io._RECORDS["raw-if"][1]
+        assert io._g17.parse(np.frombuffer(b" " * 64 + value, np.uint8),
+                             np.array([64 + len(value)]), np.array([len(value)]))[1].size == 1
+        parsed = io._raw_records(block, dtype)
+        assert parsed.tobytes() == io._loaded(block, "trace", dtype, 0).tobytes()
+
+    @pytest.mark.parametrize("value", [
+        b"nan", b"-inf", b"Infinity", b"1_1", b"0x1p3", b"1e", b"e5", b".", b"-", b"1.5e+3.0",
+        b"1.5.5", b"++1", b"1e+-3"])
+    def test_a_value_float_may_not_read_sends_its_block_to_loadtxt(self, value):
         block = b"mut 0 1.5 -2\nmetal-0 0 1.5 %b\n" % value
         assert io._raw_records(block, io._RECORDS["raw-if"][1]) is None
+
+    def test_a_block_of_many_refused_values_goes_to_loadtxt(self):
+        # float reads at most two values of a block, or one value in eight
+        dtype = io._RECORDS["raw-if"][1]
+        for count, refused, taken in ((1, 2, True), (12, 3, True), (12, 4, False), (40, 10, True),
+                                      (40, 11, False)):
+            values = ["1e-300"] * refused + ["0.5"] * (2 * count - refused)
+            block = "".join(f"mut {i} {values[2 * i]} {values[2 * i + 1]}\n"
+                            for i in range(count)).encode()
+            parsed = io._raw_records(block, dtype)
+            assert (parsed is not None) == taken, (count, refused)
+            if taken:
+                assert parsed.tobytes() == io._loaded(block, "trace", dtype, 0).tobytes()
+
+    def test_values_below_1e_6_keep_every_block_on_the_parser(self, tmp_path):
+        # %.17g writes a value below 1e-6 with a scale above 10^22, which the
+        # parser's rules refuse; a few in a block are read by float, and the
+        # file reads as np.loadtxt reads it at every block size
+        m, n = 2, 2048
+        rng = np.random.default_rng(36)
+        samples = rng.uniform(-1, 1, (m + 1, n)) + 1j * rng.uniform(-1, 1, (m + 1, n))
+        tiny = rng.uniform(1e-9, 1e-6, samples.size) * rng.choice([-1, 1], samples.size)
+        flat = samples.ravel()
+        flat.real[::500] = tiny[::500]
+        flat.imag[250::500] = tiny[250::500]
+        path = tmp_path / "raw.txt"
+        src = DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+                          chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+                          mut_samples=samples[0], metal_samples=samples[1:])
+        src.write(path)
+        assert path.stat().st_size > io._BLOCK_BYTES
+        text = path.read_bytes()
+        assert len(re.findall(rb" -?[0-9.]+e-0[789]\b", text)) == 25
+        back = read_in_chunks(DatasetFile.read, path)
+        assert bits_equal(back.mut_samples, src.mut_samples)
+        assert bits_equal(back.metal_samples, src.metal_samples)
 
     @pytest.mark.parametrize("old, new, message", [
         ("\nmetal-1 2 ", "\nmetal-x 2 ", "bad trace id 'metal-x'"),
