@@ -811,15 +811,16 @@ class TestReader:
         # both round it correctly, so the block still parses to loadtxt's bits
         block = b"mut 0 1.5 -2\nmetal-0 0 1.5 %b\n" % value
         dtype = io._RECORDS["raw-if"][1]
-        assert io._g17.parse(np.frombuffer(b" " * 64 + value, np.uint8),
-                             np.array([64 + len(value)]), np.array([len(value)]))[1].size == 1
+        pad = io._g17.WINDOW
+        assert io._g17.parse(np.frombuffer(b" " * pad + value, np.uint8),
+                             np.array([pad + len(value)]), np.array([len(value)]))[1].size == 1
         parsed = io._raw_records(block, dtype)
         assert parsed.tobytes() == io._loaded(block, "trace", dtype, 0).tobytes()
 
     @pytest.mark.parametrize("value", [
         b"nan", b"-inf", b"Infinity", b"1_1", b"0x1p3", b"1e", b"e5", b".", b"-", b"1.5e+3.0",
         b"1.5.5", b"++1", b"1e+-3"])
-    def test_a_value_float_may_not_read_sends_its_block_to_loadtxt(self, value):
+    def test_a_token_that_is_no_decimal_number_sends_its_block_to_loadtxt(self, value):
         block = b"mut 0 1.5 -2\nmetal-0 0 1.5 %b\n" % value
         assert io._raw_records(block, io._RECORDS["raw-if"][1]) is None
 
@@ -838,8 +839,9 @@ class TestReader:
 
     def test_values_below_1e_6_keep_every_block_on_the_parser(self, tmp_path):
         # %.17g writes a value below 1e-6 with a scale above 10^22, which the
-        # parser's rules refuse; a few in a block are read by float, and the
-        # file reads as np.loadtxt reads it at every block size
+        # parser's rules refuse; a few in a block are read by float, so no
+        # block goes to np.loadtxt, and the file reads to the written bits at
+        # every block size
         m, n = 2, 2048
         rng = np.random.default_rng(36)
         samples = rng.uniform(-1, 1, (m + 1, n)) + 1j * rng.uniform(-1, 1, (m + 1, n))
@@ -855,7 +857,13 @@ class TestReader:
         assert path.stat().st_size > io._BLOCK_BYTES
         text = path.read_bytes()
         assert len(re.findall(rb" -?[0-9.]+e-0[789]\b", text)) == 25
-        back = read_in_chunks(DatasetFile.read, path)
+
+        def no_loadtxt(*args):
+            raise AssertionError("a block went to np.loadtxt")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "_loaded", no_loadtxt)
+            back = read_in_chunks(DatasetFile.read, path)
         assert bits_equal(back.mut_samples, src.mut_samples)
         assert bits_equal(back.metal_samples, src.metal_samples)
 
