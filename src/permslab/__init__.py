@@ -54,15 +54,7 @@ from .estimator import (
     step_phase_advance,
     wrap_phase,
 )
-from .fmcw import (
-    ChirpConfig,
-    IfTrace,
-    calibrate_ratio,
-    dft,
-    peak_bin,
-    synth_if_trace,
-    synth_slab_echoes,
-)
+from .fmcw import ChirpConfig, IfTrace, calibrate_ratio, dft, peak_bin, synth_if_trace
 from .bench import BenchReport, TrialRecord, TruthSummary, run_sweep
 from .io import DatasetFile, ReportFile
 from .synth import (

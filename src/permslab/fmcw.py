@@ -10,7 +10,14 @@ The IF samples follow the closed-form complex model
 
     S[n] = (A0^2 / 2) * Gamma * L_path * e^{j 2 pi ((B/Tc) tau n dt + f0 tau)}
 
-so waveform-level chirp mixing is never simulated.
+so waveform-level chirp mixing is never simulated. Gamma enters in the
+e^{+jwt} form of ``em``. A reflector whose response varies with
+frequency, such as a backed slab, contributes Gamma(f_n) at each
+sample's instantaneous frequency f_n = f0 + (B/Tc) n dt, the standard
+dechirped-FMCW model (Stove, IEE Proc. F 139(5), 1992); see
+``synth.generate_if_datasets``. A stepped sweep of a narrow chirp then
+extracts to Gamma e^{-j C1 m}, the form of the sweep model and of
+``estimator.fit_ideal``'s F.
 """
 
 from __future__ import annotations
@@ -21,13 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import (
-    SPEED_OF_LIGHT,
-    ComplexPermittivity,
-    SlabGeometry,
-    complex_sqrt_lossy,
-    slab_bounce_terms,
-)
 from .errors import AllZeroSpectrumError, CalibrationError
 
 
@@ -116,53 +116,6 @@ def synth_if_trace(cfg: ChirpConfig, reflections, delays) -> IfTrace:
         tones = 2j * math.pi * phase
         np.exp(tones, out=tones)  # in place: a raw-if metal stack is large
         return IfTrace(np.multiply(weights[:, None], tones, out=tones))
-
-
-_MAX_BOUNCES = 1000  # a refusal limit: each bounce is one echo, so one (N,) tone row
-
-
-def synth_slab_echoes(
-    eps_r: ComplexPermittivity,
-    geom: SlabGeometry,
-    cfg: ChirpConfig,
-    q: int,
-) -> tuple[list[complex], list[float]]:
-    """Reflections and delays of a backed slab's echoes: front face plus q-1 internal ones.
-
-    Echo 1 is the air-to-slab Fresnel reflection at delay 2*l/c. Echo
-    i >= 2 carries the i-th transmitted bounce amplitude
-
-        T_r1*Gamma_r2*T_1r*e^{-j2k_r d} * (Gamma_r1*Gamma_r2*e^{-j2k_r d})^{i-2}
-
-    evaluated at the chirp start frequency, delayed by one extra in-slab
-    round trip 2*d*Re(sqrt(eps_r))/c per bounce.
-
-    Only the front-face echo (q = 1) reproduces the slab model through
-    the IF route. A bounce's amplitude already holds its in-slab round
-    trips e^{-j2k_r d}, in em's e^{+jwt} convention, and ``synth_if_trace``
-    adds the carrier phase +2*pi*f0*tau of the longer delay, so the two
-    phases of each round trip cancel: for q >= 2 the extracted sweep is
-    neither the truncated series F_q nor its conjugate (an xfail test in
-    tests/test_acceptance.py pins this).
-
-    Raises:
-        ValueError: q below 1 or above 1000, before any echo is built.
-    """
-    if q < 1:
-        raise ValueError(f"bounce count q must be >= 1, got {q}")
-    if q > _MAX_BOUNCES:
-        raise ValueError(f"bounce count q must be <= {_MAX_BOUNCES}, got {q}")
-    g1r, amp, ratio = slab_bounce_terms(eps_r, geom, cfg.start_frequency)
-    tau1 = 2.0 * geom.standoff / SPEED_OF_LIGHT
-    slab_round_trip = (
-        2.0 * geom.thickness * complex_sqrt_lossy(eps_r).real / SPEED_OF_LIGHT
-    )
-    reflections, delays = [g1r], [tau1]
-    for i in range(2, q + 1):
-        reflections.append(amp)
-        delays.append(tau1 + (i - 1) * slab_round_trip)
-        amp *= ratio
-    return reflections, delays
 
 
 def dft(trace: IfTrace) -> np.ndarray:

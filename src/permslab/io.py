@@ -42,9 +42,10 @@ or one in ``_FLOAT_SHARE``), each a plain decimal number; it gathers each
 trace id as two 64-bit words with the bytes after the id cleared, and
 ``_traces`` finds the runs of records of one trace by comparing those
 words. An empty block, such as the rest of the ``columns:`` line's
-block, has no records and leaves the parser on. The first block it
-refuses, every later block of the file, and every gamma and report
-block, is decoded and parsed by one ``np.loadtxt`` call over its lines,
+block, has no records and leaves the parser on, as does a block it
+refuses for a ``#`` or an empty line. The first block it refuses for
+anything else, every later block of the file, and every gamma and
+report block, is decoded and parsed by one ``np.loadtxt`` call over its lines,
 split at ``\n``, ``\r\n`` and ``\r`` as text mode splits them. All three
 read a value to the same bits, so a file reads the same whichever parses it. A
 raw-IF reader scatters each block's records into the trace stack it
@@ -396,6 +397,9 @@ def _chunks(blocks, kind, dtype):
     refuses (an empty block it takes, with no records); that block and
     every later one, and every other kind of block, decoded, by one
     ``np.loadtxt`` call over its lines, split as text mode splits them.
+    A block it refuses for a ``#`` or an empty line (``_noted``) leaves
+    the parser on for the next one: it refuses a ``#`` before any parse,
+    and an empty line at the count of the separators, before the values.
     A block where ``_g17.parse`` refuses a few values is still the
     parser's, which reads those with ``float``; one where it refuses more
     than two and more than one in ``_FLOAT_SHARE`` is refused, so a file
@@ -409,7 +413,7 @@ def _chunks(blocks, kind, dtype):
     for block in blocks:
         records = _raw_records(block, dtype) if raw else None
         if records is None:
-            raw = False
+            raw = raw and _noted(block)
             records = _loaded(block, kind, dtype, parsed)
         parsed += records.size
         yield records
@@ -428,6 +432,12 @@ def _loaded(block, kind, dtype, parsed):
         message = re.sub(r"at row (\d+)", lambda row: f"at row {parsed + int(row[1])}",
                          str(exc), count=1)
         raise DatasetFormatError(f"bad {kind} record: {message}") from exc
+
+
+def _noted(block) -> bool:
+    """Whether a block holds a ``#`` or an empty line, which the reader
+    skips and ``_raw_records`` refuses."""
+    return b"#" in block or b"\n\n" in block or block.startswith(b"\n")
 
 
 def _raw_records(block, dtype):

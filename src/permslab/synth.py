@@ -7,6 +7,10 @@ material and for a stepped metal reference so the whole extraction
 chain (DFT, peak pick, calibration ratio) can be exercised. At zero
 noise the two routes agree to float precision when the chirp keeps the
 range-window term constant over the sweep (see ``benchmark_chirp``).
+The raw-IF material trace is a slab's response in em's e^{+jwt} form
+at each sample's instantaneous frequency, on the front-face delay's
+tone, so a narrow chirp's sweep extracts to F_q e^{-j C1 m}, the form
+the sweep model and ``fit_ideal``'s F use (``generate_if_datasets``).
 
 Randomness comes from numpy's PCG64 generator, seeded per sweep as
 ``default_rng(seed)`` would seed it, so identical seeds reproduce
@@ -26,17 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import SPEED_OF_LIGHT, ComplexPermittivity, SlabGeometry, fraunhofer_distance
-from .estimator import SdiDataset, check_step, front_face_reflection, step_phase_advance
-from .fmcw import (
-    ChirpConfig,
-    IfTrace,
-    calibrate_ratio,
-    dft,
-    peak_bin,
-    synth_if_trace,
-    synth_slab_echoes,
+from .em import (
+    SPEED_OF_LIGHT,
+    ComplexPermittivity,
+    SlabGeometry,
+    complex_sqrt_lossy,
+    fraunhofer_distance,
+    slab_bounce_terms,
 )
+from .estimator import SdiDataset, check_step, front_face_reflection, step_phase_advance
+from .fmcw import ChirpConfig, IfTrace, calibrate_ratio, dft, peak_bin, synth_if_trace
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,9 @@ def benchmark_chirp() -> ChirpConfig:
     range-window factor is the same for every stepped position to well
     below 1e-6; the stepped-calibration identity between the raw-IF
     route and the direct sweep model then holds to float precision for a
-    single front-face echo (``bounce_count=1``). With internal bounces it
-    fails at any bandwidth (see ``fmcw.synth_slab_echoes``).
+    single front-face echo (``bounce_count=1``). A slab with internal
+    bounces varies across even this band: its sweep reads the slab's
+    response at the chirp's centre frequency, to about 1e-6.
     With a wideband chirp the metal tone moves within its peak bin as
     the plate steps, so extraction at the integer bin ramps the
     calibrated amplitude and phase and biases ``|z*|`` by a few percent;
@@ -211,15 +215,26 @@ def generate_if_datasets(
     multiplies each trace by (1 + amp_noise) e^{j phase_noise}; the
     metal traces additionally lose amplitude linearly along the sweep
     (drift), mimicking a slowly weakening reference return. One
-    ``synth_if_trace`` call makes a tone row per slab echo and per metal
-    position; the material trace is the sum of the echo rows, and the
-    returned traces are views of that one stack.
+    ``synth_if_trace`` call makes the front face's tone row and one per
+    metal position, and the returned traces are views of that one stack.
+
+    The material trace is the slab's response at the front-face delay
+    tau1 = 2*l/c, in em's e^{+jwt} form, sampled at each sample's
+    frequency f_n = f0 + S*n*dt (see ``fmcw``): the series truncated
+    after ``bounce_count`` components,
+
+        F_q(f_n) = Gamma_1r + first_n (1 - ratio_n^(q-1)) / (1 - ratio_n),
+
+    where first_n and ratio_n are ``slab_bounce_terms``'s values at f0
+    times e^{-2j (k0(f_n) - k0(f0)) sqrt(eps) d}, as each holds one
+    in-slab round trip. A narrow chirp's sweep extracts to
+    F_q e^{-j C1 m}, F_q at the chirp's centre frequency; a wide chirp's
+    peak bin reads a band-weighted average of F_q instead.
 
     Args:
-        bounce_count: internal slab bounces for the material trace, 1 to
+        bounce_count: components q of the slab's bounce series, 1 to
             1000; 1 keeps only the front-face echo (thick-slab
-            condition), the only count whose extracted sweep matches the
-            slab model (see ``fmcw.synth_slab_echoes``).
+            condition), which does not vary with frequency.
         antenna_aperture: when given, warn if the standoff is inside the
             far-field distance for the chirp start frequency.
 
@@ -239,16 +254,27 @@ def generate_if_datasets(
                 f"distance {d_far:.3f} m; plane-wave treatment is doubtful",
                 stacklevel=2,
             )
+    if bounce_count < 1:
+        raise ValueError(f"bounce count q must be >= 1, got {bounce_count}")
+    if bounce_count > 1000:  # the documented range; the closed form costs the same at any q
+        raise ValueError(f"bounce count q must be <= 1000, got {bounce_count}")
+    g1r, first, ratio = slab_bounce_terms(truth, geom, cfg.start_frequency)
     # per trace, material then metal 0..M-1: an amplitude, then a phase draw
     amp, phase = np.random.default_rng(noise.seed).standard_normal((1 + m_count, 2)).T
-    reflections, echo_delays = synth_slab_echoes(truth, geom, cfg, bounce_count)
     with np.errstate(over="ignore", invalid="ignore"):  # IfTrace refuses what overflows
+        tau1 = 2.0 * geom.standoff / SPEED_OF_LIGHT
         delays = 2.0 * (geom.standoff + np.arange(m_count) * step) / SPEED_OF_LIGHT
-        # one tone row per slab echo, then one per metal position
-        tones = synth_if_trace(cfg, reflections + [-1.0 + 0.0j] * m_count,
-                               np.concatenate([echo_delays, delays])).samples
-        stack = tones[len(echo_delays) - 1 :]  # material row over the last echo's row
-        stack[0] = sum(tones[: len(echo_delays)], np.zeros(cfg.sample_count, dtype=complex))
+        stack = synth_if_trace(cfg, [g1r] + [-1.0 + 0.0j] * m_count,
+                               np.concatenate([[tau1], delays])).samples
+        if bounce_count > 1:
+            # one in-slab round trip at f_n is f0's times this shift; dk = k0(f_1) - k0(f0)
+            dk = 2.0 * math.pi * cfg.slope * cfg.sample_interval / SPEED_OF_LIGHT
+            shift = np.exp(np.arange(cfg.sample_count) * dk
+                           * (-2j * complex_sqrt_lossy(truth) * geom.thickness))
+            ratio_n = ratio * shift
+            rest = (first * shift) * (1.0 - ratio_n ** (bounce_count - 1)) / (1.0 - ratio_n)
+            (unit,) = synth_if_trace(cfg, [1.0], [tau1]).samples
+            stack[0] += unit * rest
         stack[1:] *= (1.0 - _drift_profile(noise.amplitude_drift_rel, m_count))[:, None]
         stack *= ((1.0 + noise.amplitude_rel_sigma * amp)
                   * np.exp(1j * noise.phase_sigma * phase))[:, None]

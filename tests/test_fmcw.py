@@ -13,14 +13,14 @@ from permslab import (
     ChirpConfig,
     ComplexPermittivity,
     IfTrace,
+    NoiseModel,
     SlabGeometry,
     calibrate_ratio,
-    complex_sqrt_lossy,
     dft,
     fresnel_normal,
+    generate_if_datasets,
     peak_bin,
     synth_if_trace,
-    synth_slab_echoes,
 )
 from permslab.errors import AllZeroSpectrumError, CalibrationError
 
@@ -261,68 +261,44 @@ class TestCalibrateRatio:
             calibrate_ratio(1.0, np.array([1.0, 1e-18]))
 
 
-class TestSynthSlabEchoes:
+class TestSlabBounceSum:
+    """The material trace of ``generate_if_datasets``: the slab's series
+    truncated after q components, at each sample's instantaneous frequency."""
+
     EPS = ComplexPermittivity(3.0, 0.15)
-    GEOM = SlabGeometry(thickness=0.02, standoff=0.25, backing=METAL)
 
-    def test_single_bounce_is_front_face(self):
-        reflections, delays = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=1)
-        gamma, _ = fresnel_normal(AIR, self.EPS)
-        assert reflections == [gamma]
-        assert len(delays) == 1
-        assert delays[0] == pytest.approx(2 * 0.25 / SPEED_OF_LIGHT, rel=1e-15)
-
-    def test_matched_backing_single_nonzero_echo(self):
-        geom = SlabGeometry(0.02, 0.25, backing=self.EPS)
-        reflections, delays = synth_slab_echoes(self.EPS, geom, CFG, q=5)
-        assert len(reflections) == len(delays) == 5
-        assert all(r == 0 for r in reflections[1:])
-
-    def test_bounce_amplitudes_match_series_terms(self):
-        reflections, _ = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=4)
-        # independent reconstruction of the bounce terms
-        g1r, t1r = fresnel_normal(AIR, self.EPS)
-        gr1, tr1 = fresnel_normal(self.EPS, AIR)
-        k0 = 2 * math.pi * CFG.start_frequency / SPEED_OF_LIGHT
-        k_r = k0 * complex_sqrt_lossy(self.EPS)
-        rt = cmath.exp(-2j * k_r * self.GEOM.thickness)
-        term = tr1 * (-1.0) * t1r * rt
-        for i, reflection in enumerate(reflections[1:]):
-            expected = term * (gr1 * (-1.0) * rt) ** i
-            assert reflection == pytest.approx(expected, rel=1e-12)
-
-    def test_metal_backed_magnitudes_decay(self):
-        reflections, _ = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
-        mags = [abs(r) for r in reflections[1:]]
-        assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
+    @staticmethod
+    def material(eps, geom, q):
+        mut, _ = generate_if_datasets(eps, geom, CFG, 1, 1e-4, NoiseModel.quiet(),
+                                      bounce_count=q)
+        return mut.samples
 
     @pytest.mark.parametrize("eps", [ComplexPermittivity(3.0, 0.15), ComplexPermittivity(7.5, 0.0)])
     @pytest.mark.parametrize("backing", [METAL, AIR, ComplexPermittivity(12.0, 2.0)])
     @pytest.mark.parametrize("q", [2, 3, 7])
-    def test_echo_sum_is_truncated_series(self, eps, backing, q):
-        # both series are built from the same bounce terms, in the same order;
-        # this sums the echo amplitudes, not their IF tones, whose delay phase
-        # undoes the round trip each amplitude holds (see synth_slab_echoes)
+    def test_each_sample_is_the_truncated_series_at_its_frequency(self, eps, backing, q):
+        # sample n is w F_q(f_n) tone_n, the front-face tone at 2 l / c and
+        # F_q summed term by term at f_n = f0 + S n dt; the closed form takes
+        # each round trip at f0 times its shift to f_n, so the two differ by
+        # a few ulps of in-slab phases of 10 to 60 rad
         geom = SlabGeometry(0.004, 0.25, backing)
-        reflections, _ = synth_slab_echoes(eps, geom, CFG, q)
-        total = reflections[0]
-        for reflection in reflections[1:]:
-            total += reflection
-        expected = effective_reflection_truncated(eps, geom, CFG.start_frequency, q)
-        assert np.array([total]).view(np.uint64).tolist() == (
-            np.array([expected]).view(np.uint64).tolist()
-        )
+        tau = 2 * geom.standoff / SPEED_OF_LIGHT
+        n = np.arange(CFG.sample_count)
+        w = 0.5 * CFG.amplitude**2 * CFG.path_loss
+        tone = np.exp(2j * math.pi * (CFG.slope * tau * n * CFG.sample_interval
+                                      + CFG.start_frequency * tau))
+        freqs = CFG.start_frequency + CFG.slope * n * CFG.sample_interval
+        series = [effective_reflection_truncated(eps, geom, f, q) for f in freqs]
+        got = self.material(eps, geom, q)
+        assert np.max(np.abs(got - w * np.array(series) * tone)) <= 1e-13 * abs(w)
 
-    def test_delays_spaced_by_slab_round_trip(self):
-        _, delays = synth_slab_echoes(self.EPS, self.GEOM, CFG, q=3)
-        expected_gap = 2 * 0.02 * complex_sqrt_lossy(self.EPS).real / SPEED_OF_LIGHT
-        np.testing.assert_allclose(np.diff(delays), expected_gap, rtol=1e-12)
-
-    @pytest.mark.parametrize("q", [1001, 2**63])
-    def test_bounce_count_above_1000_is_refused(self, q):
-        with pytest.raises(ValueError, match=f"bounce count q must be <= 1000, got {q}"):
-            synth_slab_echoes(self.EPS, self.GEOM, CFG, q)
-        assert len(synth_slab_echoes(self.EPS, self.GEOM, CFG, 1000)[0]) == 1000
+    def test_matched_backing_reads_the_front_face_alone(self):
+        # a backing of the slab's own permittivity reflects nothing at the
+        # rear: every bounce term is zero, and each q reads q = 1 bit for bit
+        geom = SlabGeometry(0.02, 0.25, backing=self.EPS)
+        front = self.material(self.EPS, geom, 1)
+        for q in (2, 5, 1000):
+            assert self.material(self.EPS, geom, q).tobytes() == front.tobytes()
 
 
 class TestCarrierPhaseStep:

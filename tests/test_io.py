@@ -712,8 +712,9 @@ class TestReader:
 
     def test_odd_layout_past_the_first_block(self, tmp_path, monkeypatch):
         # an M=200, N=1024 file: the parser reads the first blocks, np.loadtxt
-        # the first it refuses and all that follow, and a refusal counts its
-        # row across both
+        # the note's block, which leaves the parser on, the next, which the
+        # parser refuses for its tabs, and all that follow; a refusal counts
+        # its row across both
         m, n = 200, 1024
         rng = np.random.default_rng(6)
         path = tmp_path / "raw.txt"
@@ -737,8 +738,8 @@ class TestReader:
 
         monkeypatch.setattr(io, "_raw_records", counted)
         back = DatasetFile.read(path)
-        assert len(parses) > 4 and parses[-1] is None
-        assert all(records is not None for records in parses[:-1])
+        assert len(parses) > 5 and parses[-2] is None and parses[-1] is None
+        assert all(records is not None for records in parses[:-2])
         assert bits_equal(back.mut_samples, src.mut_samples)
         assert bits_equal(back.metal_samples, src.metal_samples)
         lines = odd.split(b"\n")
@@ -749,6 +750,47 @@ class TestReader:
         with pytest.raises(DatasetFormatError, match="could not convert string 'x[^']*' "
                                                      f"to float64 at row {row}, column 3"):
             DatasetFile.read(path)
+
+    def test_a_note_in_the_first_block_leaves_the_rest_to_the_parser(self, tmp_path):
+        # "# a note" after the first record sends its block to np.loadtxt
+        # and no other: the parser reads every later block, to the same bits
+        m, n = 4, 256
+        rng = np.random.default_rng(37)
+        path = tmp_path / "raw.txt"
+        src = DatasetFile(
+            mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+            chirp=ChirpConfig(79e9, 1e4, n * 2e-6, n, 2e-6),
+            mut_samples=rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n),
+            metal_samples=rng.uniform(-1, 1, (m, n)) - 1j * rng.uniform(-1, 1, (m, n)),
+        )
+        src.write(path)
+        data = path.read_bytes()
+        first = data.index(b"\n", data.index(b"\nmut 0 ") + 1) + 1
+        path.write_bytes(data[:first] + b"# a note\n" + data[first:])
+        parses, loads = [], []
+        raw_records, loaded = io._raw_records, io._loaded
+
+        def counted_raw(*args):
+            parses.append(raw_records(*args))
+            return parses[-1]
+
+        def counted_loaded(*args):
+            loads.append(loaded(*args))
+            return loads[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io, "_BLOCK_BYTES", 4096)
+            patch.setattr(io, "_raw_records", counted_raw)
+            patch.setattr(io, "_loaded", counted_loaded)
+            back = DatasetFile.read(path)
+        assert len(loads) == 1 and loads[0].size > 0
+        assert len(parses) > 10 and parses[0] is None
+        assert all(records is not None for records in parses[1:])
+        assert sum(records.size for records in parses[1:] + loads) == (m + 1) * n
+        assert bits_equal(back.mut_samples, src.mut_samples)
+        assert bits_equal(back.metal_samples, src.metal_samples)
+        back = read_in_chunks(DatasetFile.read, path)
+        assert bits_equal(back.metal_samples, src.metal_samples)
 
     def test_ids_equal_in_their_first_word_alternate(self, tmp_path):
         # metal-100 and metal-101 share their first 8 bytes: record by record

@@ -28,11 +28,12 @@ from permslab import (
     residuals,
     step_phase_advance,
     synth_if_trace,
-    synth_slab_echoes,
 )
-from permslab.em import AIR
+from permslab.em import AIR, slab_bounce_terms
 from permslab.errors import AliasingError, AllZeroSpectrumError, CalibrationError
 from permslab.synth import _pcg64_seeding
+
+from bounce_series import effective_reflection_truncated
 
 TRUTH = ComplexPermittivity(2.60, 0.1)
 # seeds of one, two, three and seven 32-bit words, and a numpy integer
@@ -171,9 +172,18 @@ class TestGenerateIfDatasets:
             amp = 1.0 + noise.amplitude_rel_sigma * rng.standard_normal()
             return amp * np.exp(1j * noise.phase_sigma * rng.standard_normal())
 
-        # the material trace sums its echo rows onto zeros, one echo at a time
-        echoes = synth_if_trace(cfg, *synth_slab_echoes(TRUTH, geom, cfg, bounces)).samples
-        expected = [sum(echoes, np.zeros(cfg.sample_count, dtype=complex)) * gain()]
+        # the material: one front-face tone, and with bounces the series
+        # summed term by term at each sample's frequency (see test_fmcw)
+        tau = 2.0 * geom.standoff / SPEED_OF_LIGHT
+        face = slab_bounce_terms(TRUTH, geom, cfg.start_frequency)[0]
+        (material,) = synth_if_trace(cfg, [face], [tau]).samples
+        if bounces > 1:
+            n = np.arange(cfg.sample_count)
+            freqs = cfg.start_frequency + cfg.slope * n * cfg.sample_interval
+            series = [effective_reflection_truncated(TRUTH, geom, f, bounces) for f in freqs]
+            (unit,) = synth_if_trace(cfg, [1.0], [tau]).samples
+            material = unit * np.array(series)
+        expected = [material * gain()]
         for m in range(m_count):
             tau = 2.0 * (geom.standoff + m * 1e-4) / SPEED_OF_LIGHT
             drift = noise.amplitude_drift_rel * m / (m_count - 1) if m_count > 1 else 0.0
@@ -183,7 +193,12 @@ class TestGenerateIfDatasets:
                                           bounce_count=bounces)
         assert len(metal) == m_count
         got = np.array([mut.samples, *(t.samples for t in metal)])
-        assert got.tobytes() == np.array(expected).tobytes()
+        if bounces == 1:
+            assert got.tobytes() == np.array(expected).tobytes()
+        else:
+            assert got[1:].tobytes() == np.array(expected[1:]).tobytes()
+            scale = 0.5 * cfg.amplitude**2 * abs(cfg.path_loss)
+            assert np.max(np.abs(got[0] - expected[0])) <= 1e-13 * scale
 
     def test_one_metal_position_has_no_drift(self):
         # a one-point sweep has no span to drift across
