@@ -300,6 +300,20 @@ class TestSlabBounceSum:
         for q in (2, 5, 1000):
             assert self.material(self.EPS, geom, q).tobytes() == front.tobytes()
 
+    def test_single_bounce_is_front_face(self):
+        # q = 1 is the front-face reflection alone, one tone at 2 l / c
+        geom = SlabGeometry(0.02, 0.25, backing=METAL)
+        gamma, _ = fresnel_normal(AIR, self.EPS)
+        front = synth_if_trace(CFG, [gamma], [2 * 0.25 / SPEED_OF_LIGHT]).samples
+        assert self.material(self.EPS, geom, 1).tobytes() == front.tobytes()
+
+    @pytest.mark.parametrize("q", [1001, 2**63])
+    def test_bounce_count_above_1000_is_refused(self, q):
+        geom = SlabGeometry(0.02, 0.25, backing=METAL)
+        with pytest.raises(ValueError, match=f"bounce count q must be <= 1000, got {q}"):
+            self.material(self.EPS, geom, q)
+        assert np.all(np.isfinite(self.material(self.EPS, geom, 1000)))
+
 
 class TestCarrierPhaseStep:
     def test_peak_phase_advance_per_step(self):
