@@ -59,7 +59,15 @@ malformed record (its row counted from the file's first record), then a
 sample index out of range, then a bad trace id. The record count comes
 last, and after it a missing or non-finite sample, which the
 constructor refuses. Gamma and report records are checked once all are
-read: their count, then their order.
+read (``_indexed``): their count ("record count 7 != step_count 8"),
+then their order ("record index 7 out of order"), and then the
+constructor's sample checks.
+
+Each container holds finite samples of the shape its reader returns,
+and its constructor refuses any other array with one check
+(``_samples``): "<name> samples of shape (2, 2) != (4,)", or "missing or
+non-finite <name> sample", where the name is ``gamma``, ``mut``,
+``metal``, ``measured`` or ``fitted``.
 
 The ``direction`` key records which way the reference moved during the
 sweep: ``backward`` (away from the radar, the default) means the
@@ -149,13 +157,16 @@ _BOOLS = {"true": True, "false": False}
 class DatasetFile:
     """In-memory form of a dataset file, either sweep or raw-trace mode.
 
-    gamma mode fills ``gammas``; raw-if mode fills ``chirp``,
-    ``mut_samples`` and ``metal_samples`` (one row per metal position).
-    A non-finite sample, or a ``provenance`` that spans lines, raises
-    DatasetFormatError at construction, so ``write`` never writes a file
-    that ``read`` refuses, and ``read``, which builds through the
-    constructor, refuses a missing trace sample. The provenance is read
-    back without its surrounding whitespace.
+    gamma mode fills ``gammas``, of shape ``(step_count,)``; raw-if mode
+    fills ``chirp``, ``mut_samples``, of shape ``(sample_count,)``, and
+    ``metal_samples``, of shape ``(step_count, sample_count)`` (one row
+    per metal position), and ``step_count`` is at least 1. A sample array
+    of any other shape or with a non-finite sample, a field of the other
+    mode, or a ``provenance`` that spans lines raises DatasetFormatError
+    at construction, so ``write`` never writes a file that ``read``
+    refuses or reads back otherwise, and ``read``, which builds through
+    the constructor, refuses a missing trace sample. The provenance is
+    read back without its surrounding whitespace.
     """
 
     mode: str
@@ -176,33 +187,22 @@ class DatasetFile:
             raise DatasetFormatError(f"unknown direction {self.direction!r}")
         if self.provenance and ("\n" in self.provenance or "\r" in self.provenance):
             raise DatasetFormatError(f"provenance spans lines: {self.provenance!r}")
-        if self.mode == "gamma":
-            if self.gammas is None:
-                raise DatasetFormatError("gamma mode requires gamma records")
-            self.gammas = np.asarray(self.gammas, dtype=complex)
-            if self.gammas.size != self.step_count:
-                raise DatasetFormatError(
-                    f"record count {self.gammas.size} != step_count {self.step_count}"
-                )
-            if not np.isfinite(self.gammas).all():
-                raise DatasetFormatError("non-finite gamma record")
-        else:
-            if self.chirp is None or self.mut_samples is None or self.metal_samples is None:
-                raise DatasetFormatError("raw-if mode requires chirp and trace records")
-            if self.step_count < 1:
-                raise DatasetFormatError(f"raw-if step_count {self.step_count} < 1")
-            self.mut_samples = np.asarray(self.mut_samples, dtype=complex)
-            self.metal_samples = np.asarray(self.metal_samples, dtype=complex)
-            n = self.chirp.sample_count
-            if self.mut_samples.shape != (n,):
-                raise DatasetFormatError("mut trace length != sample_count")
-            if self.metal_samples.shape != (self.step_count, n):
-                raise DatasetFormatError(
-                    f"expected {self.step_count} metal traces of {n} samples, "
-                    f"got shape {self.metal_samples.shape}"
-                )
-            if not (np.isfinite(self.mut_samples).all() and np.isfinite(self.metal_samples).all()):
-                raise DatasetFormatError("incomplete or non-finite trace records")
+        gamma = self.mode == "gamma"
+        if gamma and self.gammas is None:
+            raise DatasetFormatError("gamma mode requires gamma records")
+        if not gamma and any(x is None for x in (self.chirp, self.mut_samples, self.metal_samples)):
+            raise DatasetFormatError("raw-if mode requires chirp and trace records")
+        foreign = ("chirp", "mut_samples", "metal_samples") if gamma else ("gammas",)
+        if extra := [name for name in foreign if getattr(self, name) is not None]:
+            raise DatasetFormatError(f"{self.mode} mode takes no {', '.join(extra)}")
+        if gamma:
+            self.gammas = _samples("gamma", self.gammas, (self.step_count,))
+            return
+        if self.step_count < 1:
+            raise DatasetFormatError(f"raw-if step_count {self.step_count} < 1")
+        n = self.chirp.sample_count
+        self.mut_samples = _samples("mut", self.mut_samples, (n,))
+        self.metal_samples = _samples("metal", self.metal_samples, (self.step_count, n))
 
     def to_sweep(self) -> SdiDataset:
         """Gamma records as an estimator-ready sweep.
@@ -253,7 +253,8 @@ class DatasetFile:
         if common.setdefault("direction", "backward") not in ("backward", "forward"):
             raise DatasetFormatError(f"unknown direction {common['direction']!r}")
         if meta["mode"] == "gamma":
-            return cls(gammas=_gammas(_joined(chunks), common["step_count"]), **common)
+            records = _indexed(chunks, common["step_count"])
+            return cls(gammas=np.ravel(records["z"].view(complex)), **common)
         try:
             chirp = ChirpConfig(
                 **_read_keys(meta, _CHIRP_KEYS),
@@ -498,13 +499,6 @@ def _raw_records(block, dtype):
     return records
 
 
-def _joined(chunks) -> np.ndarray:
-    """All the chunks' records in one array: the only chunk itself, as a
-    file of up to ``_BLOCK_BYTES`` bytes has."""
-    first, *rest = chunks
-    return np.concatenate([first, *rest]) if rest else first
-
-
 def _read_header(blocks):
     """The metadata up to ``columns:``, and the bytes of its block after
     that line."""
@@ -543,17 +537,30 @@ def _parse(meta, key, kind=float, default=None):
         raise DatasetFormatError(f"bad {kind.__name__} for {key!r}: {text!r}") from exc
 
 
-def _gammas(records, step_count) -> np.ndarray:
+def _samples(name, values, shape) -> np.ndarray:
+    """``values`` as a complex array, refused unless it has exactly
+    ``shape`` and every sample is finite."""
+    samples = np.asarray(values, dtype=complex)
+    if samples.shape != shape:
+        raise DatasetFormatError(f"{name} samples of shape {samples.shape} != {shape}")
+    if not np.isfinite(samples).all():
+        raise DatasetFormatError(f"missing or non-finite {name} sample")
+    return samples
+
+
+def _indexed(chunks, step_count) -> np.ndarray:
+    """The records of a gamma or report file in one array, refused for a
+    count other than ``step_count``, then for an index column ``m`` that
+    is not 0, 1, 2, ... in order. A file of up to ``_BLOCK_BYTES`` bytes
+    has one chunk, which is used as it is."""
+    first, *rest = chunks
+    records = np.concatenate([first, *rest]) if rest else first
     if records.size != step_count:
         raise DatasetFormatError(f"record count {records.size} != step_count {step_count}")
-    _check_order(records["m"])
-    return np.ravel(records["z"].view(complex))
-
-
-def _check_order(m) -> None:
-    """Refuse a record index column that is not 0, 1, 2, ... in order."""
+    m = records["m"]
     if (out_of_order := np.flatnonzero(m != np.arange(m.size))).size:
         raise DatasetFormatError(f"record index {m[out_of_order[0]]} out of order")
+    return records
 
 
 def _traces(chunks, step_count, sample_count, room) -> np.ndarray:
@@ -616,10 +623,12 @@ def _trace_row(name: bytes, step_count) -> int:
 class ReportFile:
     """Fit summary plus measured-vs-fitted curve samples for plotting.
 
-    ``measured`` and ``fitted`` hold ``step_count`` finite samples each;
-    any other length, or a non-finite sample, raises DatasetFormatError
-    at construction, so ``write`` never writes a file that ``read``,
-    which builds through the constructor, refuses.
+    ``measured`` and ``fitted`` hold ``step_count`` finite samples each,
+    shape ``(step_count,)``; any other shape, or a non-finite sample,
+    raises DatasetFormatError at construction, so ``write`` never writes
+    a file that ``read``, which builds through the constructor, refuses.
+    ``from_fit`` takes ``measured`` from the sweep the fit saw: for a
+    ``direction: forward`` file, the flipped ``to_sweep().gammas``.
     """
 
     eps_real: float
@@ -635,13 +644,7 @@ class ReportFile:
 
     def __post_init__(self):
         for name in ("measured", "fitted"):
-            samples = np.asarray(getattr(self, name), dtype=complex)
-            if samples.shape != (self.step_count,):
-                raise DatasetFormatError(
-                    f"{name} samples of shape {samples.shape} != step_count {self.step_count}")
-            if not np.isfinite(samples).all():
-                raise DatasetFormatError(f"non-finite {name} sample")
-            setattr(self, name, samples)
+            setattr(self, name, _samples(name, getattr(self, name), (self.step_count,)))
 
     @classmethod
     def from_fit(cls, fit: FitResult, data: SdiDataset) -> "ReportFile":
@@ -680,10 +683,7 @@ class ReportFile:
     @classmethod
     def _from_records(cls, meta, chunks, room) -> "ReportFile":
         values = _read_keys(meta, _REPORT_KEYS)
-        records = _joined(chunks)
-        if records.size != values["step_count"]:
-            raise DatasetFormatError("report record count mismatch")
-        _check_order(records["m"])
+        records = _indexed(chunks, values["step_count"])
         return cls(
             **values,
             measured=np.ravel(records["measured"].view(complex)),

@@ -23,7 +23,7 @@ from permslab import (
     model_gamma,
 )
 from permslab import io
-from permslab.errors import AliasingError, DatasetFormatError
+from permslab.errors import AliasingError, DatasetFormatError, PermslabError
 from permslab.io import GAMMA_COLUMNS, RAW_COLUMNS, REPORT_COLUMNS
 
 EDGE = np.array([-0.0, 5e-324, 1e308, 0.1, -1 / 3])
@@ -171,7 +171,8 @@ class TestGammaRoundTrip:
         assert not recwarn.list
 
     def test_record_count_mismatch(self, tmp_path):
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape("gamma samples of shape (4,) != (5,)")):
             gamma_file(tmp_path, np.ones(4), step_count=5)
 
     def test_malformed_file_rejected(self, tmp_path):
@@ -215,8 +216,27 @@ class TestGammaRoundTrip:
 
     def test_non_finite_sample_refused_at_construction(self, tmp_path):
         # written, such a file could not be read back
-        with pytest.raises(DatasetFormatError, match="non-finite gamma record"):
+        with pytest.raises(DatasetFormatError, match="^missing or non-finite gamma sample$"):
             gamma_file(tmp_path, gammas=[1.0, math.nan, 1.0])
+
+    @pytest.mark.parametrize("step_count, gammas, message", [
+        # written, each would read back as a (step_count,) array
+        (4, np.ones((2, 2)), "gamma samples of shape (2, 2) != (4,)"),
+        (1, np.ones(()), "gamma samples of shape () != (1,)"),
+        (3, np.ones((1, 3)), "gamma samples of shape (1, 3) != (3,)"),
+    ])
+    def test_gammas_of_another_shape_refused_at_construction(self, step_count, gammas, message):
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            DatasetFile(mode="gamma", carrier_hz=79e9, step_m=1e-4, step_count=step_count,
+                        gammas=gammas)
+
+    @pytest.mark.parametrize("name", ["chirp", "mut_samples", "metal_samples"])
+    def test_raw_if_field_refused_at_construction(self, tmp_path, name):
+        # written, it would be dropped, and read back as None
+        value = {"chirp": SMALL_CHIRP, "mut_samples": np.ones(5),
+                 "metal_samples": np.ones((8, 5))}[name]
+        with pytest.raises(DatasetFormatError, match=f"^gamma mode takes no {name}$"):
+            gamma_file(tmp_path, **{name: value})
 
     @pytest.mark.parametrize("provenance", [
         "a\nb", "a\rb", "trailing\r\n", "a\ncolumns: m re_gamma im_gamma\n0 1 2"])
@@ -297,20 +317,21 @@ class TestRawIfRoundTrip:
     def test_non_finite_sample_refused_at_construction(self, trace):
         mut, metal = np.ones(5, dtype=complex), np.ones((2, 5), dtype=complex)
         (mut if trace == "mut" else metal[1])[3] = math.nan
-        with pytest.raises(DatasetFormatError, match="incomplete or non-finite trace records"):
+        with pytest.raises(DatasetFormatError, match=f"^missing or non-finite {trace} sample$"):
             DatasetFile(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=2,
                         chirp=SMALL_CHIRP, mut_samples=mut, metal_samples=metal)
 
     @pytest.mark.parametrize("changes, message", [
         ({"mode": "sweep"}, "unknown mode 'sweep'"),
         ({"mode": "gamma"}, "gamma mode requires gamma records"),
-        ({"mut_samples": np.ones(4)}, "mut trace length != sample_count"),
-        ({"mut_samples": np.ones((1, 5))}, "mut trace length != sample_count"),
-        ({"metal_samples": np.ones((2, 4))},
-         "expected 2 metal traces of 5 samples, got shape (2, 4)"),
-        ({"metal_samples": np.ones((3, 5))},
-         "expected 2 metal traces of 5 samples, got shape (3, 5)"),
-        ({"metal_samples": np.ones(10)}, "expected 2 metal traces of 5 samples, got shape (10,)"),
+        ({"mut_samples": np.ones(4)}, "mut samples of shape (4,) != (5,)"),
+        ({"mut_samples": np.ones((1, 5))}, "mut samples of shape (1, 5) != (5,)"),
+        ({"metal_samples": np.ones((2, 4))}, "metal samples of shape (2, 4) != (2, 5)"),
+        ({"metal_samples": np.ones((3, 5))}, "metal samples of shape (3, 5) != (2, 5)"),
+        ({"metal_samples": np.ones(10)}, "metal samples of shape (10,) != (2, 5)"),
+        # the readers refuse a direction before the constructor sees it
+        ({"direction": "sideways"}, "unknown direction 'sideways'"),
+        ({"gammas": np.ones(2)}, "raw-if mode takes no gammas"),
     ])
     def test_inconsistent_fields_refused_at_construction(self, changes, message):
         fields = dict(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=2,
@@ -350,7 +371,7 @@ class TestReportFile:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[-1].startswith("4 ")
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match="report record count mismatch"):
+        with pytest.raises(DatasetFormatError, match="^record count 4 != step_count 5$"):
             ReportFile.read(path)
 
     def test_round_trip_and_curve_consistency(self, tmp_path):
@@ -402,7 +423,7 @@ class TestReportFile:
     def test_sample_count_other_than_step_count_rejected(self, which, shape):
         # refused at construction, not by numpy inside write
         with pytest.raises(DatasetFormatError,
-                           match=re.escape(f"{which} samples of shape {shape} != step_count 5")):
+                           match=re.escape(f"{which} samples of shape {shape} != (5,)")):
             self.report(**{which: np.ones(shape)})
 
     @pytest.mark.parametrize("which", ["measured", "fitted"])
@@ -918,7 +939,7 @@ class TestReader:
         ("\nmetal-1 2 ", "\nmetal-1 5 ", "sample index 5 out of range"),
         ("\nmetal-1 2 ", "\nmetal-1 2 7 ", "bad trace record: .* at row 13;"),
         ("\nmetal-1 2 ", "\nmetal-1 x ", "bad trace record: .* at row 12, column 2"),
-        ("\nmetal-1 2 ", "\nmetal-1 1 ", "incomplete or non-finite"),
+        ("\nmetal-1 2 ", "\nmetal-1 1 ", "missing or non-finite metal sample"),
         ("\nmetal-1 2 ", "\n# metal-1 2 ", "trace record count 14 != 15"),
     ])
     def test_bad_trace_record(self, tmp_path, old, new, message):
@@ -1179,3 +1200,89 @@ class TestReader:
         path.write_bytes(b"# permslab report v1\neps_real: 2.6\xff\ncolumns: m\n")
         with pytest.raises(DatasetFormatError, match="cannot read"):
             ReportFile.read(path)
+
+
+def construction_cases(seed=39):
+    """Seeded containers for the construction invariant, as pytest params
+    ``(cls, fields)``: gamma, raw-IF and report samples of the right shape
+    and of others (0-d, (k, 1), (1, k), (2, 2), a transposed metal stack,
+    lengths off by one), clean or with a nan or ±inf at a random index,
+    and dataset files that carry the other mode's fields."""
+    rng = np.random.default_rng(seed)
+
+    def clean(shape):
+        return np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def spoiled(shape):
+        samples = clean(shape)
+        if samples.size:
+            bad = (math.nan, math.inf, -math.inf)[rng.integers(3)]
+            samples.flat[rng.integers(samples.size)] = bad if rng.integers(2) else complex(0, bad)
+        return samples
+
+    def shapes(k):  # without repeats, as (k, 1) and (1, k) are one shape at k = 1
+        return list(dict.fromkeys([(), (k,), (k, 1), (1, k), (2, 2), (k - 1,), (k + 1,)]))
+
+    def gamma(k, gammas, **extra):
+        return dict(mode="gamma", carrier_hz=79e9, step_m=1e-4, step_count=k, gammas=gammas,
+                    direction=("backward", "forward")[rng.integers(2)], **extra)
+
+    m, n = 2, SMALL_CHIRP.sample_count
+
+    def raw(mut, metal, **extra):
+        return dict(mode="raw-if", carrier_hz=79e9, step_m=1e-4, step_count=m,
+                    chirp=SMALL_CHIRP, mut_samples=mut, metal_samples=metal, **extra)
+
+    def report(k, measured, fitted):
+        return dict(eps_real=rng.uniform(1, 5), eps_imag=rng.uniform(0, 1),
+                    phase_offset_rad=rng.uniform(-math.pi, math.pi),
+                    residual_norm=rng.uniform(0, 1), converged=bool(rng.integers(2)),
+                    carrier_hz=79e9, step_m=1e-4, step_count=k, measured=measured, fitted=fitted)
+
+    cases = []
+    for make in (clean, spoiled):
+        for k in (1, 4):
+            cases += [(f"gamma-{k}-{shape}-{make.__name__}", DatasetFile, gamma(k, make(shape)))
+                      for shape in shapes(k)]
+        cases += [(f"mut-{shape}-{make.__name__}", DatasetFile, raw(make(shape), clean((m, n))))
+                  for shape in shapes(n)]
+        cases += [(f"metal-{shape}-{make.__name__}", DatasetFile, raw(clean(n), make(shape)))
+                  for shape in [(m, n), (n, m), (m - 1, n), (m + 1, n), (m, n - 1), (m, n + 1),
+                                (m * n,), (1, m, n), (), (2, 2)]]
+        for k in (1, 5):
+            cases += [(f"measured-{k}-{shape}-{make.__name__}", ReportFile,
+                       report(k, make(shape), clean(k))) for shape in shapes(k)]
+            cases += [(f"fitted-{k}-{shape}-{make.__name__}", ReportFile,
+                       report(k, clean(k), make(shape))) for shape in shapes(k)]
+    cases += [(f"gamma-with-{name}", DatasetFile, gamma(4, clean(4), **{name: value}))
+              for name, value in (("chirp", SMALL_CHIRP), ("mut_samples", clean(n)),
+                                  ("metal_samples", clean((m, n))))]
+    cases.append(("raw-if-with-gammas", DatasetFile, raw(clean(n), clean((m, n)), gammas=clean(m))))
+    return [pytest.param(cls, fields, id=name) for name, cls, fields in cases]
+
+
+def field_bits(container):
+    return {key: (value.shape, value.dtype, value.tobytes()) if isinstance(value, np.ndarray)
+            else value for key, value in vars(container).items()}
+
+
+def sweep_outcome(container):
+    try:
+        sweep = container.to_sweep()
+    except (PermslabError, ValueError) as exc:
+        return type(exc), str(exc)
+    return sweep.gammas.shape, sweep.gammas.tobytes(), sweep.step, sweep.carrier
+
+
+@pytest.mark.parametrize("cls, fields", construction_cases())
+def test_a_container_is_refused_or_reads_back_bit_for_bit(tmp_path, cls, fields):
+    try:
+        src = cls(**fields)
+    except DatasetFormatError:
+        return
+    path = tmp_path / "file.txt"
+    src.write(path)
+    back = cls.read(path)
+    assert field_bits(back) == field_bits(src)
+    if cls is DatasetFile and src.mode == "gamma":
+        assert sweep_outcome(back) == sweep_outcome(src)
